@@ -43,10 +43,13 @@
 //	costsim -replay t.csv.gz -worlds 8 -migrate-after 20m -migrate-policy locality
 //	costsim -replay big3d.csv.gz -shards 8 -horizon 72h   # multi-day, bounded memory
 //
-// The feed is pipelined by default (epoch N+1 prefetches while epoch N
-// advances; -pipeline=false pins the serial reference loop — both are
-// byte-identical) and each world's stored trajectory is bounded by
-// -sample-cap (default 512 samples, window-folded on the fly).
+// The feed is pipelined (epoch N+1 prefetches while epoch N advances)
+// and each world's stored trajectory is bounded by -sample-cap (default
+// 512 samples, window-folded on the fly).
+//
+// Cluster-simulation flags (-horizon, -gap, -life, -boot, -full-repack,
+// -repack-workers, -repack-cache, -spot-frac, -zones, -autoscaler) are
+// rejected with exit status 2 on the static path.
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
@@ -85,8 +88,6 @@ func main() {
 	gap := flag.Duration("gap", 2*time.Minute, "lifecycle mean pod inter-arrival gap")
 	life := flag.Duration("life", 45*time.Minute, "lifecycle mean pod lifetime (Pareto-tailed)")
 	boot := flag.Duration("boot", 45*time.Second, "lifecycle VM boot delay")
-	reference := flag.Bool("reference", false,
-		"lifecycle: use the linear-scan reference scheduler instead of the capacity index (same placements, O(fleet) per decision — a debugging aid)")
 	fullRepack := flag.Bool("full-repack", false,
 		"lifecycle: pin the Hostlo optimizer to full-fleet passes instead of dirty-set incremental ones")
 	repackWorkers := flag.Int("repack-workers", 0,
@@ -107,8 +108,6 @@ func main() {
 		"replay: skip malformed trace rows instead of failing")
 	migratePolicy := flag.String("migrate-policy", "least-loaded",
 		"replay: destination policy for -migrate-after transfers: least-loaded or locality")
-	pipeline := flag.Bool("pipeline", true,
-		"replay: overlap feeding epoch N+1 with advancing epoch N (false pins the serial reference loop; both orders are byte-identical)")
 	sampleCap := flag.Int("sample-cap", 0,
 		"replay: bound each world's stored trajectory to this many samples, window-folding on the fly (0 = default 512, negative = unlimited)")
 	cloudSpec := flag.String("cloud", cloud.DefaultName,
@@ -147,15 +146,8 @@ func main() {
 		cli.BadFlag("costsim: %v", err)
 	}
 	if !*lifecycle && *replay == "" {
-		// The static snapshot has no fleet to manage: only the catalog
-		// choice applies.
-		for _, name := range []string{"spot-frac", "zones", "autoscaler"} {
-			if explicit[name] {
-				cli.BadFlag("costsim: -%s only applies to the cluster simulation (add -lifecycle or -replay)", name)
-			}
-		}
-		if cl.SpotFrac > 0 || cl.Zones > 1 {
-			cli.BadFlag("costsim: zone=/spot= in -cloud only apply to the cluster simulation (add -lifecycle or -replay)")
+		if err := checkStatic(explicit, cl); err != nil {
+			cli.BadFlag("costsim: %v", err)
 		}
 	}
 	// Spot capacity without a revocation rule would be free money:
@@ -186,7 +178,7 @@ func main() {
 			cli.BadFlag("costsim: -migrate-policy must be least-loaded or locality, got %q", *migratePolicy)
 		}
 	} else {
-		for _, name := range []string{"shards", "worlds", "barrier", "migrate-after", "lenient", "migrate-policy", "pipeline", "sample-cap"} {
+		for _, name := range []string{"shards", "worlds", "barrier", "migrate-after", "lenient", "migrate-policy", "sample-cap"} {
 			if explicit[name] {
 				cli.BadFlag("costsim: -%s only applies to a trace replay (add -replay FILE)", name)
 			}
@@ -226,10 +218,8 @@ func main() {
 			path: *replay, seed: *seed, horizon: *horizon, boot: *boot,
 			shards: *shards, worlds: *worlds, barrier: *barrier,
 			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy,
-			pipeline: *pipeline, sampleCap: *sampleCap,
-			lenient: *lenient, sched: sched,
-			reference: *reference, fullRepack: *fullRepack,
-			repackWorkers: *repackWorkers, repackCache: *repackCache,
+			sampleCap: *sampleCap, lenient: *lenient, sched: sched,
+			fullRepack: *fullRepack, repackWorkers: *repackWorkers, repackCache: *repackCache,
 			cloud: cl, rec: tf.Recorder(), emit: emit,
 		})
 		tf.EmitOrDie("costsim")
@@ -240,8 +230,7 @@ func main() {
 		runLifecycle(lifecycleOpts{
 			users: *users, seed: *seed, horizon: *horizon, gap: *gap,
 			life: *life, boot: *boot, workers: *workers, sched: sched,
-			reference: *reference, fullRepack: *fullRepack,
-			repackWorkers: *repackWorkers, repackCache: *repackCache,
+			fullRepack: *fullRepack, repackWorkers: *repackWorkers, repackCache: *repackCache,
 			cloud: cl, rec: tf.Recorder(), emit: emit,
 		})
 		tf.EmitOrDie("costsim")
@@ -340,6 +329,25 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 	emit(t)
 }
 
+// checkStatic rejects cluster-simulation settings on the static path:
+// the snapshot has no fleet to manage and no clock, so only the catalog
+// choice applies. explicit holds the flags set on the command line.
+func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
+	for _, name := range []string{
+		"spot-frac", "zones", "autoscaler",
+		"full-repack", "repack-workers", "repack-cache",
+		"horizon", "gap", "life", "boot",
+	} {
+		if explicit[name] {
+			return fmt.Errorf("-%s only applies to the cluster simulation (add -lifecycle or -replay)", name)
+		}
+	}
+	if cl.SpotFrac > 0 || cl.Zones > 1 {
+		return fmt.Errorf("zone=/spot= in -cloud only apply to the cluster simulation (add -lifecycle or -replay)")
+	}
+	return nil
+}
+
 // lifecycleOpts bundles the -lifecycle run parameters.
 type lifecycleOpts struct {
 	users         int
@@ -350,7 +358,6 @@ type lifecycleOpts struct {
 	boot          time.Duration
 	workers       int
 	sched         *faults.Schedule
-	reference     bool
 	fullRepack    bool
 	repackWorkers int
 	repackCache   int
@@ -383,7 +390,6 @@ func runLifecycle(o lifecycleOpts) {
 		Horizon:       o.horizon,
 		BootDelay:     o.boot,
 		Faults:        o.sched,
-		Reference:     o.reference,
 		FullRepack:    o.fullRepack,
 		RepackWorkers: o.repackWorkers,
 		PackCacheSize: o.repackCache,
@@ -468,11 +474,9 @@ type replayOpts struct {
 	barrier       time.Duration
 	migrateAfter  time.Duration
 	migratePolicy string
-	pipeline      bool
 	sampleCap     int
 	lenient       bool
 	sched         *faults.Schedule
-	reference     bool
 	fullRepack    bool
 	repackWorkers int
 	repackCache   int
@@ -498,7 +502,6 @@ func runReplay(o replayOpts) {
 			BarrierEvery:  o.barrier,
 			MigrateAfter:  o.migrateAfter,
 			MigratePolicy: o.migratePolicy,
-			SerialFeed:    !o.pipeline,
 			Cluster: cluster.Config{
 				Policy:        policy,
 				Seed:          o.seed,
@@ -507,7 +510,6 @@ func runReplay(o replayOpts) {
 				BootDelay:     o.boot,
 				SampleCap:     o.sampleCap,
 				Faults:        o.sched,
-				Reference:     o.reference,
 				FullRepack:    o.fullRepack,
 				RepackWorkers: o.repackWorkers,
 				PackCacheSize: o.repackCache,

@@ -253,14 +253,7 @@ func (c *Cluster) drainNode(n *node, now sim.Time) {
 			continue
 		}
 		seen[it.Pod] = true
-		if c.cfg.Reference {
-			for i := range c.pods {
-				if c.pods[i].pod.ID == it.Pod {
-					victims = append(victims, i)
-					break
-				}
-			}
-		} else if i, ok := c.podIndex[it.Pod]; ok {
+		if i, ok := c.podIndex[it.Pod]; ok {
 			victims = append(victims, i)
 		}
 	}

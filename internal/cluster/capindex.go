@@ -25,9 +25,8 @@ import "nestless/internal/cloudsim"
 //
 // Both structures are deterministic: treap priorities are a splitmix64
 // hash of the node id (no RNG), and ties never consult anything but the
-// creation/enqueue order. The linear-scan originals survive behind
-// Config.Reference; the equivalence suite diffs the two modes byte for
-// byte.
+// creation/enqueue order. The golden corpus (testdata/golden.txt) pins
+// their decisions.
 
 // splitmix64 is the deterministic treap priority hash (node id → prio).
 func splitmix64(x uint64) uint64 {
@@ -49,12 +48,12 @@ func splitmix64(x uint64) uint64 {
 //
 // Free capacity is stored instead of the used sums: the fit test
 // `free >= req` needs no catalog lookup at query time, and the free
-// values are computed by the exact `Rel - used` expression the
-// reference scan evaluates, so the comparison outcomes are
-// bit-identical. Trees are per catalog type on purpose — all entries
-// of one tree share a machine size, so free capacity anti-correlates
-// with score and the subtree maxima actually prune the near-full
-// high-score plateau. (A single global tree was tried and measured
+// values are computed by the exact `Rel - used` expression the static
+// packer's fit test evaluates (cloudsim's freeCPU/freeMem), so the
+// comparison outcomes are bit-identical. Trees are per catalog type on
+// purpose — all entries of one tree share a machine size, so free
+// capacity anti-correlates with score and the subtree maxima actually
+// prune the near-full high-score plateau. (A single global tree was tried and measured
 // ~3.5x worse: a nearly-full big machine still has more absolute free
 // room than an empty small one, so mixed-type aggregates never cut.)
 // Field order is deliberate: the first 64 bytes hold everything the
@@ -87,7 +86,7 @@ type capNode struct {
 }
 
 // before is the in-order comparator: higher score first, then earlier
-// creation (smaller id) — the exact preference order of the linear scan.
+// creation (smaller id) — the static packer's preference order.
 func (a *capNode) before(score float64, id int) bool {
 	return a.score > score || (a.score == score && a.n.id < id)
 }

@@ -12,6 +12,7 @@ import (
 	"nestless/internal/cloud"
 	"nestless/internal/cluster"
 	"nestless/internal/faults"
+	"nestless/internal/golden"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
@@ -242,13 +243,14 @@ func TestSpotChaosReplay(t *testing.T) {
 	}
 }
 
-// TestSpotChaosMatchesReference: the indexed core and the linear-scan
-// reference must agree byte for byte under spot + zones too.
+// TestSpotChaosMatchesReference: the indexed core must reproduce the
+// recorded reference digests byte for byte under spot + zones too.
 func TestSpotChaosMatchesReference(t *testing.T) {
+	g := golden.Open(t, goldenPath, "spot/")
 	users := trace.Generate(churnConfig(21, 4))
 	for _, seed := range []int64{2, 5} {
 		cfg := spotChaosConfig(t, seed, users[int(seed)%len(users)].Pods)
-		requireIdentical(t, cfg)
+		requireGolden(t, g, fmt.Sprintf("spot/s%d", seed), cfg)
 	}
 }
 

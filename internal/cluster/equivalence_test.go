@@ -9,18 +9,25 @@ import (
 	"time"
 
 	"nestless/internal/cluster"
+	"nestless/internal/ctrace"
 	"nestless/internal/faults"
+	"nestless/internal/golden"
+	"nestless/internal/sim"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
 
-// The indexed-vs-reference equivalence suite: the capacity index, the
-// heap pending queue and the index-backed neighborhood selection must
-// reproduce the linear-scan reference implementation byte for byte —
-// same Result (placements, fleet composition, costs, trajectories),
-// same telemetry trace — under churn, node kills and fault schedules,
-// for every scheduling regime. "Byte-identical placement" is the whole
-// contract of the indexed core; these tests are what pins it.
+// The golden suite: the capacity index, the heap pending queue and the
+// index-backed neighborhood selection must reproduce the reference
+// digests in testdata/golden.txt byte for byte — same final world
+// digest, same Result (placements, fleet composition, costs,
+// trajectories), same telemetry trace and metrics table — under churn,
+// node kills and fault schedules, for every scheduling regime. The
+// corpus was recorded while the linear-scan reference scheduler still
+// existed, with every case asserted identical to it; "byte-identical
+// placement" is the whole contract of the indexed core, and these tests
+// are what pins it. The fast-path variants (worker count, packing
+// cache) are diffed against each other directly.
 
 // policyModes are the three scheduling regimes the suite covers:
 // the Kubernetes baseline, Hostlo with the dirty-set incremental
@@ -34,45 +41,49 @@ var policyModes = []struct {
 	{"hostlo-full", func(c *cluster.Config) { c.Policy = cluster.Hostlo; c.FullRepack = true }},
 }
 
-// runMode executes one lifecycle run and returns its result plus the
-// textual telemetry trace.
-func runMode(t *testing.T, cfg cluster.Config, reference bool) (cluster.Result, string) {
+// goldenPath is the recorded corpus the lifecycle cases are pinned to.
+const goldenPath = "testdata/golden.txt"
+
+// lifecycleRun is one recorded lifecycle run.
+type lifecycleRun struct {
+	res   cluster.Result
+	trace string // telemetry text trace
+	line  string // golden corpus entry
+}
+
+// runRecorded executes one lifecycle run with a telemetry recorder
+// and audits it for leaks.
+func runRecorded(t *testing.T, cfg cluster.Config) lifecycleRun {
 	t.Helper()
-	cfg.Reference = reference
 	rec := telemetry.New()
 	cfg.Rec = rec
 	c := cluster.New(cfg)
 	res := c.Run()
 	if leaks := c.Leaks(); len(leaks) != 0 {
-		t.Fatalf("reference=%v: leaks:\n  %s", reference, strings.Join(leaks, "\n  "))
+		t.Fatalf("leaks:\n  %s", strings.Join(leaks, "\n  "))
 	}
 	var buf bytes.Buffer
 	if err := rec.WriteTextTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.String()
-}
-
-// requireIdentical runs cfg in both modes and fails on any divergence.
-func requireIdentical(t *testing.T, cfg cluster.Config) cluster.Result {
-	t.Helper()
-	indexed, itrace := runMode(t, cfg, false)
-	linear, ltrace := runMode(t, cfg, true)
-	if !reflect.DeepEqual(indexed, linear) {
-		t.Fatalf("indexed run diverged from linear reference:\nindexed: %+v\nlinear:  %+v", indexed, linear)
-	}
-	if itrace != ltrace {
-		t.Fatalf("telemetry diverged (%d vs %d bytes)", len(itrace), len(ltrace))
-	}
-	if itrace == "" {
+	if buf.Len() == 0 {
 		t.Fatal("empty telemetry trace — recorder not wired")
 	}
-	return indexed
+	return lifecycleRun{res: res, trace: buf.String(), line: golden.Line(c.Digest(), res, rec)}
+}
+
+// requireGolden runs cfg and checks it against its golden line.
+func requireGolden(t *testing.T, g *golden.Set, name string, cfg cluster.Config) cluster.Result {
+	t.Helper()
+	run := runRecorded(t, cfg)
+	g.Check(name, run.line)
+	return run.res
 }
 
 // TestIndexedMatchesReferenceChurn sweeps seeded churned workloads
-// through all three regimes.
+// through all three regimes against the recorded reference digests.
 func TestIndexedMatchesReferenceChurn(t *testing.T) {
+	g := golden.Open(t, goldenPath, "churn/")
 	var scheduled int
 	for _, seed := range []int64{1, 2, 3, 4} {
 		users := trace.Generate(churnConfig(seed, 6))
@@ -88,7 +99,7 @@ func TestIndexedMatchesReferenceChurn(t *testing.T) {
 					BootDelay: 30 * time.Second,
 				}
 				mode.adjust(&cfg)
-				res := requireIdentical(t, cfg)
+				res := requireGolden(t, g, fmt.Sprintf("churn/s%d/u%d/%s", seed, ui, mode.name), cfg)
 				scheduled += res.Scheduled
 			}
 		}
@@ -101,6 +112,7 @@ func TestIndexedMatchesReferenceChurn(t *testing.T) {
 // TestIndexedMatchesReferenceFaults adds node kills, provisioning
 // failures and delays on top of churn.
 func TestIndexedMatchesReferenceFaults(t *testing.T) {
+	g := golden.Open(t, goldenPath, "faults/")
 	specs := []string{
 		"node/*:crash:p=0.03",
 		"node/n0:crash:n=1;node/provision:fail:p=0.2",
@@ -123,7 +135,7 @@ func TestIndexedMatchesReferenceFaults(t *testing.T) {
 				MaxSteps:  2_000_000,
 			}
 			mode.adjust(&cfg)
-			res := requireIdentical(t, cfg)
+			res := requireGolden(t, g, fmt.Sprintf("faults/%d/%s", si, mode.name), cfg)
 			kills += res.Kills
 		}
 	}
@@ -136,6 +148,7 @@ func TestIndexedMatchesReferenceFaults(t *testing.T) {
 // wider than the largest machine, which only Hostlo can run, placed
 // container by container across nodes.
 func TestIndexedMatchesReferenceSplit(t *testing.T) {
+	g := golden.Open(t, goldenPath, "split/")
 	var pods []trace.Pod
 	for i := 0; i < 4; i++ {
 		// Each pod totals 1.6 rel CPU — wider than the largest machine
@@ -160,21 +173,20 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 			Containers: []trace.Container{{CPU: 0.01, Mem: 0.01}},
 		})
 	}
-	for _, full := range []bool{false, true} {
+	for _, mode := range policyModes[1:] {
 		cfg := cluster.Config{
-			Seed:       5,
-			Pods:       pods,
-			Policy:     cluster.Hostlo,
-			Horizon:    5 * time.Hour,
-			BootDelay:  30 * time.Second,
-			FullRepack: full,
+			Seed:      5,
+			Pods:      pods,
+			Horizon:   5 * time.Hour,
+			BootDelay: 30 * time.Second,
 		}
-		res := requireIdentical(t, cfg)
+		mode.adjust(&cfg)
+		res := requireGolden(t, g, "split/"+mode.name, cfg)
 		if res.Failed != 0 {
-			t.Fatalf("full=%v: %d wide pods failed — split placement did not engage", full, res.Failed)
+			t.Fatalf("%s: %d wide pods failed — split placement did not engage", mode.name, res.Failed)
 		}
 		if res.Scheduled != len(pods) {
-			t.Fatalf("full=%v: scheduled %d of %d pods", full, res.Scheduled, len(pods))
+			t.Fatalf("%s: scheduled %d of %d pods", mode.name, res.Scheduled, len(pods))
 		}
 	}
 	// Kubernetes must refuse the wide pods identically in both modes.
@@ -182,10 +194,49 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 		Seed: 5, Pods: pods, Policy: cluster.Kubernetes,
 		Horizon: 5 * time.Hour, BootDelay: 30 * time.Second,
 	}
-	res := requireIdentical(t, cfg)
+	res := requireGolden(t, g, "split/kubernetes", cfg)
 	if res.Failed != 4 {
 		t.Fatalf("kubernetes: failed %d, want the 4 wide pods", res.Failed)
 	}
+}
+
+// TestStreamLeakFree audits the streaming books directly: feed, run,
+// then run the leak checker, including an end event that catches its
+// pod still pending (huge BootDelay keeps the queue backed up) and one
+// for a pod the world never admitted.
+func TestStreamLeakFree(t *testing.T) {
+	rec := telemetry.New()
+	cfg := cluster.Config{
+		Policy:    cluster.Kubernetes,
+		Horizon:   2 * time.Hour,
+		BootDelay: 30 * time.Minute, // pods wait; ends hit pending pods
+		Rec:       rec,
+	}
+	c := cluster.New(cfg)
+	c.Start()
+	evs := []ctrace.Event{
+		{Time: 1 * time.Minute, Kind: ctrace.Submit, Pod: "a", User: "u1",
+			Containers: []trace.Container{{CPU: 0.1, Mem: 0.1}}},
+		{Time: 2 * time.Minute, Kind: ctrace.Submit, Pod: "b", User: "u1",
+			Containers: []trace.Container{{CPU: 0.2, Mem: 0.2}}},
+		{Time: 5 * time.Minute, Kind: ctrace.Kill, Pod: "b", User: "u1"}, // still pending
+		{Time: 6 * time.Minute, Kind: ctrace.Finish, Pod: "ghost", User: "u1"},
+		{Time: 90 * time.Minute, Kind: ctrace.Finish, Pod: "a", User: "u1"},
+	}
+	for _, ev := range evs {
+		if err := c.FeedEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Advance(sim.Time(cfg.Horizon))
+	res := c.Finish()
+	if leaks := c.Leaks(); len(leaks) > 0 {
+		t.Fatalf("leaks: %v", leaks)
+	}
+	if res.Arrived != 2 || res.Departed != 2 {
+		t.Fatalf("result: %+v", res)
+	}
+	golden.Open(t, goldenPath, "stream-leak/").Check("stream-leak/kubernetes", golden.Line(c.Digest(), res, rec))
 }
 
 // TestIncrementalOptimizerEngages proves the dirty-set policy actually
@@ -219,8 +270,8 @@ func TestIncrementalOptimizerEngages(t *testing.T) {
 	// This workload is the one that actually drives incremental passes,
 	// so pin the dual-path neighborhood selection (treap tail-walk vs
 	// fleet scan) on it too.
-	requireIdentical(t, base)
-	res := cluster.Simulate(base)
+	g := golden.Open(t, goldenPath, "incremental/")
+	res := requireGolden(t, g, "incremental/hostlo", base)
 	if res.OptimizerRuns == 0 {
 		t.Fatal("optimizer never ran")
 	}
@@ -229,7 +280,7 @@ func TestIncrementalOptimizerEngages(t *testing.T) {
 	}
 	full := base
 	full.FullRepack = true
-	fres := cluster.Simulate(full)
+	fres := requireGolden(t, g, "incremental/hostlo-full", full)
 	if fres.OptimizerRuns != fres.OptimizerFull {
 		t.Fatalf("FullRepack: %d of %d passes were incremental", fres.OptimizerRuns-fres.OptimizerFull, fres.OptimizerRuns)
 	}
@@ -301,23 +352,20 @@ func TestRepackWorkerCountEquivalence(t *testing.T) {
 		BootDelay: 30 * time.Second,
 		Faults:    sched,
 	}
-	var want cluster.Result
-	var wantTrace string
+	var first lifecycleRun
 	for i, workers := range []int{1, 2, 4, 8} {
 		cfg := base
 		cfg.RepackWorkers = workers
-		res, tr := runMode(t, cfg, false)
+		run := runRecorded(t, cfg)
 		if i == 0 {
-			want, wantTrace = res, tr
+			first = run
 			continue
 		}
-		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", workers, res, want)
-		}
-		if tr != wantTrace {
-			t.Fatalf("workers=%d: telemetry diverged (%d vs %d bytes)", workers, len(tr), len(wantTrace))
+		if !reflect.DeepEqual(run, first) {
+			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", workers, run.res, first.res)
 		}
 	}
+	want := first.res
 	if want.OptimizerRuns == want.OptimizerFull {
 		t.Fatal("every pass was full-fleet — the group fan-out went unexercised")
 	}
@@ -360,8 +408,9 @@ func TestPackCacheEquivalence(t *testing.T) {
 	on := base
 	off := base
 	off.PackCacheSize = -1
-	resOn, trOn := runMode(t, on, false)
-	resOff, trOff := runMode(t, off, false)
+	runOn, runOff := runRecorded(t, on), runRecorded(t, off)
+	resOn, trOn := runOn.res, runOn.trace
+	resOff, trOff := runOff.res, runOff.trace
 	if resOn.OptimizerCacheHits == 0 {
 		t.Fatal("cache-on run never hit the cache — the memoization went unexercised")
 	}
@@ -378,6 +427,6 @@ func TestPackCacheEquivalence(t *testing.T) {
 	if got, want := stripCacheLines(trOn), stripCacheLines(trOff); got != want {
 		t.Fatalf("telemetry diverged beyond cache counters (%d vs %d bytes)", len(got), len(want))
 	}
-	// The cached world must also still match the linear reference.
-	requireIdentical(t, on)
+	// The cached world must also still match the recorded reference.
+	golden.Open(t, goldenPath, "packcache/").Check("packcache/hostlo", runOn.line)
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"slices"
-	"sort"
 
 	"nestless/internal/cloudsim"
 	"nestless/internal/parallel"
@@ -17,9 +16,8 @@ import (
 // nodes by most-requested score), falling back to a full-fleet pass
 // when the dirty fraction exceeds Config.RepackDirtyFrac or when
 // Config.FullRepack pins full passes. Candidate selection is
-// deterministic and identical between the indexed and reference
-// schedulers (the equivalence suite diffs them); whether it uses the
-// capacity index or a fleet scan is purely a wall-clock matter.
+// deterministic: the neighborhood comes from tail-walks of the
+// capacity index, ties broken by node id.
 //
 // Incremental passes are additionally partitioned, canonicalized and
 // memoized (see optimizeGroups): candidates split into disjoint
@@ -214,44 +212,23 @@ func (c *Cluster) optimizeCandidates() ([]*node, bool) {
 }
 
 // neighborhood returns up to k live non-dirty consolidation targets:
-// the emptiest nodes by (most-requested score asc, id desc). Both
-// selection paths — treap tail-walk and fleet scan — apply the same
-// two-stage rule (up to k per catalog type, then k overall), so they
-// return the identical set.
+// the emptiest nodes by (most-requested score asc, id desc), taken in
+// two stages — up to k per catalog type by a tail-walk of each type's
+// treap, then k overall.
 func (c *Cluster) neighborhood(k int) []*node {
-	var cand []*node
-	if c.cfg.Reference {
-		byType := make([][]*node, len(c.cat))
-		for _, n := range c.nodes {
-			if n.live && !n.dirty {
-				byType[n.typ] = append(byType[n.typ], n)
+	cand := c.neighScratch[:0]
+	for _, root := range c.idx.trees {
+		taken := 0
+		root.revEach(func(n *node) bool {
+			if n.dirty {
+				return true
 			}
-		}
-		for _, ns := range byType {
-			sort.Slice(ns, func(a, b int) bool {
-				sa, sb := c.score(ns[a]), c.score(ns[b])
-				return sa < sb || (sa == sb && ns[a].id > ns[b].id)
-			})
-			if len(ns) > k {
-				ns = ns[:k]
-			}
-			cand = append(cand, ns...)
-		}
-	} else {
-		cand = c.neighScratch[:0]
-		for _, root := range c.idx.trees {
-			taken := 0
-			root.revEach(func(n *node) bool {
-				if n.dirty {
-					return true
-				}
-				cand = append(cand, n)
-				taken++
-				return taken < k
-			})
-		}
-		c.neighScratch = cand
+			cand = append(cand, n)
+			taken++
+			return taken < k
+		})
 	}
+	c.neighScratch = cand
 	// Final overall ordering, on precomputed scores (the comparator
 	// must not recompute the score per comparison — this runs on every
 	// incremental pass).
@@ -439,7 +416,7 @@ func equalItems(a, b []cloudsim.PlacedItem) bool {
 // maps: bumping the generation invalidates every stale mark at once,
 // so the pass allocates nothing.
 func (c *Cluster) unlinkPods(touched []*node) {
-	if c.cfg.Reference || len(touched) == 0 {
+	if len(touched) == 0 {
 		return
 	}
 	c.markGen++

@@ -101,9 +101,8 @@ type Snapshot struct {
 	DeadLive  int
 	DirtyList []int32 // Hostlo dirty set, append order preserved
 
-	RefQueue []int32     // reference mode pending queue
-	PQ       []QueueSnap // indexed mode pending heap, raw array
-	EnqSeq   uint64
+	PQ     []QueueSnap // pending heap, raw array
+	EnqSeq uint64
 
 	BlockedPod int
 	BlockedVer uint64
@@ -171,9 +170,7 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 	if c.cfg.Faults != nil {
 		s.FaultsSpec = c.cfg.Faults.String()
 	}
-	if !c.cfg.Reference {
-		s.IdxVer = c.idx.ver
-	}
+	s.IdxVer = c.idx.ver
 	// Deep copies of everything the parent keeps mutating.
 	s.Res.Samples = append([]Sample(nil), c.res.Samples...)
 	s.Res.FleetTypes = append([]int(nil), c.res.FleetTypes...)
@@ -220,16 +217,9 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 	for i, n := range c.dirtyList {
 		s.DirtyList[i] = int32(n.id)
 	}
-	if c.cfg.Reference {
-		s.RefQueue = make([]int32, len(c.queue))
-		for i, q := range c.queue {
-			s.RefQueue[i] = int32(q)
-		}
-	} else {
-		s.PQ = make([]QueueSnap, len(c.pq))
-		for i, e := range c.pq {
-			s.PQ[i] = QueueSnap{Key: e.key, Seq: e.seq, Idx: int32(e.idx)}
-		}
+	s.PQ = make([]QueueSnap, len(c.pq))
+	for i, e := range c.pq {
+		s.PQ[i] = QueueSnap{Key: e.key, Seq: e.seq, Idx: int32(e.idx)}
 	}
 	s.Events = make([]EventSnap, 0, len(c.ledger))
 	for _, ev := range c.ledger {
@@ -342,11 +332,6 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	}
 	if s.BlockedPod < -1 || s.BlockedPod >= nPods {
 		return nil, fmt.Errorf("cluster: blocked pod %d out of range %d", s.BlockedPod, nPods)
-	}
-	for _, q := range s.RefQueue {
-		if q < 0 || int(q) >= nPods {
-			return nil, fmt.Errorf("cluster: queue entry names pod %d of %d", q, nPods)
-		}
 	}
 	for _, e := range s.PQ {
 		if e.Idx < 0 || int(e.Idx) >= nPods {
@@ -507,9 +492,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		}
 	}
 	c.liveCount = liveCount
-	if !cfg.Reference {
-		c.idx.ver = s.IdxVer
-	}
+	c.idx.ver = s.IdxVer
 	c.liveList = make([]*node, len(s.LiveList))
 	for i, nid := range s.LiveList {
 		c.liveList[i] = c.nodes[nid]
@@ -523,17 +506,10 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		}
 	}
 
-	// Pending queue (the captured representation matches cfg.Reference).
-	if cfg.Reference {
-		c.queue = make([]int, len(s.RefQueue))
-		for i, q := range s.RefQueue {
-			c.queue[i] = int(q)
-		}
-	} else {
-		c.pq = make(podQueue, len(s.PQ))
-		for i, e := range s.PQ {
-			c.pq[i] = podEntry{key: e.Key, seq: e.Seq, idx: int(e.Idx)}
-		}
+	// Pending queue.
+	c.pq = make(podQueue, len(s.PQ))
+	for i, e := range s.PQ {
+		c.pq[i] = podEntry{key: e.Key, seq: e.Seq, idx: int(e.Idx)}
 	}
 
 	// Replay the pending event set in ascending original-seq order:

@@ -147,20 +147,8 @@ func (c *Cluster) endPod(i int, killed bool) {
 	}
 }
 
-// dequeue removes pod i's pending-queue entry (either representation).
-func (c *Cluster) dequeue(i int) {
-	if c.cfg.Reference {
-		kept := c.queue[:0]
-		for _, q := range c.queue {
-			if q != i {
-				kept = append(kept, q)
-			}
-		}
-		c.queue = kept
-		return
-	}
-	c.pq.removeIdx(i)
-}
+// dequeue removes pod i's pending-queue entry.
+func (c *Cluster) dequeue(i int) { c.pq.removeIdx(i) }
 
 // Advance runs the world to t (inclusive), then parks the clock there.
 // Feed everything with timestamps <= t first.
@@ -198,31 +186,21 @@ type Transfer struct {
 // barrier (engine parked); the shard runner is the only caller.
 func (c *Cluster) TransferOut(olderThan time.Duration) []Transfer {
 	now := c.eng.Now()
-	// The candidate scan reuses a scratch buffer and walks the queue
-	// representation directly: the common every-barrier outcome (nothing
-	// old enough) must not allocate.
+	// The candidate scan reuses a scratch buffer and walks the heap
+	// directly: the common every-barrier outcome (nothing old enough)
+	// must not allocate.
 	idxs := c.transferIdxs[:0]
-	consider := func(i int) {
-		p := &c.pods[i]
+	for _, e := range c.pq {
+		p := &c.pods[e.idx]
 		if p.state == statePending && now-p.waitSince >= sim.Time(olderThan) {
-			idxs = append(idxs, i)
-		}
-	}
-	if c.cfg.Reference {
-		for _, i := range c.queue {
-			consider(i)
-		}
-	} else {
-		for _, e := range c.pq {
-			consider(e.idx)
+			idxs = append(idxs, e.idx)
 		}
 	}
 	c.transferIdxs = idxs
 	if len(idxs) == 0 {
 		return nil
 	}
-	// Admission order — deterministic and identical across indexed and
-	// reference queue representations.
+	// Admission order, independent of the heap's array layout.
 	sort.Ints(idxs)
 	out := make([]Transfer, 0, len(idxs))
 	for _, i := range idxs {

@@ -71,43 +71,6 @@ func TestSimulateSourceMatchesPods(t *testing.T) {
 	}
 }
 
-// TestStreamLeakFree audits the streaming books directly: feed, run,
-// then run the leak checker, including an end event that catches its
-// pod still pending (huge BootDelay keeps the queue backed up).
-func TestStreamLeakFree(t *testing.T) {
-	for _, ref := range []bool{false, true} {
-		cfg := Config{
-			Policy:    Kubernetes,
-			Horizon:   2 * time.Hour,
-			BootDelay: 30 * time.Minute, // pods wait; ends hit pending pods
-		}
-		cfg.Reference = ref
-		c := New(cfg)
-		c.Start()
-		evs := []ctrace.Event{
-			{Time: 1 * time.Minute, Kind: ctrace.Submit, Pod: "a", User: "u1",
-				Containers: []trace.Container{{CPU: 0.1, Mem: 0.1}}},
-			{Time: 2 * time.Minute, Kind: ctrace.Submit, Pod: "b", User: "u1",
-				Containers: []trace.Container{{CPU: 0.2, Mem: 0.2}}},
-			{Time: 5 * time.Minute, Kind: ctrace.Kill, Pod: "b", User: "u1"}, // still pending
-			{Time: 90 * time.Minute, Kind: ctrace.Finish, Pod: "a", User: "u1"},
-		}
-		for _, ev := range evs {
-			if err := c.FeedEvent(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.Advance(sim.Time(cfg.Horizon))
-		res := c.Finish()
-		if leaks := c.Leaks(); len(leaks) > 0 {
-			t.Fatalf("reference=%v leaks: %v", ref, leaks)
-		}
-		if res.Arrived != 2 || res.Departed != 2 {
-			t.Fatalf("reference=%v result: %+v", ref, res)
-		}
-	}
-}
-
 // TestStreamFeedValidation exercises the feed-order and duplicate
 // guards.
 func TestStreamFeedValidation(t *testing.T) {

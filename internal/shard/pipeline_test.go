@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -8,8 +9,13 @@ import (
 
 	"nestless/internal/cluster"
 	"nestless/internal/ctrace"
+	"nestless/internal/golden"
+	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
+
+// goldenPath is the recorded corpus the replay cases are pinned to.
+const goldenPath = "testdata/golden.txt"
 
 // migratorUsers builds a migration-heavy workload whose pod lifetimes
 // are short enough that a pod transferred at one barrier has its end
@@ -41,36 +47,46 @@ func migratorConfig() Config {
 }
 
 // TestPipelineEquivalence is the pipelining gate: the overlapped feed
-// must be byte-identical to the strict feed-then-advance reference at
-// every shard count, for both migration policies, on a workload where
-// prefetched mailboxes really do get re-routed after migration
-// barriers.
+// must reproduce the golden digests — recorded while the strict
+// feed-then-advance loop still existed and matched it — at every shard
+// count, for both migration policies, on a workload where prefetched
+// mailboxes really do get re-routed after migration barriers.
 func TestPipelineEquivalence(t *testing.T) {
+	g := golden.Open(t, goldenPath, "pipeline/")
 	users := migratorUsers(5)
 	for _, policy := range []string{"least-loaded", "locality"} {
 		cfg := migratorConfig()
 		cfg.MigratePolicy = policy
-		cfg.SerialFeed = true
-		cfg.Shards = 1
-		want, err := Replay(ctrace.NewSynth(users), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Migrations == 0 {
-			t.Fatalf("policy %s: scenario no longer migrates", policy)
-		}
-		cfg.SerialFeed = false
-		for _, shards := range []int{1, 2, 4, 8} {
+		var want Result
+		for i, shards := range []int{1, 2, 4, 8} {
 			cfg.Shards = shards
 			got, err := Replay(ctrace.NewSynth(users), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("policy %s: pipelined -shards %d diverged from the serial feed\n got %+v\nwant %+v",
+			if i == 0 {
+				want = got
+				if want.Migrations == 0 {
+					t.Fatalf("policy %s: scenario no longer migrates", policy)
+				}
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("policy %s: -shards %d diverged from -shards 1\n got %+v\nwant %+v",
 					policy, shards, got.Merged, want.Merged)
 			}
+			g.Check(fmt.Sprintf("pipeline/%s/shards=%d", policy, shards), golden.Line(got.Digest, got, nil))
 		}
+		// A recorder pins the shard count to 1; its timeline covers the
+		// barrier-time transfer counters of a migrating replay.
+		rec := telemetry.New()
+		cfg.Cluster.Rec = rec
+		got, err := Replay(ctrace.NewSynth(users), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("policy %s: recording perturbed the replay", policy)
+		}
+		g.Check(fmt.Sprintf("pipeline/%s/recorded", policy), golden.Line(got.Digest, got, rec))
 	}
 }
 

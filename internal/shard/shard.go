@@ -16,18 +16,19 @@
 // telemetry are byte-identical for any shard count — replaying at
 // -shards 8 is a wall-clock optimisation, never a different
 // experiment. The equivalence suite pins this bit for bit, fault
-// schedules included.
+// schedules included, and testdata/golden.txt pins the digests.
 //
-// By default the feed of epoch N+1 is pipelined with the advance of
-// epoch N: events are prefetched into per-world mailboxes (double-
-// buffered, reused across epochs) on the main goroutine while the
-// worlds execute the previous epoch in parallel. Each mailbox entry
-// carries the trace read sequence, and a barrier's migration decisions
-// re-route the already-prefetched mailboxes by a seq-ordered merge, so
-// every world ingests exactly the serial feed order restricted to it —
-// the pipelining is a wall-clock optimisation under the same
-// byte-identity contract as Shards (Config.SerialFeed pins the
-// reference path).
+// The feed of epoch N+1 is pipelined with the advance of epoch N:
+// events are prefetched into per-world mailboxes (double-buffered,
+// reused across epochs) on the main goroutine while the worlds execute
+// the previous epoch in parallel. Each mailbox entry carries the trace
+// read sequence, and a barrier's migration decisions re-route the
+// already-prefetched mailboxes by a seq-ordered merge, so every world
+// ingests exactly the trace order restricted to it.
+//
+// A telemetry recorder shares one timeline between all worlds, so it
+// runs the same loop with one goroutine: worlds advance in index
+// order, each activated on the recorder before its advance.
 package shard
 
 import (
@@ -73,12 +74,6 @@ type Config struct {
 	// least-loaded). Applied serially in index order at the barrier, so
 	// any policy keeps the byte-identity contract across shard counts.
 	MigratePolicy string
-	// SerialFeed disables the pipelined feed: epochs run strictly
-	// feed-then-advance like the pre-pipelining runner. The zero value
-	// (pipelining on) is byte-identical to it — SerialFeed exists as
-	// the equivalence pin and for debugging. A telemetry recorder
-	// forces it (single shared timeline).
-	SerialFeed bool
 	// Cluster is the per-world template. Pods must be empty (the trace
 	// is the workload); world w runs with Seed + w*worldSeedStride.
 	Cluster cluster.Config
@@ -158,7 +153,7 @@ func pickPolicy(name string) (destPolicy, error) {
 // mailEvent is one prefetched trace event in a per-world mailbox. seq
 // is the global trace read sequence: re-routing a mailbox after a
 // migration barrier merges by seq, so each world's ingest order is
-// exactly the serial feed order restricted to that world.
+// exactly the trace order restricted to that world.
 type mailEvent struct {
 	ev  ctrace.Event
 	seq uint64
@@ -169,14 +164,14 @@ type replayer struct {
 	cfg     Config
 	pick    destPolicy
 	worlds  []*cluster.Cluster
+	labels  []string // per-world telemetry run labels
 	horizon sim.Time
 	epoch   sim.Time
 	res     Result
 
 	// moved routes a migrated pod's later end events to the world that
 	// now owns it, overriding the hash partition. delta is the single
-	// barrier's slice of it, used to re-route prefetched mailboxes
-	// (nil in serial-feed mode).
+	// barrier's slice of it, used to re-route prefetched mailboxes.
 	moved map[string]int
 	delta map[string]int
 
@@ -208,29 +203,26 @@ func Replay(src ctrace.Source, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	serialRec := cfg.Cluster.Rec != nil
-	if serialRec {
+	if cfg.Cluster.Rec != nil {
+		// One shared recorder is one timeline: worlds advance one at a
+		// time, in index order, each activated on the recorder first.
 		cfg.Shards = 1
-		cfg.SerialFeed = true
 	}
 
-	r := &replayer{cfg: cfg, pick: pick, src: src, moved: map[string]int{}}
+	r := &replayer{cfg: cfg, pick: pick, src: src, moved: map[string]int{}, delta: map[string]int{}}
 	r.worlds = make([]*cluster.Cluster, cfg.Worlds)
+	r.labels = make([]string, cfg.Worlds)
 	for w := range r.worlds {
 		wcfg := cfg.Cluster
 		wcfg.Seed = cfg.Cluster.Seed + int64(w)*worldSeedStride
 		r.worlds[w] = cluster.New(wcfg)
 		r.worlds[w].Start()
+		r.labels[w] = fmt.Sprintf("world-%d", w)
 	}
 	r.horizon = r.worlds[0].Horizon()
 	r.epoch = sim.Time(cfg.BarrierEvery)
 
-	if cfg.SerialFeed {
-		err = r.runSerial(serialRec)
-	} else {
-		err = r.runPipelined()
-	}
-	if err != nil {
+	if err := r.run(); err != nil {
 		return Result{}, err
 	}
 	if err := r.drainTail(); err != nil {
@@ -289,78 +281,29 @@ func (r *replayer) book(ev ctrace.Event) {
 	}
 }
 
-// runSerial is the reference epoch loop: feed everything up to the
-// barrier, then advance every world — strictly in that order. The
-// telemetry path (one shared timeline) requires it; SerialFeed pins it
-// for equivalence tests.
-func (r *replayer) runSerial(serialRec bool) error {
-	for t := sim.Time(0); t < r.horizon; {
-		end := t + r.epoch
-		if end > r.horizon {
-			end = r.horizon
-		}
-		// Feed phase: route every event up to the barrier. Engines are
-		// parked at t, so scheduling is cheap appends to their heaps.
-		for !r.eof {
-			ev, ok, err := r.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if sim.Time(ev.Time) > end {
-				r.held, r.hasHeld = ev, true
-				break
-			}
-			r.book(ev)
-			if err := r.worlds[r.route(ev)].FeedEvent(ev); err != nil {
-				return err
-			}
-		}
-		// Advance phase: every world runs independently to the barrier.
-		if serialRec {
-			for w := range r.worlds {
-				r.worlds[w].Activate(fmt.Sprintf("world-%d", w))
-				r.worlds[w].Advance(end)
-			}
-		} else {
-			parallel.Run(r.cfg.Worlds, r.cfg.Shards, func(w int) {
-				r.worlds[w].Advance(end)
-			})
-		}
-		if err := r.barrier(end); err != nil {
-			return err
-		}
-		t = end
-	}
-	return nil
-}
-
-// runPipelined overlaps the serial feed of epoch N+1 with the parallel
-// advance of epoch N. Per-world mailboxes are double-buffered: the
-// worlds ingest and execute the current buffer on worker goroutines
-// while the main goroutine prefetches the next epoch from the trace.
-// After the barrier's migration drain, mailboxes already prefetched for
-// moved pods are re-routed by a seq-ordered merge, so every world still
-// ingests the serial feed order restricted to it.
-func (r *replayer) runPipelined() error {
+// run is the epoch loop. It overlaps the serial feed of epoch N+1 with
+// the parallel advance of epoch N. Per-world mailboxes are double-
+// buffered: the worlds ingest and execute the current buffer on worker
+// goroutines while the main goroutine prefetches the next epoch from
+// the trace. After the barrier's migration drain, mailboxes already
+// prefetched for moved pods are re-routed by a seq-ordered merge, so
+// every world ingests exactly the trace order restricted to it.
+func (r *replayer) run() error {
 	cur := make([][]mailEvent, r.cfg.Worlds)
 	next := make([][]mailEvent, r.cfg.Worlds)
 	errs := make([]error, r.cfg.Worlds)
-	r.delta = map[string]int{}
 
 	// The first epoch has no previous epoch to overlap with, so
 	// mailboxing it would buy nothing but the buffer copies — and on
 	// front-loaded traces (replays starting at t=0) epoch zero is the
-	// largest. Feed it directly, exactly as the serial loop would; the
-	// worlds are parked at 0 and no migration has happened yet, so the
-	// per-world event order is identical either way.
+	// largest. Feed it directly: the worlds are parked at 0 and no
+	// migration has happened yet, so the per-world event order is
+	// identical either way.
 	firstEnd := r.epoch
 	if firstEnd > r.horizon {
 		firstEnd = r.horizon
 	}
-	if err := r.feedDirect(firstEnd); err != nil {
+	if err := r.feed(nil, firstEnd); err != nil {
 		return err
 	}
 	for t := sim.Time(0); t < r.horizon; {
@@ -369,8 +312,9 @@ func (r *replayer) runPipelined() error {
 			end = r.horizon
 		}
 		// Advance phase on workers: each world ingests its mailbox (the
-		// engine is parked at t, exactly where the serial feed would
-		// deliver these events) and runs to the barrier.
+		// engine is parked at t, so the events are still in its future)
+		// and runs to the barrier. Activate is a no-op without a
+		// recorder.
 		done := make(chan struct{})
 		go func() {
 			parallel.Run(r.cfg.Worlds, r.cfg.Shards, func(w int) {
@@ -380,6 +324,7 @@ func (r *replayer) runPipelined() error {
 						return
 					}
 				}
+				r.worlds[w].Activate(r.labels[w])
 				r.worlds[w].Advance(end)
 			})
 			close(done)
@@ -393,7 +338,7 @@ func (r *replayer) runPipelined() error {
 			if nextEnd > r.horizon {
 				nextEnd = r.horizon
 			}
-			preErr = r.prefetch(next, nextEnd)
+			preErr = r.feed(next, nextEnd)
 		}
 		<-done
 		for w := range errs {
@@ -417,35 +362,13 @@ func (r *replayer) runPipelined() error {
 	return nil
 }
 
-// feedDirect feeds every event up to end straight into its world,
-// bypassing the mailboxes. Only valid while the worlds are parked with
-// no concurrent advance in flight (the first epoch).
-func (r *replayer) feedDirect(end sim.Time) error {
-	for !r.eof {
-		ev, ok, err := r.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if sim.Time(ev.Time) > end {
-			r.held, r.hasHeld = ev, true
-			break
-		}
-		r.book(ev)
-		if err := r.worlds[r.route(ev)].FeedEvent(ev); err != nil {
-			return err
-		}
-		r.readSeq++
-	}
-	return nil
-}
-
-// prefetch fills one mailbox buffer with every event up to end (the
-// consumed-event counters are booked here, on the main goroutine).
-// Events past end park in the held slot for the next epoch.
-func (r *replayer) prefetch(buf [][]mailEvent, end sim.Time) error {
+// feed consumes every event up to end, booking the consumed-event
+// counters on the calling goroutine; events past end park in the held
+// slot for the next epoch. Each event is appended to its world's
+// mailbox in buf or, when buf is nil, fed straight into the world —
+// only valid while the worlds are parked with no advance in flight
+// (the first epoch).
+func (r *replayer) feed(buf [][]mailEvent, end sim.Time) error {
 	for !r.eof {
 		ev, ok, err := r.next()
 		if err != nil {
@@ -460,7 +383,13 @@ func (r *replayer) prefetch(buf [][]mailEvent, end sim.Time) error {
 		}
 		r.book(ev)
 		w := r.route(ev)
-		buf[w] = append(buf[w], mailEvent{ev: ev, seq: r.readSeq})
+		if buf == nil {
+			if err := r.worlds[w].FeedEvent(ev); err != nil {
+				return err
+			}
+		} else {
+			buf[w] = append(buf[w], mailEvent{ev: ev, seq: r.readSeq})
+		}
 		r.readSeq++
 	}
 	return nil
@@ -469,7 +398,7 @@ func (r *replayer) prefetch(buf [][]mailEvent, end sim.Time) error {
 // reroute applies one barrier's migration delta to an already-
 // prefetched mailbox buffer: end events of pods that just moved leave
 // their old world's mailbox and merge into the new owner's by trace
-// seq, reproducing the order a serial feed would have delivered.
+// seq, reproducing the order the trace delivered them in.
 func reroute(buf [][]mailEvent, delta map[string]int) {
 	if len(delta) == 0 {
 		return
@@ -513,9 +442,7 @@ func (r *replayer) barrier(end sim.Time) error {
 	}
 	// Transfer phase: skipped at the final barrier — a pod injected at
 	// the horizon would never see a schedule pass.
-	if r.delta != nil {
-		clear(r.delta)
-	}
+	clear(r.delta)
 	if r.cfg.MigrateAfter > 0 && r.cfg.Worlds > 1 && end < r.horizon {
 		if err := r.drainTransfers(); err != nil {
 			return err
@@ -537,9 +464,7 @@ func (r *replayer) drainTransfers() error {
 				return err
 			}
 			r.moved[tr.Pod.ID] = dest
-			if r.delta != nil {
-				r.delta[tr.Pod.ID] = dest
-			}
+			r.delta[tr.Pod.ID] = dest
 			r.res.Migrations++
 		}
 	}

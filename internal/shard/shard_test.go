@@ -2,13 +2,18 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"nestless/internal/cluster"
 	"nestless/internal/ctrace"
 	"nestless/internal/faults"
+	"nestless/internal/golden"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
@@ -193,11 +198,38 @@ func TestMigrationEquivalence(t *testing.T) {
 	}
 }
 
+// withGhostEnds adds end events for pods the trace never submitted, one
+// per hour (time order kept): each lands in FeedEvent's unknown-end
+// path, which registers the cluster/end_unknown counter mid-replay.
+func withGhostEnds(t *testing.T, src *ctrace.Slice, hours int) *ctrace.Slice {
+	t.Helper()
+	var evs []ctrace.Event
+	for {
+		ev, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	for h := 1; h <= hours; h++ {
+		ghost := ctrace.Event{Time: time.Duration(h) * time.Hour, Kind: ctrace.Finish, Pod: fmt.Sprintf("ghost%d", h), User: fmt.Sprintf("u%d", h)}
+		at := sort.Search(len(evs), func(i int) bool { return evs[i].Time > ghost.Time })
+		evs = append(evs[:at], append([]ctrace.Event{ghost}, evs[at:]...)...)
+	}
+	return ctrace.NewSlice(evs)
+}
+
 // TestTelemetryForcesSerial pins that a recorder yields one
 // deterministic timeline regardless of the requested shard count, and
-// that recording does not perturb the replay results.
+// that recording does not perturb the replay results. The recorded
+// timeline — text trace and metrics table, whose rows follow
+// registration order — is pinned by the golden corpus.
 func TestTelemetryForcesSerial(t *testing.T) {
-	src := synthSource(t, 17, 20)
+	g := golden.Open(t, goldenPath, "telemetry/")
+	src := withGhostEnds(t, synthSource(t, 17, 20), 3)
 	base := Config{
 		Worlds: 4,
 		Audit:  true,
@@ -217,6 +249,10 @@ func TestTelemetryForcesSerial(t *testing.T) {
 		if err := rec.WriteTextTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
+		if !slices.Contains(rec.Metrics().Names(), "cluster/end_unknown") {
+			t.Fatal("no unknown end reached a world — the feed-time counter went unexercised")
+		}
+		g.Check(fmt.Sprintf("telemetry/shards=%d", shards), golden.Line(res.Digest, res, rec))
 		return res, buf.String()
 	}
 	r1, t1 := record(1)
@@ -233,6 +269,7 @@ func TestTelemetryForcesSerial(t *testing.T) {
 	if !reflect.DeepEqual(plain, r1) {
 		t.Fatal("recording perturbed the replay results")
 	}
+	g.Check("telemetry/plain", golden.Line(plain.Digest, plain, nil))
 }
 
 // TestReplayRejectsPods pins the workload-source exclusivity guard.

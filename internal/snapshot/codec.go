@@ -37,7 +37,9 @@ const magic = "NLW1"
 // v3 added the trajectory downsampler: Config.SampleCap, the per-Sample
 // window aggregates (Points and the Sum* fields), and the open partial
 // window (Snapshot.TrajWin).
-const version = 3
+// v4 dropped the linear-scan reference scheduler: its Config bit and its
+// sorted-slice pending queue (the heap array is the only queue).
+const version = 4
 
 // maxRandDraws bounds the RNG stream positions the codec will accept.
 // Restoring a stream position replays that many draws, so an unbounded
@@ -74,7 +76,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.dur(s.Cfg.ProvisionRetryEvery)
 	e.dur(s.Cfg.SampleEvery)
 	e.uvarint(s.Cfg.MaxSteps)
-	e.bool(s.Cfg.Reference)
 	e.bool(s.Cfg.FullRepack)
 	e.f64(s.Cfg.RepackDirtyFrac)
 	e.varint(int64(s.Cfg.RepackWorkers))
@@ -153,7 +154,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.i32s(s.DirtyList)
 
 	// Pending queue.
-	e.i32s(s.RefQueue)
 	e.uvarint(uint64(len(s.PQ)))
 	for _, q := range s.PQ {
 		e.f64(q.Key)
@@ -297,7 +297,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	s.Cfg.ProvisionRetryEvery = d.dur()
 	s.Cfg.SampleEvery = d.dur()
 	s.Cfg.MaxSteps = d.uvarint()
-	s.Cfg.Reference = d.bool()
 	s.Cfg.FullRepack = d.bool()
 	s.Cfg.RepackDirtyFrac = d.f64()
 	s.Cfg.RepackWorkers = int(d.varint())
@@ -393,7 +392,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	s.DirtyList = d.i32s()
 
 	// Pending queue.
-	s.RefQueue = d.i32s()
 	for i, n := 0, d.count(3); i < n; i++ {
 		s.PQ = append(s.PQ, cluster.QueueSnap{Key: d.f64(), Seq: d.uvarint(), Idx: int32(d.varint())})
 	}

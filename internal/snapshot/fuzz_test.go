@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,12 +101,20 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"empty":      {},
 		"bad magic":  []byte("XXXX\x01rest"),
 		"version 99": append([]byte("NLW1"), 99),
+		"version 3":  append([]byte("NLW1"), 3),
 		"truncated":  valid[:len(valid)-7],
 		"trailing":   append(append([]byte(nil), valid...), 0),
 	}
 	for name, b := range cases {
-		if _, err := Decode(b); err == nil {
+		_, err := Decode(b)
+		if err == nil {
 			t.Errorf("%s: Decode accepted", name)
+			continue
+		}
+		// A v3 stream still carries the retired reference-scheduler
+		// fields; it must fail on the version, before any is parsed.
+		if name == "version 3" && !strings.Contains(err.Error(), "format version 3") {
+			t.Errorf("%s: want the version error, got %v", name, err)
 		}
 	}
 	if _, err := Decode(valid); err != nil {

@@ -46,11 +46,9 @@ type worldSpec struct {
 }
 
 // equivalenceSpecs builds the matrix: both policies, churn, faults
-// (provisioning failures and node kills mid-run), the reference
-// scheduler (whose pending queue snapshots in the other
-// representation), and the cloud model's spot-revocation and zone-drill
-// chaos (whose zone/spot node state and od-fallback credit ride the
-// snapshot).
+// (provisioning failures and node kills mid-run), and the cloud model's
+// spot-revocation and zone-drill chaos (whose zone/spot node state and
+// od-fallback credit ride the snapshot).
 func equivalenceSpecs(t testing.TB) []worldSpec {
 	const horizon = 4 * time.Hour
 	base := func(seed int64) cluster.Config {
@@ -69,8 +67,6 @@ func equivalenceSpecs(t testing.TB) []worldSpec {
 	hostloFaults := base(14)
 	hostloFaults.Policy = cluster.Hostlo
 	hostloFaults.Faults = mustSpec(t, "node/*:crash:p=0.03;node/provision:delay:p=0.2:d=30s")
-	kubeRef := base(15)
-	kubeRef.Reference = true
 	gcp, err := cloud.Resolve(cloud.Options{
 		Spec:     "gcp:n2",
 		Zones:    3,
@@ -99,7 +95,6 @@ func equivalenceSpecs(t testing.TB) []worldSpec {
 		{"hostlo", hostlo},
 		{"kube-faults", kubeFaults},
 		{"hostlo-faults", hostloFaults},
-		{"kube-reference", kubeRef},
 		{"hostlo-spot-chaos", spotChaos},
 		{"kube-zone-drill", zoneDrill},
 	}
