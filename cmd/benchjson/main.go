@@ -101,6 +101,9 @@ func main() {
 // Benchmarks on one side only are skipped — the gate checks
 // trajectories, not coverage — but comparing zero benchmarks is an
 // error, so a renamed benchmark cannot silently turn the gate vacuous.
+// A current name that has no exact baseline match is retried without
+// its GOMAXPROCS suffix (see trimProcs), so a baseline recorded on one
+// CPU gates runs on any core count.
 func compare(cur, base Doc, metric string, maxdrop float64, lower bool) (lines []string, failed bool, err error) {
 	baseBy := make(map[string]Record, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
@@ -109,6 +112,9 @@ func compare(cur, base Doc, metric string, maxdrop float64, lower bool) (lines [
 	compared := 0
 	for _, r := range cur.Benchmarks {
 		b, ok := baseBy[r.Package+" "+r.Name]
+		if !ok {
+			b, ok = baseBy[r.Package+" "+trimProcs(r.Name)]
+		}
 		if !ok {
 			continue
 		}
@@ -141,6 +147,23 @@ func compare(cur, base Doc, metric string, maxdrop float64, lower bool) (lines [
 	lines = append(lines, fmt.Sprintf("gated %d benchmark(s) on %s, max tolerated %s %.0f%%",
 		compared, metric, sense, maxdrop*100))
 	return lines, failed, nil
+}
+
+// trimProcs removes one trailing "-<digits>" from a benchmark name:
+// the -N that go test appends when GOMAXPROCS is N > 1. The exact name
+// is always tried first, so a sub-benchmark named "batch-16" still
+// matches itself on one CPU and "batch-16-2" matches it on two.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 func parse(sc *bufio.Scanner) Doc {

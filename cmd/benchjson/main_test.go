@@ -113,6 +113,40 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("empty comparison: failed=%v err=%v, want err", failed, err)
 	}
 
+	// go test appends -N to every name when GOMAXPROCS is N > 1; the
+	// baseline holds the bare names. The exact name wins, then one
+	// trailing -<digits> is dropped — so a sub-benchmark whose own name
+	// ends in digits matches itself on one CPU and with a suffix.
+	procBase := Doc{Benchmarks: []Record{
+		rec("p", "BenchmarkReconcilerScale/1k", map[string]float64{"rounds/s": 100}),
+		rec("p", "BenchmarkBatch/batch-16", map[string]float64{"rounds/s": 100}),
+	}}
+	for _, c := range []struct {
+		name string
+		want bool // gated against the baseline row
+	}{
+		{"BenchmarkReconcilerScale/1k", true},
+		{"BenchmarkReconcilerScale/1k-2", true},
+		{"BenchmarkReconcilerScale/1k-16", true},
+		{"BenchmarkBatch/batch-16", true},
+		{"BenchmarkBatch/batch-16-2", true},
+		{"BenchmarkReconcilerScale/1k-2-2", false}, // only one suffix is dropped
+		{"BenchmarkReconcilerScale/1k-x", false},
+		{"BenchmarkReconcilerScale/1k-", false},
+		{"BenchmarkBatch/batch", false},
+	} {
+		lines, failed, err := compare(Doc{Benchmarks: []Record{
+			rec("p", c.name, map[string]float64{"rounds/s": 50}),
+		}}, procBase, "rounds/s", 0.20, false)
+		if gated := err == nil; gated != c.want {
+			t.Errorf("%s: gated=%v, want %v (err %v)", c.name, gated, c.want, err)
+			continue
+		}
+		if c.want && (!failed || !strings.Contains(lines[0], c.name)) {
+			t.Errorf("%s: halved rounds/s not flagged: failed=%v\n%s", c.name, failed, strings.Join(lines, "\n"))
+		}
+	}
+
 	// Records without the gated metric are skipped too.
 	_, _, err = compare(Doc{Benchmarks: []Record{
 		rec("p", "BenchmarkLifecycleScale/1k/kubernetes/indexed", map[string]float64{"ns/op": 5}),

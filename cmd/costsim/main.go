@@ -24,7 +24,7 @@
 // availability-zone failure domains, -spot-frac runs part of it on
 // discounted spot capacity (revocation is a seeded fault;
 // spot/*:crash:p=0.02 is merged in unless -faults already covers
-// spot/), and -autoscaler=imperative pins the pre-cloud demand loop:
+// spot/):
 //
 //	costsim -cloud gcp:n2                  # static cross-cloud comparison
 //	costsim -lifecycle -cloud gcp:n2 -zones 3 -spot-frac 0.5
@@ -48,8 +48,8 @@
 // 512 samples, window-folded on the fly).
 //
 // Cluster-simulation flags (-horizon, -gap, -life, -boot, -full-repack,
-// -repack-workers, -repack-cache, -spot-frac, -zones, -autoscaler) are
-// rejected with exit status 2 on the static path.
+// -repack-workers, -repack-cache, -spot-frac, -zones) are rejected with
+// exit status 2 on the static path.
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
@@ -116,8 +116,6 @@ func main() {
 		"lifecycle: target fraction of the fleet on spot capacity, in [0,1] (needs a spot-capable catalog)")
 	zones := flag.Int("zones", 1,
 		"lifecycle: availability zones the fleet spreads across (bounded by the catalog's zone list)")
-	autoscaler := flag.String("autoscaler", "reconciler",
-		"lifecycle: fleet manager, reconciler or imperative (the pre-cloud demand loop; rejects spot/zones)")
 	workers := cli.ParallelFlag()
 	faultSpec := cli.FaultsFlag()
 	tf := cli.TelemetryFlags()
@@ -140,7 +138,6 @@ func main() {
 		Spec:     *cloudSpec,
 		SpotFrac: *spotFrac, SpotFracSet: explicit["spot-frac"],
 		Zones: *zones, ZonesSet: explicit["zones"],
-		Autoscaler: *autoscaler,
 	})
 	if err != nil {
 		cli.BadFlag("costsim: %v", err)
@@ -213,26 +210,23 @@ func main() {
 		cli.BadFlag("costsim: -users must be positive, got %d", *users)
 	}
 
+	so := simOpts{
+		seed: *seed, horizon: *horizon, boot: *boot, sched: sched,
+		fullRepack: *fullRepack, repackWorkers: *repackWorkers, repackCache: *repackCache,
+		cloud: cl, rec: tf.Recorder(), emit: emit,
+	}
 	if *replay != "" {
 		runReplay(replayOpts{
-			path: *replay, seed: *seed, horizon: *horizon, boot: *boot,
-			shards: *shards, worlds: *worlds, barrier: *barrier,
+			simOpts: so, path: *replay, shards: *shards, worlds: *worlds, barrier: *barrier,
 			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy,
-			sampleCap: *sampleCap, lenient: *lenient, sched: sched,
-			fullRepack: *fullRepack, repackWorkers: *repackWorkers, repackCache: *repackCache,
-			cloud: cl, rec: tf.Recorder(), emit: emit,
+			sampleCap: *sampleCap, lenient: *lenient,
 		})
 		tf.EmitOrDie("costsim")
 		return
 	}
 
 	if *lifecycle {
-		runLifecycle(lifecycleOpts{
-			users: *users, seed: *seed, horizon: *horizon, gap: *gap,
-			life: *life, boot: *boot, workers: *workers, sched: sched,
-			fullRepack: *fullRepack, repackWorkers: *repackWorkers, repackCache: *repackCache,
-			cloud: cl, rec: tf.Recorder(), emit: emit,
-		})
+		runLifecycle(lifecycleOpts{simOpts: so, users: *users, gap: *gap, life: *life, workers: *workers})
 		tf.EmitOrDie("costsim")
 		return
 	}
@@ -334,7 +328,7 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 // choice applies. explicit holds the flags set on the command line.
 func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
 	for _, name := range []string{
-		"spot-frac", "zones", "autoscaler",
+		"spot-frac", "zones",
 		"full-repack", "repack-workers", "repack-cache",
 		"horizon", "gap", "life", "boot",
 	} {
@@ -348,15 +342,12 @@ func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
 	return nil
 }
 
-// lifecycleOpts bundles the -lifecycle run parameters.
-type lifecycleOpts struct {
-	users         int
+// simOpts bundles the cluster-simulation parameters the -lifecycle and
+// -replay paths share.
+type simOpts struct {
 	seed          int64
 	horizon       time.Duration
-	gap           time.Duration
-	life          time.Duration
 	boot          time.Duration
-	workers       int
 	sched         *faults.Schedule
 	fullRepack    bool
 	repackWorkers int
@@ -366,25 +357,9 @@ type lifecycleOpts struct {
 	emit          func(*report.Table)
 }
 
-// autoscalerMode maps the resolved CLI choice onto the cluster enum.
-func autoscalerMode(cl *cloud.Resolved) cluster.AutoscalerMode {
-	if cl.Imperative {
-		return cluster.Imperative
-	}
-	return cluster.Reconciler
-}
-
-// runLifecycle simulates the population's cluster lifecycle under both
-// policies and prints the cost/disruption summary plus the
-// cost-over-time trajectory.
-func runLifecycle(o lifecycleOpts) {
-	cfg := trace.DefaultConfig(o.seed)
-	cfg.Users = o.users
-	cfg.MeanArrivalGap = o.gap
-	cfg.MeanLifetime = o.life
-	pop := trace.Generate(cfg)
-
-	runs := cluster.SimulatePopulation(pop, cluster.Config{
+// clusterConfig is the per-world cluster configuration both paths run.
+func (o simOpts) clusterConfig() cluster.Config {
+	return cluster.Config{
 		Seed:          o.seed,
 		Catalog:       o.cloud.Catalog.Types,
 		Horizon:       o.horizon,
@@ -397,9 +372,30 @@ func runLifecycle(o lifecycleOpts) {
 		ZoneNames:     o.cloud.ZoneNames,
 		SpotFrac:      o.cloud.SpotFrac,
 		SpotDiscount:  o.cloud.SpotDiscount,
-		Autoscaler:    autoscalerMode(o.cloud),
 		Rec:           o.rec,
-	}, o.workers)
+	}
+}
+
+// lifecycleOpts bundles the -lifecycle run parameters.
+type lifecycleOpts struct {
+	simOpts
+	users   int
+	gap     time.Duration
+	life    time.Duration
+	workers int
+}
+
+// runLifecycle simulates the population's cluster lifecycle under both
+// policies and prints the cost/disruption summary plus the
+// cost-over-time trajectory.
+func runLifecycle(o lifecycleOpts) {
+	cfg := trace.DefaultConfig(o.seed)
+	cfg.Users = o.users
+	cfg.MeanArrivalGap = o.gap
+	cfg.MeanLifetime = o.life
+	pop := trace.Generate(cfg)
+
+	runs := cluster.SimulatePopulation(pop, o.clusterConfig(), o.workers)
 
 	var kube, hostlo aggregate
 	kubeTraj := make([]cluster.Result, len(runs))
@@ -465,10 +461,8 @@ func runLifecycle(o lifecycleOpts) {
 
 // replayOpts bundles the -replay run parameters.
 type replayOpts struct {
+	simOpts
 	path          string
-	seed          int64
-	horizon       time.Duration
-	boot          time.Duration
 	shards        int
 	worlds        int
 	barrier       time.Duration
@@ -476,13 +470,6 @@ type replayOpts struct {
 	migratePolicy string
 	sampleCap     int
 	lenient       bool
-	sched         *faults.Schedule
-	fullRepack    bool
-	repackWorkers int
-	repackCache   int
-	cloud         *cloud.Resolved
-	rec           *telemetry.Recorder
-	emit          func(*report.Table)
 }
 
 // runReplay streams a recorded trace through the sharded multi-cluster
@@ -496,30 +483,16 @@ func runReplay(o replayOpts) {
 			cli.Fatal("costsim", err)
 		}
 		defer r.Close()
+		cfg := o.clusterConfig()
+		cfg.Policy = policy
+		cfg.SampleCap = o.sampleCap
 		res, err := shard.Replay(r, shard.Config{
 			Worlds:        o.worlds,
 			Shards:        o.shards,
 			BarrierEvery:  o.barrier,
 			MigrateAfter:  o.migrateAfter,
 			MigratePolicy: o.migratePolicy,
-			Cluster: cluster.Config{
-				Policy:        policy,
-				Seed:          o.seed,
-				Catalog:       o.cloud.Catalog.Types,
-				Horizon:       o.horizon,
-				BootDelay:     o.boot,
-				SampleCap:     o.sampleCap,
-				Faults:        o.sched,
-				FullRepack:    o.fullRepack,
-				RepackWorkers: o.repackWorkers,
-				PackCacheSize: o.repackCache,
-				Zones:         o.cloud.Zones,
-				ZoneNames:     o.cloud.ZoneNames,
-				SpotFrac:      o.cloud.SpotFrac,
-				SpotDiscount:  o.cloud.SpotDiscount,
-				Autoscaler:    autoscalerMode(o.cloud),
-				Rec:           o.rec,
-			},
+			Cluster:       cfg,
 		})
 		if err != nil {
 			cli.Fatal("costsim", err)

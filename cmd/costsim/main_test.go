@@ -16,7 +16,7 @@ func TestCheckStaticRejectsClusterFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"spot-frac", "zones", "autoscaler", "full-repack", "repack-workers",
+		"spot-frac", "zones", "full-repack", "repack-workers",
 		"repack-cache", "horizon", "gap", "life", "boot",
 	} {
 		err := checkStatic(map[string]bool{name: true}, cl)

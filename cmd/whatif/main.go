@@ -55,7 +55,6 @@ func main() {
 		"machine catalog selector: provider:family[:zone=N][:spot=F] (registered: "+strings.Join(cloud.Names(), ", ")+")")
 	spotFrac := flag.Float64("spot-frac", 0, "fraction of the base fleet on spot capacity, in [0,1]")
 	zones := flag.Int("zones", 1, "availability zones the base fleet spreads across")
-	autoscaler := flag.String("autoscaler", "reconciler", "fleet manager: reconciler or imperative (the pre-cloud pin)")
 	flag.Parse()
 
 	explicit := map[string]bool{}
@@ -64,7 +63,6 @@ func main() {
 		Spec:     *cloudSpec,
 		SpotFrac: *spotFrac, SpotFracSet: explicit["spot-frac"],
 		Zones: *zones, ZonesSet: explicit["zones"],
-		Autoscaler: *autoscaler,
 	})
 	if err != nil {
 		cli.BadFlag("whatif: %v", err)

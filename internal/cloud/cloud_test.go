@@ -146,7 +146,7 @@ func TestResolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero Options must resolve to the default pin: %v", err)
 	}
-	if r.Catalog.Name() != DefaultName || r.Zones != 1 || r.SpotFrac != 0 || r.Imperative {
+	if r.Catalog.Name() != DefaultName || r.Zones != 1 || r.SpotFrac != 0 {
 		t.Fatalf("default resolve = %+v", r)
 	}
 	if !reflect.DeepEqual(r.ZoneNames, []string{"us-east-1a"}) {
@@ -179,14 +179,11 @@ func TestResolveErrors(t *testing.T) {
 	}{
 		{"unknown catalog", Options{Spec: "azure:dv5"}, "unknown catalog"},
 		{"bad spec", Options{Spec: "aws"}, "cloud spec"},
-		{"bad autoscaler", Options{Autoscaler: "magic"}, "-autoscaler"},
 		{"zones conflict", Options{Spec: "gcp:n2:zone=2", Zones: 3, ZonesSet: true}, "conflicts"},
 		{"spot conflict", Options{Spec: "gcp:n2:spot=0.5", SpotFrac: 0.1, SpotFracSet: true}, "conflicts"},
 		{"zones too many", Options{Spec: "aws:m5", Zones: 4, ZonesSet: true}, "outside 1..3"},
 		{"zones zero", Options{Zones: 0, ZonesSet: true}, "outside"},
 		{"spot on on-demand catalog", Options{SpotFrac: 0.5, SpotFracSet: true}, "on-demand only"},
-		{"imperative spot", Options{Spec: "gcp:n2:spot=0.5", Autoscaler: "imperative"}, "imperative"},
-		{"imperative zones", Options{Spec: "gcp:n2:zone=2", Autoscaler: "imperative"}, "imperative"},
 	}
 	for _, c := range cases {
 		_, err := Resolve(c.o)
@@ -199,7 +196,7 @@ func TestResolveErrors(t *testing.T) {
 	}
 
 	// Explicitly spelling the defaults is not a contradiction.
-	if _, err := Resolve(Options{Spec: "aws:m5", Zones: 1, ZonesSet: true, SpotFrac: 0, SpotFracSet: true, Autoscaler: "imperative"}); err != nil {
+	if _, err := Resolve(Options{Spec: "aws:m5", Zones: 1, ZonesSet: true, SpotFrac: 0, SpotFracSet: true}); err != nil {
 		t.Fatalf("explicit defaults rejected: %v", err)
 	}
 }

@@ -131,7 +131,6 @@ type Options struct {
 	SpotFracSet bool
 	Zones       int // -zones
 	ZonesSet    bool
-	Autoscaler  string // -autoscaler: "reconciler" or "imperative"
 }
 
 // Resolved is the validated machine-subsystem configuration.
@@ -141,7 +140,6 @@ type Resolved struct {
 	ZoneNames    []string // len == Zones
 	SpotFrac     float64  // in [0,1]
 	SpotDiscount []float64
-	Imperative   bool
 }
 
 // Resolve validates one combination of cloud flags against the
@@ -160,13 +158,6 @@ func Resolve(o Options) (*Resolved, error) {
 	if err != nil {
 		return nil, fmt.Errorf("-cloud: %v", err)
 	}
-
-	switch o.Autoscaler {
-	case "", "reconciler", "imperative":
-	default:
-		return nil, fmt.Errorf("-autoscaler: %q (want reconciler or imperative)", o.Autoscaler)
-	}
-	imperative := o.Autoscaler == "imperative"
 
 	zones := 1
 	switch {
@@ -198,19 +189,11 @@ func Resolve(o Options) (*Resolved, error) {
 		return nil, fmt.Errorf("-spot-frac: catalog %s is on-demand only (no spot pricing)", cat.Name())
 	}
 
-	if imperative && spot > 0 {
-		return nil, fmt.Errorf("-autoscaler=imperative is the pre-cloud pin and cannot manage spot capacity (drop -spot-frac)")
-	}
-	if imperative && zones > 1 {
-		return nil, fmt.Errorf("-autoscaler=imperative is the pre-cloud pin and cannot spread zones (drop -zones)")
-	}
-
 	r := &Resolved{
-		Catalog:    cat,
-		Zones:      zones,
-		ZoneNames:  append([]string(nil), cat.Zones[:zones]...),
-		SpotFrac:   spot,
-		Imperative: imperative,
+		Catalog:   cat,
+		Zones:     zones,
+		ZoneNames: append([]string(nil), cat.Zones[:zones]...),
+		SpotFrac:  spot,
 	}
 	if cat.SpotCapable() {
 		r.SpotDiscount = append([]float64(nil), cat.SpotDiscount[:zones]...)

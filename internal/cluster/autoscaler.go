@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"nestless/internal/sim"
 )
@@ -9,14 +10,28 @@ import (
 // The autoscaler: queue pressure scales the fleet up (one provisioning
 // request in flight at a time, so a burst of arrivals does not buy a
 // node per pod before the first one boots), the periodic tick scales it
-// down (a node must sit empty for IdleGrace before it is reclaimed —
+// down (a node must sit empty for idleGrace before it is reclaimed —
 // hysteresis against churn buying the same node twice). Node kills also
 // live on the tick: the fault injector is consulted once per live node
 // per tick at point "node/<name>".
 //
-// This file holds the machine-lifecycle mechanics shared by both
-// autoscaler modes; the declarative reconciler's decision layer (zone
-// spread, spot mix, machine sets) lives in reconciler.go.
+// This file holds the machine-lifecycle mechanics; the declarative
+// reconciler's decision layer (zone spread, spot mix, machine sets)
+// lives in reconciler.go.
+
+// The control loop's fixed periods. Every recorded digest depends on
+// them, so they are constants, not configuration.
+const (
+	// scaleEvery is the tick period: node-kill consultation, idle
+	// reclaim and Hostlo re-optimisation happen on ticks.
+	scaleEvery = 30 * time.Second
+	// idleGrace is the scale-down hysteresis: a node must sit empty
+	// this long before it is reclaimed.
+	idleGrace = 5 * time.Minute
+	// provisionRetryEvery spaces retries of a failed provisioning
+	// attempt.
+	provisionRetryEvery = 10 * time.Second
+)
 
 // requestNode asks for one node of catalog type typ, placed in the
 // given zone, as spot or on-demand capacity.
@@ -38,7 +53,7 @@ func provArgs(zone int, spot bool) int64 {
 }
 
 // tryProvision runs one provisioning attempt through the fault points
-// "node/provision" (fail → retry after ProvisionRetryEvery; delay →
+// "node/provision" (fail → retry after provisionRetryEvery; delay →
 // added to the boot latency).
 func (c *Cluster) tryProvision(typ, zone int, spot bool) {
 	if err := c.inj.OpFail("node/provision"); err != nil {
@@ -47,7 +62,7 @@ func (c *Cluster) tryProvision(typ, zone int, spot bool) {
 		if c.rec != nil {
 			c.rec.Instant("cluster/autoscaler", "provision-retry", "type", float64(typ))
 		}
-		c.schedEvent(c.eng.Now()+sim.Time(c.cfg.ProvisionRetryEvery), evProvRetry, int64(typ), provArgs(zone, spot))
+		c.schedEvent(c.eng.Now()+provisionRetryEvery, evProvRetry, int64(typ), provArgs(zone, spot))
 		return
 	}
 	delay := sim.Time(c.cfg.BootDelay) + sim.Time(c.inj.OpDelay("node/provision"))
@@ -160,9 +175,10 @@ func (c *Cluster) tick() {
 			}
 		}
 		// 1b. Spot revocations, point "spot/<name>" per live spot node.
-		// Gated on a non-empty spot fleet so a pre-cloud world never
-		// consults the injector here (a bare "*" rule would otherwise
-		// fire and shift the RNG stream against the imperative pin).
+		// Gated on a non-empty spot fleet so an on-demand world never
+		// consults the injector here: a bare "*" rule would otherwise
+		// draw from the fault RNG and shift the stream every recorded
+		// on-demand digest depends on.
 		if c.spotLive > 0 {
 			for _, n := range c.liveList {
 				if n.live && n.spot && c.inj.Crash(n.spotPoint) {
@@ -185,37 +201,32 @@ func (c *Cluster) tick() {
 	if c.queueLen() > 0 {
 		c.kickSchedule()
 	}
-	// 3. Idle reclaim with hysteresis. In reconciler mode the reclaim is
-	// one resync round of observed-vs-desired capacity; the mechanics
-	// (and therefore the fleet trajectory) are identical either way.
+	// 3. Idle reclaim with hysteresis: one resync round of
+	// observed-vs-desired capacity.
 	reclaimed := c.reclaimIdle(now)
-	if c.cfg.Autoscaler == Reconciler {
-		c.res.ReconcileRounds++
-		c.count("cluster/reconcile_rounds")
-		if reclaimed > 0 {
-			c.res.ReconcileActions += reclaimed
-			c.countN("cluster/reconcile_actions", reclaimed)
-		}
+	c.res.ReconcileRounds++
+	c.count("cluster/reconcile_rounds")
+	if reclaimed > 0 {
+		c.res.ReconcileActions += reclaimed
+		c.countN("cluster/reconcile_actions", reclaimed)
 	}
 	// 4. Hostlo: re-pack what churn fragmented, but never under a
 	// backlog — the pending queue would immediately re-dirty the fleet.
 	if c.cfg.Policy == Hostlo && c.dirty && c.queueLen() == 0 {
 		c.optimize()
 	}
-	next := now + sim.Time(c.cfg.ScaleEvery)
+	next := now + scaleEvery
 	if next <= sim.Time(c.cfg.Horizon) {
 		c.schedEvent(next, evTick, 0, 0)
 	}
 }
 
 // reclaimIdle terminates every live node that has sat empty past the
-// IdleGrace hysteresis, in creation order, and reports how many. Both
-// autoscaler modes share it verbatim — the scale-down trajectory (and
-// its float cost accumulation order) must not depend on the mode.
+// idleGrace hysteresis, in creation order, and reports how many.
 func (c *Cluster) reclaimIdle(now sim.Time) int {
 	reclaimed := 0
 	for _, n := range c.liveList {
-		if n.live && len(n.items) == 0 && now-n.idleSince >= sim.Time(c.cfg.IdleGrace) {
+		if n.live && len(n.items) == 0 && now-n.idleSince >= idleGrace {
 			c.terminate(n, now)
 			c.res.ScaleDowns++
 			c.count("cluster/scale_downs")

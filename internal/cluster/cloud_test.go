@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -13,15 +12,15 @@ import (
 	"nestless/internal/cluster"
 	"nestless/internal/faults"
 	"nestless/internal/golden"
-	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
 
 // The cloud-model suite: the reconciler autoscaler must be invisible in
 // the degenerate configuration (one zone, no spot — byte-identical to
-// the imperative demand loop it replaced), and the non-degenerate
-// features (spot revocation, zone drills, spread) must stay leak-free,
-// conservation-audited and deterministic under chaos.
+// the recorded digests of the imperative demand loop it replaced), and
+// the non-degenerate features (spot revocation, zone drills, spread)
+// must stay leak-free, conservation-audited and deterministic under
+// chaos.
 
 // gcpCloud resolves a spot-capable GCP configuration for tests.
 func gcpCloud(t *testing.T, zones int, spotFrac float64) *cloud.Resolved {
@@ -46,35 +45,16 @@ func applyCloud(cfg *cluster.Config, cl *cloud.Resolved) {
 	cfg.ZoneNames = cl.ZoneNames
 	cfg.SpotFrac = cl.SpotFrac
 	cfg.SpotDiscount = cl.SpotDiscount
-	if cl.Imperative {
-		cfg.Autoscaler = cluster.Imperative
-	}
-}
-
-// runWithDigest executes one lifecycle run and returns the result, the
-// textual telemetry trace and the final world digest.
-func runWithDigest(t *testing.T, cfg cluster.Config) (cluster.Result, string, uint64) {
-	t.Helper()
-	rec := telemetry.New()
-	cfg.Rec = rec
-	c := cluster.New(cfg)
-	res := c.Run()
-	if leaks := c.Leaks(); len(leaks) != 0 {
-		t.Fatalf("leaks:\n  %s", strings.Join(leaks, "\n  "))
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteTextTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return res, buf.String(), c.Digest()
 }
 
 // TestReconcilerMatchesImperative is the acceptance pin: with one zone
 // and zero spot fraction, the declarative reconciler reproduces the
-// imperative demand loop byte for byte — Result (modulo its own
-// bookkeeping counters, which the imperative mode doesn't have), text
-// telemetry and digest — across policies and seeds.
+// digests recorded while the imperative demand loop it replaced still
+// ran, with every case asserted identical to it (Result modulo the
+// Reconcile* counters, text telemetry and digest) — across policies
+// and seeds.
 func TestReconcilerMatchesImperative(t *testing.T) {
+	g := golden.Open(t, goldenPath, "reconciler/")
 	var rounds int
 	for _, seed := range []int64{1, 9} {
 		users := trace.Generate(churnConfig(seed, 6))
@@ -86,33 +66,8 @@ func TestReconcilerMatchesImperative(t *testing.T) {
 				BootDelay: 30 * time.Second,
 			}
 			mode.adjust(&cfg)
-			rc := cfg
-			rc.Autoscaler = cluster.Reconciler
-			ic := cfg
-			ic.Autoscaler = cluster.Imperative
-			rres, rtrace, rdig := runWithDigest(t, rc)
-			ires, itrace, idig := runWithDigest(t, ic)
-			if ires.ReconcileRounds != 0 || ires.ReconcileActions != 0 {
-				t.Fatalf("%s seed %d: imperative mode recorded reconcile work: %d rounds, %d actions",
-					mode.name, seed, ires.ReconcileRounds, ires.ReconcileActions)
-			}
-			rounds += rres.ReconcileRounds
-			a, b := rres, ires
-			a.ReconcileRounds, a.ReconcileActions = 0, 0
-			b.ReconcileRounds, b.ReconcileActions = 0, 0
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s seed %d: reconciler diverged from imperative beyond its counters:\nreconciler: %+v\nimperative: %+v",
-					mode.name, seed, a, b)
-			}
-			if rtrace != itrace {
-				t.Fatalf("%s seed %d: telemetry diverged (%d vs %d bytes)", mode.name, seed, len(rtrace), len(itrace))
-			}
-			if rdig != idig {
-				t.Fatalf("%s seed %d: digest diverged: %016x vs %016x", mode.name, seed, rdig, idig)
-			}
-			if rtrace == "" {
-				t.Fatalf("%s seed %d: empty telemetry trace", mode.name, seed)
-			}
+			res := requireGolden(t, g, fmt.Sprintf("reconciler/s%d/%s", seed, mode.name), cfg)
+			rounds += res.ReconcileRounds
 		}
 	}
 	if rounds == 0 {
@@ -223,22 +178,21 @@ func TestSpotRevocationChaos(t *testing.T) {
 }
 
 // TestSpotChaosReplay: a spot-revocation world replays byte-identical —
-// same Result, same telemetry bytes, same digest.
+// same Result, same telemetry bytes, same golden line (digest included).
 func TestSpotChaosReplay(t *testing.T) {
 	users := trace.Generate(churnConfig(12, 4))
 	cfg := spotChaosConfig(t, 3, users[1].Pods)
-	r1, t1, d1 := runWithDigest(t, cfg)
-	r2, t2, d2 := runWithDigest(t, cfg)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("replay diverged:\n%+v\n%+v", r1, r2)
+	r1, r2 := runRecorded(t, cfg), runRecorded(t, cfg)
+	if !reflect.DeepEqual(r1.res, r2.res) {
+		t.Fatalf("replay diverged:\n%+v\n%+v", r1.res, r2.res)
 	}
-	if t1 != t2 {
-		t.Fatalf("telemetry traces diverged (%d vs %d bytes)", len(t1), len(t2))
+	if r1.trace != r2.trace {
+		t.Fatalf("telemetry traces diverged (%d vs %d bytes)", len(r1.trace), len(r2.trace))
 	}
-	if d1 != d2 {
-		t.Fatalf("digests diverged: %016x vs %016x", d1, d2)
+	if r1.line != r2.line {
+		t.Fatalf("digests diverged:\n%s\n%s", r1.line, r2.line)
 	}
-	if r1.SpotRevocations == 0 {
+	if r1.res.SpotRevocations == 0 {
 		t.Fatal("replay pair never revoked a node — chaos unexercised")
 	}
 }

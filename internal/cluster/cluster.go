@@ -69,30 +69,16 @@ func (p Policy) String() string {
 	return "kubernetes"
 }
 
-// AutoscalerMode selects the fleet-management regime.
+// AutoscalerMode names the fleet-management regime. Reconciler is the
+// only one; the type stays so callers that spell it out keep compiling.
 type AutoscalerMode int
 
-const (
-	// Reconciler is the declarative default: every scale decision is one
-	// idempotent reconcile of desired vs. observed machine sets — demand
-	// adds a machine in the emptiest zone (spot or on-demand per the
-	// configured fraction), the tick resyncs observed capacity against
-	// the idle-grace policy. With one zone and zero spot fraction its
-	// decisions collapse to exactly the imperative loop's (the
-	// equivalence suite pins this, modulo the Reconcile* counters).
-	Reconciler AutoscalerMode = iota
-	// Imperative is the pre-cloud demand loop, kept as the byte-identity
-	// pin. It only manages single-zone on-demand fleets.
-	Imperative
-)
-
-// String returns the autoscaler mode name.
-func (m AutoscalerMode) String() string {
-	if m == Imperative {
-		return "imperative"
-	}
-	return "reconciler"
-}
+// Reconciler is the declarative fleet manager: every scale decision is
+// one idempotent reconcile of desired vs. observed machine sets —
+// demand adds a machine in the emptiest zone (spot or on-demand per the
+// configured fraction), the tick resyncs observed capacity against the
+// idle-grace policy.
+const Reconciler AutoscalerMode = 0
 
 // Config parameterises one cluster lifecycle run.
 type Config struct {
@@ -113,16 +99,6 @@ type Config struct {
 	// BootDelay is the VM provisioning latency (default 45s; the
 	// steady-state equivalence tests use 0).
 	BootDelay time.Duration
-	// ScaleEvery is the autoscaler tick period: node-kill consultation,
-	// idle reclaim, and Hostlo re-optimisation happen on ticks
-	// (default 30s).
-	ScaleEvery time.Duration
-	// IdleGrace is the autoscaler's scale-down hysteresis: a node must
-	// sit empty this long before it is reclaimed (default 5m).
-	IdleGrace time.Duration
-	// ProvisionRetryEvery spaces retries of a failed provisioning
-	// attempt (default 10s).
-	ProvisionRetryEvery time.Duration
 	// SampleEvery is the trajectory sampling period (default
 	// Horizon/12).
 	SampleEvery time.Duration
@@ -138,11 +114,6 @@ type Config struct {
 	// whole live fleet, disabling the dirty-set incremental policy —
 	// the equivalence knob for tests that pin full-pass behavior.
 	FullRepack bool
-	// RepackDirtyFrac is the incremental-optimize escape hatch: when
-	// more than this fraction of the live fleet is dirty since the last
-	// pass, the optimizer falls back to a full-fleet pass (default
-	// 0.25). Values >= 1 never fall back.
-	RepackDirtyFrac float64
 	// RepackWorkers bounds the goroutines one incremental optimize pass
 	// fans its candidate groups across (0 = GOMAXPROCS, 1 = serial).
 	// Same contract as every other -parallel knob: output is
@@ -181,16 +152,14 @@ type Config struct {
 	// PricePerH × SpotDiscount[zone] and each is a fault point
 	// "spot/<name>" whose crash is a revocation: the node drains like a
 	// kill and the next replacement machine falls back to on-demand.
-	// Requires the Reconciler autoscaler.
 	SpotFrac float64
 	// SpotDiscount is the per-zone spot price fraction (extended to
 	// Zones entries with 0.35 by withDefaults, so pricing is total even
 	// for hostile snapshots).
 	SpotDiscount []float64
-	// Autoscaler selects the fleet manager (default Reconciler;
-	// Imperative is the pre-cloud pin and rejects Zones > 1 or
-	// SpotFrac > 0 — New panics on the combination since CLI validation
-	// already exits 2 on it).
+	// Autoscaler names the fleet manager. Reconciler is the only value
+	// and no behaviour is keyed on the field; it stays so configs that
+	// spell it out (the perfbench replay workload) keep compiling.
 	Autoscaler AutoscalerMode
 }
 
@@ -211,20 +180,8 @@ func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = 8 * time.Hour
 	}
-	if c.ScaleEvery <= 0 {
-		c.ScaleEvery = 30 * time.Second
-	}
-	if c.IdleGrace <= 0 {
-		c.IdleGrace = 5 * time.Minute
-	}
-	if c.ProvisionRetryEvery <= 0 {
-		c.ProvisionRetryEvery = 10 * time.Second
-	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = c.Horizon / 12
-	}
-	if c.RepackDirtyFrac <= 0 {
-		c.RepackDirtyFrac = 0.25
 	}
 	if c.RepackWorkers <= 0 {
 		c.RepackWorkers = runtime.GOMAXPROCS(0)
@@ -366,8 +323,7 @@ type Result struct {
 
 	// Cloud-model accounting (all zero in a single-zone on-demand run,
 	// except the Reconcile* counters, which tally the declarative
-	// autoscaler's work and are factored out of equivalence diffs the
-	// way the optimizer cache counters are).
+	// autoscaler's work).
 	ReconcileRounds   int // reconcile evaluations (demand + tick resync)
 	ReconcileActions  int // machines added/reclaimed by those rounds
 	SpotProvisions    int // nodes provisioned as spot capacity
@@ -582,11 +538,6 @@ type sigChain struct{ head, tail int32 }
 // New builds a cluster world; call Run to simulate it.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	if cfg.Autoscaler == Imperative && (cfg.Zones > 1 || cfg.SpotFrac > 0) {
-		// CLI validation exits 2 long before this; reaching it is a
-		// programming error, not a user error.
-		panic("cluster: the imperative autoscaler cannot manage zones or spot capacity")
-	}
 	eng := sim.New(cfg.Seed)
 	eng.MaxSteps = cfg.MaxSteps
 	cfg.Rec.BindEngine(eng)

@@ -322,10 +322,9 @@ func TestIdleReclaim(t *testing.T) {
 		})
 	}
 	c := cluster.New(cluster.Config{
-		Seed:      1,
-		Pods:      pods,
-		Horizon:   2 * time.Hour,
-		IdleGrace: 5 * time.Minute,
+		Seed:    1,
+		Pods:    pods,
+		Horizon: 2 * time.Hour,
 	})
 	res := c.Run()
 	if leaks := c.Leaks(); len(leaks) != 0 {

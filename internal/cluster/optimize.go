@@ -14,7 +14,7 @@ import (
 // dirty set — nodes whose contents changed since the last pass — plus a
 // bounded neighborhood of consolidation targets (the emptiest live
 // nodes by most-requested score), falling back to a full-fleet pass
-// when the dirty fraction exceeds Config.RepackDirtyFrac or when
+// when the dirty fraction exceeds repackDirtyFrac or when
 // Config.FullRepack pins full passes. Candidate selection is
 // deterministic: the neighborhood comes from tail-walks of the
 // capacity index, ties broken by node id.
@@ -35,6 +35,11 @@ import (
 // minNeighborhood is the floor on how many consolidation targets an
 // incremental pass considers alongside the dirty set.
 const minNeighborhood = 8
+
+// repackDirtyFrac is the incremental-optimize escape hatch: when more
+// than this fraction of the live fleet is dirty since the last pass,
+// the optimizer falls back to a full-fleet pass.
+const repackDirtyFrac = 0.25
 
 // optimize runs the Hostlo optimizer over the candidate set and
 // reconciles those nodes to the improved placement. Containers move
@@ -194,7 +199,7 @@ func (c *Cluster) optimizeCandidates() ([]*node, bool) {
 		}
 	}
 	full := c.cfg.FullRepack ||
-		float64(len(cand)) > c.cfg.RepackDirtyFrac*float64(c.liveCount)
+		float64(len(cand)) > repackDirtyFrac*float64(c.liveCount)
 	if full {
 		c.compactLive()
 		cand = append(cand[:0], c.liveList...)

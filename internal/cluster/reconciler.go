@@ -18,20 +18,13 @@ import (
 // a round against converged state is a no-op — the idempotence that
 // makes the loop safe to fire from every code path that observes
 // pressure.
-//
-// With one zone and zero spot fraction every decision collapses to the
-// imperative loop's (zone 0, on-demand, same single-request-in-flight
-// discipline), which is what the equivalence suite pins.
 
 // scaleUp is the scheduler's capacity request: the head pod is blocked
-// and wants one machine of catalog type typ. Both autoscaler modes keep
-// at most one provisioning request in flight.
+// and wants one machine of catalog type typ. At most one provisioning
+// request is in flight, so a burst of arrivals does not buy a node per
+// pod before the first one boots.
 func (c *Cluster) scaleUp(typ int) {
 	if c.inflight != 0 {
-		return
-	}
-	if c.cfg.Autoscaler == Imperative {
-		c.requestNode(typ, 0, false)
 		return
 	}
 	c.reconcileDemand(typ)

@@ -38,7 +38,7 @@ func (c *Cluster) Start() {
 		return
 	}
 	c.started = true
-	c.schedEvent(sim.Time(c.cfg.ScaleEvery), evTick, 0, 0)
+	c.schedEvent(scaleEvery, evTick, 0, 0)
 	c.schedEvent(sim.Time(c.cfg.SampleEvery), evSample, 0, 0)
 }
 
@@ -314,7 +314,7 @@ func SimulateSource(cfg Config, src ctrace.Source) (Result, error) {
 	}
 	c.Start()
 	horizon := sim.Time(c.cfg.Horizon)
-	step := sim.Time(c.cfg.ScaleEvery)
+	step := sim.Time(scaleEvery)
 	var held *ctrace.Event
 	eof := false
 	for t := sim.Time(0); t < horizon; {

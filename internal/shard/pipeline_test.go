@@ -17,16 +17,18 @@ import (
 // goldenPath is the recorded corpus the replay cases are pinned to.
 const goldenPath = "testdata/golden.txt"
 
-// migratorUsers builds a migration-heavy workload whose pod lifetimes
-// are short enough that a pod transferred at one barrier has its end
-// event inside the *next* epoch — which the pipelined runner has
-// already prefetched, so the mailbox re-route path is exercised, not
-// just the moved-map routing of the serial feed.
-func migratorUsers(seed int64) []trace.User {
-	gcfg := trace.DefaultConfig(seed)
+// migratorUsers builds a migration-heavy workload. With a 12m mean
+// lifetime a pod transferred at one barrier has its end event inside
+// the *next* epoch — which the pipelined runner has already
+// prefetched, so the mailbox re-route path is exercised, not just the
+// moved-map routing of the serial feed. With 30m, pods outlive their
+// first destination's boot wait and migrate again, so the locality
+// policy sends them home while least-loaded does not.
+func migratorUsers(life time.Duration) []trace.User {
+	gcfg := trace.DefaultConfig(5)
 	gcfg.Users = 2
 	gcfg.MeanArrivalGap = 30 * time.Second
-	gcfg.MeanLifetime = 12 * time.Minute
+	gcfg.MeanLifetime = life
 	return trace.Generate(gcfg)
 }
 
@@ -50,43 +52,58 @@ func migratorConfig() Config {
 // must reproduce the golden digests — recorded while the strict
 // feed-then-advance loop still existed and matched it — at every shard
 // count, for both migration policies, on a workload where prefetched
-// mailboxes really do get re-routed after migration barriers.
+// mailboxes really do get re-routed after migration barriers. The
+// homeward/ cases are the workload where migrated pods migrate again,
+// so the two policies must pick different worlds.
 func TestPipelineEquivalence(t *testing.T) {
 	g := golden.Open(t, goldenPath, "pipeline/")
-	users := migratorUsers(5)
-	for _, policy := range []string{"least-loaded", "locality"} {
-		cfg := migratorConfig()
-		cfg.MigratePolicy = policy
-		var want Result
-		for i, shards := range []int{1, 2, 4, 8} {
-			cfg.Shards = shards
+	for _, sc := range []struct {
+		prefix string
+		life   time.Duration
+	}{
+		{"pipeline/", 12 * time.Minute},
+		{"pipeline/homeward/", 30 * time.Minute},
+	} {
+		users := migratorUsers(sc.life)
+		digests := map[string]uint64{}
+		for _, policy := range []string{"least-loaded", "locality"} {
+			cfg := migratorConfig()
+			cfg.MigratePolicy = policy
+			var want Result
+			for i, shards := range []int{1, 2, 4, 8} {
+				cfg.Shards = shards
+				got, err := Replay(ctrace.NewSynth(users), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					want = got
+					if want.Migrations == 0 {
+						t.Fatalf("%s%s: scenario no longer migrates", sc.prefix, policy)
+					}
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s%s: -shards %d diverged from -shards 1\n got %+v\nwant %+v",
+						sc.prefix, policy, shards, got.Merged, want.Merged)
+				}
+				g.Check(fmt.Sprintf("%s%s/shards=%d", sc.prefix, policy, shards), golden.Line(got.Digest, got, nil))
+			}
+			digests[policy] = want.Digest
+			// A recorder pins the shard count to 1; its timeline covers
+			// the barrier-time transfer counters of a migrating replay.
+			rec := telemetry.New()
+			cfg.Cluster.Rec = rec
 			got, err := Replay(ctrace.NewSynth(users), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
-				want = got
-				if want.Migrations == 0 {
-					t.Fatalf("policy %s: scenario no longer migrates", policy)
-				}
-			} else if !reflect.DeepEqual(got, want) {
-				t.Fatalf("policy %s: -shards %d diverged from -shards 1\n got %+v\nwant %+v",
-					policy, shards, got.Merged, want.Merged)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s%s: recording perturbed the replay", sc.prefix, policy)
 			}
-			g.Check(fmt.Sprintf("pipeline/%s/shards=%d", policy, shards), golden.Line(got.Digest, got, nil))
+			g.Check(fmt.Sprintf("%s%s/recorded", sc.prefix, policy), golden.Line(got.Digest, got, rec))
 		}
-		// A recorder pins the shard count to 1; its timeline covers the
-		// barrier-time transfer counters of a migrating replay.
-		rec := telemetry.New()
-		cfg.Cluster.Rec = rec
-		got, err := Replay(ctrace.NewSynth(users), cfg)
-		if err != nil {
-			t.Fatal(err)
+		if sc.prefix == "pipeline/homeward/" && digests["locality"] == digests["least-loaded"] {
+			t.Fatal("homeward: locality and least-loaded replayed identically — no migrated pod went home")
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("policy %s: recording perturbed the replay", policy)
-		}
-		g.Check(fmt.Sprintf("pipeline/%s/recorded", policy), golden.Line(got.Digest, got, rec))
 	}
 }
 

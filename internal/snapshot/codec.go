@@ -39,7 +39,10 @@ const magic = "NLW1"
 // window (Snapshot.TrajWin).
 // v4 dropped the linear-scan reference scheduler: its Config bit and its
 // sorted-slice pending queue (the heap array is the only queue).
-const version = 4
+// v5 dropped the imperative autoscaler's mode and the four control-loop
+// periods that became constants (ScaleEvery, IdleGrace,
+// ProvisionRetryEvery, RepackDirtyFrac).
+const version = 5
 
 // maxRandDraws bounds the RNG stream positions the codec will accept.
 // Restoring a stream position replays that many draws, so an unbounded
@@ -71,13 +74,9 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.uvarint(uint64(s.Cfg.Policy))
 	e.dur(s.Cfg.Horizon)
 	e.dur(s.Cfg.BootDelay)
-	e.dur(s.Cfg.ScaleEvery)
-	e.dur(s.Cfg.IdleGrace)
-	e.dur(s.Cfg.ProvisionRetryEvery)
 	e.dur(s.Cfg.SampleEvery)
 	e.uvarint(s.Cfg.MaxSteps)
 	e.bool(s.Cfg.FullRepack)
-	e.f64(s.Cfg.RepackDirtyFrac)
 	e.varint(int64(s.Cfg.RepackWorkers))
 	e.varint(int64(s.Cfg.PackCacheSize))
 	e.varint(int64(s.Cfg.SampleCap))
@@ -91,7 +90,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	for _, f := range s.Cfg.SpotDiscount {
 		e.f64(f)
 	}
-	e.uvarint(uint64(s.Cfg.Autoscaler))
 	e.uvarint(uint64(len(s.Cfg.Catalog)))
 	for _, t := range s.Cfg.Catalog {
 		e.str(t.Name)
@@ -292,13 +290,9 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	}
 	s.Cfg.Horizon = d.dur()
 	s.Cfg.BootDelay = d.dur()
-	s.Cfg.ScaleEvery = d.dur()
-	s.Cfg.IdleGrace = d.dur()
-	s.Cfg.ProvisionRetryEvery = d.dur()
 	s.Cfg.SampleEvery = d.dur()
 	s.Cfg.MaxSteps = d.uvarint()
 	s.Cfg.FullRepack = d.bool()
-	s.Cfg.RepackDirtyFrac = d.f64()
 	s.Cfg.RepackWorkers = int(d.varint())
 	s.Cfg.PackCacheSize = int(d.varint())
 	s.Cfg.SampleCap = int(d.varint())
@@ -309,10 +303,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	s.Cfg.SpotFrac = d.f64()
 	for i, n := 0, d.count(8); i < n; i++ {
 		s.Cfg.SpotDiscount = append(s.Cfg.SpotDiscount, d.f64())
-	}
-	s.Cfg.Autoscaler = cluster.AutoscalerMode(d.uvarint())
-	if d.err == nil && s.Cfg.Autoscaler != cluster.Reconciler && s.Cfg.Autoscaler != cluster.Imperative {
-		return nil, fmt.Errorf("snapshot: unknown autoscaler mode %d", s.Cfg.Autoscaler)
 	}
 	for i, n := 0, d.count(1); i < n; i++ {
 		t := cloudsim.VMType{

@@ -23,7 +23,7 @@ import (
 
 // snapTimes are the capture instants, chosen to land exactly on the
 // autoscaler tick + trajectory sample boundary (2h is a multiple of
-// both ScaleEvery and the default SampleEvery=horizon/12=20m), one
+// both the 30s tick and the default SampleEvery=horizon/12=20m), one
 // nanosecond before and after it, and at an unaligned instant.
 func snapTimes() []sim.Time {
 	two := sim.Time(2 * time.Hour)

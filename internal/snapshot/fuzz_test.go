@@ -102,6 +102,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"bad magic":  []byte("XXXX\x01rest"),
 		"version 99": append([]byte("NLW1"), 99),
 		"version 3":  append([]byte("NLW1"), 3),
+		"version 4":  append([]byte("NLW1"), 4),
 		"truncated":  valid[:len(valid)-7],
 		"trailing":   append(append([]byte(nil), valid...), 0),
 	}
@@ -111,9 +112,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: Decode accepted", name)
 			continue
 		}
-		// A v3 stream still carries the retired reference-scheduler
-		// fields; it must fail on the version, before any is parsed.
-		if name == "version 3" && !strings.Contains(err.Error(), "format version 3") {
+		// Older streams still carry retired fields (v3 the
+		// reference-scheduler bit, v4 the autoscaler mode and control
+		// periods); they must fail on the version, before any is parsed.
+		if v, ok := strings.CutPrefix(name, "version "); ok && !strings.Contains(err.Error(), "format version "+v) {
 			t.Errorf("%s: want the version error, got %v", name, err)
 		}
 	}

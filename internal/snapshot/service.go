@@ -233,10 +233,6 @@ func NewService(bc BaseConfig) (*Service, error) {
 	for _, u := range users {
 		pods = append(pods, u.Pods...)
 	}
-	mode := cluster.Reconciler
-	if bc.Cloud.Imperative {
-		mode = cluster.Imperative
-	}
 	c := cluster.New(cluster.Config{
 		Seed:          bc.Seed,
 		Pods:          pods,
@@ -250,7 +246,6 @@ func NewService(bc BaseConfig) (*Service, error) {
 		ZoneNames:     bc.Cloud.ZoneNames,
 		SpotFrac:      bc.Cloud.SpotFrac,
 		SpotDiscount:  bc.Cloud.SpotDiscount,
-		Autoscaler:    mode,
 	})
 	c.Arm()
 	c.Advance(sim.Time(bc.SnapAt))
