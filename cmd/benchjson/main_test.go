@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -190,5 +191,105 @@ func TestCompareGateLower(t *testing.T) {
 	_, failed, err = compare(risen, base, "allocs/op", 0.20, false)
 	if err != nil || failed {
 		t.Fatalf("higher-is-better reading should pass: failed=%v err=%v", failed, err)
+	}
+}
+
+// TestFoldRepeatedRuns: -count N prints N lines per benchmark; they
+// fold into one record holding the medians, extremes and run count,
+// and the gate judges the medians, so one noisy run cannot fail it.
+func TestFoldRepeatedRuns(t *testing.T) {
+	in := `pkg: nestless/internal/cluster
+BenchmarkLifecycleScale/1k/hostlo 	1	 900 ns/op	 5000 pods/s
+BenchmarkReconcilerScale/1k         	1	 100 ns/op	 70 rounds/s
+BenchmarkLifecycleScale/1k/hostlo 	1	 800 ns/op	 1000 pods/s
+BenchmarkLifecycleScale/1k/hostlo 	1	 700 ns/op	 4000 pods/s
+BenchmarkLifecycleScale/1k/hostlo 	1	 600 ns/op	 4800 pods/s
+BenchmarkLifecycleScale/1k/hostlo 	1	 500 ns/op	 4500 pods/s
+pkg: nestless/internal/other
+BenchmarkReconcilerScale/1k         	1	 300 ns/op	 50 rounds/s
+`
+	doc := parse(bufio.NewScanner(strings.NewReader(in)))
+	if len(doc.Benchmarks) != 3 {
+		t.Fatalf("folded into %d records, want 3 (same name in two packages stays apart): %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	h := doc.Benchmarks[0]
+	if h.Name != "BenchmarkLifecycleScale/1k/hostlo" || h.Runs != 5 {
+		t.Fatalf("record 0 = %q with %d runs", h.Name, h.Runs)
+	}
+	if h.Metrics["pods/s"] != 4500 || h.Min["pods/s"] != 1000 || h.Max["pods/s"] != 5000 || h.Metrics["ns/op"] != 700 {
+		t.Fatalf("folded metrics wrong: %+v", h)
+	}
+	if r := doc.Benchmarks[1]; r.Runs != 1 || r.Min != nil || r.Metrics["rounds/s"] != 70 {
+		t.Fatalf("single run should pass through: %+v", r)
+	}
+
+	// An even count takes the mean of the middle two.
+	even := fold([]Record{
+		rec("p", "B", map[string]float64{"x": 4}), rec("p", "B", map[string]float64{"x": 1}),
+		rec("p", "B", map[string]float64{"x": 2}), rec("p", "B", map[string]float64{"x": 10}),
+	})
+	if len(even) != 1 || even[0].Metrics["x"] != 3 {
+		t.Fatalf("even fold: %+v", even)
+	}
+
+	// A baseline written before folding (no runs, min or max) still
+	// loads, and the gate compares medians against it: the 1000 pods/s
+	// outlier run alone would be a 78% drop.
+	var base Doc
+	if err := json.Unmarshal([]byte(`{"benchmarks": [{"name": "BenchmarkLifecycleScale/1k/hostlo",
+		"package": "nestless/internal/cluster", "iterations": 1, "metrics": {"pods/s": 4600}}]}`), &base); err != nil {
+		t.Fatal(err)
+	}
+	lines, failed, err := compare(doc, base, "pods/s", 0.20, false)
+	if err != nil || failed || !strings.Contains(lines[0], "runs 1 -> 5") {
+		t.Fatalf("median gate: failed=%v err=%v\n%s", failed, err, strings.Join(lines, "\n"))
+	}
+	// A folded baseline round-trips through JSON, and a median drop
+	// beyond the tolerance still fails.
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var folded Doc
+	if err := json.Unmarshal(data, &folded); err != nil || folded.Benchmarks[0].Runs != 5 {
+		t.Fatalf("round trip: err=%v %+v", err, folded.Benchmarks)
+	}
+	slow := parse(bufio.NewScanner(strings.NewReader(`pkg: nestless/internal/cluster
+BenchmarkLifecycleScale/1k/hostlo 	1	 900 ns/op	 3000 pods/s
+BenchmarkLifecycleScale/1k/hostlo 	1	 900 ns/op	 3500 pods/s
+BenchmarkLifecycleScale/1k/hostlo 	1	 900 ns/op	 9000 pods/s
+`)))
+	if _, failed, err := compare(slow, folded, "pods/s", 0.20, false); err != nil || !failed {
+		t.Fatalf("median drop 4500 -> 3500 not flagged: failed=%v err=%v", failed, err)
+	}
+}
+
+// TestTrimSharedProcs: the GOMAXPROCS suffix is stripped only when it
+// matches the process's and every name carries it.
+func TestTrimSharedProcs(t *testing.T) {
+	names := func(recs []Record) []string {
+		var out []string
+		for _, r := range recs {
+			out = append(out, r.Name)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		procs    int
+		in, want []string
+	}{
+		{2, []string{"BenchmarkA-2", "BenchmarkB/batch-16-2"}, []string{"BenchmarkA", "BenchmarkB/batch-16"}},
+		{4, []string{"BenchmarkA-2", "BenchmarkB-2"}, []string{"BenchmarkA-2", "BenchmarkB-2"}}, // another box's suffix
+		{2, []string{"BenchmarkA-2", "BenchmarkB"}, []string{"BenchmarkA-2", "BenchmarkB"}},     // -cpu 1,2 or a digit name
+		{1, []string{"BenchmarkB/batch-16"}, []string{"BenchmarkB/batch-16"}},
+	} {
+		recs := make([]Record, len(c.in))
+		for i, n := range c.in {
+			recs[i].Name = n
+		}
+		trimSharedProcs(recs, c.procs)
+		if got := names(recs); strings.Join(got, ",") != strings.Join(c.want, ",") {
+			t.Errorf("procs %d %v: got %v, want %v", c.procs, c.in, got, c.want)
+		}
 	}
 }

@@ -253,9 +253,11 @@ func RestorePackCache(st *PackCacheState) (*PackCache, error) {
 	if len(st.Entries) > st.Cap {
 		return nil, fmt.Errorf("cloudsim: pack cache state holds %d entries, capacity %d", len(st.Entries), st.Cap)
 	}
+	// The map is sized from the entries, not Cap: a decoded Cap may be
+	// hostile, and presizing to it could exhaust memory.
 	pc := &PackCache{
 		cap:       st.Cap,
-		m:         make(map[packKey]*packEntry, st.Cap),
+		m:         make(map[packKey]*packEntry, len(st.Entries)),
 		hits:      st.Hits,
 		misses:    st.Misses,
 		evictions: st.Evictions,

@@ -91,8 +91,7 @@ type optScratch struct {
 	subItems  []item // final per-VM item storage, one flat arena
 	subFleet  fleet  // the returned fleet header itself
 
-	vmix  vmIndex   // consolidate: recycled target index storage
-	spine []*vmNode // consolidate: Cartesian-build stack
+	vmix vmIndex // consolidate: recycled target index storage
 
 	// improveHostlo's clone double-buffer: at most two optimizer fleets
 	// are alive at once (cur and the clone being evaluated), so clones
@@ -553,7 +552,7 @@ func packContainersFFD(items []item, catalog []VMType, sc *optScratch) *fleet {
 }
 
 // consolidateIndexThreshold is the fleet size above which consolidate
-// switches from the linear target scan to the vmIndex treap. Below it
+// switches from the linear target scan to the vmIndex FitTree. Below it
 // the scan's cache behavior wins; above it the O(log n) query does. The
 // two paths pick byte-identical targets (TestConsolidatePathsAgree
 // forces each in turn). A var only so that test can pin it.
@@ -584,7 +583,7 @@ func (f *fleet) consolidate() bool {
 	if len(f.vms) >= consolidateIndexThreshold {
 		ix = &sc.vmix
 		ix.reset(f.catalog, len(f.vms))
-		sc.spine = ix.buildSorted(f, order, sc.spine)
+		ix.buildSorted(f, order)
 	}
 
 	moved := false
@@ -611,7 +610,7 @@ func (f *fleet) consolidate() bool {
 		}
 		fits := false
 		if ix != nil {
-			fits = ix.root.firstFit(largest.cpu, largest.mem) != nil
+			fits = ix.tree.FirstFit(largest.cpu, largest.mem, 0, -1) != nil
 		} else {
 			for _, t := range f.vms {
 				if t != src && t.freeCPU(f.catalog) >= largest.cpu && t.freeMem(f.catalog) >= largest.mem {
@@ -636,8 +635,8 @@ func (f *fleet) consolidate() bool {
 			var best *vm
 			ord := -1
 			if ix != nil {
-				if n := ix.root.firstFit(it.cpu, it.mem); n != nil {
-					best, ord = n.v, n.ord
+				if n := ix.tree.FirstFit(it.cpu, it.mem, 0, -1); n != nil {
+					best, ord = f.vms[n.Ord], n.Ord
 				}
 			} else {
 				for ti, t := range f.vms {

@@ -1,166 +1,19 @@
 package cloudsim
 
-// vmIndex: the packing-side analog of the cluster's capacity index
-// (internal/cluster/capindex.go). Both optimizer hot loops —
-// consolidate's "most-wasted other VM that fits" and FFD's
-// "most-requested VM that fits" — are the same query: the best-scoring
-// VM with freeCPU >= cpu and freeMem >= mem, ties broken by earliest
-// position in the fleet slice. A treap ordered by (score desc, ordinal
-// asc) and augmented with subtree maxima of the free capacities answers
-// it in O(log n): a subtree whose max free CPU or memory is below the
-// request cannot contain a fit and is pruned whole, and the first fit
-// found in tree order IS the scan's answer, because tree order equals
-// the scan's preference order.
-//
-// Determinism: priorities are a hash of the ordinal, so tree shape is a
-// pure function of the inserted set — no RNG, byte-identical replays.
-
-// mix64 is splitmix64, the same bit mixer capindex.go uses.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// vmNode is one treap entry: a VM with its selection score and free
-// capacities frozen at insert time (update = remove + re-insert).
-type vmNode struct {
-	v                *vm
-	score            float64 // waste or requestedFraction, per index
-	ord              int     // position in the fleet slice (tie-break)
-	prio             uint64
-	freeCPU, freeMem float64
-	maxCPU, maxMem   float64 // subtree maxima of the free capacities
-	l, r             *vmNode
-}
-
-// before is the tree order: score desc, ordinal asc — exactly the
-// preference order of the linear scans (strict > on score keeps the
-// earliest VM among ties).
-func (t *vmNode) before(score float64, ord int) bool {
-	return t.score > score || (t.score == score && t.ord < ord)
-}
-
-func (t *vmNode) update() {
-	t.maxCPU, t.maxMem = t.freeCPU, t.freeMem
-	if t.l != nil {
-		if t.l.maxCPU > t.maxCPU {
-			t.maxCPU = t.l.maxCPU
-		}
-		if t.l.maxMem > t.maxMem {
-			t.maxMem = t.l.maxMem
-		}
-	}
-	if t.r != nil {
-		if t.r.maxCPU > t.maxCPU {
-			t.maxCPU = t.r.maxCPU
-		}
-		if t.r.maxMem > t.maxMem {
-			t.maxMem = t.r.maxMem
-		}
-	}
-}
-
-func vmRotRight(t *vmNode) *vmNode {
-	l := t.l
-	t.l = l.r
-	l.r = t
-	t.update()
-	l.update()
-	return l
-}
-
-func vmRotLeft(t *vmNode) *vmNode {
-	r := t.r
-	t.r = r.l
-	r.l = t
-	t.update()
-	r.update()
-	return r
-}
-
-func vmInsert(t, n *vmNode) *vmNode {
-	if t == nil {
-		n.update()
-		return n
-	}
-	if n.before(t.score, t.ord) {
-		t.l = vmInsert(t.l, n)
-		if t.l.prio < t.prio {
-			return vmRotRight(t)
-		}
-	} else {
-		t.r = vmInsert(t.r, n)
-		if t.r.prio < t.prio {
-			return vmRotLeft(t)
-		}
-	}
-	t.update()
-	return t
-}
-
-func vmDelete(t *vmNode, score float64, ord int) *vmNode {
-	if t == nil {
-		return nil
-	}
-	if t.score == score && t.ord == ord {
-		switch {
-		case t.l == nil:
-			return t.r
-		case t.r == nil:
-			return t.l
-		case t.l.prio < t.r.prio:
-			t = vmRotRight(t)
-			t.r = vmDelete(t.r, score, ord)
-		default:
-			t = vmRotLeft(t)
-			t.l = vmDelete(t.l, score, ord)
-		}
-	} else if t.before(score, ord) {
-		t.r = vmDelete(t.r, score, ord)
-	} else {
-		t.l = vmDelete(t.l, score, ord)
-	}
-	t.update()
-	return t
-}
-
-// firstFit returns the first VM in tree order (score desc, ordinal asc)
-// whose frozen free capacities cover (cpu, mem) — the linear scan's
-// pick — or nil. Subtrees whose capacity maxima fall short are pruned.
-func (t *vmNode) firstFit(cpu, mem float64) *vmNode {
-	if t == nil || t.maxCPU < cpu || t.maxMem < mem {
-		return nil
-	}
-	if n := t.l.firstFit(cpu, mem); n != nil {
-		return n
-	}
-	if t.freeCPU >= cpu && t.freeMem >= mem {
-		return t
-	}
-	return t.r.firstFit(cpu, mem)
-}
-
-// vmIndex wraps the treap with the by-ordinal handle table the
-// mutation paths need (a VM's node must be findable to remove +
-// re-insert it). Node storage is a flat arena indexed by ordinal:
-// consolidate builds a fresh index per call over ordinals 0..n-1, so
-// sizing the arena up front turns what used to be one heap node plus a
-// map insert per VM into two slice allocations per call. Ordinals at
-// or past the arena (only the tests' growing workloads produce them)
-// fall back to individually allocated nodes; arena pointers stay valid
-// because the arena itself never grows.
+// vmIndex is consolidate's target index: a FitTree over the fleet's
+// VMs keyed by (waste desc, position asc), whose ordinals are positions
+// in the fleet slice, so a hit names its VM as f.vms[n.Ord]. It owns
+// the node storage and the by-ordinal handle table the mutation paths
+// need (a VM's node must be findable to remove + re-insert it). Node
+// storage is a flat arena indexed by ordinal: consolidate builds a
+// fresh index per call over ordinals 0..n-1, so sizing the arena up
+// front turns what used to be one heap node plus a map insert per VM
+// into two slice allocations per call.
 type vmIndex struct {
-	root    *vmNode
-	arena   []vmNode
-	handles []*vmNode // by ordinal; nil = not indexed
+	tree    FitTree
+	arena   []FitNode
+	handles []*FitNode // by ordinal; nil = not indexed
 	cat     []VMType
-}
-
-// newVMIndex sizes the index for ordinals 0..n-1.
-func newVMIndex(cat []VMType, n int) *vmIndex {
-	return &vmIndex{arena: make([]vmNode, n), handles: make([]*vmNode, n), cat: cat}
 }
 
 // reset prepares a recycled index for a fresh build over ordinals
@@ -169,10 +22,10 @@ func newVMIndex(cat []VMType, n int) *vmIndex {
 // backing storage through the optimizer scratch keeps that off the
 // heap profile.
 func (ix *vmIndex) reset(cat []VMType, n int) {
-	ix.root, ix.cat = nil, cat
+	ix.cat = cat
 	if cap(ix.arena) < n {
-		ix.arena = make([]vmNode, n)
-		ix.handles = make([]*vmNode, n)
+		ix.arena = make([]FitNode, n)
+		ix.handles = make([]*FitNode, n)
 		return
 	}
 	ix.arena = ix.arena[:n]
@@ -182,97 +35,45 @@ func (ix *vmIndex) reset(cat []VMType, n int) {
 	}
 }
 
-// buildSorted bulk-loads the index from VMs already sorted in tree
-// order — (score desc, ordinal asc), exactly consolidate's visit order
-// — using the stack-based Cartesian-tree construction: O(n) total, no
-// rotations, against n O(log n) rotating inserts. The stack holds the
-// right spine; a node's aggregates are finalized when it leaves the
-// spine (its subtree is complete then), and the leftover spine is
-// finalized bottom-up at the end. The result is a valid treap — BST
-// order by construction, min-heap on prio by the pop invariant — so
-// the incremental add/remove/refresh paths operate on it unchanged,
-// and queries are shape-independent anyway (first in-order fit).
-// spine is caller-owned scratch; the grown slice is returned for
-// reuse.
-func (ix *vmIndex) buildSorted(f *fleet, order []int, spine []*vmNode) []*vmNode {
-	spine = spine[:0]
+// buildSorted bulk-loads every VM of f from order, which lists the
+// ordinals in tree order — (waste desc, ordinal asc), exactly
+// consolidate's visit order — through the O(n) FitTree.BuildSorted.
+func (ix *vmIndex) buildSorted(f *fleet, order []int) {
 	for _, ord := range order {
 		v := f.vms[ord]
-		n := &ix.arena[ord]
-		ix.handles[ord] = n
-		*n = vmNode{
-			v: v, score: v.waste(ix.cat), ord: ord, prio: mix64(uint64(ord) + 1),
-			freeCPU: v.freeCPU(ix.cat), freeMem: v.freeMem(ix.cat),
-		}
-		var last *vmNode
-		for len(spine) > 0 && spine[len(spine)-1].prio > n.prio {
-			last = spine[len(spine)-1]
-			spine = spine[:len(spine)-1]
-			last.update()
-		}
-		n.l = last
-		if len(spine) > 0 {
-			spine[len(spine)-1].r = n
-		}
-		spine = append(spine, n)
+		ix.handles[ord] = ix.fill(v, ord, v.waste(ix.cat))
 	}
-	for i := len(spine) - 1; i >= 0; i-- {
-		spine[i].update()
-	}
-	if len(spine) > 0 {
-		ix.root = spine[0]
-	}
-	return spine
+	ix.tree.BuildSorted(ix.arena, order)
 }
 
-// add indexes v under the given score, freezing its current free
+// fill loads v's arena node with the score and its current free
 // capacities.
+func (ix *vmIndex) fill(v *vm, ord int, score float64) *FitNode {
+	n := &ix.arena[ord]
+	*n = FitNode{FreeCPU: v.freeCPU(ix.cat), FreeMem: v.freeMem(ix.cat), Score: score, Ord: ord}
+	return n
+}
+
+// add indexes the unindexed VM v under the given score, freezing its
+// current free capacities.
 func (ix *vmIndex) add(v *vm, ord int, score float64) {
-	for ord >= len(ix.handles) {
-		ix.handles = append(ix.handles, nil)
-	}
-	n := ix.handles[ord]
-	if n == nil {
-		if ord < len(ix.arena) {
-			n = &ix.arena[ord]
-		} else {
-			n = &vmNode{}
-		}
-		ix.handles[ord] = n
-	}
-	*n = vmNode{
-		v: v, score: score, ord: ord, prio: mix64(uint64(ord) + 1),
-		freeCPU: v.freeCPU(ix.cat), freeMem: v.freeMem(ix.cat),
-	}
-	ix.root = vmInsert(ix.root, n)
+	n := ix.fill(v, ord, score)
+	ix.handles[ord] = n
+	ix.tree.Insert(n)
 }
 
 // remove drops the VM with this ordinal, if indexed.
 func (ix *vmIndex) remove(ord int) {
-	if ord >= len(ix.handles) || ix.handles[ord] == nil {
-		return
+	if n := ix.handles[ord]; n != nil {
+		ix.tree.Delete(n.Score, ord)
+		ix.handles[ord] = nil
 	}
-	n := ix.handles[ord]
-	if n.v == nil {
-		return
-	}
-	ix.root = vmDelete(ix.root, n.score, n.ord)
-	n.l, n.r = nil, nil
-	n.v = nil
 }
 
 // refresh re-indexes the VM with this ordinal under a new score after
-// its contents changed, reusing its treap node (no allocation — this
+// its contents changed, reusing its arena node (no allocation — this
 // runs once per tentative container move in consolidate).
 func (ix *vmIndex) refresh(v *vm, ord int, score float64) {
-	if ord >= len(ix.handles) || ix.handles[ord] == nil || ix.handles[ord].v == nil {
-		ix.add(v, ord, score)
-		return
-	}
-	n := ix.handles[ord]
-	ix.root = vmDelete(ix.root, n.score, n.ord)
-	n.l, n.r = nil, nil
-	n.score = score
-	n.freeCPU, n.freeMem = v.freeCPU(ix.cat), v.freeMem(ix.cat)
-	ix.root = vmInsert(ix.root, n)
+	ix.remove(ord)
+	ix.add(v, ord, score)
 }

@@ -32,7 +32,7 @@ func randomFleet(r *rand.Rand, n int) *fleet {
 }
 
 // TestConsolidatePathsAgree forces consolidate through both target
-// selection paths — linear scan and vmIndex treap — on identical seeded
+// selection paths — linear scan and vmIndex FitTree — on identical seeded
 // fleets and requires the resulting placements to match exactly. This
 // is the contract that lets the threshold be a pure wall-clock knob.
 func TestConsolidatePathsAgree(t *testing.T) {
@@ -59,17 +59,19 @@ func TestConsolidatePathsAgree(t *testing.T) {
 	}
 }
 
-// TestVMIndexFirstFitMatchesScan cross-checks the treap's query against
+// TestVMIndexFirstFitMatchesScan cross-checks the index's query against
 // the brute-force scan under random insert/refresh/remove traffic.
 func TestVMIndexFirstFitMatchesScan(t *testing.T) {
+	const ops = 3000
 	cat := Catalog()
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		ix := newVMIndex(cat, 8)
+		var ix vmIndex
+		ix.reset(cat, ops) // every op adds at most one VM
 		var vms []*vm
 		live := map[int]bool{}
 		score := func(v *vm) float64 { return v.waste(cat) }
-		for op := 0; op < 3000; op++ {
+		for op := 0; op < ops; op++ {
 			switch k := r.Intn(10); {
 			case k < 3: // add
 				v := &vm{typ: r.Intn(len(cat))}
@@ -107,16 +109,19 @@ func TestVMIndexFirstFitMatchesScan(t *testing.T) {
 						want, wantOrd, wantScore = v, ord, score(v)
 					}
 				}
-				got := ix.root.firstFit(cpu, mem)
+				got := ix.tree.FirstFit(cpu, mem, 0, -1)
 				switch {
 				case want == nil && got != nil:
-					t.Fatalf("seed %d op %d: scan found nothing, index found ord %d", seed, op, got.ord)
+					t.Fatalf("seed %d op %d: scan found nothing, index found ord %d", seed, op, got.Ord)
 				case want != nil && got == nil:
 					t.Fatalf("seed %d op %d: scan found ord %d, index found nothing", seed, op, wantOrd)
-				case want != nil && got.ord != wantOrd:
-					t.Fatalf("seed %d op %d: scan picked ord %d, index ord %d", seed, op, wantOrd, got.ord)
+				case want != nil && got.Ord != wantOrd:
+					t.Fatalf("seed %d op %d: scan picked ord %d, index ord %d", seed, op, wantOrd, got.Ord)
 				}
 			}
+		}
+		if ix.tree.Len() != len(live) {
+			t.Fatalf("seed %d: index holds %d VMs, %d live", seed, ix.tree.Len(), len(live))
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Property tests for the indexed core's data structures, checked
 // against brute-force oracles under seeded random workloads.
 
-// oracleBestFit is the linear scan the treap must reproduce: the
+// oracleBestFit is the linear scan the index must reproduce: the
 // highest-score node that fits, earliest id among score ties.
 func oracleBestFit(nodes []*node, cat []cloudsim.VMType, cpu, mem float64) *node {
 	var best *node
@@ -33,23 +33,20 @@ func oracleBestFit(nodes []*node, cat []cloudsim.VMType, cpu, mem float64) *node
 
 // idxBestFit is bestWholeFit's cross-type combine, reimplemented over a
 // bare capIndex so the test does not need a full Cluster.
-func idxBestFit(ci *capIndex, cat []cloudsim.VMType, cpu, mem float64) *node {
-	sum := cpu + mem
-	qmin := cpu
-	if mem < cpu {
-		qmin = mem
-	}
-	var best *node
-	var bestScore float64
-	for _, root := range ci.trees {
-		if n := root.firstFit(cpu, mem, sum, qmin, best, bestScore); n != nil {
-			best, bestScore = n, n.idxScore
+func idxBestFit(ci *capIndex, nodes []*node, cpu, mem float64) *node {
+	bestScore, bestID := 0.0, -1
+	for i := range ci.trees {
+		if e := ci.trees[i].FirstFit(cpu, mem, bestScore, bestID); e != nil {
+			bestScore, bestID = e.Score, e.Ord
 		}
 	}
-	return best
+	if bestID < 0 {
+		return nil
+	}
+	return nodes[bestID]
 }
 
-// TestCapIndexMatchesScan hammers the treap with random insert / update
+// TestCapIndexMatchesScan hammers the index with random insert / update
 // / delete / query traffic and cross-checks every query against the
 // scan oracle.
 func TestCapIndexMatchesScan(t *testing.T) {
@@ -97,21 +94,24 @@ func TestCapIndexMatchesScan(t *testing.T) {
 				cpu := r.Float64() * 0.3
 				mem := r.Float64() * 0.3
 				want := oracleBestFit(nodes, cat, cpu, mem)
-				got := idxBestFit(ci, cat, cpu, mem)
+				got := idxBestFit(ci, nodes, cpu, mem)
 				if want != got {
 					t.Fatalf("seed %d op %d: query (%v, %v): oracle %+v, index %+v",
 						seed, op, cpu, mem, want, got)
 				}
 			}
 		}
-		live := 0
+		live, held := 0, 0
 		for _, n := range nodes {
 			if n.live {
 				live++
 			}
 		}
-		if ci.size != live {
-			t.Fatalf("seed %d: index size %d, %d live nodes", seed, ci.size, live)
+		for i := range ci.trees {
+			held += ci.trees[i].Len()
+		}
+		if ci.size != live || held != live {
+			t.Fatalf("seed %d: index size %d, trees hold %d, %d live nodes", seed, ci.size, held, live)
 		}
 	}
 }
@@ -134,8 +134,8 @@ func TestCapIndexRevEachOrder(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	var walked []*node
-	ci.trees[0].revEach(func(n *node) bool {
-		walked = append(walked, n)
+	ci.trees[0].RevEach(func(id int) bool {
+		walked = append(walked, nodes[id])
 		return true
 	})
 	if len(walked) != len(nodes) {

@@ -23,7 +23,7 @@
 //     cost-over-time trajectory and records time-to-schedule stats.
 //
 // Placement decisions are made through the indexed scheduling core
-// (capindex.go): per-type capacity treaps and a priority-heap pending
+// (capindex.go): per-type capacity trees and a priority-heap pending
 // queue give O(log n) decisions at trace scale; the golden corpus in
 // testdata/golden.txt pins those decisions.
 //

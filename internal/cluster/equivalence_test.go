@@ -268,7 +268,7 @@ func TestIncrementalOptimizerEngages(t *testing.T) {
 		BootDelay: 30 * time.Second,
 	}
 	// This workload is the one that actually drives incremental passes,
-	// so pin the dual-path neighborhood selection (treap tail-walk vs
+	// so pin the dual-path neighborhood selection (tree tail-walk vs
 	// fleet scan) on it too.
 	g := golden.Open(t, goldenPath, "incremental/")
 	res := requireGolden(t, g, "incremental/hostlo", base)

@@ -219,12 +219,13 @@ func (c *Cluster) optimizeCandidates() ([]*node, bool) {
 // neighborhood returns up to k live non-dirty consolidation targets:
 // the emptiest nodes by (most-requested score asc, id desc), taken in
 // two stages — up to k per catalog type by a tail-walk of each type's
-// treap, then k overall.
+// tree, then k overall.
 func (c *Cluster) neighborhood(k int) []*node {
 	cand := c.neighScratch[:0]
-	for _, root := range c.idx.trees {
+	for i := range c.idx.trees {
 		taken := 0
-		root.revEach(func(n *node) bool {
+		c.idx.trees[i].RevEach(func(id int) bool {
+			n := c.nodes[id]
 			if n.dirty {
 				return true
 			}

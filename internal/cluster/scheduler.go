@@ -104,23 +104,20 @@ func (c *Cluster) tryPlace(i int) (placed, blocked bool) {
 
 // bestWholeFit returns the most-requested live node that fits
 // (cpu, mem), ties broken by creation order — the static packer's
-// comparator. It combines the per-type treap queries, threading the
+// comparator. It combines the per-type tree queries, threading the
 // incumbent through so later trees stop at the first entry that cannot
 // beat it.
 func (c *Cluster) bestWholeFit(cpu, mem float64) *node {
-	sum := cpu + mem
-	qmin := cpu
-	if mem < cpu {
-		qmin = mem
-	}
-	var best *node
-	var bestScore float64
-	for _, root := range c.idx.trees {
-		if n := root.firstFit(cpu, mem, sum, qmin, best, bestScore); n != nil {
-			best, bestScore = n, n.idxScore
+	bestScore, bestID := 0.0, -1
+	for i := range c.idx.trees {
+		if e := c.idx.trees[i].FirstFit(cpu, mem, bestScore, bestID); e != nil {
+			bestScore, bestID = e.Score, e.Ord
 		}
 	}
-	return best
+	if bestID < 0 {
+		return nil
+	}
+	return c.nodes[bestID]
 }
 
 // addItem lands one container on a node, maintaining the used sums, the

@@ -29,8 +29,8 @@ import (
 //     recompute is bit-exact);
 //   - the pending queue's raw heap array (pop order is total, but the
 //     layout is kept anyway), the blocked-head memo, and the capacity-
-//     index version counter (treap shapes are history-independent given
-//     the (score, id) keys and splitmix64 priorities, so the index
+//     index version counter (tree shapes are history-independent given
+//     the (score, id) keys and the id-hash priorities, so the index
 //     itself rebuilds from the live fleet);
 //   - the fault injector's RNG position and rule cursors, the packing
 //     cache's entries in recency order, and the accumulated Result and
@@ -257,6 +257,14 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	cfg := s.Cfg
 	cfg.Pods = nil
 	cfg.Rec = o.Rec
+	// A genuine capture carries at least Zones zone names and spot
+	// discounts, because New applied the defaults. Check before
+	// withDefaults, which would otherwise pad both lists out to any
+	// hostile Zones, spending time and memory on each.
+	if cfg.Zones > len(cfg.ZoneNames) || cfg.Zones > len(cfg.SpotDiscount) {
+		return nil, fmt.Errorf("cluster: snapshot declares %d zones but carries %d names and %d spot discounts",
+			cfg.Zones, len(cfg.ZoneNames), len(cfg.SpotDiscount))
+	}
 	cfg = cfg.withDefaults()
 	switched := false
 	if o.Policy != nil && *o.Policy != cfg.Policy {
@@ -365,6 +373,9 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d provisioning events pending, Inflight says %d", provPending, s.Inflight)
 	}
 	if s.Pack != nil {
+		if s.Pack.Cap != cfg.PackCacheSize {
+			return nil, fmt.Errorf("cluster: pack cache capacity %d, config says %d", s.Pack.Cap, cfg.PackCacheSize)
+		}
 		for ei := range s.Pack.Entries {
 			e := &s.Pack.Entries[ei]
 			for _, vms := range [2][]cloudsim.PlacedVM{e.Input, e.Output} {
@@ -458,7 +469,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	}
 
 	// Nodes: identity and items verbatim, used sums by canonical
-	// recompute, index keys from the recomputed sums (treap shape is
+	// recompute, index keys from the recomputed sums (tree shape is
 	// history-independent, so insertion in id order reproduces the
 	// query structure; the version counter restores explicitly).
 	c.initZones()

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -299,70 +298,4 @@ func (c *Cluster) Digest() uint64 {
 	mix(uint64(c.res.Adopted))
 	mix(math.Float64bits(c.res.CostDollars))
 	return h
-}
-
-// SimulateSource replays an event stream through one world: the
-// single-cluster convenience around the streaming API (the sharded
-// analog is internal/shard.Replay). Events are fed in bounded chunks —
-// one autoscaler tick at a time — so memory tracks the live pod count,
-// not the stream length. Returns the result and the pumped event
-// counts.
-func SimulateSource(cfg Config, src ctrace.Source) (Result, error) {
-	c := New(cfg)
-	if len(cfg.Pods) != 0 {
-		return Result{}, fmt.Errorf("cluster: SimulateSource with non-empty Config.Pods (pick one workload source)")
-	}
-	c.Start()
-	horizon := sim.Time(c.cfg.Horizon)
-	step := sim.Time(scaleEvery)
-	var held *ctrace.Event
-	eof := false
-	for t := sim.Time(0); t < horizon; {
-		end := t + step
-		if end > horizon {
-			end = horizon
-		}
-		for !eof {
-			var ev ctrace.Event
-			if held != nil {
-				ev, held = *held, nil
-			} else {
-				var err error
-				ev, err = src.Next()
-				if err == io.EOF {
-					eof = true
-					break
-				}
-				if err != nil {
-					return Result{}, err
-				}
-			}
-			if sim.Time(ev.Time) > end {
-				held = &ev
-				break
-			}
-			if err := c.FeedEvent(ev); err != nil {
-				return Result{}, err
-			}
-		}
-		c.Advance(end)
-		t = end
-	}
-	// Drain the tail for BeyondHorizon accounting.
-	if held != nil && held.Kind == ctrace.Submit {
-		c.NoteBeyondHorizon()
-	}
-	for !eof {
-		ev, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		if ev.Kind == ctrace.Submit {
-			c.NoteBeyondHorizon()
-		}
-	}
-	return c.Finish(), nil
 }

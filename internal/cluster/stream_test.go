@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -33,42 +32,6 @@ func churnUsers(t *testing.T, seed int64, n int) []trace.User {
 		}
 	}
 	return users
-}
-
-// flatten merges all users' pods into one workload.
-func flatten(users []trace.User) []trace.Pod {
-	var pods []trace.Pod
-	for _, u := range users {
-		pods = append(pods, u.Pods...)
-	}
-	return pods
-}
-
-// TestSimulateSourceMatchesPods pins the streaming feed against the
-// Pods path on a workload where their departure semantics coincide:
-// BootDelay 0 and ample capacity place every pod at its arrival
-// instant, so lifetime-after-placement equals the trace's absolute end
-// time. Same instants, same counters, same cost, same trajectory.
-func TestSimulateSourceMatchesPods(t *testing.T) {
-	users := churnUsers(t, 21, 30)
-	for _, policy := range []Policy{Kubernetes, Hostlo} {
-		cfg := Config{
-			Policy:    policy,
-			Seed:      5,
-			Horizon:   8 * time.Hour,
-			BootDelay: 0,
-		}
-		pcfg := cfg
-		pcfg.Pods = flatten(users)
-		want := Simulate(pcfg)
-		got, err := SimulateSource(cfg, ctrace.NewSynth(users))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("policy %v: stream diverged from Pods run:\n got %+v\nwant %+v", policy, got, want)
-		}
-	}
 }
 
 // TestStreamFeedValidation exercises the feed-order and duplicate

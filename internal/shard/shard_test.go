@@ -279,3 +279,43 @@ func TestReplayRejectsPods(t *testing.T) {
 		t.Fatal("Replay accepted Cluster.Pods")
 	}
 }
+
+// TestSingleWorldReplayMatchesPods pins the streaming feed against the
+// Pods path: a one-world Replay returns exactly cluster.Simulate's
+// Result on a workload where their departure semantics coincide.
+// BootDelay 0 and ample capacity place every pod at its arrival
+// instant, so lifetime-after-placement equals the trace's absolute end
+// time. Arrival and end instants are truncated to the trace formats'
+// microsecond resolution, so both sides see the same instants.
+func TestSingleWorldReplayMatchesPods(t *testing.T) {
+	gcfg := trace.DefaultConfig(21)
+	gcfg.Users = 30
+	gcfg.MeanArrivalGap = 2 * time.Minute
+	gcfg.MeanLifetime = 45 * time.Minute
+	users := trace.Generate(gcfg)
+	var pods []trace.Pod
+	for i := range users {
+		for j := range users[i].Pods {
+			p := &users[i].Pods[j]
+			a := p.Arrival - p.Arrival%time.Microsecond
+			if p.Lifetime > 0 {
+				end := p.Arrival + p.Lifetime
+				end -= end % time.Microsecond
+				p.Lifetime = end - a
+			}
+			p.Arrival = a
+		}
+		pods = append(pods, users[i].Pods...)
+	}
+	for _, policy := range []cluster.Policy{cluster.Kubernetes, cluster.Hostlo} {
+		ccfg := cluster.Config{Policy: policy, Seed: 5, Horizon: 8 * time.Hour, BootDelay: 0}
+		got, err := Replay(ctrace.NewSynth(users), Config{Worlds: 1, Audit: true, Cluster: ccfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccfg.Pods = pods
+		if want := cluster.Simulate(ccfg); !reflect.DeepEqual(got.Worlds[0], want) {
+			t.Fatalf("policy %v: stream diverged from Pods run:\n got %+v\nwant %+v", policy, got.Worlds[0], want)
+		}
+	}
+}

@@ -36,6 +36,35 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 	return enc
 }
 
+// hostileSnapshots re-encodes the fuzz seed world with one
+// configuration field set to a value no capture produces. Each once
+// hung Restore or ran it out of memory: withDefaults padded the zone
+// lists out to Zones, and the packing cache presized its map to Cap.
+func hostileSnapshots(tb testing.TB) []struct {
+	name string
+	b    []byte
+} {
+	mutate := func(edit func(*cluster.Snapshot)) []byte {
+		s, err := Decode(fuzzSeedSnapshot(tb))
+		if err != nil {
+			tb.Fatalf("Decode: %v", err)
+		}
+		edit(s)
+		enc, err := Encode(s)
+		if err != nil {
+			tb.Fatalf("Encode: %v", err)
+		}
+		return enc
+	}
+	return []struct {
+		name string
+		b    []byte
+	}{
+		{"zones 1<<26", mutate(func(s *cluster.Snapshot) { s.Cfg.Zones = 1 << 26 })},
+		{"pack cap 1<<27", mutate(func(s *cluster.Snapshot) { s.Pack.Cap = 1 << 27 })},
+	}
+}
+
 // FuzzSnapshotRoundTrip feeds the decoder arbitrary bytes. The contract
 // under fuzzing: Decode never panics and never over-allocates;
 // anything it accepts re-encodes canonically (Encode∘Decode is a
@@ -57,6 +86,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	corrupt[len(corrupt)/3] ^= 0x40
 	f.Add(corrupt)
 	f.Add(append(append([]byte(nil), valid...), 0xff)) // trailing byte
+	for _, h := range hostileSnapshots(f) {
+		f.Add(h.b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := Decode(b)
@@ -121,5 +153,21 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Decode(valid); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)
+	}
+}
+
+// TestRestoreRejectsHostileSnapshots requires Restore to turn down each
+// hostile snapshot with an error, and quickly.
+func TestRestoreRejectsHostileSnapshots(t *testing.T) {
+	for _, h := range hostileSnapshots(t) {
+		s, err := Decode(h.b)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", h.name, err)
+		}
+		start := time.Now()
+		_, err = cluster.Restore(s, cluster.RestoreOpts{})
+		if took := time.Since(start); err == nil || took > time.Second {
+			t.Errorf("%s: Restore returned %v after %v, want an error within 1s", h.name, err, took)
+		}
 	}
 }

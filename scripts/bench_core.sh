@@ -1,8 +1,11 @@
 #!/bin/sh
 # Regenerate BENCH_core.json, the repository's performance trajectory:
-# every Benchmark* in the tree, one iteration each (-benchtime 1x keeps
-# the whole sweep fast and the numbers comparable run-to-run on the same
-# box), with allocation stats, converted to JSON by cmd/benchjson.
+# every Benchmark* in the tree, one iteration per run (-benchtime 1x
+# keeps the sweep fast) and five runs each (-count 5), with allocation
+# stats, converted to JSON by cmd/benchjson, which folds each
+# benchmark's runs into the median with min and max beside it. The
+# gates compare medians, so one noisy run on a shared box cannot trip
+# them.
 #
 # Custom metrics ride along with the built-in ones — notably the
 # cluster scheduler throughput (BenchmarkSchedulerThroughput, pods/s
@@ -14,8 +17,9 @@
 # engine (BenchmarkSnapshotFork, forks/s for capture, codec round-trip
 # and restore-and-continue on a 200-user Hostlo world), and the cloud
 # reconciler (BenchmarkReconcilerScale, machine-set convergence
-# rounds/s over 1k/10k-node fleets). CI gates on the committed copy:
-# benchjson -baseline fails the build when a LifecycleScale/1k or
+# rounds/s over 1k/10k-node fleets). CI gates on the committed copy,
+# each gate step running its benchmarks with -count 5 too: benchjson
+# -baseline fails the build when a median LifecycleScale/1k or
 # TraceReplay/1shard pods/s figure drops more than 20% below this
 # file, when TraceReplay/1shard allocs/op RISES more than 20% above it
 # (benchjson -lower — the pooled replay datapath is an allocation
@@ -34,5 +38,5 @@
 set -e
 
 out="${1:-BENCH_core.json}"
-go test -run NONE -bench . -benchtime 1x -benchmem ./... | go run ./cmd/benchjson > "$out"
+go test -run NONE -bench . -benchtime 1x -count 5 -benchmem ./... | go run ./cmd/benchjson > "$out"
 echo "wrote $out" >&2
