@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -199,6 +200,62 @@ func TestPodQueueStableOrder(t *testing.T) {
 		popN(len(q))
 		if len(all) != 0 || len(q) != 0 {
 			t.Fatalf("seed %d: %d expected entries left, queue %d", seed, len(all), len(q))
+		}
+	}
+}
+
+// heapifyRemove is the reference removal: fill the hole with the last
+// entry, then re-heapify the whole array bottom-up.
+func heapifyRemove(q *podQueue, idx int) bool {
+	h := *q
+	for i := range h {
+		if h[i].idx == idx {
+			h[i] = h[len(h)-1]
+			h = h[:len(h)-1]
+			for j := len(h)/2 - 1; j >= 0; j-- {
+				h.siftDown(j)
+			}
+			*q = h
+			return true
+		}
+	}
+	return false
+}
+
+// TestPodQueueRemoveLayout pins removeIdx's array layout to the full
+// re-heapify's: the snapshot codec encodes the queue in array order, so
+// equal arrays after every operation keep snapshot bytes and what-if
+// digests unchanged.
+func TestPodQueueRemoveLayout(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var got, want podQueue
+		var seq uint64
+		for op := 0; op < 2000; op++ {
+			switch k := r.Intn(10); {
+			case k < 5 || len(got) == 0:
+				// Few distinct keys → many ties broken by seq.
+				e := podEntry{key: float64(r.Intn(8)) * 0.125, seq: seq, idx: int(seq)}
+				seq++
+				got.push(e)
+				want.push(e)
+			case k < 7:
+				if g, w := got.pop(), want.pop(); g != w {
+					t.Fatalf("seed %d op %d: pop %+v, want %+v", seed, op, g, w)
+				}
+			default:
+				// Mostly live entries, sometimes one already gone.
+				idx := int(r.Int63n(int64(seq)))
+				if len(got) > 0 && r.Intn(4) > 0 {
+					idx = got[r.Intn(len(got))].idx
+				}
+				if g, w := got.removeIdx(idx), heapifyRemove(&want, idx); g != w {
+					t.Fatalf("seed %d op %d: removeIdx(%d) = %v, want %v", seed, op, idx, g, w)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: layout\n%v\nwant\n%v", seed, op, got, want)
+			}
 		}
 	}
 }

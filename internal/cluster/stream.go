@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,6 +85,12 @@ func (c *Cluster) FeedEvent(ev ctrace.Event) error {
 		}
 		i := len(c.pods)
 		p := trace.Pod{ID: ev.Pod, Containers: ev.Containers, Arrival: ev.Time}
+		if len(c.pods) == cap(c.pods) {
+			// Double rather than take append's ~1.25× steps on a large
+			// slice: the table grows with the whole trace, and each step
+			// allocates, zeroes and copies all of it.
+			c.pods = slices.Grow(c.pods, max(len(c.pods), 64))
+		}
 		c.pods = append(c.pods, podRun{
 			pod:  p,
 			user: ev.User,

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 	"unsafe"
 
 	"nestless/internal/trace"
@@ -237,11 +238,17 @@ func checkRequest(name string, v float64) error {
 	return nil
 }
 
-// checkTime validates and registers a row timestamp: non-negative and
-// non-decreasing across the file.
+// maxTimeUS is the latest timestamp an Event's time.Duration holds.
+const maxTimeUS = math.MaxInt64 / int64(time.Microsecond)
+
+// checkTime validates and registers a row timestamp: non-negative,
+// within the Event time range and non-decreasing across the file.
 func (r *Reader) checkTime(us int64) error {
 	if us < 0 {
 		return badf("negative timestamp %d", us)
+	}
+	if us > maxTimeUS {
+		return badf("timestamp %dus past the latest representable %dus", us, maxTimeUS)
 	}
 	if r.started && us < r.lastUS {
 		return badf("timestamp %dus before previous row at %dus (trace must be time-ordered)", us, r.lastUS)
@@ -345,15 +352,16 @@ func parseCSVRow(line []byte) (rawRow, error) {
 		if j < 0 {
 			return row, badf("want 7 fields time_us,event,job,task,user,cpu,mem; got %d", i+1)
 		}
-		f[i] = bytes.TrimSpace(rest[:j])
+		f[i] = trimField(rest[:j])
 		rest = rest[j+1:]
 	}
 	if bytes.IndexByte(rest, ',') >= 0 {
-		return row, badf("want 7 fields time_us,event,job,task,user,cpu,mem; got %d", 8+bytes.Count(rest, []byte{','}))
+		// Six commas are behind us; each one left adds a field.
+		return row, badf("want 7 fields time_us,event,job,task,user,cpu,mem; got %d", 7+bytes.Count(rest, []byte{','}))
 	}
-	f[6] = bytes.TrimSpace(rest)
+	f[6] = trimField(rest)
 
-	us, err := strconv.ParseInt(bstr(f[0]), 10, 64)
+	us, err := parseInt(f[0])
 	if err != nil {
 		return row, badf("time_us: %v", err)
 	}
@@ -366,29 +374,121 @@ func parseCSVRow(line []byte) (rawRow, error) {
 	case bytes.EqualFold(f[1], evKill):
 		row.code = 5
 	default:
-		code, err := strconv.Atoi(bstr(f[1]))
+		code, err := parseInt(f[1])
 		if err != nil || code < 0 || code > 8 {
 			return row, badf("event %q is neither a Google code 0-8 nor submit/finish/kill", f[1])
 		}
-		row.code = code
+		row.code = int(code)
 	}
 	row.job = f[2]
 	if len(row.job) == 0 {
 		return row, badf("empty job id")
 	}
-	task, err := strconv.Atoi(bstr(f[3]))
-	if err != nil || task < 0 {
+	task, err := parseInt(f[3])
+	if err != nil || task < 0 || int64(int(task)) != task {
 		return row, badf("task index %q is not a non-negative integer", f[3])
 	}
-	row.task = task
+	row.task = int(task)
 	row.user = f[4]
-	if row.cpu, err = strconv.ParseFloat(bstr(f[5]), 64); err != nil {
+	if row.cpu, err = parseFloat(f[5]); err != nil {
 		return row, badf("cpu: %v", err)
 	}
-	if row.mem, err = strconv.ParseFloat(bstr(f[6]), 64); err != nil {
+	if row.mem, err = parseFloat(f[6]); err != nil {
 		return row, badf("mem: %v", err)
 	}
 	return row, nil
+}
+
+// trimField is bytes.TrimSpace, skipping the call for the usual field:
+// one whose end bytes are both ASCII above ' ' cannot start or end in
+// white space.
+func trimField(b []byte) []byte {
+	if len(b) > 0 && b[0] > ' ' && b[0] < utf8.RuneSelf && b[len(b)-1] > ' ' && b[len(b)-1] < utf8.RuneSelf {
+		return b
+	}
+	return bytes.TrimSpace(b)
+}
+
+// Number fields. The trace's numbers are short — `113715`, `0.0041` —
+// so parseInt and parseFloat decode the plain forms directly and hand
+// everything else (signs, exponents, inf/nan, hex, underscores,
+// overlong digit runs) to strconv, whose results and error texts they
+// therefore share exactly.
+
+// maxFastDigits is the longest all-digit field parseInt accumulates
+// itself: 18 digits stay below 10^18 < 2^63, so the sum cannot
+// overflow.
+const maxFastDigits = 18
+
+// parseInt is strconv.ParseInt(b, 10, 64) with a fast path for a field
+// of 1 to 18 ASCII digits.
+func parseInt(b []byte) (int64, error) {
+	if len(b) > 0 && len(b) <= maxFastDigits {
+		var n int64
+		for _, c := range b {
+			c -= '0'
+			if c > 9 {
+				return strconv.ParseInt(bstr(b), 10, 64)
+			}
+			n = n*10 + int64(c)
+		}
+		return n, nil
+	}
+	return strconv.ParseInt(bstr(b), 10, 64)
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// parseFloat is strconv.ParseFloat(b, 64) with an exact fast path for
+// plain decimals.
+func parseFloat(b []byte) (float64, error) {
+	if v, ok := parseDecimal(b); ok {
+		return v, nil
+	}
+	return strconv.ParseFloat(bstr(b), 64)
+}
+
+// parseDecimal decodes a field of the form [0-9]*(\.[0-9]*)? with at
+// least one digit, whose digits read as one integer m ≤ 2^53 with k ≤
+// 22 of them after the point, as float64(m) / 10^k. Both operands are
+// exact and IEEE division rounds correctly, so the result is the
+// correctly rounded value of the decimal — bit for bit what
+// strconv.ParseFloat returns (Clinger, PLDI 1990). Leading zeros add
+// nothing to m, so they cost nothing against the limit. ok is false
+// for any other field.
+func parseDecimal(b []byte) (v float64, ok bool) {
+	var m uint64
+	digits, k := 0, 0
+	dot := false
+	for _, c := range b {
+		if c == '.' {
+			if dot {
+				return 0, false
+			}
+			dot = true
+			continue
+		}
+		c -= '0'
+		if c > 9 {
+			return 0, false
+		}
+		// m ≤ 2^53 here, so m*10+9 cannot overflow uint64.
+		if m = m*10 + uint64(c); m > 1<<53 {
+			return 0, false
+		}
+		digits++
+		if dot {
+			k++
+		}
+	}
+	if digits == 0 || k >= len(pow10) {
+		return 0, false
+	}
+	return float64(m) / pow10[k], true
 }
 
 // consumeCSV applies one task-level row.

@@ -138,6 +138,7 @@ func TestStrictRejections(t *testing.T) {
 		{"fields", "time_us,event,job,task,user,cpu,mem\n1000,0,j1,0,alice,0.25\n"},
 		{"badtime", "time_us,event,job,task,user,cpu,mem\nxx,0,j1,0,alice,0.25,0.5\n"},
 		{"negative_time", "time_us,event,job,task,user,cpu,mem\n-5,0,j1,0,alice,0.25,0.5\n"},
+		{"time_overflow", "time_us,event,job,task,user,cpu,mem\n9223372036854775807,0,j1,0,alice,0.25,0.5\n"},
 		{"out_of_order", "time_us,event,job,task,user,cpu,mem\n2000,0,j1,0,alice,0.25,0.5\n1000,0,j2,0,bob,0.25,0.5\n"},
 		{"nan_request", "time_us,event,job,task,user,cpu,mem\n1000,0,j1,0,alice,NaN,0.5\n"},
 		{"negative_request", "time_us,event,job,task,user,cpu,mem\n1000,0,j1,0,alice,-0.25,0.5\n"},

@@ -13,8 +13,9 @@
 # (BenchmarkLifecycleScale, 1k/10k/100k pods per policy on the indexed
 # scheduler — the linear-scan reference and legacy rows are retired),
 # the sharded trace replay (BenchmarkTraceReplay, pods/s at
-# 1/4/8 shards over a ~100k-pod stream), the world snapshot/fork
-# engine (BenchmarkSnapshotFork, forks/s for capture, codec round-trip
+# 1/4/8 shards over a ~100k-pod stream), the streaming CSV reader
+# alone (BenchmarkTraceParse, rows/s over the same trace), the world
+# snapshot/fork engine (BenchmarkSnapshotFork, forks/s for capture, codec round-trip
 # and restore-and-continue on a 200-user Hostlo world), and the cloud
 # reconciler (BenchmarkReconcilerScale, machine-set convergence
 # rounds/s over 1k/10k-node fleets). CI gates on the committed copy,
@@ -23,7 +24,8 @@
 # TraceReplay/1shard pods/s figure drops more than 20% below this
 # file, when TraceReplay/1shard allocs/op RISES more than 20% above it
 # (benchjson -lower — the pooled replay datapath is an allocation
-# budget, not just a throughput number), or LifecycleScale/100k/hostlo,
+# budget, not just a throughput number), when TraceParse rows/s drops
+# more than 20% (benchjson -metric rows/s), or LifecycleScale/100k/hostlo,
 # any SnapshotFork forks/s leg, or a ReconcilerScale rounds/s leg by
 # more than 30% (the wider margin absorbs shared-runner noise); CI also
 # smoke-runs the BENCH_1M=1-gated 1M-pod Hostlo lifecycle, the
