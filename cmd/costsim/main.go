@@ -47,9 +47,9 @@
 // and each world's stored trajectory is bounded by -sample-cap (default
 // 512 samples, window-folded on the fly).
 //
-// Cluster-simulation flags (-horizon, -gap, -life, -boot, -full-repack,
-// -repack-workers, -repack-cache, -spot-frac, -zones) are rejected with
-// exit status 2 on the static path.
+// Cluster-simulation flags (-horizon, -gap, -life, -boot, -repack-cache,
+// -spot-frac, -zones) are rejected with exit status 2 on the static
+// path. So is a negative duration, or a zero -horizon or -barrier.
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
@@ -57,6 +57,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -88,10 +89,6 @@ func main() {
 	gap := flag.Duration("gap", 2*time.Minute, "lifecycle mean pod inter-arrival gap")
 	life := flag.Duration("life", 45*time.Minute, "lifecycle mean pod lifetime (Pareto-tailed)")
 	boot := flag.Duration("boot", 45*time.Second, "lifecycle VM boot delay")
-	fullRepack := flag.Bool("full-repack", false,
-		"lifecycle: pin the Hostlo optimizer to full-fleet passes instead of dirty-set incremental ones")
-	repackWorkers := flag.Int("repack-workers", 0,
-		"lifecycle: goroutines one incremental optimize pass fans candidate groups across (0 = GOMAXPROCS; any value is byte-identical)")
 	repackCache := flag.Int("repack-cache", 0,
 		"lifecycle: packing-cache entries per cluster world (0 = default 4096, negative = caching off; placements are byte-identical either way)")
 	replay := flag.String("replay", "",
@@ -129,8 +126,8 @@ func main() {
 	if *worlds < 1 {
 		cli.BadFlag("costsim: -worlds must be >= 1, got %d", *worlds)
 	}
-	if *repackWorkers < 0 {
-		cli.BadFlag("costsim: -repack-workers must be >= 0, got %d", *repackWorkers)
+	if err := checkDurations(*horizon, *barrier, *boot, *gap, *life, *migrateAfter); err != nil {
+		cli.BadFlag("costsim: %v", err)
 	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
@@ -212,8 +209,7 @@ func main() {
 
 	so := simOpts{
 		seed: *seed, horizon: *horizon, boot: *boot, sched: sched,
-		fullRepack: *fullRepack, repackWorkers: *repackWorkers, repackCache: *repackCache,
-		cloud: cl, rec: tf.Recorder(), emit: emit,
+		repackCache: *repackCache, cloud: cl, rec: tf.Recorder(), emit: emit,
 	}
 	if *replay != "" {
 		runReplay(replayOpts{
@@ -243,28 +239,16 @@ func main() {
 	res := cloudsim.SimulateParallel(pop, cl.Catalog.Types, simWorkers)
 	record(tf.Recorder(), res)
 
+	topTitle := fmt.Sprintf("Top %d savers", *top)
 	if explicit["cloud"] {
 		// An explicit catalog choice turns the run into a cross-cloud
 		// comparison: the same workload priced on the default AWS m5
 		// table and on the selected catalog. (Fig. 9 itself is pinned
 		// to the paper's m5 pricing, so it is skipped here.)
 		crossCloud(cl.Catalog, res, pop, simWorkers, emit)
-		if *top > 0 {
-			fmt.Println()
-			tt := report.New(fmt.Sprintf("Top %d savers (%s)", *top, cl.Catalog.Name()),
-				"user", "kube_cost", "hostlo_cost", "savings_rel", "kube_vms", "hostlo_vms")
-			for _, u := range res.TopSavers(*top) {
-				tt.AddRow(u.UserID, u.KubeCostPerH, u.HostloCostPerH,
-					report.Percent(u.SavingsRel()), u.KubeVMs, u.HostloVMs)
-			}
-			emit(tt)
-		}
-		tf.EmitOrDie("costsim")
-		return
-	}
-
-	hist, stats := figures.Fig9(figures.Opts{Seed: *seed, Quick: *users != 492, Workers: *workers})
-	if *users == 492 {
+		topTitle += fmt.Sprintf(" (%s)", cl.Catalog.Name())
+	} else if *users == 492 {
+		hist, stats := figures.Fig9(figures.Opts{Seed: *seed, Workers: *workers})
 		emit(hist)
 		fmt.Println()
 		emit(stats)
@@ -284,7 +268,7 @@ func main() {
 
 	if *top > 0 {
 		fmt.Println()
-		tt := report.New(fmt.Sprintf("Top %d savers", *top),
+		tt := report.New(topTitle,
 			"user", "kube_cost", "hostlo_cost", "savings_rel", "kube_vms", "hostlo_vms")
 		for _, u := range res.TopSavers(*top) {
 			tt.AddRow(u.UserID, u.KubeCostPerH, u.HostloCostPerH,
@@ -328,8 +312,7 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 // choice applies. explicit holds the flags set on the command line.
 func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
 	for _, name := range []string{
-		"spot-frac", "zones",
-		"full-repack", "repack-workers", "repack-cache",
+		"spot-frac", "zones", "repack-cache",
 		"horizon", "gap", "life", "boot",
 	} {
 		if explicit[name] {
@@ -342,19 +325,32 @@ func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
 	return nil
 }
 
+// checkDurations rejects out-of-range duration flags, which the
+// simulators would otherwise swap for their defaults while the report
+// prints the value given. Zero boot, gap, life and migrate-after mean
+// instant boots, static arrivals, no departures and no migration.
+func checkDurations(horizon, barrier, boot, gap, life, migrateAfter time.Duration) error {
+	return errors.Join(
+		cli.Positive("horizon", horizon),
+		cli.Positive("barrier", barrier),
+		cli.NonNegative("boot", boot),
+		cli.NonNegative("gap", gap),
+		cli.NonNegative("life", life),
+		cli.NonNegative("migrate-after", migrateAfter),
+	)
+}
+
 // simOpts bundles the cluster-simulation parameters the -lifecycle and
 // -replay paths share.
 type simOpts struct {
-	seed          int64
-	horizon       time.Duration
-	boot          time.Duration
-	sched         *faults.Schedule
-	fullRepack    bool
-	repackWorkers int
-	repackCache   int
-	cloud         *cloud.Resolved
-	rec           *telemetry.Recorder
-	emit          func(*report.Table)
+	seed        int64
+	horizon     time.Duration
+	boot        time.Duration
+	sched       *faults.Schedule
+	repackCache int
+	cloud       *cloud.Resolved
+	rec         *telemetry.Recorder
+	emit        func(*report.Table)
 }
 
 // clusterConfig is the per-world cluster configuration both paths run.
@@ -365,8 +361,6 @@ func (o simOpts) clusterConfig() cluster.Config {
 		Horizon:       o.horizon,
 		BootDelay:     o.boot,
 		Faults:        o.sched,
-		FullRepack:    o.fullRepack,
-		RepackWorkers: o.repackWorkers,
 		PackCacheSize: o.repackCache,
 		Zones:         o.cloud.Zones,
 		ZoneNames:     o.cloud.ZoneNames,

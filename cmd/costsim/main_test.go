@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"nestless/internal/cloud"
 )
@@ -16,8 +17,8 @@ func TestCheckStaticRejectsClusterFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"spot-frac", "zones", "full-repack", "repack-workers",
-		"repack-cache", "horizon", "gap", "life", "boot",
+		"spot-frac", "zones", "repack-cache",
+		"horizon", "gap", "life", "boot",
 	} {
 		err := checkStatic(map[string]bool{name: true}, cl)
 		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
@@ -34,5 +35,52 @@ func TestCheckStaticRejectsClusterFlags(t *testing.T) {
 	}
 	if checkStatic(nil, zoned) == nil {
 		t.Error("zone= in -cloud accepted on the static path")
+	}
+}
+
+// durations names checkDurations' arguments for the table below.
+type durations struct {
+	horizon, barrier, boot, gap, life, migrateAfter time.Duration
+}
+
+func (d durations) check() error {
+	return checkDurations(d.horizon, d.barrier, d.boot, d.gap, d.life, d.migrateAfter)
+}
+
+// TestCheckDurations pins the duration gate: each flag's out-of-range
+// values are an error naming the flag (exit 2 in main), the defaults
+// and the zeros that mean something pass.
+func TestCheckDurations(t *testing.T) {
+	def := durations{
+		horizon: 8 * time.Hour, barrier: 15 * time.Minute, boot: 45 * time.Second,
+		gap: 2 * time.Minute, life: 45 * time.Minute,
+	}
+	if err := def.check(); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	zeros := def
+	zeros.boot, zeros.gap, zeros.life, zeros.migrateAfter = 0, 0, 0, 0
+	if err := zeros.check(); err != nil {
+		t.Errorf("zero boot/gap/life/migrate-after rejected: %v", err)
+	}
+	for _, c := range []struct {
+		flag string
+		set  func(*durations)
+	}{
+		{"horizon", func(d *durations) { d.horizon = -time.Hour }},
+		{"horizon", func(d *durations) { d.horizon = 0 }},
+		{"barrier", func(d *durations) { d.barrier = -5 * time.Minute }},
+		{"barrier", func(d *durations) { d.barrier = 0 }},
+		{"boot", func(d *durations) { d.boot = -time.Minute }},
+		{"gap", func(d *durations) { d.gap = -time.Minute }},
+		{"life", func(d *durations) { d.life = -time.Nanosecond }},
+		{"migrate-after", func(d *durations) { d.migrateAfter = -time.Minute }},
+	} {
+		d := def
+		c.set(&d)
+		err := d.check()
+		if err == nil || !strings.Contains(err.Error(), "-"+c.flag+" ") {
+			t.Errorf("%+v: got %v, want an error naming -%s", d, err, c.flag)
+		}
 	}
 }

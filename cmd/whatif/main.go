@@ -26,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -56,6 +57,9 @@ func main() {
 	spotFrac := flag.Float64("spot-frac", 0, "fraction of the base fleet on spot capacity, in [0,1]")
 	zones := flag.Int("zones", 1, "availability zones the base fleet spreads across")
 	flag.Parse()
+	if err := checkDurations(*horizon, *snapAt, *boot, *gap, *life); err != nil {
+		cli.BadFlag("whatif: %v", err)
+	}
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
@@ -106,4 +110,21 @@ func main() {
 	if err := http.ListenAndServe(*addr, svc.Handler()); err != nil {
 		cli.Fatal("whatif", err)
 	}
+}
+
+// checkDurations rejects out-of-range duration flags, which
+// snapshot.BaseConfig would otherwise swap for its defaults while the
+// banner prints the value given. -snap-at 0 picks horizon/2.
+func checkDurations(horizon, snapAt, boot, gap, life time.Duration) error {
+	snapErr := cli.NonNegative("snap-at", snapAt)
+	if snapAt > horizon {
+		snapErr = fmt.Errorf("-snap-at must not pass the horizon %v, got %v", horizon, snapAt)
+	}
+	return errors.Join(
+		cli.Positive("horizon", horizon),
+		cli.Positive("gap", gap),
+		cli.Positive("life", life),
+		cli.NonNegative("boot", boot),
+		snapErr,
+	)
 }

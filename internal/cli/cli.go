@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"nestless/internal/faults"
 	"nestless/internal/telemetry"
@@ -24,6 +25,22 @@ func BadFlag(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	flag.Usage()
 	os.Exit(2)
+}
+
+// Positive reports a duration flag that is zero or negative.
+func Positive(name string, v time.Duration) error {
+	if v <= 0 {
+		return fmt.Errorf("-%s must be positive, got %v", name, v)
+	}
+	return nil
+}
+
+// NonNegative reports a duration flag that is negative.
+func NonNegative(name string, v time.Duration) error {
+	if v < 0 {
+		return fmt.Errorf("-%s must not be negative, got %v", name, v)
+	}
+	return nil
 }
 
 // Fatal reports a runtime (post-flag-parsing) failure and exits 1.

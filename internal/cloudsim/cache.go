@@ -31,8 +31,9 @@ import (
 //
 // The cache is deliberately not safe for concurrent use: each cluster
 // world owns one (parallel population fan-outs and shard worlds never
-// share), and the cluster probes/installs serially around its parallel
-// group fan-out so LRU order stays deterministic.
+// share), and a world's optimize pass probes and installs on the
+// world's own goroutine, every Get before every Put, so LRU order stays
+// deterministic.
 
 // CanonicalizePlacement sorts a placement into its canonical order, in
 // place: items within each VM by (Pod, CPU, Mem), then VMs by content

@@ -35,7 +35,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"nestless/internal/cloudsim"
@@ -110,16 +109,6 @@ type Config struct {
 	// MaxSteps aborts a runaway event loop (0 = engine default of
 	// unlimited).
 	MaxSteps uint64
-	// FullRepack forces every Hostlo optimize pass to consider the
-	// whole live fleet, disabling the dirty-set incremental policy —
-	// the equivalence knob for tests that pin full-pass behavior.
-	FullRepack bool
-	// RepackWorkers bounds the goroutines one incremental optimize pass
-	// fans its candidate groups across (0 = GOMAXPROCS, 1 = serial).
-	// Same contract as every other -parallel knob: output is
-	// byte-identical at any worker count, parallelism is wall-clock
-	// only.
-	RepackWorkers int
 	// PackCacheSize bounds the per-cluster packing cache in entries
 	// (0 = default 4096, negative = caching off). A cache hit returns
 	// the placement a fresh optimizer call would produce, so results
@@ -182,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = c.Horizon / 12
-	}
-	if c.RepackWorkers <= 0 {
-		c.RepackWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.PackCacheSize == 0 {
 		c.PackCacheSize = defaultPackCacheSize

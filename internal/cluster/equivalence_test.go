@@ -26,19 +26,18 @@ import (
 // corpus was recorded while the linear-scan reference scheduler still
 // existed, with every case asserted identical to it; "byte-identical
 // placement" is the whole contract of the indexed core, and these tests
-// are what pins it. The fast-path variants (worker count, packing
-// cache) are diffed against each other directly.
+// are what pins it. The packing cache is also diffed against a
+// cache-off run directly.
 
-// policyModes are the three scheduling regimes the suite covers:
-// the Kubernetes baseline, Hostlo with the dirty-set incremental
-// optimizer (the default), and Hostlo pinned to full-fleet passes.
+// policyModes are the two scheduling regimes the suite covers: the
+// Kubernetes baseline and Hostlo, whose optimizer picks incremental or
+// full-fleet passes from the dirty fraction alone.
 var policyModes = []struct {
 	name   string
 	adjust func(*cluster.Config)
 }{
 	{"kubernetes", func(c *cluster.Config) { c.Policy = cluster.Kubernetes }},
 	{"hostlo", func(c *cluster.Config) { c.Policy = cluster.Hostlo }},
-	{"hostlo-full", func(c *cluster.Config) { c.Policy = cluster.Hostlo; c.FullRepack = true }},
 }
 
 // goldenPath is the recorded corpus the lifecycle cases are pinned to.
@@ -81,7 +80,7 @@ func requireGolden(t *testing.T, g *golden.Set, name string, cfg cluster.Config)
 }
 
 // TestIndexedMatchesReferenceChurn sweeps seeded churned workloads
-// through all three regimes against the recorded reference digests.
+// through both regimes against the recorded reference digests.
 func TestIndexedMatchesReferenceChurn(t *testing.T) {
 	g := golden.Open(t, goldenPath, "churn/")
 	var scheduled int
@@ -173,28 +172,20 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 			Containers: []trace.Container{{CPU: 0.01, Mem: 0.01}},
 		})
 	}
-	for _, mode := range policyModes[1:] {
-		cfg := cluster.Config{
-			Seed:      5,
-			Pods:      pods,
-			Horizon:   5 * time.Hour,
-			BootDelay: 30 * time.Second,
-		}
-		mode.adjust(&cfg)
-		res := requireGolden(t, g, "split/"+mode.name, cfg)
-		if res.Failed != 0 {
-			t.Fatalf("%s: %d wide pods failed — split placement did not engage", mode.name, res.Failed)
-		}
-		if res.Scheduled != len(pods) {
-			t.Fatalf("%s: scheduled %d of %d pods", mode.name, res.Scheduled, len(pods))
-		}
-	}
-	// Kubernetes must refuse the wide pods identically in both modes.
 	cfg := cluster.Config{
-		Seed: 5, Pods: pods, Policy: cluster.Kubernetes,
+		Seed: 5, Pods: pods, Policy: cluster.Hostlo,
 		Horizon: 5 * time.Hour, BootDelay: 30 * time.Second,
 	}
-	res := requireGolden(t, g, "split/kubernetes", cfg)
+	res := requireGolden(t, g, "split/hostlo", cfg)
+	if res.Failed != 0 {
+		t.Fatalf("hostlo: %d wide pods failed — split placement did not engage", res.Failed)
+	}
+	if res.Scheduled != len(pods) {
+		t.Fatalf("hostlo: scheduled %d of %d pods", res.Scheduled, len(pods))
+	}
+	// Kubernetes must refuse the wide pods.
+	cfg.Policy = cluster.Kubernetes
+	res = requireGolden(t, g, "split/kubernetes", cfg)
 	if res.Failed != 4 {
 		t.Fatalf("kubernetes: failed %d, want the 4 wide pods", res.Failed)
 	}
@@ -240,10 +231,10 @@ func TestStreamLeakFree(t *testing.T) {
 }
 
 // TestIncrementalOptimizerEngages proves the dirty-set policy actually
-// runs incremental passes under churn (and none when pinned full). The
-// workload is a large long-lived base fleet — so the dirty fraction
-// stays under the threshold — with a trickle of short-lived pods
-// churning a few nodes at a time.
+// runs incremental passes under churn. The workload is a large
+// long-lived base fleet — so the dirty fraction stays under the
+// threshold — with a trickle of short-lived pods churning a few nodes
+// at a time.
 func TestIncrementalOptimizerEngages(t *testing.T) {
 	var pods []trace.Pod
 	for i := 0; i < 200; i++ {
@@ -278,39 +269,12 @@ func TestIncrementalOptimizerEngages(t *testing.T) {
 	if res.OptimizerRuns == res.OptimizerFull {
 		t.Fatalf("all %d passes were full-fleet — the incremental policy never engaged", res.OptimizerRuns)
 	}
-	full := base
-	full.FullRepack = true
-	fres := requireGolden(t, g, "incremental/hostlo-full", full)
-	if fres.OptimizerRuns != fres.OptimizerFull {
-		t.Fatalf("FullRepack: %d of %d passes were incremental", fres.OptimizerRuns-fres.OptimizerFull, fres.OptimizerRuns)
-	}
-}
-
-// TestSteadyStateFullAndIncrementalAgree: with no churn the lifecycle
-// converges to the static packing whether or not the optimizer is
-// pinned to full passes — the incremental policy must not change where
-// a drained cluster settles.
-func TestSteadyStateFullAndIncrementalAgree(t *testing.T) {
-	users := trace.Generate(trace.DefaultConfig(13))
-	for _, u := range users[:8] {
-		base := cluster.Config{
-			Seed: 13, Pods: u.Pods, Policy: cluster.Hostlo, Horizon: 2 * time.Hour,
-		}
-		inc := cluster.Simulate(base)
-		full := base
-		full.FullRepack = true
-		fres := cluster.Simulate(full)
-		if inc.FinalCostPerH != fres.FinalCostPerH || inc.FinalNodes != fres.FinalNodes {
-			t.Errorf("user %d: incremental settled at $%v/h %d nodes, full at $%v/h %d nodes",
-				u.ID, inc.FinalCostPerH, inc.FinalNodes, fres.FinalCostPerH, fres.FinalNodes)
-		}
-	}
 }
 
 // repackWorkload builds a churned mixed-size workload (including pods
 // wider than the largest machine) big enough that incremental passes
 // carry several per-type candidate groups — the shape that actually
-// exercises the parallel fan-out and the packing cache.
+// exercises the per-type grouping and the packing cache.
 func repackWorkload(seed int64) []trace.Pod {
 	users := trace.Generate(churnConfig(seed, 8))
 	var pods []trace.Pod
@@ -333,13 +297,13 @@ func repackWorkload(seed int64) []trace.Pod {
 	return pods
 }
 
-// TestRepackWorkerCountEquivalence pins the parallel fan-out contract:
-// one incremental pass fans cache-missing candidate groups across
-// Config.RepackWorkers goroutines, and the Result and telemetry trace
-// must be byte-identical at any worker count — parallelism is a
-// wall-clock knob, never a behavior knob. Runs under churn, node kills
-// and provisioning faults so displacement-heavy repacks are covered.
-func TestRepackWorkerCountEquivalence(t *testing.T) {
+// TestRepackUnderFaults pins the grouped repack under churn, node kills
+// and wide split pods, so displacement-heavy repacks are covered. Its
+// golden line was recorded while a pass could still fan its
+// cache-missing groups across goroutines, and matched at 1, 2, 4 and 8
+// workers. It asserts both kinds of pass: with no knob left to force
+// one, only the dirty fraction selects a full-fleet pass.
+func TestRepackUnderFaults(t *testing.T) {
 	sched, err := faults.ParseSpec("node/*:crash:p=0.02")
 	if err != nil {
 		t.Fatal(err)
@@ -352,27 +316,15 @@ func TestRepackWorkerCountEquivalence(t *testing.T) {
 		BootDelay: 30 * time.Second,
 		Faults:    sched,
 	}
-	var first lifecycleRun
-	for i, workers := range []int{1, 2, 4, 8} {
-		cfg := base
-		cfg.RepackWorkers = workers
-		run := runRecorded(t, cfg)
-		if i == 0 {
-			first = run
-			continue
-		}
-		if !reflect.DeepEqual(run, first) {
-			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", workers, run.res, first.res)
-		}
+	res := requireGolden(t, golden.Open(t, goldenPath, "repack/"), "repack/hostlo", base)
+	if res.OptimizerFull == 0 || res.OptimizerFull == res.OptimizerRuns {
+		t.Fatalf("%d of %d passes were full-fleet — want both kinds of pass",
+			res.OptimizerFull, res.OptimizerRuns)
 	}
-	want := first.res
-	if want.OptimizerRuns == want.OptimizerFull {
-		t.Fatal("every pass was full-fleet — the group fan-out went unexercised")
+	if res.OptimizerGroups < 2 {
+		t.Fatalf("only %d candidate groups across the run — the per-type grouping went unexercised", res.OptimizerGroups)
 	}
-	if want.OptimizerGroups < 2 {
-		t.Fatalf("only %d candidate groups across the run — nothing to fan out", want.OptimizerGroups)
-	}
-	if want.Kills == 0 {
+	if res.Kills == 0 {
 		t.Fatal("no node was killed — the fault path went unexercised")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"nestless/internal/cloudsim"
-	"nestless/internal/parallel"
 )
 
 // Hostlo re-optimisation. The paper's step-4 optimizer
@@ -14,23 +13,22 @@ import (
 // dirty set — nodes whose contents changed since the last pass — plus a
 // bounded neighborhood of consolidation targets (the emptiest live
 // nodes by most-requested score), falling back to a full-fleet pass
-// when the dirty fraction exceeds repackDirtyFrac or when
-// Config.FullRepack pins full passes. Candidate selection is
-// deterministic: the neighborhood comes from tail-walks of the
-// capacity index, ties broken by node id.
+// when, and only when, the dirty fraction exceeds repackDirtyFrac.
+// Candidate selection is deterministic: the neighborhood comes from
+// tail-walks of the capacity index, ties broken by node id.
 //
 // Incremental passes are additionally partitioned, canonicalized and
 // memoized (see optimizeGroups): candidates split into disjoint
 // per-catalog-type groups, each group sorted into its canonical
 // content order, looked up in the per-world packing cache, and only
-// the missing groups handed to cloudsim.OptimizeHostlo — fanned across
-// Config.RepackWorkers when more than one group missed. Group outputs
+// the missing groups handed to cloudsim.OptimizeHostlo. Group outputs
 // merge back in type order, so the improved placement is a pure
-// function of the candidate content: identical at any worker count and
-// with the cache on or off. Full passes stay exactly the original
-// global optimizer call over the whole fleet in creation order — that
-// is what makes a drained no-churn cluster settle on the static
-// packer's fleet, so partitioning must never apply to them.
+// function of the candidate content: identical with the cache on or
+// off. A pass runs serially on its world's goroutine; parallelism lives
+// across worlds. Full passes stay exactly the original global optimizer
+// call over the whole fleet in creation order — that is what makes a
+// drained no-churn cluster settle on the static packer's fleet, so
+// partitioning must never apply to them.
 
 // minNeighborhood is the floor on how many consolidation targets an
 // incremental pass considers alongside the dirty set.
@@ -79,12 +77,11 @@ func (c *Cluster) optimize() {
 // optimizeGroups runs one incremental pass: the candidates are
 // partitioned into disjoint per-catalog-type groups, each group is
 // copied into the canonical arena and canonicalized, the packing cache
-// is probed serially in type order, cache misses are optimized (in
-// parallel across Config.RepackWorkers when at least two groups
-// missed — per-group optimization is a pure function, so fan-out
-// cannot change the output), fresh solutions are installed serially in
-// type order (deterministic LRU order), and the group outputs are
-// concatenated in type order.
+// is probed and misses optimized in type order, fresh solutions are
+// installed in type order after every probe (interleaving Puts with
+// Gets would change the LRU order, and with it the hit/miss counters
+// the golden corpus pins), and the group outputs are concatenated in
+// type order.
 func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 	types := len(c.cat)
 	if cap(c.typeCount) < types {
@@ -128,40 +125,25 @@ func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 	c.itemScratch = items
 	c.groupScratch = groups
 
-	// Serial probe phase, in type order.
+	// Probe the cache and optimize each miss, in type order; install
+	// the fresh solutions only after the last probe.
 	outs := c.outScratch[:0]
 	miss := c.missScratch[:0]
-	hits := 0
 	for gi, g := range groups {
 		c.res.OptimizerGroups++
-		if out, ok := c.pack.Get(g); ok {
-			outs = append(outs, out)
-			hits++
-			continue
+		out, ok := c.pack.Get(g)
+		if !ok {
+			out = cloudsim.OptimizeHostlo(g, c.cat)
+			miss = append(miss, int32(gi))
 		}
-		outs = append(outs, nil)
-		miss = append(miss, int32(gi))
+		outs = append(outs, out)
 	}
-	// Compute phase: misses only. cloudsim.OptimizeHostlo copies its
-	// input into a private fleet and shares nothing with the cluster,
-	// so miss groups optimize concurrently; index-slot writes keep the
-	// merge order worker-independent.
-	if len(miss) >= 2 && c.cfg.RepackWorkers > 1 {
-		parallel.Run(len(miss), c.cfg.RepackWorkers, func(k int) {
-			gi := miss[k]
-			outs[gi] = cloudsim.OptimizeHostlo(groups[gi], c.cat)
-		})
-	} else {
-		for _, gi := range miss {
-			outs[gi] = cloudsim.OptimizeHostlo(groups[gi], c.cat)
-		}
-	}
-	// Serial install phase, in type order.
 	for _, gi := range miss {
 		c.pack.Put(groups[gi], outs[gi])
 	}
 	c.outScratch = outs
 	c.missScratch = miss
+	hits := len(groups) - len(miss)
 	if c.pack != nil {
 		c.res.OptimizerCacheHits += hits
 		c.res.OptimizerCacheMisses += len(miss)
@@ -198,9 +180,7 @@ func (c *Cluster) optimizeCandidates() ([]*node, bool) {
 			n.dirty = false
 		}
 	}
-	full := c.cfg.FullRepack ||
-		float64(len(cand)) > repackDirtyFrac*float64(c.liveCount)
-	if full {
+	if float64(len(cand)) > repackDirtyFrac*float64(c.liveCount) {
 		c.compactLive()
 		cand = append(cand[:0], c.liveList...)
 		c.candScratch = cand

@@ -42,7 +42,9 @@ const magic = "NLW1"
 // v5 dropped the imperative autoscaler's mode and the four control-loop
 // periods that became constants (ScaleEvery, IdleGrace,
 // ProvisionRetryEvery, RepackDirtyFrac).
-const version = 5
+// v6 dropped the Hostlo pass knobs: the whole-fleet pass pin and the
+// pass worker count (a pass runs one way, serially, on its world's goroutine).
+const version = 6
 
 // maxRandDraws bounds the RNG stream positions the codec will accept.
 // Restoring a stream position replays that many draws, so an unbounded
@@ -76,8 +78,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.dur(s.Cfg.BootDelay)
 	e.dur(s.Cfg.SampleEvery)
 	e.uvarint(s.Cfg.MaxSteps)
-	e.bool(s.Cfg.FullRepack)
-	e.varint(int64(s.Cfg.RepackWorkers))
 	e.varint(int64(s.Cfg.PackCacheSize))
 	e.varint(int64(s.Cfg.SampleCap))
 	e.varint(int64(s.Cfg.Zones))
@@ -292,8 +292,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	s.Cfg.BootDelay = d.dur()
 	s.Cfg.SampleEvery = d.dur()
 	s.Cfg.MaxSteps = d.uvarint()
-	s.Cfg.FullRepack = d.bool()
-	s.Cfg.RepackWorkers = int(d.varint())
 	s.Cfg.PackCacheSize = int(d.varint())
 	s.Cfg.SampleCap = int(d.varint())
 	s.Cfg.Zones = int(d.varint())

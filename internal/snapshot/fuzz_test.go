@@ -135,6 +135,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"version 99": append([]byte("NLW1"), 99),
 		"version 3":  append([]byte("NLW1"), 3),
 		"version 4":  append([]byte("NLW1"), 4),
+		"version 5":  append([]byte("NLW1"), 5),
 		"truncated":  valid[:len(valid)-7],
 		"trailing":   append(append([]byte(nil), valid...), 0),
 	}
@@ -146,7 +147,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		}
 		// Older streams still carry retired fields (v3 the
 		// reference-scheduler bit, v4 the autoscaler mode and control
-		// periods); they must fail on the version, before any is parsed.
+		// periods, v5 the whole-fleet pass pin and pass worker count); they
+		// must fail on the version, before any is parsed.
 		if v, ok := strings.CutPrefix(name, "version "); ok && !strings.Contains(err.Error(), "format version "+v) {
 			t.Errorf("%s: want the version error, got %v", name, err)
 		}
