@@ -44,8 +44,8 @@
 //	costsim -replay big3d.csv.gz -shards 8 -horizon 72h   # multi-day, bounded memory
 //
 // The feed is pipelined (epoch N+1 prefetches while epoch N advances)
-// and each world's stored trajectory is bounded by -sample-cap (default
-// 512 samples, window-folded on the fly).
+// and each world stores a fixed 12-point trajectory (one sample every
+// horizon/12), so a replay's memory is its live pod table.
 //
 // Cluster-simulation flags (-horizon, -gap, -life, -boot, -repack-cache,
 // -spot-frac, -zones) are rejected with exit status 2 on the static
@@ -105,8 +105,6 @@ func main() {
 		"replay: skip malformed trace rows instead of failing")
 	migratePolicy := flag.String("migrate-policy", "least-loaded",
 		"replay: destination policy for -migrate-after transfers: least-loaded or locality")
-	sampleCap := flag.Int("sample-cap", 0,
-		"replay: bound each world's stored trajectory to this many samples, window-folding on the fly (0 = default 512, negative = unlimited)")
 	cloudSpec := flag.String("cloud", cloud.DefaultName,
 		"machine catalog selector: provider:family[:zone=N][:spot=F] (registered: "+strings.Join(cloud.Names(), ", ")+")")
 	spotFrac := flag.Float64("spot-frac", 0,
@@ -172,7 +170,7 @@ func main() {
 			cli.BadFlag("costsim: -migrate-policy must be least-loaded or locality, got %q", *migratePolicy)
 		}
 	} else {
-		for _, name := range []string{"shards", "worlds", "barrier", "migrate-after", "lenient", "migrate-policy", "sample-cap"} {
+		for _, name := range []string{"shards", "worlds", "barrier", "migrate-after", "lenient", "migrate-policy"} {
 			if explicit[name] {
 				cli.BadFlag("costsim: -%s only applies to a trace replay (add -replay FILE)", name)
 			}
@@ -214,8 +212,7 @@ func main() {
 	if *replay != "" {
 		runReplay(replayOpts{
 			simOpts: so, path: *replay, shards: *shards, worlds: *worlds, barrier: *barrier,
-			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy,
-			sampleCap: *sampleCap, lenient: *lenient,
+			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy, lenient: *lenient,
 		})
 		tf.EmitOrDie("costsim")
 		return
@@ -391,60 +388,57 @@ func runLifecycle(o lifecycleOpts) {
 
 	runs := cluster.SimulatePopulation(pop, o.clusterConfig(), o.workers)
 
-	var kube, hostlo aggregate
-	kubeTraj := make([]cluster.Result, len(runs))
-	hostloTraj := make([]cluster.Result, len(runs))
+	kubeRuns := make([]cluster.Result, len(runs))
+	hostloRuns := make([]cluster.Result, len(runs))
 	for i, u := range runs {
-		kube.add(u.Kube)
-		hostlo.add(u.Hostlo)
-		kubeTraj[i] = u.Kube
-		hostloTraj[i] = u.Hostlo
+		kubeRuns[i] = u.Kube
+		hostloRuns[i] = u.Hostlo
 	}
+	kube, hostlo := cluster.Merge(kubeRuns), cluster.Merge(hostloRuns)
 
 	t := report.New(fmt.Sprintf("Cluster lifecycle over %d users, %v horizon", len(runs), o.horizon),
 		"metric", "kubernetes", "hostlo")
-	t.AddRow("pods arrived", kube.arrived, hostlo.arrived)
-	t.AddRow("pods scheduled", kube.scheduled, hostlo.scheduled)
-	t.AddRow("pods departed", kube.departed, hostlo.departed)
-	t.AddRow("pods failed (unschedulable)", kube.failed, hostlo.failed)
-	t.AddRow("pods pending at horizon", kube.pending, hostlo.pending)
-	t.AddRow("cost over horizon $", kube.dollars, hostlo.dollars)
-	t.AddRow("cost split spot / on-demand $", kube.costSplit(), hostlo.costSplit())
-	t.AddRow("final fleet $/h", kube.finalRate, hostlo.finalRate)
-	t.AddRow("final fleet nodes", kube.finalNodes, hostlo.finalNodes)
-	t.AddRow("peak fleet nodes", kube.peakNodes, hostlo.peakNodes)
-	t.AddRow("mean time-to-schedule", kube.ttsMean(), hostlo.ttsMean())
-	t.AddRow("scale-ups / scale-downs", fmt.Sprintf("%d / %d", kube.scaleUps, kube.scaleDowns),
-		fmt.Sprintf("%d / %d", hostlo.scaleUps, hostlo.scaleDowns))
-	t.AddRow("reconcile rounds / actions", fmt.Sprintf("%d / %d", kube.reconRounds, kube.reconActions),
-		fmt.Sprintf("%d / %d", hostlo.reconRounds, hostlo.reconActions))
-	t.AddRow("node kills (faults)", kube.kills, hostlo.kills)
+	t.AddRow("pods arrived", kube.Arrived, hostlo.Arrived)
+	t.AddRow("pods scheduled", kube.Scheduled, hostlo.Scheduled)
+	t.AddRow("pods departed", kube.Departed, hostlo.Departed)
+	t.AddRow("pods failed (unschedulable)", kube.Failed, hostlo.Failed)
+	t.AddRow("pods pending at horizon", kube.StillPending, hostlo.StillPending)
+	t.AddRow("cost over horizon $", kube.CostDollars, hostlo.CostDollars)
+	t.AddRow("cost split spot / on-demand $", costSplit(kube), costSplit(hostlo))
+	t.AddRow("final fleet $/h", kube.FinalCostPerH, hostlo.FinalCostPerH)
+	t.AddRow("final fleet nodes", kube.FinalNodes, hostlo.FinalNodes)
+	t.AddRow("peak fleet nodes", kube.PeakNodes, hostlo.PeakNodes)
+	t.AddRow("mean time-to-schedule", kube.TTSMean.Round(time.Millisecond), hostlo.TTSMean.Round(time.Millisecond))
+	t.AddRow("scale-ups / scale-downs", fmt.Sprintf("%d / %d", kube.ScaleUps, kube.ScaleDowns),
+		fmt.Sprintf("%d / %d", hostlo.ScaleUps, hostlo.ScaleDowns))
+	t.AddRow("reconcile rounds / actions", fmt.Sprintf("%d / %d", kube.ReconcileRounds, kube.ReconcileActions),
+		fmt.Sprintf("%d / %d", hostlo.ReconcileRounds, hostlo.ReconcileActions))
+	t.AddRow("node kills (faults)", kube.Kills, hostlo.Kills)
 	if o.cloud.SpotFrac > 0 {
-		t.AddRow("spot provisions / revocations", fmt.Sprintf("%d / %d", kube.spotProv, kube.spotRevoked),
-			fmt.Sprintf("%d / %d", hostlo.spotProv, hostlo.spotRevoked))
-		t.AddRow("on-demand fallbacks", kube.odFallbacks, hostlo.odFallbacks)
+		t.AddRow("spot provisions / revocations", fmt.Sprintf("%d / %d", kube.SpotProvisions, kube.SpotRevocations),
+			fmt.Sprintf("%d / %d", hostlo.SpotProvisions, hostlo.SpotRevocations))
+		t.AddRow("on-demand fallbacks", kube.OnDemandFallbacks, hostlo.OnDemandFallbacks)
 	}
 	if o.cloud.Zones > 1 {
-		t.AddRow("zone kills (drills)", kube.zoneKills, hostlo.zoneKills)
-		t.AddRow("final zone spread", kube.spread(o.cloud.ZoneNames), hostlo.spread(o.cloud.ZoneNames))
+		t.AddRow("zone kills (drills)", kube.ZoneKills, hostlo.ZoneKills)
+		t.AddRow("final zone spread", spread(kube, o.cloud.ZoneNames), spread(hostlo, o.cloud.ZoneNames))
 	}
-	t.AddRow("pods displaced / rescheduled", fmt.Sprintf("%d / %d", kube.displaced, kube.reschedules),
-		fmt.Sprintf("%d / %d", hostlo.displaced, hostlo.reschedules))
-	t.AddRow("optimizer runs / moves", "-", fmt.Sprintf("%d / %d", hostlo.optRuns, hostlo.optMoves))
+	t.AddRow("pods displaced / rescheduled", fmt.Sprintf("%d / %d", kube.Displaced, kube.Reschedules),
+		fmt.Sprintf("%d / %d", hostlo.Displaced, hostlo.Reschedules))
+	t.AddRow("optimizer runs / moves", "-", fmt.Sprintf("%d / %d", hostlo.OptimizerRuns, hostlo.OptimizerMoves))
 	t.AddRow("optimizer passes incremental / full", "-",
-		fmt.Sprintf("%d / %d", hostlo.optRuns-hostlo.optFull, hostlo.optFull))
+		fmt.Sprintf("%d / %d", hostlo.OptimizerRuns-hostlo.OptimizerFull, hostlo.OptimizerFull))
 	t.AddRow("packing cache hits / misses", "-",
-		fmt.Sprintf("%d / %d", hostlo.cacheHits, hostlo.cacheMisses))
-	if kube.dollars > 0 {
-		t.AddRow("hostlo savings", "-", report.Percent((kube.dollars-hostlo.dollars)/kube.dollars))
+		fmt.Sprintf("%d / %d", hostlo.OptimizerCacheHits, hostlo.OptimizerCacheMisses))
+	if kube.CostDollars > 0 {
+		t.AddRow("hostlo savings", "-", report.Percent((kube.CostDollars-hostlo.CostDollars)/kube.CostDollars))
 	}
 	o.emit(t)
 
 	fmt.Println()
 	tj := report.New("Cost-over-time trajectory",
 		"t", "kube_$/h", "hostlo_$/h", "kube_pending", "hostlo_pending", "kube_util", "hostlo_util")
-	mk := cluster.MergeTrajectories(kubeTraj)
-	mh := cluster.MergeTrajectories(hostloTraj)
+	mk, mh := kube.Samples, hostlo.Samples
 	for i := range mk {
 		tj.AddRow(mk[i].T, mk[i].CostPerH, mh[i].CostPerH,
 			mk[i].Pending, mh[i].Pending,
@@ -462,7 +456,6 @@ type replayOpts struct {
 	barrier       time.Duration
 	migrateAfter  time.Duration
 	migratePolicy string
-	sampleCap     int
 	lenient       bool
 }
 
@@ -479,7 +472,6 @@ func runReplay(o replayOpts) {
 		defer r.Close()
 		cfg := o.clusterConfig()
 		cfg.Policy = policy
-		cfg.SampleCap = o.sampleCap
 		res, err := shard.Replay(r, shard.Config{
 			Worlds:        o.worlds,
 			Shards:        o.shards,
@@ -513,47 +505,44 @@ func runReplay(o replayOpts) {
 	o.emit(st)
 	fmt.Println()
 
-	var kube, hostlo aggregate
-	kube.add(kubeRes.Merged)
-	hostlo.add(hostloRes.Merged)
+	kube, hostlo := kubeRes.Merged, hostloRes.Merged
 	t := report.New(fmt.Sprintf("Sharded trace replay, %v horizon", o.horizon),
 		"metric", "kubernetes", "hostlo")
-	t.AddRow("pods arrived", kube.arrived, hostlo.arrived)
-	t.AddRow("pods scheduled", kube.scheduled, hostlo.scheduled)
-	t.AddRow("pods departed", kube.departed, hostlo.departed)
-	t.AddRow("pods failed (unschedulable)", kube.failed, hostlo.failed)
-	t.AddRow("pods pending at horizon", kube.pending, hostlo.pending)
-	t.AddRow("pods transferred across worlds", kube.transfers, hostlo.transfers)
-	t.AddRow("cost over horizon $", kube.dollars, hostlo.dollars)
-	t.AddRow("cost split spot / on-demand $", kube.costSplit(), hostlo.costSplit())
-	t.AddRow("final fleet $/h", kube.finalRate, hostlo.finalRate)
-	t.AddRow("final fleet nodes", kube.finalNodes, hostlo.finalNodes)
-	t.AddRow("peak fleet nodes", kube.peakNodes, hostlo.peakNodes)
-	t.AddRow("mean time-to-schedule", kube.ttsMean(), hostlo.ttsMean())
-	t.AddRow("scale-ups / scale-downs", fmt.Sprintf("%d / %d", kube.scaleUps, kube.scaleDowns),
-		fmt.Sprintf("%d / %d", hostlo.scaleUps, hostlo.scaleDowns))
-	t.AddRow("node kills (faults)", kube.kills, hostlo.kills)
+	t.AddRow("pods arrived", kube.Arrived, hostlo.Arrived)
+	t.AddRow("pods scheduled", kube.Scheduled, hostlo.Scheduled)
+	t.AddRow("pods departed", kube.Departed, hostlo.Departed)
+	t.AddRow("pods failed (unschedulable)", kube.Failed, hostlo.Failed)
+	t.AddRow("pods pending at horizon", kube.StillPending, hostlo.StillPending)
+	t.AddRow("pods transferred across worlds", kube.TransferredIn, hostlo.TransferredIn)
+	t.AddRow("cost over horizon $", kube.CostDollars, hostlo.CostDollars)
+	t.AddRow("cost split spot / on-demand $", costSplit(kube), costSplit(hostlo))
+	t.AddRow("final fleet $/h", kube.FinalCostPerH, hostlo.FinalCostPerH)
+	t.AddRow("final fleet nodes", kube.FinalNodes, hostlo.FinalNodes)
+	t.AddRow("peak fleet nodes", kube.PeakNodes, hostlo.PeakNodes)
+	t.AddRow("mean time-to-schedule", kube.TTSMean.Round(time.Millisecond), hostlo.TTSMean.Round(time.Millisecond))
+	t.AddRow("scale-ups / scale-downs", fmt.Sprintf("%d / %d", kube.ScaleUps, kube.ScaleDowns),
+		fmt.Sprintf("%d / %d", hostlo.ScaleUps, hostlo.ScaleDowns))
+	t.AddRow("node kills (faults)", kube.Kills, hostlo.Kills)
 	if o.cloud.SpotFrac > 0 {
-		t.AddRow("spot provisions / revocations", fmt.Sprintf("%d / %d", kube.spotProv, kube.spotRevoked),
-			fmt.Sprintf("%d / %d", hostlo.spotProv, hostlo.spotRevoked))
-		t.AddRow("on-demand fallbacks", kube.odFallbacks, hostlo.odFallbacks)
+		t.AddRow("spot provisions / revocations", fmt.Sprintf("%d / %d", kube.SpotProvisions, kube.SpotRevocations),
+			fmt.Sprintf("%d / %d", hostlo.SpotProvisions, hostlo.SpotRevocations))
+		t.AddRow("on-demand fallbacks", kube.OnDemandFallbacks, hostlo.OnDemandFallbacks)
 	}
 	if o.cloud.Zones > 1 {
-		t.AddRow("zone kills (drills)", kube.zoneKills, hostlo.zoneKills)
-		t.AddRow("final zone spread", kube.spread(o.cloud.ZoneNames), hostlo.spread(o.cloud.ZoneNames))
+		t.AddRow("zone kills (drills)", kube.ZoneKills, hostlo.ZoneKills)
+		t.AddRow("final zone spread", spread(kube, o.cloud.ZoneNames), spread(hostlo, o.cloud.ZoneNames))
 	}
-	t.AddRow("pods displaced / rescheduled", fmt.Sprintf("%d / %d", kube.displaced, kube.reschedules),
-		fmt.Sprintf("%d / %d", hostlo.displaced, hostlo.reschedules))
-	if kube.dollars > 0 {
-		t.AddRow("hostlo savings", "-", report.Percent((kube.dollars-hostlo.dollars)/kube.dollars))
+	t.AddRow("pods displaced / rescheduled", fmt.Sprintf("%d / %d", kube.Displaced, kube.Reschedules),
+		fmt.Sprintf("%d / %d", hostlo.Displaced, hostlo.Reschedules))
+	if kube.CostDollars > 0 {
+		t.AddRow("hostlo savings", "-", report.Percent((kube.CostDollars-hostlo.CostDollars)/kube.CostDollars))
 	}
 	o.emit(t)
 
 	fmt.Println()
 	tj := report.New("Cost-over-time trajectory (merged worlds)",
 		"t", "kube_$/h", "hostlo_$/h", "kube_pending", "hostlo_pending", "kube_util", "hostlo_util")
-	mk := kubeRes.Merged.Samples
-	mh := hostloRes.Merged.Samples
+	mk, mh := kube.Samples, hostlo.Samples
 	for i := range mk {
 		tj.AddRow(mk[i].T, mk[i].CostPerH, mh[i].CostPerH,
 			mk[i].Pending, mh[i].Pending,
@@ -562,66 +551,15 @@ func runReplay(o replayOpts) {
 	o.emit(tj)
 }
 
-// aggregate sums Result fields across a population.
-type aggregate struct {
-	arrived, scheduled, departed, failed, pending    int
-	finalNodes, peakNodes, scaleUps, scaleDowns      int
-	kills, displaced, reschedules, optRuns, optMoves int
-	optFull, transfers, cacheHits, cacheMisses       int
-	spotProv, spotRevoked, odFallbacks, zoneKills    int
-	reconRounds, reconActions                        int
-	zoneSpread                                       []int
-	dollars, finalRate, spotDollars, odDollars       float64
-	ttsSum                                           time.Duration
-}
-
-func (a *aggregate) add(r cluster.Result) {
-	a.arrived += r.Arrived
-	a.scheduled += r.Scheduled
-	a.departed += r.Departed
-	a.failed += r.Failed
-	a.pending += r.StillPending
-	a.finalNodes += r.FinalNodes
-	a.peakNodes += r.PeakNodes
-	a.scaleUps += r.ScaleUps
-	a.scaleDowns += r.ScaleDowns
-	a.kills += r.Kills
-	a.displaced += r.Displaced
-	a.reschedules += r.Reschedules
-	a.transfers += r.TransferredIn
-	a.optRuns += r.OptimizerRuns
-	a.optFull += r.OptimizerFull
-	a.optMoves += r.OptimizerMoves
-	a.cacheHits += r.OptimizerCacheHits
-	a.cacheMisses += r.OptimizerCacheMisses
-	a.spotProv += r.SpotProvisions
-	a.spotRevoked += r.SpotRevocations
-	a.odFallbacks += r.OnDemandFallbacks
-	a.zoneKills += r.ZoneKills
-	a.reconRounds += r.ReconcileRounds
-	a.reconActions += r.ReconcileActions
-	for i, v := range r.ZoneSpread {
-		if i >= len(a.zoneSpread) {
-			a.zoneSpread = append(a.zoneSpread, 0)
-		}
-		a.zoneSpread[i] += v
-	}
-	a.dollars += r.CostDollars
-	a.finalRate += r.FinalCostPerH
-	a.spotDollars += r.CostSpotDollars
-	a.odDollars += r.CostOnDemandDollars
-	a.ttsSum += r.TTSSum
-}
-
 // costSplit renders the spot/on-demand halves of the cost integral.
-func (a *aggregate) costSplit() string {
-	return fmt.Sprintf("%.4g / %.4g", a.spotDollars, a.odDollars)
+func costSplit(r cluster.Result) string {
+	return fmt.Sprintf("%.4g / %.4g", r.CostSpotDollars, r.CostOnDemandDollars)
 }
 
 // spread renders the final per-zone live-node counts.
-func (a *aggregate) spread(names []string) string {
-	parts := make([]string, len(a.zoneSpread))
-	for i, v := range a.zoneSpread {
+func spread(r cluster.Result, names []string) string {
+	parts := make([]string, len(r.ZoneSpread))
+	for i, v := range r.ZoneSpread {
 		name := fmt.Sprintf("z%d", i)
 		if i < len(names) {
 			name = names[i]
@@ -629,14 +567,6 @@ func (a *aggregate) spread(names []string) string {
 		parts[i] = fmt.Sprintf("%s=%d", name, v)
 	}
 	return strings.Join(parts, " ")
-}
-
-// ttsMean is the population-level mean time-to-schedule.
-func (a *aggregate) ttsMean() time.Duration {
-	if a.scheduled == 0 {
-		return 0
-	}
-	return (a.ttsSum / time.Duration(a.scheduled)).Round(time.Millisecond)
 }
 
 // record instruments the (engine-less) placement run post hoc: one

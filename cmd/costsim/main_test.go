@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -82,5 +85,27 @@ func TestCheckDurations(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-"+c.flag+" ") {
 			t.Errorf("%+v: got %v, want an error naming -%s", d, err, c.flag)
 		}
+	}
+}
+
+// TestSampleCapFlagRetired pins that -sample-cap is no longer a flag:
+// trajectories are a fixed 12 points, so the flag package rejects it as
+// undefined, with exit status 2. The test re-runs its own binary as
+// costsim to observe the exit.
+func TestSampleCapFlagRetired(t *testing.T) {
+	if os.Getenv("COSTSIM_RUN_MAIN") == "1" {
+		os.Args = []string{"costsim", "-sample-cap", "4"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSampleCapFlagRetired$")
+	cmd.Env = append(os.Environ(), "COSTSIM_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("costsim -sample-cap 4: got %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -sample-cap") {
+		t.Errorf("costsim -sample-cap 4: stderr does not name the undefined flag:\n%s", out)
 	}
 }

@@ -139,38 +139,13 @@ func (f *fleet) cost() float64 {
 	return c
 }
 
-// clone deep-copies the fleet (for revertable optimisation passes).
-// The copy is built in two arena allocations — one for the vm structs,
-// one flat item store sliced full-capacity per VM so a later place()
-// grows a private copy instead of clobbering a neighbor — because the
-// lifecycle optimizer clones small fleets millions of times and the
-// old per-VM allocations dominated its heap profile.
-func (f *fleet) clone() *fleet {
-	nf := &fleet{catalog: f.catalog, vms: make([]*vm, len(f.vms)), scratch: f.scratch}
-	total := 0
-	for _, v := range f.vms {
-		total += len(v.items)
-	}
-	varena := make([]vm, len(f.vms))
-	iarena := make([]item, 0, total)
-	for i, v := range f.vms {
-		cp := &varena[i]
-		*cp = *v
-		is := len(iarena)
-		iarena = append(iarena, v.items...)
-		cp.items = iarena[is:len(iarena):len(iarena)]
-		nf.vms[i] = cp
-	}
-	return nf
-}
-
-// cloneBuffered is clone into one of the scratch's two recycled
-// buffers (improveHostlo keeps at most two optimizer fleets alive, and
-// the caller of the last clone copies the result out via fromFleet
-// before the scratch is recycled). Semantics match clone exactly: the
-// vm structs and one flat item store are rebuilt per call, and each
-// VM's items are capped sub-slices so a later place() grows a private
-// copy instead of clobbering a neighbor.
+// cloneBuffered deep-copies the fleet (for revertable optimisation
+// passes) into one of the scratch's two recycled buffers: improveHostlo
+// keeps at most two optimizer fleets alive, and the caller of the last
+// clone copies the result out via fromFleet before the scratch is
+// recycled. The vm structs and one flat item store are rebuilt per
+// call, and each VM's items are capped sub-slices so a later place()
+// grows a private copy instead of clobbering a neighbor.
 func (f *fleet) cloneBuffered() *fleet {
 	sc := f.sc()
 	b := &sc.cbuf[sc.cbufN&1]

@@ -2,7 +2,6 @@ package cloudsim
 
 import (
 	"math"
-	"strconv"
 )
 
 // This file is the exported face of the packing machinery, consumed by
@@ -134,21 +133,6 @@ func VMSigOf(typ int, items []PlacedItem) VMSig {
 		b += mix64(h)
 	}
 	return VMSig{Type: typ, Count: len(items), A: a, B: b}
-}
-
-// VMSignature is VMSigOf rendered as a string, the original exported
-// form (kept for callers that want a printable digest).
-func VMSignature(typ int, items []PlacedItem) string {
-	s := VMSigOf(typ, items)
-	buf := make([]byte, 0, 48)
-	buf = strconv.AppendInt(buf, int64(s.Type), 10)
-	buf = append(buf, ';')
-	buf = strconv.AppendInt(buf, int64(s.Count), 10)
-	buf = append(buf, ';')
-	buf = strconv.AppendUint(buf, s.A, 16)
-	buf = append(buf, ';')
-	buf = strconv.AppendUint(buf, s.B, 16)
-	return string(buf)
 }
 
 // itemHash is FNV-1a over the item's pod name and the raw bits of its

@@ -42,11 +42,12 @@ func TestConsolidatePathsAgree(t *testing.T) {
 		n := 2 + r.Intn(60)
 		base := randomFleet(r, n)
 
-		scan := base.clone()
+		// Two live clones land in the scratch's two alternating buffers.
+		scan := base.cloneBuffered()
 		consolidateIndexThreshold = 1 << 30 // force the scan path
 		scanMoved := scan.consolidate()
 
-		idx := base.clone()
+		idx := base.cloneBuffered()
 		consolidateIndexThreshold = 0 // force the index path
 		idxMoved := idx.consolidate()
 

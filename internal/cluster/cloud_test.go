@@ -127,7 +127,6 @@ func spotChaosConfig(t *testing.T, seed int64, pods []trace.Pod) cluster.Config 
 		Horizon:   6 * time.Hour,
 		BootDelay: 45 * time.Second,
 		Faults:    sched,
-		MaxSteps:  2_000_000,
 	}
 	if seed%2 == 0 {
 		cfg.Policy = cluster.Kubernetes

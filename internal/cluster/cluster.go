@@ -98,33 +98,17 @@ type Config struct {
 	// BootDelay is the VM provisioning latency (default 45s; the
 	// steady-state equivalence tests use 0).
 	BootDelay time.Duration
-	// SampleEvery is the trajectory sampling period (default
-	// Horizon/12).
-	SampleEvery time.Duration
 	// Faults arms the deterministic fault injector (nil = off). Points:
 	// "node/provision" (fail/delay) and "node/<name>" (crash).
 	Faults *faults.Schedule
 	// Rec collects telemetry (nil = off).
 	Rec *telemetry.Recorder
-	// MaxSteps aborts a runaway event loop (0 = engine default of
-	// unlimited).
-	MaxSteps uint64
 	// PackCacheSize bounds the per-cluster packing cache in entries
 	// (0 = default 4096, negative = caching off). A cache hit returns
 	// the placement a fresh optimizer call would produce, so results
 	// are byte-identical with the cache on or off — only the
 	// OptimizerCacheHits/Misses counters (and their telemetry) differ.
 	PackCacheSize int
-	// SampleCap bounds Result.Samples in entries (0 = default 512,
-	// negative = unlimited full resolution). When the horizon holds more
-	// sample instants than the cap, consecutive instants are folded into
-	// fixed-width windows: each stored Sample keeps the window's *last*
-	// instant values (T, CostPerH, Pending, ...) plus exact running
-	// aggregates (Points, Sum*) so population-level means recompute
-	// exactly from the downsampled trajectory. Horizons that fit under
-	// the cap store every instant unchanged (window width 1), so short
-	// runs are byte-identical with any cap.
-	SampleCap int
 
 	// Cloud-model knobs (internal/cloud resolves CLI flags into these).
 	//
@@ -155,12 +139,6 @@ type Config struct {
 // defaultPackCacheSize bounds the packing cache when Config leaves it 0.
 const defaultPackCacheSize = 4096
 
-// defaultSampleCap bounds the trajectory when Config leaves SampleCap 0.
-// Generous enough that every short-horizon run keeps full resolution
-// (the default sample chain is Horizon/12), tight enough that a 3-day
-// minute-resolution replay stays a few KB per world.
-const defaultSampleCap = 512
-
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
 	if c.Catalog == nil {
@@ -169,14 +147,8 @@ func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = 8 * time.Hour
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = c.Horizon / 12
-	}
 	if c.PackCacheSize == 0 {
 		c.PackCacheSize = defaultPackCacheSize
-	}
-	if c.SampleCap == 0 {
-		c.SampleCap = defaultSampleCap
 	}
 	if c.Zones < 1 {
 		c.Zones = 1
@@ -194,14 +166,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sample is one point of the cost-over-time trajectory. Under a
-// SampleCap each stored Sample summarises a fixed-width window of
-// consecutive sample instants: the instant fields hold the window's
-// last instant, the Sum*/Points fields hold exact left-fold aggregates
-// over the whole window (so means recompute exactly, and summing
-// trajectories pointwise keeps the aggregates exact too). A full-
-// resolution trajectory is the degenerate case Points == 1 with every
-// Sum equal to its instant field.
+// Sample is one point of the cost-over-time trajectory. A run samples
+// at k·Horizon/12 for k = 1..12 (see sampleEvery), plus a horizon point
+// when that chain misses the horizon, so a trajectory holds 12 or 13
+// points whatever the horizon.
 type Sample struct {
 	T        sim.Time
 	CostPerH float64 // fleet cost rate at T
@@ -209,14 +177,6 @@ type Sample struct {
 	Nodes    int     // live fleet size at T
 	UsedCPU  float64 // placed CPU across the fleet (relative units)
 	CapCPU   float64 // fleet CPU capacity (relative units)
-
-	// Window aggregates (exact, accumulated in sample-instant order).
-	Points      int     // sample instants folded into this point (>= 1)
-	SumCostPerH float64 // sum of CostPerH over the window
-	SumPending  int     // sum of Pending over the window
-	SumNodes    int     // sum of Nodes over the window
-	SumUsedCPU  float64 // sum of UsedCPU over the window
-	SumCapCPU   float64 // sum of CapCPU over the window
 }
 
 // Util returns the fleet CPU utilization at the sample (0 with no fleet).
@@ -225,32 +185,6 @@ func (s Sample) Util() float64 {
 		return 0
 	}
 	return s.UsedCPU / s.CapCPU
-}
-
-// MeanCostPerH is the window-mean fleet cost rate (equals CostPerH on a
-// full-resolution point).
-func (s Sample) MeanCostPerH() float64 {
-	if s.Points <= 0 {
-		return s.CostPerH
-	}
-	return s.SumCostPerH / float64(s.Points)
-}
-
-// MeanPending is the window-mean pending-queue depth.
-func (s Sample) MeanPending() float64 {
-	if s.Points <= 0 {
-		return float64(s.Pending)
-	}
-	return float64(s.SumPending) / float64(s.Points)
-}
-
-// MeanUtil is the window's capacity-weighted CPU utilization
-// (ΣUsedCPU/ΣCapCPU; 0 with no capacity anywhere in the window).
-func (s Sample) MeanUtil() float64 {
-	if s.SumCapCPU <= 0 {
-		return 0
-	}
-	return s.SumUsedCPU / s.SumCapCPU
 }
 
 // Result is the outcome of one lifecycle run. All fields are plain
@@ -457,13 +391,6 @@ type Cluster struct {
 	res        Result
 	finalized  bool
 
-	// Trajectory downsampler: sample instants fold into fixed-width
-	// windows of trajStride points; trajWin is the open partial window
-	// (Points == 0 when empty). trajStride is derived from the config
-	// (recomputed on Restore); trajWin is part of snapshots.
-	trajStride int
-	trajWin    Sample
-
 	// transferIdxs is TransferOut's candidate scratch, reused across
 	// barriers (not part of any state — always drained within the call).
 	transferIdxs []int
@@ -525,7 +452,6 @@ type sigChain struct{ head, tail int32 }
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	eng := sim.New(cfg.Seed)
-	eng.MaxSteps = cfg.MaxSteps
 	cfg.Rec.BindEngine(eng)
 	c := &Cluster{
 		cfg: cfg,
@@ -538,7 +464,6 @@ func New(cfg Config) *Cluster {
 		blockedPod: -1,
 		pack:       cloudsim.NewPackCache(cfg.PackCacheSize),
 		ledger:     make(map[uint64]ledgerEvent),
-		trajStride: trajStride(cfg),
 	}
 	c.fireFn = c.fireBySeq
 	c.initZones()
@@ -722,69 +647,11 @@ func (c *Cluster) price(typ, zone int, spot bool) float64 {
 	return p
 }
 
-// trajStride is the downsampling window width: how many consecutive
-// sample instants fold into one stored trajectory point so the whole
-// trajectory fits under cfg.SampleCap. 1 = full resolution. Derived
-// from the (defaulted) config — New and Restore both use it, so a
-// restored world windows exactly like the original.
-func trajStride(cfg Config) int {
-	if cfg.SampleCap < 0 {
-		return 1
-	}
-	// The sample chain fires at k·SampleEvery for k = 1..⌊H/S⌋ and
-	// finalize adds a horizon point when the chain missed it.
-	n := int(cfg.Horizon/cfg.SampleEvery) + 1
-	if n <= cfg.SampleCap {
-		return 1
-	}
-	return (n + cfg.SampleCap - 1) / cfg.SampleCap
-}
-
-// recordSample folds one sample instant into the open window, flushing
-// a stored trajectory point every trajStride instants. The instant
-// fields track the latest instant; the aggregates accumulate in
-// instant order (a left fold), so recomputing them from a
-// full-resolution run reproduces them bitwise.
-func (c *Cluster) recordSample(s Sample) {
-	w := &c.trajWin
-	if w.Points == 0 {
-		*w = s
-		w.Points = 1
-		w.SumCostPerH = s.CostPerH
-		w.SumPending = s.Pending
-		w.SumNodes = s.Nodes
-		w.SumUsedCPU = s.UsedCPU
-		w.SumCapCPU = s.CapCPU
-	} else {
-		w.T = s.T
-		w.CostPerH = s.CostPerH
-		w.Pending = s.Pending
-		w.Nodes = s.Nodes
-		w.UsedCPU = s.UsedCPU
-		w.CapCPU = s.CapCPU
-		w.Points++
-		w.SumCostPerH += s.CostPerH
-		w.SumPending += s.Pending
-		w.SumNodes += s.Nodes
-		w.SumUsedCPU += s.UsedCPU
-		w.SumCapCPU += s.CapCPU
-	}
-	if w.Points >= c.trajStride {
-		c.res.Samples = append(c.res.Samples, *w)
-		*w = Sample{}
-	}
-}
-
-// lastSampleT is the timestamp of the most recent recorded sample
-// instant — in the open window or, failing that, the stored trajectory.
-func (c *Cluster) lastSampleT() (sim.Time, bool) {
-	if c.trajWin.Points > 0 {
-		return c.trajWin.T, true
-	}
-	if n := len(c.res.Samples); n > 0 {
-		return c.res.Samples[n-1].T, true
-	}
-	return 0, false
+// sampleEvery is the trajectory sampling period: twelve points per
+// horizon. The 1ns floor keeps the chain advancing on a degenerate
+// horizon below 12ns (only a hostile snapshot can carry one).
+func (c *Cluster) sampleEvery() sim.Time {
+	return max(sim.Time(c.cfg.Horizon/12), 1)
 }
 
 // sample records one trajectory point and re-arms the chain.
@@ -794,13 +661,13 @@ func (c *Cluster) sample() {
 		T: c.eng.Now(), CostPerH: cost, Pending: c.queueLen(),
 		Nodes: c.liveCount, UsedCPU: used, CapCPU: cap,
 	}
-	c.recordSample(s)
+	c.res.Samples = append(c.res.Samples, s)
 	if c.rec != nil {
 		c.rec.Metrics().Series("cluster/pending_depth").Add(float64(s.Pending))
 		c.rec.Metrics().Series("cluster/fleet_util").Add(s.Util())
 		c.rec.Metrics().Series("cluster/fleet_cost_per_h").Add(cost)
 	}
-	next := c.eng.Now() + sim.Time(c.cfg.SampleEvery)
+	next := c.eng.Now() + c.sampleEvery()
 	if next <= sim.Time(c.cfg.Horizon) {
 		c.schedEvent(next, evSample, 0, 0)
 	}
@@ -846,17 +713,11 @@ func (c *Cluster) finalize() {
 		c.res.TTSP95 = time.Duration(c.tts.Percentile(95) * float64(time.Second))
 		c.res.TTSMax = time.Duration(c.tts.Max() * float64(time.Second))
 	}
-	if last, ok := c.lastSampleT(); !ok || last != horizon {
-		c.recordSample(Sample{
+	if n := len(c.res.Samples); n == 0 || c.res.Samples[n-1].T != horizon {
+		c.res.Samples = append(c.res.Samples, Sample{
 			T: horizon, CostPerH: cost, Pending: c.queueLen(),
 			Nodes: c.liveCount, UsedCPU: used, CapCPU: cap,
 		})
-	}
-	// Flush the open partial window (it may hold fewer than trajStride
-	// instants at the horizon).
-	if c.trajWin.Points > 0 {
-		c.res.Samples = append(c.res.Samples, c.trajWin)
-		c.trajWin = Sample{}
 	}
 	if c.rec != nil {
 		reg := c.rec.Metrics()

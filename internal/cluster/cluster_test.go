@@ -114,10 +114,44 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 	for i, u := range serial {
 		kube[i] = u.Kube
 	}
-	m1 := cluster.MergeTrajectories(kube)
-	m2 := cluster.MergeTrajectories(kube)
-	if !reflect.DeepEqual(m1, m2) || len(m1) == 0 {
-		t.Fatal("trajectory merge not deterministic")
+	m1 := cluster.Merge(kube)
+	m2 := cluster.Merge(kube)
+	if !reflect.DeepEqual(m1, m2) || len(m1.Samples) == 0 {
+		t.Fatal("population merge not deterministic")
+	}
+}
+
+// TestTrajectoryShape pins the fixed-resolution trajectory: one sample
+// at k·H/12 for k = 1..12, plus a horizon point only when that chain
+// misses the horizon (12 points at 8h, 13 at 7h13m7s, whose H/12 does
+// not divide evenly into nanoseconds).
+func TestTrajectoryShape(t *testing.T) {
+	pods := trace.Generate(churnConfig(7, 1))[0].Pods
+	for _, tc := range []struct {
+		horizon time.Duration
+		want    int
+	}{
+		{8 * time.Hour, 12},
+		{7*time.Hour + 13*time.Minute + 7*time.Second, 13},
+	} {
+		res := cluster.Simulate(cluster.Config{Seed: 1, Pods: pods, Horizon: tc.horizon})
+		if len(res.Samples) != tc.want {
+			t.Fatalf("horizon %v: %d samples, want %d", tc.horizon, len(res.Samples), tc.want)
+		}
+		every := tc.horizon / 12
+		for k := 1; k <= 12; k++ {
+			if got, want := time.Duration(res.Samples[k-1].T), time.Duration(k)*every; got != want {
+				t.Errorf("horizon %v: sample %d at %v, want %v", tc.horizon, k, got, want)
+			}
+		}
+		if last := time.Duration(res.Samples[len(res.Samples)-1].T); last != tc.horizon {
+			t.Errorf("horizon %v: last sample at %v, want the horizon", tc.horizon, last)
+		}
+	}
+	// Below 12ns H/12 truncates to zero; the period's 1ns floor keeps the
+	// chain advancing, so the run ends with one sample per nanosecond.
+	if res := cluster.Simulate(cluster.Config{Seed: 1, Pods: pods, Horizon: 11}); len(res.Samples) != 11 {
+		t.Errorf("horizon 11ns: %d samples, want 11", len(res.Samples))
 	}
 }
 
@@ -175,7 +209,6 @@ func TestClusterChaos(t *testing.T) {
 			Horizon:   6 * time.Hour,
 			BootDelay: 45 * time.Second,
 			Faults:    sched,
-			MaxSteps:  2_000_000,
 		})
 		res := c.Run()
 		if leaks := c.Leaks(); len(leaks) != 0 {

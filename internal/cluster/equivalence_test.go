@@ -131,7 +131,6 @@ func TestIndexedMatchesReferenceFaults(t *testing.T) {
 				Horizon:   6 * time.Hour,
 				BootDelay: 45 * time.Second,
 				Faults:    sched,
-				MaxSteps:  2_000_000,
 			}
 			mode.adjust(&cfg)
 			res := requireGolden(t, g, fmt.Sprintf("faults/%d/%s", si, mode.name), cfg)

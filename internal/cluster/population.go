@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"nestless/internal/parallel"
 	"nestless/internal/trace"
@@ -64,40 +65,85 @@ func SimulatePopulation(users []trace.User, cfg Config, workers int) []UserLifec
 	return out
 }
 
-// MergeTrajectories sums per-user trajectories pointwise into one
-// population trajectory. All inputs share sample timestamps and window
-// widths (same SampleEvery, Horizon and SampleCap), so the merge is
-// positional; it panics on a timestamp or window mismatch rather than
-// silently misaligning curves. Window sums add like the instant fields
-// — each merged point's aggregates stay exact — while Points is the
-// shared window width, not a sum.
-func MergeTrajectories(runs []Result) []Sample {
+// Merge sums per-world (or per-user) results into one population
+// view. Every counter and cost integral adds; TTSMean is recomputed
+// exactly from the summed TTSSum; TTSMax is the max of maxes; the
+// trajectories add pointwise. TTSP95 and FleetTypes do not compose
+// across independent worlds and stay zero/nil — read them per run.
+// Every run shares the horizon and so the sample timestamps; Merge
+// panics on a trajectory length or timestamp mismatch rather than
+// silently misaligning curves.
+func Merge(runs []Result) Result {
+	var m Result
 	if len(runs) == 0 {
-		return nil
+		return m
 	}
-	merged := append([]Sample(nil), runs[0].Samples...)
-	for _, r := range runs[1:] {
-		if len(r.Samples) != len(merged) {
-			panic(fmt.Sprintf("cluster: trajectory length mismatch: %d vs %d", len(r.Samples), len(merged)))
+	m.Policy = runs[0].Policy
+	m.Samples = append([]Sample(nil), runs[0].Samples...)
+	for ri, r := range runs {
+		m.Arrived += r.Arrived
+		m.BeyondHorizon += r.BeyondHorizon
+		m.Scheduled += r.Scheduled
+		m.Departed += r.Departed
+		m.Running += r.Running
+		m.StillPending += r.StillPending
+		m.Failed += r.Failed
+		m.Displaced += r.Displaced
+		m.Reschedules += r.Reschedules
+		m.Kills += r.Kills
+		m.TransferredIn += r.TransferredIn
+		m.TransferredOut += r.TransferredOut
+		m.Adopted += r.Adopted
+		m.ScaleUps += r.ScaleUps
+		m.ScaleDowns += r.ScaleDowns
+		m.ProvisionRetries += r.ProvisionRetries
+		m.OptimizerRuns += r.OptimizerRuns
+		m.OptimizerFull += r.OptimizerFull
+		m.OptimizerMoves += r.OptimizerMoves
+		m.OptimizerGroups += r.OptimizerGroups
+		m.OptimizerCacheHits += r.OptimizerCacheHits
+		m.OptimizerCacheMisses += r.OptimizerCacheMisses
+		m.PeakNodes += r.PeakNodes
+		m.FinalNodes += r.FinalNodes
+		m.ReconcileRounds += r.ReconcileRounds
+		m.ReconcileActions += r.ReconcileActions
+		m.SpotProvisions += r.SpotProvisions
+		m.SpotRevocations += r.SpotRevocations
+		m.OnDemandFallbacks += r.OnDemandFallbacks
+		m.ZoneKills += r.ZoneKills
+		for i, v := range r.ZoneSpread {
+			if i >= len(m.ZoneSpread) {
+				m.ZoneSpread = append(m.ZoneSpread, 0)
+			}
+			m.ZoneSpread[i] += v
+		}
+		m.CostDollars += r.CostDollars
+		m.FinalCostPerH += r.FinalCostPerH
+		m.CostSpotDollars += r.CostSpotDollars
+		m.CostOnDemandDollars += r.CostOnDemandDollars
+		m.TTSSum += r.TTSSum
+		if r.TTSMax > m.TTSMax {
+			m.TTSMax = r.TTSMax
+		}
+		if ri == 0 {
+			continue
+		}
+		if len(r.Samples) != len(m.Samples) {
+			panic(fmt.Sprintf("cluster: trajectory length mismatch: %d vs %d", len(r.Samples), len(m.Samples)))
 		}
 		for i, s := range r.Samples {
-			if s.T != merged[i].T {
-				panic(fmt.Sprintf("cluster: sample %d at %v vs %v", i, s.T, merged[i].T))
+			if s.T != m.Samples[i].T {
+				panic(fmt.Sprintf("cluster: sample %d at %v vs %v", i, s.T, m.Samples[i].T))
 			}
-			if s.Points != merged[i].Points {
-				panic(fmt.Sprintf("cluster: sample %d window %d vs %d points", i, s.Points, merged[i].Points))
-			}
-			merged[i].CostPerH += s.CostPerH
-			merged[i].Pending += s.Pending
-			merged[i].Nodes += s.Nodes
-			merged[i].UsedCPU += s.UsedCPU
-			merged[i].CapCPU += s.CapCPU
-			merged[i].SumCostPerH += s.SumCostPerH
-			merged[i].SumPending += s.SumPending
-			merged[i].SumNodes += s.SumNodes
-			merged[i].SumUsedCPU += s.SumUsedCPU
-			merged[i].SumCapCPU += s.SumCapCPU
+			m.Samples[i].CostPerH += s.CostPerH
+			m.Samples[i].Pending += s.Pending
+			m.Samples[i].Nodes += s.Nodes
+			m.Samples[i].UsedCPU += s.UsedCPU
+			m.Samples[i].CapCPU += s.CapCPU
 		}
 	}
-	return merged
+	if m.Scheduled > 0 {
+		m.TTSMean = m.TTSSum / time.Duration(m.Scheduled)
+	}
+	return m
 }

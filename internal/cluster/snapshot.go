@@ -116,11 +116,7 @@ type Snapshot struct {
 	Events []EventSnap // pending typed events, ascending Seq
 
 	Res Result
-	// TrajWin is the trajectory downsampler's open partial window
-	// (Points == 0 when empty); the window width itself is derived from
-	// Cfg at restore.
-	TrajWin Sample
-	TTS     sim.SeriesState
+	TTS sim.SeriesState
 
 	Inj  *faults.InjectorState
 	Pack *cloudsim.PackCacheState
@@ -160,7 +156,6 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 		Started:    c.started,
 		Finalized:  c.finalized,
 		Res:        c.res,
-		TrajWin:    c.trajWin,
 		TTS:        c.tts.State(),
 		Inj:        c.inj.State(),
 		Pack:       c.pack.State(),
@@ -292,9 +287,6 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	if s.OdFallback < 0 {
 		return nil, fmt.Errorf("cluster: negative on-demand fallback credit %d", s.OdFallback)
 	}
-	if s.TrajWin.Points < 0 || s.TrajWin.Points >= trajStride(cfg) {
-		return nil, fmt.Errorf("cluster: trajectory window holds %d points of a %d-wide stride", s.TrajWin.Points, trajStride(cfg))
-	}
 	for i := range s.Pods {
 		ps := &s.Pods[i]
 		if ps.State < int8(statePending) || ps.State > int8(stateTransferred) {
@@ -389,7 +381,6 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	}
 
 	eng := sim.RestoreEngine(s.Eng)
-	eng.MaxSteps = cfg.MaxSteps
 	var inj *faults.Injector
 	if o.Faults != nil {
 		// A replaced schedule is a fresh fault world: fork the engine
@@ -426,8 +417,6 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		deadLive:   s.DeadLive,
 		pack:       pack,
 		ledger:     make(map[uint64]ledgerEvent, len(s.Events)),
-		trajStride: trajStride(cfg),
-		trajWin:    s.TrajWin,
 	}
 	c.fireFn = c.fireBySeq
 	c.res = s.Res

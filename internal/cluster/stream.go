@@ -39,7 +39,7 @@ func (c *Cluster) Start() {
 	}
 	c.started = true
 	c.schedEvent(scaleEvery, evTick, 0, 0)
-	c.schedEvent(sim.Time(c.cfg.SampleEvery), evSample, 0, 0)
+	c.schedEvent(c.sampleEvery(), evSample, 0, 0)
 }
 
 // NoteBeyondHorizon books one submit whose timestamp fell past the

@@ -110,8 +110,8 @@ func (e Event) Key() string {
 	return e.Pod
 }
 
-// FNV-1a, the repository's standard content hash (cloudsim.VMSignature
-// uses the same constants).
+// FNV-1a, the repository's standard content hash (cloudsim's item hash
+// under VMSigOf uses the same constants).
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211

@@ -56,9 +56,6 @@ func (o Opts) pool() int {
 	return o.Workers
 }
 
-// DefaultOpts is the standard configuration.
-func DefaultOpts() Opts { return Opts{Seed: 42} }
-
 func (o Opts) streamWindow() (warmup, dur time.Duration) {
 	if o.Quick {
 		return 10 * time.Millisecond, 40 * time.Millisecond

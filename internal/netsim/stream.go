@@ -153,12 +153,6 @@ func (ns *NetNS) pathMSS(dst IPv4) int {
 // ID returns the connection's demux ID.
 func (c *StreamConn) ID() uint64 { return c.id }
 
-// LocalPort returns the connection's local port.
-func (c *StreamConn) LocalPort() uint16 { return c.localPort }
-
-// Remote returns the peer address as seen from this side (post-NAT).
-func (c *StreamConn) Remote() (IPv4, uint16) { return c.remoteAddr, c.remotePort }
-
 // NS returns the owning namespace.
 func (c *StreamConn) NS() *NetNS { return c.ns }
 

@@ -75,11 +75,6 @@ type Config struct {
 	Faults *faults.Schedule
 }
 
-// newBase builds the host + client substrate. rec may be nil.
-func newBase(seed int64, rec *telemetry.Recorder) *Base {
-	return newBaseCfg(Config{Seed: seed, Rec: rec})
-}
-
 // NewBaseCfg builds just the host + client substrate with no nodes or
 // pods. Chaos tests use it to keep a handle on the world even when a
 // faulted deployment fails, so they can still audit it for leaks.

@@ -225,68 +225,8 @@ func TestPickPolicyUnknown(t *testing.T) {
 	}
 }
 
-// TestReplaySampleCap pins the bounded-trajectory contract end to end
-// through the shard runner: a capped replay stores at most SampleCap
-// windows per world with the full run's exact point count and final
-// instant, and perturbs nothing outside the trajectories.
-func TestReplaySampleCap(t *testing.T) {
-	src := synthSource(t, 31, 40)
-	base := Config{
-		Worlds: 4,
-		Audit:  true,
-		Cluster: cluster.Config{
-			Policy:      cluster.Kubernetes,
-			Seed:        7,
-			Horizon:     6 * time.Hour,
-			SampleEvery: time.Minute,
-		},
-	}
-	fullCfg := base
-	fullCfg.Cluster.SampleCap = -1
-	full := mustReplay(t, src, fullCfg)
-	cap := 25
-	capCfg := base
-	capCfg.Cluster.SampleCap = cap
-	capped := mustReplay(t, src, capCfg)
-
-	for w := range capped.Worlds {
-		cw, fw := capped.Worlds[w], full.Worlds[w]
-		if len(cw.Samples) > cap {
-			t.Fatalf("world %d: %d samples exceed cap %d", w, len(cw.Samples), cap)
-		}
-		if len(cw.Samples) >= len(fw.Samples) {
-			t.Fatalf("world %d: cap did not shrink the trajectory (%d vs %d)", w, len(cw.Samples), len(fw.Samples))
-		}
-		var points int
-		for _, s := range cw.Samples {
-			points += s.Points
-		}
-		if points != len(fw.Samples) {
-			t.Fatalf("world %d: windows cover %d points, full run has %d", w, points, len(fw.Samples))
-		}
-		last := cw.Samples[len(cw.Samples)-1]
-		if fullLast := fw.Samples[len(fw.Samples)-1]; last.T != fullLast.T {
-			t.Fatalf("world %d: final window instant %v, want %v", w, last.T, fullLast.T)
-		}
-	}
-	// Everything but the trajectories is untouched.
-	strip := func(r Result) Result {
-		r.Merged.Samples = nil
-		ws := make([]cluster.Result, len(r.Worlds))
-		copy(ws, r.Worlds)
-		for i := range ws {
-			ws[i].Samples = nil
-		}
-		r.Worlds = ws
-		return r
-	}
-	if !reflect.DeepEqual(strip(capped), strip(full)) {
-		t.Fatal("SampleCap changed results outside the trajectory")
-	}
-}
-
 // TestReplay3Day is the long-horizon bounded-memory smoke: a three-day
-// replay keeps every world's trajectory under the default cap and stays
+// replay keeps every world's trajectory at the fixed 12 points and stays
 // byte-identical across shard counts with the pipelined feed on. Gated
 // behind REPLAY_3D=1 — it replays a few hundred thousand events.
 func TestReplay3Day(t *testing.T) {
@@ -304,10 +244,9 @@ func TestReplay3Day(t *testing.T) {
 		MigrateAfter: 20 * time.Minute,
 		Audit:        true,
 		Cluster: cluster.Config{
-			Policy:      cluster.Kubernetes,
-			Seed:        7,
-			Horizon:     72 * time.Hour,
-			SampleEvery: time.Minute,
+			Policy:  cluster.Kubernetes,
+			Seed:    7,
+			Horizon: 72 * time.Hour,
 		},
 	}
 	cfg.Shards = 1
@@ -319,8 +258,8 @@ func TestReplay3Day(t *testing.T) {
 		t.Fatalf("degenerate three-day replay: %+v over %d epochs", want.Merged, want.Epochs)
 	}
 	for w, res := range want.Worlds {
-		if len(res.Samples) > 512 {
-			t.Fatalf("world %d trajectory unbounded: %d samples", w, len(res.Samples))
+		if len(res.Samples) != 12 {
+			t.Fatalf("world %d trajectory holds %d samples, want 12", w, len(res.Samples))
 		}
 	}
 	for _, shards := range []int{2, 4, 8} {

@@ -238,7 +238,7 @@ func Replay(src ctrace.Source, cfg Config) (Result, error) {
 			}
 		}
 	}
-	r.res.Merged = merge(r.res.Worlds)
+	r.res.Merged = cluster.Merge(r.res.Worlds)
 	return r.res, nil
 }
 
@@ -518,64 +518,4 @@ func fold(h, v uint64) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// merge sums world results into the population view. Counters and
-// integrals add; the trajectory merges pointwise (worlds share
-// SampleEvery and Horizon); TTSMean is recomputed from the exact sums;
-// TTSMax is the max of maxes. TTSP95 and FleetTypes do not compose
-// across independent worlds and stay zero/nil — read them per world.
-func merge(worlds []cluster.Result) cluster.Result {
-	var m cluster.Result
-	if len(worlds) == 0 {
-		return m
-	}
-	m.Policy = worlds[0].Policy
-	for _, r := range worlds {
-		m.Arrived += r.Arrived
-		m.BeyondHorizon += r.BeyondHorizon
-		m.Scheduled += r.Scheduled
-		m.Departed += r.Departed
-		m.Running += r.Running
-		m.StillPending += r.StillPending
-		m.Failed += r.Failed
-		m.Displaced += r.Displaced
-		m.Reschedules += r.Reschedules
-		m.Kills += r.Kills
-		m.TransferredIn += r.TransferredIn
-		m.TransferredOut += r.TransferredOut
-		m.ScaleUps += r.ScaleUps
-		m.ScaleDowns += r.ScaleDowns
-		m.ProvisionRetries += r.ProvisionRetries
-		m.OptimizerRuns += r.OptimizerRuns
-		m.OptimizerFull += r.OptimizerFull
-		m.OptimizerMoves += r.OptimizerMoves
-		m.PeakNodes += r.PeakNodes
-		m.FinalNodes += r.FinalNodes
-		m.ReconcileRounds += r.ReconcileRounds
-		m.ReconcileActions += r.ReconcileActions
-		m.SpotProvisions += r.SpotProvisions
-		m.SpotRevocations += r.SpotRevocations
-		m.OnDemandFallbacks += r.OnDemandFallbacks
-		m.ZoneKills += r.ZoneKills
-		for i, v := range r.ZoneSpread {
-			if i >= len(m.ZoneSpread) {
-				m.ZoneSpread = append(m.ZoneSpread, 0)
-			}
-			m.ZoneSpread[i] += v
-		}
-		m.CostDollars += r.CostDollars
-		m.FinalCostPerH += r.FinalCostPerH
-		m.CostSpotDollars += r.CostSpotDollars
-		m.CostOnDemandDollars += r.CostOnDemandDollars
-		m.TTSSum += r.TTSSum
-		if r.TTSMax > m.TTSMax {
-			m.TTSMax = r.TTSMax
-		}
-	}
-	if m.Scheduled > 0 {
-		m.TTSMean = m.TTSSum / time.Duration(m.Scheduled)
-	}
-	m.Samples = cluster.MergeTrajectories(worlds)
-	return m
 }

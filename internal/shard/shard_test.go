@@ -319,3 +319,31 @@ func TestSingleWorldReplayMatchesPods(t *testing.T) {
 		}
 	}
 }
+
+// TestMergedSumsEveryCounter pins the population view of a Hostlo
+// replay: every int field of Merged is the sum of that field over the
+// worlds, optimizer and packing-cache counters included.
+func TestMergedSumsEveryCounter(t *testing.T) {
+	res := mustReplay(t, synthSource(t, 21, 40), Config{
+		Worlds:  4,
+		Audit:   true,
+		Cluster: cluster.Config{Policy: cluster.Hostlo, Seed: 21, Horizon: 8 * time.Hour},
+	})
+	if res.Worlds[0].OptimizerGroups == 0 {
+		t.Fatal("world 0 ran no optimizer groups; test lost its teeth")
+	}
+	merged := reflect.ValueOf(res.Merged)
+	typ, intType := merged.Type(), reflect.TypeOf(0)
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type != intType {
+			continue
+		}
+		sum := 0
+		for _, w := range res.Worlds {
+			sum += int(reflect.ValueOf(w).Field(i).Int())
+		}
+		if got := int(merged.Field(i).Int()); got != sum {
+			t.Errorf("Merged.%s = %d, worlds sum to %d", typ.Field(i).Name, got, sum)
+		}
+	}
+}

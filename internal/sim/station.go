@@ -66,9 +66,6 @@ func (s *Station) Servers() int { return s.servers }
 // QueueLen returns the number of jobs waiting (not in service).
 func (s *Station) QueueLen() int { return len(s.queue) }
 
-// Busy returns the number of servers currently occupied.
-func (s *Station) Busy() int { return s.busy }
-
 // SetWakeup configures the idle wake-up penalty: after idling longer
 // than threshold, the next job's service is extended by a sample of
 // Normal(mean, jitter) (floored at mean/4).

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -158,12 +157,6 @@ func (s *Series) ensureSorted() {
 		sort.Float64s(s.samples)
 		s.sorted = true
 	}
-}
-
-// Summary returns a one-line human-readable digest.
-func (s *Series) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g",
-		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Median(), s.Percentile(99), s.Max())
 }
 
 // Histogram counts samples into equal-width buckets over [lo, hi);

@@ -44,7 +44,10 @@ const magic = "NLW1"
 // ProvisionRetryEvery, RepackDirtyFrac).
 // v6 dropped the Hostlo pass knobs: the whole-fleet pass pin and the
 // pass worker count (a pass runs one way, serially, on its world's goroutine).
-const version = 6
+// v7 dropped the trajectory downsampler and the step guard: the sample
+// period, MaxSteps, SampleCap, the open partial window and each Sample's
+// window aggregates (the period is Horizon/12, derived at restore).
+const version = 7
 
 // maxRandDraws bounds the RNG stream positions the codec will accept.
 // Restoring a stream position replays that many draws, so an unbounded
@@ -76,10 +79,7 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.uvarint(uint64(s.Cfg.Policy))
 	e.dur(s.Cfg.Horizon)
 	e.dur(s.Cfg.BootDelay)
-	e.dur(s.Cfg.SampleEvery)
-	e.uvarint(s.Cfg.MaxSteps)
 	e.varint(int64(s.Cfg.PackCacheSize))
-	e.varint(int64(s.Cfg.SampleCap))
 	e.varint(int64(s.Cfg.Zones))
 	e.uvarint(uint64(len(s.Cfg.ZoneNames)))
 	for _, z := range s.Cfg.ZoneNames {
@@ -216,7 +216,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	for _, sm := range r.Samples {
 		e.sample(sm)
 	}
-	e.sample(s.TrajWin)
 
 	// Time-to-schedule series.
 	e.uvarint(uint64(len(s.TTS.Samples)))
@@ -290,10 +289,7 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	}
 	s.Cfg.Horizon = d.dur()
 	s.Cfg.BootDelay = d.dur()
-	s.Cfg.SampleEvery = d.dur()
-	s.Cfg.MaxSteps = d.uvarint()
 	s.Cfg.PackCacheSize = int(d.varint())
-	s.Cfg.SampleCap = int(d.varint())
 	s.Cfg.Zones = int(d.varint())
 	for i, n := 0, d.count(1); i < n; i++ {
 		s.Cfg.ZoneNames = append(s.Cfg.ZoneNames, d.str())
@@ -439,7 +435,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	for i, n := 0, d.count(12); i < n; i++ {
 		r.Samples = append(r.Samples, d.sample())
 	}
-	s.TrajWin = d.sample()
 
 	// Time-to-schedule series.
 	for i, n := 0, d.count(8); i < n; i++ {
@@ -549,12 +544,6 @@ func (e *enc) sample(s cluster.Sample) {
 	e.varint(int64(s.Nodes))
 	e.f64(s.UsedCPU)
 	e.f64(s.CapCPU)
-	e.varint(int64(s.Points))
-	e.f64(s.SumCostPerH)
-	e.varint(int64(s.SumPending))
-	e.varint(int64(s.SumNodes))
-	e.f64(s.SumUsedCPU)
-	e.f64(s.SumCapCPU)
 }
 
 // dec is the bounds-checked decoder: the first malformed read latches
@@ -684,18 +673,12 @@ func (d *dec) placedItems() []cloudsim.PlacedItem {
 
 func (d *dec) sample() cluster.Sample {
 	return cluster.Sample{
-		T:           sim.Time(d.varint()),
-		CostPerH:    d.f64(),
-		Pending:     int(d.varint()),
-		Nodes:       int(d.varint()),
-		UsedCPU:     d.f64(),
-		CapCPU:      d.f64(),
-		Points:      int(d.varint()),
-		SumCostPerH: d.f64(),
-		SumPending:  int(d.varint()),
-		SumNodes:    int(d.varint()),
-		SumUsedCPU:  d.f64(),
-		SumCapCPU:   d.f64(),
+		T:        sim.Time(d.varint()),
+		CostPerH: d.f64(),
+		Pending:  int(d.varint()),
+		Nodes:    int(d.varint()),
+		UsedCPU:  d.f64(),
+		CapCPU:   d.f64(),
 	}
 }
 

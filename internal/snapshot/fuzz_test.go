@@ -136,6 +136,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"version 3":  append([]byte("NLW1"), 3),
 		"version 4":  append([]byte("NLW1"), 4),
 		"version 5":  append([]byte("NLW1"), 5),
+		"version 6":  append([]byte("NLW1"), 6),
 		"truncated":  valid[:len(valid)-7],
 		"trailing":   append(append([]byte(nil), valid...), 0),
 	}
@@ -147,7 +148,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		}
 		// Older streams still carry retired fields (v3 the
 		// reference-scheduler bit, v4 the autoscaler mode and control
-		// periods, v5 the whole-fleet pass pin and pass worker count); they
+		// periods, v5 the whole-fleet pass pin and pass worker count, v6
+		// the sample period, step guard and trajectory windows); they
 		// must fail on the version, before any is parsed.
 		if v, ok := strings.CutPrefix(name, "version "); ok && !strings.Contains(err.Error(), "format version "+v) {
 			t.Errorf("%s: want the version error, got %v", name, err)

@@ -31,7 +31,7 @@ type Arg struct {
 func numArg(key string, v float64) Arg { return Arg{Key: key, Num: v, IsNum: true} }
 
 // Event is one trace record stamped with virtual time. Pid and Tid are
-// interned name handles (see Tracer.PidName/TidName); ID groups the
+// interned name handles (see Tracer.Pid/Tid); ID groups the
 // begin/step/end events of one async flow.
 type Event struct {
 	Ph   byte
@@ -102,12 +102,6 @@ func (t *Tracer) Pid(name string) int32 { return t.pids.id(name) }
 
 // Tid interns a thread-lane name and returns its handle.
 func (t *Tracer) Tid(name string) int32 { return t.tids.id(name) }
-
-// PidName resolves a process handle back to its name.
-func (t *Tracer) PidName(id int32) string { return t.pids.name(id) }
-
-// TidName resolves a thread handle back to its name.
-func (t *Tracer) TidName(id int32) string { return t.tids.name(id) }
 
 // add appends an event, tracking (pid, tid) pairs for metadata export.
 func (t *Tracer) add(e Event) {

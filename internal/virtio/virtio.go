@@ -139,11 +139,8 @@ func (n *NIC) SetGuestCPU(cpu *netsim.CPU) { n.guestCPU = cpu }
 // Backend returns the host-side backend.
 func (n *NIC) Backend() Backend { return n.backend }
 
-// TXDropped and RXDropped report ring overflows.
+// TXDropped reports transmit-ring overflows.
 func (n *NIC) TXDropped() uint64 { return n.tx.Dropped }
-
-// RXDropped reports receive-ring overflows.
-func (n *NIC) RXDropped() uint64 { return n.rx.Dropped }
 
 // guestLink is the transmit side seen by the guest stack.
 type guestLink struct{ nic *NIC }
