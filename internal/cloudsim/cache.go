@@ -192,6 +192,9 @@ func (pc *PackCache) Put(group, improved []PlacedVM) {
 		lru := pc.tail
 		pc.unlink(lru)
 		delete(pc.m, lru.key)
+		// A restored entry lives in a shared arena: drop its slices so
+		// the arena does not pin an evicted placement.
+		lru.input, lru.output = nil, nil
 		pc.evictions++
 	}
 	e := &packEntry{key: key, input: copyPlacement(group), output: improved}
@@ -202,10 +205,13 @@ func (pc *PackCache) Put(group, improved []PlacedVM) {
 // PackCacheEntry is one exported cache entry. Input and Output are the
 // cache-owned slices, immutable once installed (Put replaces the entry's
 // slice headers, never the backing arrays), so a snapshot and any number
-// of clones can share them copy-on-write.
+// of clones can share them copy-on-write. The entry also carries its
+// key, GroupKey(Input), filled by State or NewPackCacheState, so a
+// restore never re-hashes its input.
 type PackCacheEntry struct {
 	Input  []PlacedVM
 	Output []PlacedVM
+	key    packKey
 }
 
 // PackCacheState is the complete state of a PackCache: capacity, the
@@ -219,6 +225,17 @@ type PackCacheState struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+}
+
+// NewPackCacheState assembles a state from decoded parts, keying every
+// entry once, here. The state takes ownership of entries. A decoder
+// builds the state before anyone shares it, so no shared snapshot is
+// ever keyed lazily under concurrent restores.
+func NewPackCacheState(capacity int, entries []PackCacheEntry, hits, misses, evictions uint64) *PackCacheState {
+	for i := range entries {
+		entries[i].key = GroupKey(entries[i].Input)
+	}
+	return &PackCacheState{Cap: capacity, Entries: entries, Hits: hits, Misses: misses, Evictions: evictions}
 }
 
 // State captures the cache (nil cache → nil state). The entry slices
@@ -237,7 +254,7 @@ func (pc *PackCache) State() *PackCacheState {
 		Evictions: pc.evictions,
 	}
 	for e := pc.head; e != nil; e = e.next {
-		st.Entries = append(st.Entries, PackCacheEntry{Input: e.input, Output: e.output})
+		st.Entries = append(st.Entries, PackCacheEntry{Input: e.input, Output: e.output, key: e.key})
 	}
 	return st
 }
@@ -245,8 +262,9 @@ func (pc *PackCache) State() *PackCacheState {
 // RestorePackCache rebuilds a cache from a captured state, sharing the
 // entry slices copy-on-write (the cache never mutates installed slices,
 // so N restored branches and the original can all hold the same
-// backing arrays). A nil state, or one with a non-positive capacity,
-// restores the nil always-miss cache.
+// backing arrays). It hashes nothing: the keys travel with the state,
+// and the entries come from one arena. A nil state, or one with a
+// non-positive capacity, restores the nil always-miss cache.
 func RestorePackCache(st *PackCacheState) (*PackCache, error) {
 	if st == nil || st.Cap <= 0 {
 		return nil, nil
@@ -265,31 +283,24 @@ func RestorePackCache(st *PackCacheState) (*PackCache, error) {
 	}
 	// Entries are in recency order; pushing front from the least recent
 	// end reproduces the LRU list exactly.
+	arena := make([]packEntry, len(st.Entries))
 	for i := len(st.Entries) - 1; i >= 0; i-- {
-		se := st.Entries[i]
-		key := GroupKey(se.Input)
-		if _, dup := pc.m[key]; dup {
+		se := &st.Entries[i]
+		// A keyed entry's key counts its input's VMs. An entry nobody
+		// keyed holds the zero key, which is right only for an empty
+		// input.
+		if se.key.vms != len(se.Input) {
+			return nil, fmt.Errorf("cloudsim: pack cache state entry %d is not keyed", i)
+		}
+		if _, dup := pc.m[se.key]; dup {
 			return nil, fmt.Errorf("cloudsim: pack cache state has duplicate key (entry %d)", i)
 		}
-		e := &packEntry{key: key, input: se.Input, output: se.Output}
-		pc.m[key] = e
+		e := &arena[i]
+		*e = packEntry{key: se.key, input: se.Input, output: se.Output}
+		pc.m[se.key] = e
 		pc.pushFront(e)
 	}
 	return pc, nil
-}
-
-// Clone returns an independent cache with the same contents: private
-// map and LRU list, shared (immutable) entry slices. The clone and the
-// original diverge freely from here — the copy-on-write fork path.
-func (pc *PackCache) Clone() *PackCache {
-	if pc == nil {
-		return nil
-	}
-	clone, err := RestorePackCache(pc.State())
-	if err != nil { // unreachable: a live cache cannot hold duplicate keys
-		panic(err)
-	}
-	return clone
 }
 
 // Stats reports lifetime hit/miss/eviction counts.

@@ -2,8 +2,10 @@ package cloudsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -176,5 +178,201 @@ func TestNilPackCacheIsAlwaysMiss(t *testing.T) {
 	}
 	if h, m, e := pc.Stats(); h != 0 || m != 0 || e != 0 {
 		t.Fatal("nil cache has stats")
+	}
+}
+
+// sig is VMSigOf for a one-item VM.
+func sig(pod string, cpu, mem float64) VMSig {
+	return VMSigOf(0, []PlacedItem{{Pod: pod, CPU: cpu, Mem: mem}})
+}
+
+// TestVMSigOfPermutationInvariant: the signature is a function of the
+// item multiset, so any reordering of a VM's items keeps it.
+func TestVMSigOfPermutationInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		for _, pv := range randGroup(r, fmt.Sprintf("s%d", trial)) {
+			want := VMSigOf(pv.Type, pv.Items)
+			items := append([]PlacedItem(nil), pv.Items...)
+			r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+			if got := VMSigOf(pv.Type, items); got != want {
+				t.Fatalf("trial %d: permuted items changed the signature: %+v vs %+v", trial, got, want)
+			}
+		}
+	}
+}
+
+// TestVMSigOfSeparatesNames: pod names that differ only in their length
+// (a trailing zero byte, which the zero-padded tail alone would not
+// see) or in any single byte all get distinct signatures. Lengths run
+// 0–17, across every tail size (the hash reads 1–3 and 4–7 byte tails
+// differently) and both sides of each 8-byte word boundary, including
+// "p" vs "p\x00" and the 7-, 8-, 9- and 16-byte names.
+func TestVMSigOfSeparatesNames(t *testing.T) {
+	const letters = "abcdefghijklmnopq"
+	var names []string
+	for n := 0; n <= len(letters); n++ {
+		base := letters[:n]
+		names = append(names, base, base+"\x00", base+"\x00\x00")
+		for i := 0; i < n; i++ {
+			for _, c := range []string{"Z", "\x00"} {
+				names = append(names, base[:i]+c+base[i+1:])
+			}
+		}
+	}
+	names = append(names, "p", "p\x00")
+	slices.Sort(names)
+	names = slices.Compact(names) // "abc\x00" arises both as a flip and as a padding
+	seen := map[VMSig]string{}
+	for _, name := range names {
+		s := sig(name, 0.25, 0.5)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("names %q and %q share a signature", prev, name)
+		}
+		seen[s] = name
+	}
+}
+
+// TestItemHashWords checks itemHash's overlapping word reads against
+// the definition they implement, a byte-at-a-time fold of each 8-byte
+// word and of the zero-padded tail, for random names of every length
+// from 0 to 24.
+func TestItemHashWords(t *testing.T) {
+	ref := func(it PlacedItem) uint64 {
+		h := mix64(uint64(len(it.Pod)))
+		var w uint64
+		for i := 0; i < len(it.Pod); i++ {
+			w |= uint64(it.Pod[i]) << (8 * (i % 8))
+			if i%8 == 7 {
+				h, w = mix64(h^w), 0
+			}
+		}
+		h = mix64(h ^ w)
+		h = mix64(h ^ math.Float64bits(it.CPU))
+		return mix64(h ^ math.Float64bits(it.Mem))
+	}
+	r := rand.New(rand.NewSource(37))
+	for n := 0; n <= 24; n++ {
+		for trial := 0; trial < 20; trial++ {
+			b := make([]byte, n)
+			r.Read(b)
+			it := PlacedItem{Pod: string(b), CPU: r.Float64(), Mem: r.Float64()}
+			if got, want := itemHash(it), ref(it); got != want {
+				t.Fatalf("name %q: itemHash %#x, byte-wise fold %#x", it.Pod, got, want)
+			}
+		}
+	}
+}
+
+// TestVMSigOfSeparatesRequests: a one-bit flip anywhere in the CPU or
+// memory request changes the signature (the hash reads the raw bits).
+func TestVMSigOfSeparatesRequests(t *testing.T) {
+	const pod, cpu, mem = "u12-p3", 0.375, 0.625
+	want := sig(pod, cpu, mem)
+	flip := func(f float64, bit int) float64 { return math.Float64frombits(math.Float64bits(f) ^ 1<<bit) }
+	for bit := 0; bit < 64; bit++ {
+		if sig(pod, flip(cpu, bit), mem) == want {
+			t.Fatalf("flipping CPU bit %d kept the signature", bit)
+		}
+		if sig(pod, cpu, flip(mem, bit)) == want {
+			t.Fatalf("flipping Mem bit %d kept the signature", bit)
+		}
+	}
+	if sig(pod, mem, cpu) == want {
+		t.Fatal("swapping CPU and Mem kept the signature")
+	}
+}
+
+// samePackState reports whether two states hold the same entries
+// (content and key) in the same recency order, with the same counters.
+func samePackState(a, b *PackCacheState) bool {
+	if a.Cap != b.Cap || a.Hits != b.Hits || a.Misses != b.Misses || a.Evictions != b.Evictions ||
+		len(a.Entries) != len(b.Entries) {
+		return false
+	}
+	for i := range a.Entries {
+		ea, eb := a.Entries[i], b.Entries[i]
+		if ea.key != eb.key || !equalPlacement(ea.Input, eb.Input) || !equalPlacement(ea.Output, eb.Output) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRestoredPackCacheKeys: a cache restored from carried keys is the
+// live cache. Two states are restored — the captured one (keys copied
+// from the live entries) and one assembled the way the snapshot decoder
+// assembles it (fresh copies of every slice, keyed once by
+// NewPackCacheState). Each must list every entry under GroupKey(input),
+// restore to a cache whose State equals the live cache's, and then
+// answer the same probe sequence with the same hits, misses and outputs.
+func TestRestoredPackCacheKeys(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	live := NewPackCache(16)
+	var groups [][]PlacedVM
+	for i := 0; i < 40; i++ { // past capacity: evictions happen
+		g := randGroup(r, fmt.Sprintf("k%d", i))
+		groups = append(groups, g)
+		live.Put(g, OptimizeHostlo(g, Catalog()))
+		if r.Intn(3) == 0 { // shuffle recency, score hits and misses
+			live.Get(groups[r.Intn(len(groups))])
+		}
+	}
+	captured := live.State()
+	var copies []PackCacheEntry
+	for _, e := range captured.Entries {
+		copies = append(copies, PackCacheEntry{Input: copyPlacement(e.Input), Output: copyPlacement(e.Output)})
+	}
+	decoded := NewPackCacheState(captured.Cap, copies, captured.Hits, captured.Misses, captured.Evictions)
+
+	var probes [][]PlacedVM
+	for i := 0; i < 120; i++ {
+		probes = append(probes, groups[r.Intn(len(groups))])
+	}
+	probes = append(probes, randGroup(r, "fresh"))
+
+	states := map[string]*PackCacheState{"captured": captured, "decoded": decoded}
+	restored := map[string]*PackCache{}
+	for name, st := range states {
+		for i, e := range st.Entries {
+			if e.key != GroupKey(e.Input) {
+				t.Fatalf("%s: entry %d carries key %+v, GroupKey gives %+v", name, i, e.key, GroupKey(e.Input))
+			}
+		}
+		pc, err := RestorePackCache(st)
+		if err != nil {
+			t.Fatalf("%s: RestorePackCache: %v", name, err)
+		}
+		if !samePackState(pc.State(), captured) {
+			t.Fatalf("%s: restored state differs from the live cache's", name)
+		}
+		restored[name] = pc
+	}
+	for i, g := range probes {
+		want, wantOK := live.Get(g)
+		for name, pc := range restored {
+			if got, ok := pc.Get(g); ok != wantOK || !equalPlacement(got, want) {
+				t.Fatalf("%s: probe %d: hit %v, live cache hit %v", name, i, ok, wantOK)
+			}
+		}
+	}
+	for name, pc := range restored {
+		if !samePackState(pc.State(), live.State()) {
+			t.Fatalf("%s: state after the probes differs from the live cache's", name)
+		}
+	}
+	if h, m, _ := live.Stats(); h == captured.Hits || m == captured.Misses {
+		t.Fatalf("probes scored %d hits and %d misses; want both", h-captured.Hits, m-captured.Misses)
+	}
+}
+
+// TestRestorePackCacheRejectsUnkeyed: a state whose entries were never
+// keyed (built by hand rather than by State or NewPackCacheState) is
+// refused instead of restoring a cache that could never hit.
+func TestRestorePackCacheRejectsUnkeyed(t *testing.T) {
+	g := randGroup(rand.New(rand.NewSource(31)), "u")
+	st := &PackCacheState{Cap: 4, Entries: []PackCacheEntry{{Input: g, Output: g}}}
+	if _, err := RestorePackCache(st); err == nil {
+		t.Fatal("unkeyed state restored")
 	}
 }

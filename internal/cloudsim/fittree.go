@@ -112,6 +112,24 @@ func (x *FitNode) update() {
 	x.maxCPU, x.maxMem, x.maxSum, x.maxMin = c, m, s, mn
 }
 
+// fold raises x's maxima to cover y's. On an insert path that is
+// exact for every ancestor no rotation moved, whose subtree gained only
+// the new node, and cheaper than update, which re-reads both children.
+func (x *FitNode) fold(y *FitNode) {
+	if y.maxCPU > x.maxCPU {
+		x.maxCPU = y.maxCPU
+	}
+	if y.maxMem > x.maxMem {
+		x.maxMem = y.maxMem
+	}
+	if y.maxSum > x.maxSum {
+		x.maxSum = y.maxSum
+	}
+	if y.maxMin > x.maxMin {
+		x.maxMin = y.maxMin
+	}
+}
+
 func rotRight(x *FitNode) *FitNode {
 	l := x.l
 	x.l = l.r
@@ -136,6 +154,9 @@ type FitTree struct {
 	root  *FitNode
 	n     int
 	spine []*FitNode // BuildSorted's right-spine stack, kept for reuse
+	// settled is set during a Delete once an ancestor's maxima come out
+	// unchanged: every ancestor above it is then unchanged too.
+	settled bool
 }
 
 // Len reports the number of indexed nodes.
@@ -165,7 +186,7 @@ func insert(t, x *FitNode) *FitNode {
 			return rotLeft(t)
 		}
 	}
-	t.update()
+	t.fold(x)
 	return t
 }
 
@@ -173,12 +194,18 @@ func insert(t, x *FitNode) *FitNode {
 // must be the stored one — and reports whether it was present.
 func (t *FitTree) Delete(score float64, ord int) bool {
 	n := t.n
+	t.settled = false
 	t.root = t.delete(t.root, score, ord)
 	return t.n < n
 }
 
+// delete removes the entry below x and returns the new subtree root.
+// Aggregates are recomputed bottom-up only until one comes out
+// unchanged: the subtree beneath it lost the entry (and any rotations
+// stayed inside it), so every ancestor's maxima are unchanged as well.
 func (t *FitTree) delete(x *FitNode, score float64, ord int) *FitNode {
 	if x == nil {
+		t.settled = true // absent: nothing changed
 		return nil
 	}
 	if x.Score == score && x.Ord == ord {
@@ -202,7 +229,11 @@ func (t *FitTree) delete(x *FitNode, score float64, ord int) *FitNode {
 	} else {
 		x.l = t.delete(x.l, score, ord)
 	}
-	x.update()
+	if !t.settled {
+		c, m, s, mn := x.maxCPU, x.maxMem, x.maxSum, x.maxMin
+		x.update()
+		t.settled = x.maxCPU == c && x.maxMem == m && x.maxSum == s && x.maxMin == mn
+	}
 	return x
 }
 

@@ -14,7 +14,9 @@ import (
 // combined across trees with the incumbent threaded through (the
 // scheduler's cross-type query), the RevEach order, BuildSorted against
 // one-at-a-time inserts (same answers and the same shape), and Len
-// after deletes.
+// after deletes. After every insert, re-key and delete it also checks
+// each node's four subtree maxima against a fresh fold (checkMaxima):
+// a stale aggregate can leave every answer right while it lasts.
 func TestFitTreeMatchesScan(t *testing.T) {
 	const types = 3
 	for seed := int64(1); seed <= 5; seed++ {
@@ -27,12 +29,14 @@ func TestFitTreeMatchesScan(t *testing.T) {
 		insert := func(ord int) {
 			live[ord] = &FitNode{FreeCPU: q(), FreeMem: q(), Score: float64(r.Intn(5)), Ord: ord}
 			trees[typ[ord]].Insert(live[ord])
+			checkMaxima(t, trees[typ[ord]].root)
 		}
 		remove := func(ord int) {
 			tr := &trees[typ[ord]]
 			if !tr.Delete(live[ord].Score, ord) || tr.Delete(live[ord].Score, ord) {
 				t.Fatalf("seed %d: delete of ord %d did not remove exactly once", seed, ord)
 			}
+			checkMaxima(t, tr.root)
 			live[ord] = nil
 		}
 		// scan is the linear oracle: the best live entry of type ty (-1 =
@@ -127,6 +131,46 @@ func TestFitTreeMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkMaxima fails the test unless every node's maxCPU, maxMem, maxSum
+// and maxMin equal a fresh fold of its own free snapshots and its
+// children's stored maxima, which, checked at every node, makes each
+// stored aggregate the exact maximum over its subtree.
+func checkMaxima(t *testing.T, root *FitNode) {
+	t.Helper()
+	if x := staleMaxima(root); x != nil {
+		t.Fatalf("ord %d: maxima (cpu, mem, sum, min) %v, a fresh fold gives %v",
+			x.Ord, [4]float64{x.maxCPU, x.maxMem, x.maxSum, x.maxMin}, freshMaxima(x))
+	}
+}
+
+// staleMaxima returns the first node, in preorder, whose stored maxima
+// differ from freshMaxima, or nil.
+func staleMaxima(x *FitNode) *FitNode {
+	if x == nil {
+		return nil
+	}
+	if [4]float64{x.maxCPU, x.maxMem, x.maxSum, x.maxMin} != freshMaxima(x) {
+		return x
+	}
+	if bad := staleMaxima(x.l); bad != nil {
+		return bad
+	}
+	return staleMaxima(x.r)
+}
+
+// freshMaxima folds x's own free snapshots with its children's stored
+// maxima: (maxCPU, maxMem, maxSum, maxMin).
+func freshMaxima(x *FitNode) [4]float64 {
+	c, m := x.FreeCPU, x.FreeMem
+	want := [4]float64{c, m, c + m, min(c, m)}
+	for _, ch := range [2]*FitNode{x.l, x.r} {
+		if ch != nil {
+			want = [4]float64{max(want[0], ch.maxCPU), max(want[1], ch.maxMem), max(want[2], ch.maxSum), max(want[3], ch.maxMin)}
+		}
+	}
+	return want
 }
 
 // sameShape reports whether two treaps have the same keys in the same

@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -76,10 +77,11 @@ type fleet struct {
 // value is ready to use; buffers grow to the high-water mark of the
 // call and stay there.
 type optScratch struct {
-	order []int      // consolidate: candidate visit order
-	items []item     // consolidate: sorted copy of the source VM's items
-	plan  []consMove // consolidate: tentative moves, kept for revert
-	ffd   []item     // packContainersFFD: sorted copy of the input
+	order  []int      // consolidate: candidate visit order
+	wastes []float64  // consolidate: each VM's waste at entry, by position
+	items  []item     // consolidate: sorted copy of the source VM's items
+	plan   []consMove // consolidate: tentative moves, kept for revert
+	ffd    []item     // packContainersFFD: sorted copy of the input
 
 	// packContainersFFD's sub-fleet arenas. The returned fleet aliases
 	// them, so it is only valid until the next call with the same
@@ -542,13 +544,21 @@ var consolidateIndexThreshold = 24
 // be rehomed is left untouched. Reports whether anything moved.
 func (f *fleet) consolidate() bool {
 	sc := f.sc()
-	order := sc.order[:0]
-	for i := range f.vms {
+	// Sort keys are computed once per VM, not twice per comparison.
+	order, wastes := sc.order[:0], sc.wastes[:0]
+	for i, v := range f.vms {
 		order = append(order, i)
+		wastes = append(wastes, v.waste(f.catalog))
 	}
-	sc.order = order
-	sort.SliceStable(order, func(a, b int) bool {
-		return f.vms[order[a]].waste(f.catalog) > f.vms[order[b]].waste(f.catalog)
+	sc.order, sc.wastes = order, wastes
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case wastes[a] > wastes[b]:
+			return -1
+		case wastes[a] < wastes[b]:
+			return 1
+		}
+		return 0
 	})
 
 	// Above the threshold, index every VM by (waste desc, position asc)
@@ -559,7 +569,7 @@ func (f *fleet) consolidate() bool {
 	if len(f.vms) >= consolidateIndexThreshold {
 		ix = &sc.vmix
 		ix.reset(f.catalog, len(f.vms))
-		ix.buildSorted(f, order)
+		ix.buildSorted(f, order, wastes)
 	}
 
 	moved := false

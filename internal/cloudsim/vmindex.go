@@ -38,10 +38,10 @@ func (ix *vmIndex) reset(cat []VMType, n int) {
 // buildSorted bulk-loads every VM of f from order, which lists the
 // ordinals in tree order — (waste desc, ordinal asc), exactly
 // consolidate's visit order — through the O(n) FitTree.BuildSorted.
-func (ix *vmIndex) buildSorted(f *fleet, order []int) {
+// wastes holds each VM's current waste by ordinal.
+func (ix *vmIndex) buildSorted(f *fleet, order []int, wastes []float64) {
 	for _, ord := range order {
-		v := f.vms[ord]
-		ix.handles[ord] = ix.fill(v, ord, v.waste(ix.cat))
+		ix.handles[ord] = ix.fill(f.vms[ord], ord, wastes[ord])
 	}
 	ix.tree.BuildSorted(ix.arena, order)
 }

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"nestless/internal/sim"
@@ -107,7 +107,7 @@ func (c *Cluster) createNode(typ, zone int, spot bool, now sim.Time) *node {
 		zone:      zone,
 		spot:      spot,
 	}
-	n.name = fmt.Sprintf("n%d", n.id)
+	n.name = "n" + strconv.Itoa(n.id)
 	n.faultPoint = "node/" + n.name
 	if spot {
 		n.spotPoint = "spot/" + n.name

@@ -315,7 +315,9 @@ type podRun struct {
 
 // node is one live (or dead) VM instance.
 type node struct {
-	id        int
+	id int
+	// name is "n<id>", set when the node goes live: a node restored
+	// dead has none, so the audit names nodes by id.
 	name      string
 	typ       int
 	usedCPU   float64
@@ -325,7 +327,7 @@ type node struct {
 	idleSince sim.Time
 	live      bool
 
-	faultPoint string  // "node/<name>", precomputed for the tick loop
+	faultPoint string  // "node/<name>", precomputed for the tick loop (live nodes only)
 	indexed    bool    // currently present in the capacity index
 	idxScore   float64 // the stored index key (exact delete needs it)
 	dirty      bool    // touched since the last Hostlo optimize pass
@@ -333,7 +335,7 @@ type node struct {
 	// Cloud-model identity, fixed at creation.
 	zone      int     // failure-domain index, < Config.Zones
 	spot      bool    // preemptible capacity
-	spotPoint string  // "spot/<name>" when spot, else ""
+	spotPoint string  // "spot/n<id>" when spot, else ""
 	priceH    float64 // effective $/h (on-demand price × spot discount)
 }
 
@@ -820,10 +822,10 @@ func (c *Cluster) Leaks() []string {
 	for _, n := range c.nodes {
 		if !n.live {
 			if len(n.items) != 0 {
-				leakf("dead node %s still holds %d items", n.name, len(n.items))
+				leakf("dead node n%d still holds %d items", n.id, len(n.items))
 			}
 			if n.indexed {
-				leakf("dead node %s still in the capacity index", n.name)
+				leakf("dead node n%d still in the capacity index", n.id)
 			}
 			continue
 		}
@@ -877,14 +879,14 @@ func (c *Cluster) Leaks() []string {
 	spotLive := 0
 	for _, n := range c.nodes {
 		if n.zone < 0 || n.zone >= c.cfg.Zones {
-			leakf("node %s in zone %d of %d", n.name, n.zone, c.cfg.Zones)
+			leakf("node n%d in zone %d of %d", n.id, n.zone, c.cfg.Zones)
 			continue
 		}
 		if n.spot != (n.spotPoint != "") {
-			leakf("node %s: spot %v but spot point %q", n.name, n.spot, n.spotPoint)
+			leakf("node n%d: spot %v but spot point %q", n.id, n.spot, n.spotPoint)
 		}
 		if want := c.price(n.typ, n.zone, n.spot); n.priceH != want {
-			leakf("node %s: price %v/h, want %v/h", n.name, n.priceH, want)
+			leakf("node n%d: price %v/h, want %v/h", n.id, n.priceH, want)
 		}
 		if n.live {
 			zoneLive[n.zone]++

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"nestless/internal/cloudsim"
@@ -298,7 +299,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 			}
 		}
 	}
-	liveSeen := make(map[int32]bool, len(s.LiveList))
+	liveSeen := make([]bool, nNodes)
 	for _, nid := range s.LiveList {
 		if nid < 0 || int(nid) >= nNodes {
 			return nil, fmt.Errorf("cluster: live list names node %d of %d", nid, nNodes)
@@ -312,7 +313,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	for i := range s.Nodes {
 		if s.Nodes[i].Live {
 			liveCount++
-			if !liveSeen[int32(i)] {
+			if !liveSeen[i] {
 				return nil, fmt.Errorf("cluster: live node %d missing from the live list", i)
 			}
 		}
@@ -426,9 +427,16 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	c.tts.SetState(s.TTS)
 
 	// Pods: runtime state verbatim, derived sums recomputed (canonical
-	// container-order accumulation, identical to New's).
+	// container-order accumulation, identical to New's). Placement maps
+	// share one arena, each capped at its own length so an append
+	// reallocates instead of running into the next pod's.
 	c.pods = make([]podRun, nPods)
 	c.podIndex = make(map[string]int, nPods)
+	onTotal := 0
+	for i := range s.Pods {
+		onTotal += len(s.Pods[i].OnNodes)
+	}
+	onArena := make([]int, 0, onTotal)
 	for i := range s.Pods {
 		ps := &s.Pods[i]
 		p := podRun{
@@ -446,10 +454,11 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 			displaced:     ps.Displaced,
 		}
 		if len(ps.OnNodes) > 0 {
-			p.onNodes = make([]int, len(ps.OnNodes))
-			for k, nid := range ps.OnNodes {
-				p.onNodes[k] = int(nid)
+			start := len(onArena)
+			for _, nid := range ps.OnNodes {
+				onArena = append(onArena, int(nid))
 			}
+			p.onNodes = onArena[start:len(onArena):len(onArena)]
 		}
 		c.pods[i] = p
 		if _, dup := c.podIndex[ps.Pod.ID]; !dup {
@@ -460,25 +469,43 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	// Nodes: identity and items verbatim, used sums by canonical
 	// recompute, index keys from the recomputed sums (tree shape is
 	// history-independent, so insertion in id order reproduces the
-	// query structure; the version counter restores explicitly).
+	// query structure; the version counter restores explicitly). All
+	// nodes come from one arena and their item lists from another (each
+	// list capped like the placement maps above). Only live nodes get a
+	// name and a fault point: kill targets and the tick loop address
+	// live nodes alone, and a node goes live only in createNode, which
+	// builds its own.
 	c.initZones()
 	c.nodes = make([]*node, nNodes)
+	arena := make([]node, nNodes)
+	itemTotal := 0
+	for i := range s.Nodes {
+		itemTotal += len(s.Nodes[i].Items)
+	}
+	itemArena := make([]cloudsim.PlacedItem, 0, itemTotal)
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
-		n := &node{
+		n := &arena[i]
+		*n = node{
 			id:        i,
-			name:      fmt.Sprintf("n%d", i),
 			typ:       int(ns.Typ),
 			zone:      int(ns.Zone),
 			spot:      ns.Spot,
 			bornAt:    ns.BornAt,
 			idleSince: ns.IdleSince,
 			live:      ns.Live,
-			items:     append([]cloudsim.PlacedItem(nil), ns.Items...),
 		}
-		n.faultPoint = "node/" + n.name
+		if len(ns.Items) > 0 {
+			start := len(itemArena)
+			itemArena = append(itemArena, ns.Items...)
+			n.items = itemArena[start:len(itemArena):len(itemArena)]
+		}
+		if n.live {
+			n.name = "n" + strconv.Itoa(i)
+			n.faultPoint = "node/" + n.name
+		}
 		if n.spot {
-			n.spotPoint = "spot/" + n.name
+			n.spotPoint = "spot/n" + strconv.Itoa(i)
 		}
 		n.priceH = c.price(n.typ, n.zone, n.spot)
 		n.recompute()

@@ -110,8 +110,9 @@ func (e Event) Key() string {
 	return e.Pod
 }
 
-// FNV-1a, the repository's standard content hash (cloudsim's item hash
-// under VMSigOf uses the same constants).
+// FNV-1a, the repository's standard content hash for anything that
+// must stay stable across releases: world and replay digests, golden
+// lines and this partition, whose shard assignment is observable.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211

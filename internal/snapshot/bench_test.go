@@ -12,15 +12,15 @@ import (
 // 200-user Hostlo world with faults, advanced to mid-horizon — large
 // enough that Capture walks a real fleet, queue and packing cache,
 // small enough that a restore-and-continue iteration stays cheap.
-func benchWorld(b *testing.B) *cluster.Cluster {
-	b.Helper()
+func benchWorld(tb testing.TB) *cluster.Cluster {
+	tb.Helper()
 	cfg := cluster.Config{
 		Seed:      42,
 		Pods:      churnPods(42, 200),
 		Policy:    cluster.Hostlo,
 		Horizon:   4 * time.Hour,
 		BootDelay: 30 * time.Second,
-		Faults:    mustSpec(b, "node/*:crash:p=0.02;node/provision:fail:p=0.1"),
+		Faults:    mustSpec(tb, "node/*:crash:p=0.02;node/provision:fail:p=0.1"),
 	}
 	c := cluster.New(cfg)
 	c.Arm()
@@ -28,11 +28,12 @@ func benchWorld(b *testing.B) *cluster.Cluster {
 	return c
 }
 
-// BenchmarkSnapshotFork measures the three legs of the what-if loop:
+// BenchmarkSnapshotFork measures the legs of the what-if loop:
 // capturing a running world, round-tripping it through the binary
-// codec, and restoring a branch that continues to the horizon. Every
-// leg reports forks/s — the service-facing rate — which the CI gate
-// tracks against BENCH_core.json.
+// codec, restoring a branch alone, and restoring a branch that
+// continues to the horizon. Every leg reports forks/s — the
+// service-facing rate — which the CI gate tracks against
+// BENCH_core.json.
 func BenchmarkSnapshotFork(b *testing.B) {
 	b.Run("capture", func(b *testing.B) {
 		c := benchWorld(b)
@@ -77,6 +78,21 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		}
 	})
 
+	b.Run("restore", func(b *testing.B) {
+		snap := benchSnapshot(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cluster.Restore(snap, cluster.RestoreOpts{}); err != nil {
+				b.Fatalf("Restore: %v", err)
+			}
+		}
+		b.StopTimer()
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(b.N)/secs, "forks/s")
+		}
+	})
+
 	b.Run("restore-continue", func(b *testing.B) {
 		c := benchWorld(b)
 		snap, err := c.Capture()
@@ -101,4 +117,35 @@ func BenchmarkSnapshotFork(b *testing.B) {
 			b.ReportMetric(float64(b.N)/secs, "forks/s")
 		}
 	})
+}
+
+// benchSnapshot captures the benchmark world.
+func benchSnapshot(tb testing.TB) *cluster.Snapshot {
+	tb.Helper()
+	snap, err := benchWorld(tb).Capture()
+	if err != nil {
+		tb.Fatalf("Capture: %v", err)
+	}
+	return snap
+}
+
+// TestRestoreAllocs pins Restore's allocations on the benchmark world
+// (232 nodes, 53 of them live, 1,125 pods, 88 pending events) at the
+// count measured when node storage moved to arenas, 233 under Go 1.24,
+// plus 10%. Before that, Restore made 885: a heap object, a name and a
+// fault point for every node, dead or alive, and a slice for each live
+// node's items and each placed pod's placement map. A regression to
+// per-node or per-pod objects fails here long before it shows in a
+// timing.
+func TestRestoreAllocs(t *testing.T) {
+	const maxAllocs = 256
+	snap := benchSnapshot(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := cluster.Restore(snap, cluster.RestoreOpts{}); err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("Restore made %v allocations, want at most %d", allocs, maxAllocs)
+	}
 }

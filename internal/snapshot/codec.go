@@ -472,9 +472,10 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 
 	// Packing cache.
 	if d.bool() {
-		pc := &cloudsim.PackCacheState{Cap: int(d.varint())}
+		capacity := int(d.varint())
+		var entries []cloudsim.PackCacheEntry
 		for i, n := 0, d.count(2); i < n; i++ {
-			pc.Entries = append(pc.Entries, cloudsim.PackCacheEntry{
+			entries = append(entries, cloudsim.PackCacheEntry{
 				Input:  d.placedVMs(),
 				Output: d.placedVMs(),
 			})
@@ -482,10 +483,10 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 				return nil, d.err
 			}
 		}
-		pc.Hits = d.uvarint()
-		pc.Misses = d.uvarint()
-		pc.Evictions = d.uvarint()
-		s.Pack = pc
+		hits, misses, evictions := d.uvarint(), d.uvarint(), d.uvarint()
+		// Keys are not serialized: the constructor derives them once,
+		// before the snapshot is shared with concurrent restores.
+		s.Pack = cloudsim.NewPackCacheState(capacity, entries, hits, misses, evictions)
 	}
 
 	if d.err != nil {

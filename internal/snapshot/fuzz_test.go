@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nestless/internal/cloudsim"
 	"nestless/internal/cluster"
 	"nestless/internal/sim"
 )
@@ -172,6 +173,52 @@ func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 		_, err = cluster.Restore(s, cluster.RestoreOpts{})
 		if took := time.Since(start); err == nil || took > time.Second {
 			t.Errorf("%s: Restore returned %v after %v, want an error within 1s", h.name, err, took)
+		}
+	}
+}
+
+// TestDecodedPackCacheKeys: the codec does not serialize cache keys, so
+// Decode must derive them. A cache restored from the decoded state must
+// hit on every entry's own input, exactly as one restored from the
+// captured state does, and report the same counters.
+func TestDecodedPackCacheKeys(t *testing.T) {
+	c := cluster.New(cluster.Config{
+		Seed:      42,
+		Pods:      churnPods(42, 40),
+		Policy:    cluster.Hostlo,
+		Horizon:   4 * time.Hour,
+		BootDelay: 30 * time.Second,
+	})
+	c.Arm()
+	c.Advance(sim.Time(2 * time.Hour))
+	snap, err := c.Capture()
+	if err != nil {
+		t.Fatalf("Capture: %v", err)
+	}
+	if len(snap.Pack.Entries) == 0 {
+		t.Fatal("world built no packing-cache entries")
+	}
+	enc, err := Encode(snap)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	dec, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	for name, st := range map[string]*cloudsim.PackCacheState{"captured": snap.Pack, "decoded": dec.Pack} {
+		pc, err := cloudsim.RestorePackCache(st)
+		if err != nil {
+			t.Fatalf("%s: RestorePackCache: %v", name, err)
+		}
+		for i, e := range st.Entries {
+			if _, ok := pc.Get(e.Input); !ok {
+				t.Fatalf("%s: entry %d misses on its own input", name, i)
+			}
+		}
+		hits, misses, ev := pc.Stats()
+		if want := snap.Pack.Hits + uint64(len(st.Entries)); hits != want || misses != snap.Pack.Misses || ev != snap.Pack.Evictions {
+			t.Fatalf("%s: stats %d/%d/%d, want %d/%d/%d", name, hits, misses, ev, want, snap.Pack.Misses, snap.Pack.Evictions)
 		}
 	}
 }
