@@ -142,6 +142,9 @@ func (u Usage) String() string {
 // The zero value is NOT ready to use; call New.
 type Accountant struct {
 	usages map[string]*Usage
+	// epoch counts Resets; a caller caching Entry pointers resolves them
+	// again when it moves.
+	epoch uint64
 }
 
 // New returns an empty accountant.
@@ -151,13 +154,26 @@ func New() *Accountant {
 
 // Record bills d of category c to entity.
 func (a *Accountant) Record(entity string, c Category, d time.Duration) {
+	a.Entry(entity).Add(c, d)
+}
+
+// Entry returns entity's live usage record, creating it (and listing
+// the entity in Entities) if it has none yet. Adding to the record is
+// billing: a hot caller resolves the entry once and charges it
+// directly, skipping Record's name lookup. The pointer is live until
+// the next Reset, which Epoch reports.
+func (a *Accountant) Entry(entity string) *Usage {
 	u, ok := a.usages[entity]
 	if !ok {
 		u = &Usage{}
 		a.usages[entity] = u
 	}
-	u.Add(c, d)
+	return u
 }
+
+// Epoch returns the number of Resets so far. An Entry pointer obtained
+// at one epoch is detached from the accountant at any later one.
+func (a *Accountant) Epoch() uint64 { return a.epoch }
 
 // Usage returns a copy of the entity's accumulated usage. Unknown
 // entities report zero usage.
@@ -190,7 +206,8 @@ func (a *Accountant) TotalFor(prefix string) Usage {
 	return total
 }
 
-// Reset clears all recorded usage.
+// Reset clears all recorded usage and starts a new epoch.
 func (a *Accountant) Reset() {
 	a.usages = make(map[string]*Usage)
+	a.epoch++
 }

@@ -143,3 +143,25 @@ func TestUsageAlgebraProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestEntryIsLive(t *testing.T) {
+	a := New()
+	u := a.Entry("vm/x")
+	if ents := a.Entities(); len(ents) != 1 || ents[0] != "vm/x" {
+		t.Fatalf("Entities after Entry = %v, want [vm/x]", ents)
+	}
+	u.Add(Guest, time.Second)
+	a.Record("vm/x", Guest, time.Second)
+	if a.Entry("vm/x") != u || a.Usage("vm/x").Of(Guest) != 2*time.Second {
+		t.Fatalf("Entry is not the record Record charges: %v", a.Usage("vm/x"))
+	}
+	epoch := a.Epoch()
+	a.Reset()
+	if a.Epoch() == epoch {
+		t.Fatal("Reset did not move the epoch")
+	}
+	u.Add(Guest, time.Second) // a detached record bills nothing
+	if a.Usage("vm/x").Total() != 0 || len(a.Entities()) != 0 {
+		t.Fatalf("a pre-Reset entry still bills: %v", a.Usage("vm/x"))
+	}
+}

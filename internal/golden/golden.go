@@ -4,11 +4,13 @@
 // one line per pinned case: the case name, then the fields Line
 // formats — the world or replay digest, an FNV-1a hash of the
 // fmt "%+v" rendering of the Result, and an FNV-1a hash of the
-// telemetry text trace plus metrics table. Lines starting with '#' are
-// comments. Tests open the corpus for one name prefix, check every case
-// they run against it, and fail on any mismatch, any case missing from
-// the file, and any line under their prefix that no case visited — so
-// a corpus can neither drift nor go stale silently.
+// telemetry text trace plus metrics table (the figure corpus formats
+// its own fields: hashes of table text, trace and every metrics table).
+// Lines starting with '#' are comments. Tests open the corpus for one
+// name prefix, check every case they run against it, and fail on any
+// mismatch, any case missing from the file, and any line under their
+// prefix that no case visited — so a corpus can neither drift nor go
+// stale silently.
 //
 // There is no re-record mode. A failing check prints the complete
 // replacement line; after an intended behaviour change, paste the

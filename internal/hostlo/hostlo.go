@@ -13,6 +13,7 @@ package hostlo
 
 import (
 	"fmt"
+	"time"
 
 	"nestless/internal/cpuacct"
 	"nestless/internal/faults"
@@ -63,6 +64,7 @@ type Device struct {
 	mode    Mode
 
 	queues []*Queue
+	free   []*fanout // idle fan-outs for reuse
 
 	// Faults, when set, lets the injector stall or drop traffic at the
 	// device's queues (point "hostlo/<name>"). Wired by the VMM when the
@@ -153,7 +155,8 @@ func (q *Queue) reflect(f *netsim.Frame) {
 	q.RX++
 	size := f.PayloadLen()
 
-	targets := make([]*Queue, 0, len(d.queues))
+	fo := d.getFanout()
+	targets := fo.targets
 	switch d.mode {
 	case FilterMAC:
 		if f.Dst.IsBroadcast() {
@@ -183,6 +186,7 @@ func (q *Queue) reflect(f *netsim.Frame) {
 	}
 
 	if len(targets) == 0 {
+		d.putFanout(fo)
 		return
 	}
 	if rec := d.hostCPU.Rec; rec != nil {
@@ -193,19 +197,52 @@ func (q *Queue) reflect(f *netsim.Frame) {
 	}
 	// One copy per queue, charged incrementally: early queues receive
 	// their frame without waiting for the rest of the fan-out.
-	per := d.costs.HostloReflect.For(size)
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(targets) {
-			return
-		}
-		t := targets[i]
-		d.hostCPU.RunCosts([]netsim.Charge{{Cat: cpuacct.Sys, D: per}}, func() {
-			t.TX++
-			d.Reflected++
-			t.ep.InjectToGuest(f.Clone())
-			step(i + 1)
-		})
+	fo.f, fo.targets, fo.per = f, targets, d.costs.HostloReflect.For(size)
+	d.hostCPU.RunCosts([]netsim.Charge{{Cat: cpuacct.Sys, D: fo.per}}, fo.step)
+}
+
+// fanout is one frame's reflect in progress: the queues it goes to, in
+// order, and how many have been served. Fan-outs are recycled per
+// device, each with its step callback bound once, so a reflect
+// allocates no closure, target list or step chain.
+type fanout struct {
+	d       *Device
+	f       *netsim.Frame
+	per     time.Duration // reflect cost per copy
+	targets []*Queue
+	next    int
+	step    func()
+}
+
+func (d *Device) getFanout() *fanout {
+	if last := len(d.free) - 1; last >= 0 {
+		fo := d.free[last]
+		d.free = d.free[:last]
+		return fo
 	}
-	step(0)
+	fo := &fanout{d: d}
+	fo.step = fo.run
+	return fo
+}
+
+func (d *Device) putFanout(fo *fanout) {
+	clear(fo.targets)
+	fo.f, fo.targets, fo.next = nil, fo.targets[:0], 0
+	d.free = append(d.free, fo)
+}
+
+// run ends one copy's reflect charge: the next target gets its copy,
+// and the following copy's charge starts.
+func (fo *fanout) run() {
+	d := fo.d
+	t := fo.targets[fo.next]
+	fo.next++
+	t.TX++
+	d.Reflected++
+	t.ep.InjectToGuest(d.hostCPU.Net().CloneFrame(fo.f))
+	if fo.next < len(fo.targets) {
+		d.hostCPU.RunCosts([]netsim.Charge{{Cat: cpuacct.Sys, D: fo.per}}, fo.step)
+		return
+	}
+	d.putFanout(fo)
 }

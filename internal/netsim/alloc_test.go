@@ -8,12 +8,15 @@ import (
 
 // streamSteadyStateAllocsCap bounds the heap objects one full
 // message round trip (client send → server receive → server reply →
-// client receive) may allocate in steady state, once the packet and
-// frame pools are warm. The remaining objects are the per-hop delivery
-// closures and the per-message cost bundles; the Packet/Frame traffic
-// itself is recycled. A regression that un-pools the datapath shows up
-// as a multiple of this number (measured steady state: 31).
-const streamSteadyStateAllocsCap = 40
+// client receive) may allocate in steady state, once the packet, frame
+// and hop pools are warm. Every hop continuation is a pooled Hop, so
+// the remaining objects are per message, not per hop: send-queue
+// regrowth, the segment's completed-message list and its boxing into
+// Packet.App, and the receive side's charge list and OnMessage
+// continuation. A regression that un-pools the datapath or brings back
+// a per-hop closure shows up here (measured steady state: 9; 31 before
+// hops were pooled).
+const streamSteadyStateAllocsCap = 9
 
 func TestStreamSteadyStateAllocsBounded(t *testing.T) {
 	eng, n := newWorld()

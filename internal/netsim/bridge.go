@@ -85,30 +85,30 @@ func (b *Bridge) input(in *Iface, f *Frame) {
 	case f.Dst == b.self.MAC:
 		// For the bridge itself: up into the local stack.
 		b.Forwarded++
-		b.ns.CPU.RunCosts(cost, func() { b.ns.input(b.self, f) })
+		b.ns.CPU.RunCosts(cost, b.upHop(f))
 	case f.Dst.IsBroadcast():
 		b.Flooded++
 		b.ns.CPU.RunCosts(cost, func() {
 			for _, p := range b.port {
 				if p != in {
-					p.Transmit(f.Clone())
+					p.Transmit(b.ns.Net.CloneFrame(f))
 				}
 			}
-			b.ns.input(b.self, f.Clone())
+			b.ns.input(b.self, b.ns.Net.CloneFrame(f))
 		})
 	default:
 		if out, ok := b.fdb[f.Dst]; ok {
 			if out == nil {
 				// Learned from the bridge's own interface: deliver up.
 				b.Forwarded++
-				b.ns.CPU.RunCosts(cost, func() { b.ns.input(b.self, f) })
+				b.ns.CPU.RunCosts(cost, b.upHop(f))
 				return
 			}
 			if out == in {
 				return // hairpin off
 			}
 			b.Forwarded++
-			b.ns.CPU.RunCosts(cost, func() { out.Transmit(f) })
+			b.ns.CPU.RunCosts(cost, b.forwardHop(out, f))
 			return
 		}
 		// Unknown unicast: flood.
@@ -116,11 +116,25 @@ func (b *Bridge) input(in *Iface, f *Frame) {
 		b.ns.CPU.RunCosts(cost, func() {
 			for _, p := range b.port {
 				if p != in {
-					p.Transmit(f.Clone())
+					p.Transmit(b.ns.Net.CloneFrame(f))
 				}
 			}
 		})
 	}
+}
+
+// upHop returns the callback handing f to the bridge's own interface.
+func (b *Bridge) upHop(f *Frame) func() {
+	h := b.ns.Net.NewHop(hopInput)
+	h.NS, h.Iface, h.Frame = b.ns, b.self, f
+	return h.Fire()
+}
+
+// forwardHop returns the callback transmitting f out of port out.
+func (b *Bridge) forwardHop(out *Iface, f *Frame) func() {
+	h := b.ns.Net.NewHop(hopTransmit)
+	h.Iface, h.Frame = out, f
+	return h.Fire()
 }
 
 // bridgeSelfLink carries frames the namespace sends via the bridge's own
@@ -137,20 +151,20 @@ func (l bridgeSelfLink) Send(src *Iface, f *Frame) {
 		b.Flooded++
 		b.ns.CPU.RunCosts(cost, func() {
 			for _, p := range b.port {
-				p.Transmit(f.Clone())
+				p.Transmit(b.ns.Net.CloneFrame(f))
 			}
 		})
 		return
 	}
 	if out, ok := b.fdb[f.Dst]; ok && out != nil {
 		b.Forwarded++
-		b.ns.CPU.RunCosts(cost, func() { out.Transmit(f) })
+		b.ns.CPU.RunCosts(cost, b.forwardHop(out, f))
 		return
 	}
 	b.Flooded++
 	b.ns.CPU.RunCosts(cost, func() {
 		for _, p := range b.port {
-			p.Transmit(f.Clone())
+			p.Transmit(b.ns.Net.CloneFrame(f))
 		}
 	})
 }

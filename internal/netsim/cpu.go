@@ -27,6 +27,8 @@ type CPU struct {
 	Rec     *telemetry.Recorder
 	Entity  string
 	GuestOf string
+
+	net *Net
 }
 
 // NewCPU builds a CPU around a fresh single-server station. The bill
@@ -34,6 +36,10 @@ type CPU struct {
 func NewCPU(eng *sim.Engine, name string, servers int, bill func(cpuacct.Category, time.Duration)) *CPU {
 	return &CPU{Eng: eng, Station: sim.NewStation(eng, name, servers), Bill: bill}
 }
+
+// Net returns the world the CPU was made by (nil for NewCPU): devices
+// running on the CPU draw hops and frame copies from its pools.
+func (c *CPU) Net() *Net { return c.net }
 
 // Run executes work of duration d on the CPU, billing it to cat, and
 // calls then when it completes. then may be nil.

@@ -123,13 +123,19 @@ func (i *Iface) Deliver(f *Frame) {
 			rec.FlowHop(f.Packet.Flow, ns.Name+"/"+i.Name)
 		}
 	}
-	ns.CPU.RunCosts([]Charge{{cpuacct.Soft, ns.Costs.SoftirqRX.For(f.PayloadLen())}}, func() {
-		if i.rxHook != nil {
-			i.rxHook(i, f)
-			return
-		}
-		ns.input(i, f)
-	})
+	h := ns.Net.NewHop(hopSoftirq)
+	h.Iface, h.NS, h.Frame = i, ns, f
+	ns.CPU.RunCosts([]Charge{{cpuacct.Soft, ns.Costs.SoftirqRX.For(f.PayloadLen())}}, h.Fire())
+}
+
+// hopSoftirq ends Deliver's softirq charge: Frame goes to Iface's bridge
+// hook, or else into NS's stack.
+func hopSoftirq(h *Hop) {
+	if i := h.Iface; i.rxHook != nil {
+		i.rxHook(i, h.Frame)
+		return
+	}
+	h.NS.input(h.Iface, h.Frame)
 }
 
 // injectorOf returns the world's fault injector for an attached

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,6 +37,7 @@ type Net struct {
 	// unlocked: each Net runs on exactly one goroutine.
 	pktPool   []*Packet
 	framePool []*Frame
+	hopPool   []*Hop
 }
 
 // NewNet builds a world around an engine with the default cost model.
@@ -57,6 +59,7 @@ func (n *Net) NewCPU(name string, servers int, entity, guestOf string) *CPU {
 		Rec:     n.Rec,
 		Entity:  entity,
 		GuestOf: guestOf,
+		net:     n,
 	}
 	if n.Rec != nil {
 		n.Rec.WatchStation(c.Station, entity)
@@ -75,6 +78,7 @@ func (n *Net) CPUView(base *CPU, entity, guestOf string) *CPU {
 		Rec:     n.Rec,
 		Entity:  entity,
 		GuestOf: guestOf,
+		net:     n,
 	}
 }
 
@@ -117,7 +121,7 @@ type NetNS struct {
 	Drops DropCounters
 
 	ifaces  map[string]*Iface
-	ifOrder []string
+	ifList  []*Iface // the same interfaces in creation order, for scans
 	routes  []Route
 	arp     map[IPv4]MAC
 	arpWait map[IPv4][]*Frame // packets parked on ARP resolution, with egress recorded in frame dst trick
@@ -167,7 +171,7 @@ func (ns *NetNS) AddIface(name string, mac MAC, mtu int) *Iface {
 	}
 	i := &Iface{NS: ns, Name: name, MAC: mac, MTU: mtu}
 	ns.ifaces[name] = i
-	ns.ifOrder = append(ns.ifOrder, name)
+	ns.ifList = append(ns.ifList, i)
 	return i
 }
 
@@ -179,12 +183,7 @@ func (ns *NetNS) RemoveIface(name string) *Iface {
 		return nil
 	}
 	delete(ns.ifaces, name)
-	for k, n := range ns.ifOrder {
-		if n == name {
-			ns.ifOrder = append(ns.ifOrder[:k], ns.ifOrder[k+1:]...)
-			break
-		}
-	}
+	ns.ifList = slices.DeleteFunc(ns.ifList, func(x *Iface) bool { return x == i })
 	i.NS = nil
 	return i
 }
@@ -199,7 +198,7 @@ func (ns *NetNS) AdoptIface(i *Iface, newName string) {
 	i.NS = ns
 	i.Name = newName
 	ns.ifaces[newName] = i
-	ns.ifOrder = append(ns.ifOrder, newName)
+	ns.ifList = append(ns.ifList, i)
 }
 
 // Iface returns the named interface, or nil.
@@ -209,13 +208,7 @@ func (ns *NetNS) Iface(name string) *Iface { return ns.ifaces[name] }
 func (ns *NetNS) Loopback() *Iface { return ns.lo }
 
 // Ifaces returns the namespace's interfaces in creation order.
-func (ns *NetNS) Ifaces() []*Iface {
-	out := make([]*Iface, 0, len(ns.ifOrder))
-	for _, n := range ns.ifOrder {
-		out = append(out, ns.ifaces[n])
-	}
-	return out
-}
+func (ns *NetNS) Ifaces() []*Iface { return slices.Clone(ns.ifList) }
 
 // AddRoute installs a route. Routes are kept sorted by prefix length so
 // lookup is longest-prefix-match.
@@ -233,8 +226,7 @@ func (ns *NetNS) lookupRoute(dst IPv4) (*Iface, IPv4, bool) {
 		return ns.lo, dst, true
 	}
 	// On-link subnets of configured interfaces.
-	for _, name := range ns.ifOrder {
-		i := ns.ifaces[name]
+	for _, i := range ns.ifList {
 		if i == ns.lo || !i.Up || i.Net.Bits == 0 {
 			continue
 		}
@@ -265,7 +257,7 @@ func (ns *NetNS) isLocalAddr(addr IPv4) bool {
 	if addr.IsLoopback() {
 		return true
 	}
-	for _, i := range ns.ifaces {
+	for _, i := range ns.ifList {
 		if i.Addr == addr {
 			return true
 		}
@@ -330,7 +322,7 @@ func (ns *NetNS) ipInput(in *Iface, p *Packet) {
 	if in == ns.lo {
 		// Loopback traffic is NOTRACK-ed (standard for pod-localhost):
 		// straight to local delivery.
-		ns.CPU.RunCosts(charges, func() { ns.deliverLocal(p) })
+		ns.CPU.RunCosts(charges, ns.deliverLocalHop(p))
 		return
 	}
 
@@ -341,7 +333,7 @@ func (ns *NetNS) ipInput(in *Iface, p *Packet) {
 		charge(cpuacct.Soft, ns.Costs.Conntrack)
 		ns.Filter.prerouting(p)
 		charge(cpuacct.Soft, ns.Costs.HookChain) // INPUT
-		ns.CPU.RunCosts(charges, func() { ns.deliverLocal(p) })
+		ns.CPU.RunCosts(charges, ns.deliverLocalHop(p))
 		return
 	}
 
@@ -354,7 +346,7 @@ func (ns *NetNS) ipInput(in *Iface, p *Packet) {
 	if ns.isLocalAddr(p.Dst) {
 		// DNAT decided it is local after all (rare: rewrite to self).
 		charge(cpuacct.Soft, ns.Costs.HookChain)
-		ns.CPU.RunCosts(charges, func() { ns.deliverLocal(p) })
+		ns.CPU.RunCosts(charges, ns.deliverLocalHop(p))
 		return
 	}
 	if !ns.Forward {
@@ -377,7 +369,7 @@ func (ns *NetNS) ipInput(in *Iface, p *Packet) {
 	if ns.Filter.postrouting(p, out) {
 		chargeFw(cpuacct.Soft, ns.Costs.NATRewrite)
 	}
-	ns.CPU.RunCosts(charges, func() { ns.sendVia(out, nexthop, p) })
+	ns.CPU.RunCosts(charges, ns.sendViaHop(out, nexthop, p))
 }
 
 // wouldDNAT reports whether PREROUTING would redirect this packet (an
@@ -429,8 +421,26 @@ func (ns *NetNS) Output(p *Packet, extra []Charge) {
 		// the datapath; retransmissions of the same packet keep their id.
 		p.Flow = rec.FlowBegin(ns.Name, p.Tuple().String())
 	}
-	ns.CPU.RunCosts(charges, func() { ns.sendVia(out, nexthop, p) })
+	ns.CPU.RunCosts(charges, ns.sendViaHop(out, nexthop, p))
 }
+
+// sendViaHop returns the callback running sendVia(out, nexthop, p).
+func (ns *NetNS) sendViaHop(out *Iface, nexthop IPv4, p *Packet) func() {
+	h := ns.Net.NewHop(hopSendVia)
+	h.NS, h.Iface, h.Addr, h.Packet = ns, out, nexthop, p
+	return h.Fire()
+}
+
+func hopSendVia(h *Hop) { h.NS.sendVia(h.Iface, h.Addr, h.Packet) }
+
+// deliverLocalHop returns the callback running deliverLocal(p).
+func (ns *NetNS) deliverLocalHop(p *Packet) func() {
+	h := ns.Net.NewHop(hopDeliverLocal)
+	h.NS, h.Packet = ns, p
+	return h.Fire()
+}
+
+func hopDeliverLocal(h *Hop) { h.NS.deliverLocal(h.Packet) }
 
 // sendVia frames the packet for the egress interface and transmits,
 // resolving the next hop with ARP when needed.
@@ -440,9 +450,9 @@ func (ns *NetNS) sendVia(out *Iface, nexthop IPv4, p *Packet) {
 		// re-enters the same namespace.
 		f := ns.Net.getFrame()
 		f.Dst, f.Src, f.Type, f.Packet = out.MAC, out.MAC, EtherIPv4, p
-		ns.CPU.RunCosts([]Charge{{cpuacct.Sys, ns.Costs.Loopback.For(p.PayloadLen)}}, func() {
-			out.Transmit(f)
-		})
+		h := ns.Net.NewHop(hopTransmit)
+		h.Iface, h.Frame = out, f
+		ns.CPU.RunCosts([]Charge{{cpuacct.Sys, ns.Costs.Loopback.For(p.PayloadLen)}}, h.Fire())
 		return
 	}
 	f := ns.Net.getFrame()
@@ -507,12 +517,31 @@ func (loopbackLink) Send(src *Iface, f *Frame) {
 
 // BillTo returns a billing function that records usage on entity, and —
 // when guestOf is non-empty — mirrors the total as guest time of that VM
-// (the host view of vCPU execution).
+// (the host view of vCPU execution). The entities' accountant entries
+// are resolved on the first charge (so an entity appears in Entities
+// exactly as Record would list it) and again after a Reset; every other
+// charge is one or two adds.
 func BillTo(acct *cpuacct.Accountant, entity, guestOf string) func(cpuacct.Category, time.Duration) {
-	return func(cat cpuacct.Category, d time.Duration) {
-		acct.Record(entity, cat, d)
-		if guestOf != "" {
-			acct.Record(guestOf, cpuacct.Guest, d)
+	return (&biller{acct: acct, entity: entity, guestOf: guestOf}).bill
+}
+
+// biller is BillTo's state: the names and their cached entries.
+type biller struct {
+	acct            *cpuacct.Accountant
+	entity, guestOf string
+	u, g            *cpuacct.Usage
+	epoch           uint64
+}
+
+func (b *biller) bill(cat cpuacct.Category, d time.Duration) {
+	if b.u == nil || b.epoch != b.acct.Epoch() {
+		b.u, b.epoch = b.acct.Entry(b.entity), b.acct.Epoch()
+		if b.guestOf != "" {
+			b.g = b.acct.Entry(b.guestOf)
 		}
+	}
+	b.u.Add(cat, d)
+	if b.g != nil {
+		b.g.Add(cpuacct.Guest, d)
 	}
 }

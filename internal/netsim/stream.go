@@ -103,6 +103,9 @@ type StreamConn struct {
 
 	// MsgsIn/MsgsOut count application messages.
 	MsgsIn, MsgsOut uint64
+
+	// pumpFn is pump bound once, the continuation of every send.
+	pumpFn func()
 }
 
 // DialStream opens a connection to dst:dport. onConnected fires when the
@@ -126,6 +129,7 @@ func (ns *NetNS) DialStream(dst IPv4, dport uint16, onConnected func(*StreamConn
 		onConnected: onConnected,
 	}
 	c.mss = ns.pathMSS(dst)
+	c.pumpFn = c.pump
 	ns.conns[connKey{port: lport, id: c.id}] = c
 	syn := ns.Net.getPacket()
 	syn.Dst, syn.Proto, syn.SrcPort, syn.DstPort, syn.TTL = dst, ProtoTCP, lport, dport, 64
@@ -186,7 +190,7 @@ func (c *StreamConn) SendMessage(size int, app interface{}) {
 		{cpuacct.Usr, c.ns.Costs.AppSend.For(size)},
 		{cpuacct.Sys, c.ns.Costs.SyscallTX.For(size)},
 	}
-	c.ns.CPU.RunCosts(charges, func() { c.pump() })
+	c.ns.CPU.RunCosts(charges, c.pumpFn)
 }
 
 // QueuedBytes returns bytes submitted but not yet segmented out.
@@ -291,6 +295,7 @@ func (ns *NetNS) streamDemux(p *Packet) {
 			established: true,
 		}
 		c.mss = ns.pathMSS(p.Src)
+		c.pumpFn = c.pump
 		ns.conns[key] = c
 		if l.OnAccept != nil {
 			l.OnAccept(c)

@@ -17,15 +17,19 @@ func (l vethLink) Send(src *Iface, f *Frame) {
 		return
 	}
 	n := f.PayloadLen()
-	ns.CPU.RunCosts([]Charge{{cpuacct.Sys, ns.Costs.VethTX.For(n)}}, func() {
-		peer := l.peer
-		if peer.NS == nil {
-			return
-		}
-		peer.NS.CPU.RunCosts([]Charge{{cpuacct.Sys, peer.NS.Costs.VethRX.For(n)}}, func() {
-			peer.Deliver(f)
-		})
-	})
+	h := ns.Net.NewHop(hopVethRX)
+	h.Iface, h.Frame, h.N = l.peer, f, n
+	ns.CPU.RunCosts([]Charge{{cpuacct.Sys, ns.Costs.VethTX.For(n)}}, h.Fire())
+}
+
+// hopVethRX pays the receive half of the crossing (N payload bytes) on
+// the peer Iface's CPU, then delivers Frame there.
+func hopVethRX(h *Hop) {
+	peer := h.Iface
+	if peer.NS == nil {
+		return
+	}
+	peer.NS.CPU.RunCosts([]Charge{{cpuacct.Sys, peer.NS.Costs.VethRX.For(h.N)}}, h.Then(hopDeliver))
 }
 
 // ConnectVeth joins two interfaces as a veth pair.

@@ -13,6 +13,7 @@ import (
 // wakeup latency that dominates small-message RTTs on real machines.
 type Wire struct {
 	eng   *sim.Engine
+	net   *Net         // hop pool (nil when a is detached)
 	tx    *sim.Station // serialization, shared by both directions
 	delay time.Duration
 	cost  StageCost
@@ -30,6 +31,9 @@ func NewWire(eng *sim.Engine, name string, a, b *Iface, cost StageCost, delay ti
 		a:     a,
 		b:     b,
 	}
+	if a.NS != nil {
+		w.net = a.NS.Net
+	}
 	a.SetLink(wireEnd{w: w, peer: b})
 	b.SetLink(wireEnd{w: w, peer: a})
 	a.Up, b.Up = true, true
@@ -45,9 +49,14 @@ func (e wireEnd) Send(src *Iface, f *Frame) {
 	w := e.w
 	// Serialize onto the wire (hardware time: not billed to any CPU),
 	// then propagate.
-	w.tx.Process(w.cost.For(f.WireLen()), func() {
-		w.eng.After(w.delay, func() {
-			e.peer.Deliver(f)
-		})
-	})
+	h := w.net.NewHop(hopWireProp)
+	h.Arg, h.Iface, h.Frame = w, e.peer, f
+	w.tx.Process(w.cost.For(f.WireLen()), h.Fire())
+}
+
+// hopWireProp ends serialization onto the Wire in Arg: Frame propagates
+// to the peer Iface.
+func hopWireProp(h *Hop) {
+	w := h.Arg.(*Wire)
+	w.eng.After(w.delay, h.Then(hopDeliver))
 }

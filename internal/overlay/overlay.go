@@ -150,7 +150,7 @@ func (v *VTEP) egress(f *netsim.Frame) {
 	v.vm.NS.CPU.RunCosts(charges, func() {
 		for _, t := range targets {
 			n.Encapsulated++
-			v.pending[t] = append(v.pending[t], f.Clone())
+			v.pending[t] = append(v.pending[t], v.vm.NS.Net.CloneFrame(f))
 			if len(v.pending[t]) >= n.Batch {
 				v.flush(t)
 			} else if !v.flushAt[t] {

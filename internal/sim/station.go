@@ -5,7 +5,9 @@ import "time"
 // Station models a serial processing resource: a pool of identical servers
 // (think: the vCPUs of a VM, the host CPUs, or a single vhost worker
 // thread) in front of a FIFO queue. Work submitted with Process occupies
-// one server for the service duration; excess work queues.
+// one server for the service duration; excess work queues. Enqueue and
+// dequeue cost O(1) whatever the queue depth: the queue is a slice read
+// from a head index, compacted only when its backing array fills.
 //
 // Throughput of a pipeline of stations is limited by its most loaded
 // station, and latency is the sum of waiting plus service times — exactly
@@ -15,7 +17,11 @@ type Station struct {
 	name    string
 	servers int
 	busy    int
-	queue   []stationJob
+	// queue[head:] holds the waiting jobs in FIFO order. Taken slots
+	// are zeroed so their callbacks can be collected; the slice resets
+	// to empty when the last job is taken.
+	queue []stationJob
+	head  int
 
 	// BusyTime accumulates total server-occupied time, for utilization
 	// reports (busy server-seconds, so it can exceed elapsed time when
@@ -64,7 +70,7 @@ func (s *Station) Name() string { return s.name }
 func (s *Station) Servers() int { return s.servers }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return len(s.queue) - s.head }
 
 // SetWakeup configures the idle wake-up penalty: after idling longer
 // than threshold, the next job's service is extended by a sample of
@@ -83,7 +89,7 @@ func (s *Station) Process(service time.Duration, done func()) {
 	// A job may only jump straight onto a server when no earlier work is
 	// waiting — otherwise submissions made from completion callbacks
 	// would cut ahead of the FIFO queue and starve it.
-	if s.busy < s.servers && len(s.queue) == 0 {
+	if s.busy < s.servers && s.QueueLen() == 0 {
 		if s.wakeMean > 0 && s.busy == 0 && s.eng.now-s.idleSince >= s.wakeThreshold {
 			w := time.Duration(s.eng.rng.Normal(float64(s.wakeMean), float64(s.wakeJitter)))
 			if w < s.wakeMean/4 {
@@ -98,12 +104,21 @@ func (s *Station) Process(service time.Duration, done func()) {
 		s.start(stationJob{service: service, done: done})
 		return
 	}
+	if len(s.queue) == cap(s.queue) && s.head > 0 {
+		// Full backing array with taken slots in front: slide the
+		// waiting jobs down instead of growing.
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue = s.queue[:n]
+		s.head = 0
+	}
 	s.queue = append(s.queue, stationJob{service: service, done: done})
-	if len(s.queue) > s.MaxQueue {
-		s.MaxQueue = len(s.queue)
+	depth := s.QueueLen()
+	if depth > s.MaxQueue {
+		s.MaxQueue = depth
 	}
 	if s.Probe != nil {
-		s.Probe.StationQueue(s, len(s.queue))
+		s.Probe.StationQueue(s, depth)
 	}
 }
 
@@ -131,12 +146,15 @@ func (s *Station) complete(done func()) {
 	}
 	// Claim the next queued job before running the completion
 	// callback: work the callback submits must line up behind it.
-	if len(s.queue) > 0 && s.busy < s.servers {
-		next := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue = s.queue[:len(s.queue)-1]
+	if s.head < len(s.queue) && s.busy < s.servers {
+		next := s.queue[s.head]
+		s.queue[s.head] = stationJob{} // release the callback
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
 		if s.Probe != nil {
-			s.Probe.StationQueue(s, len(s.queue))
+			s.Probe.StationQueue(s, s.QueueLen())
 		}
 		s.start(next)
 	}

@@ -9,9 +9,14 @@ import (
 )
 
 // benchWorld builds the shared base for the fork benchmarks: a
-// 200-user Hostlo world with faults, advanced to mid-horizon — large
-// enough that Capture walks a real fleet, queue and packing cache,
-// small enough that a restore-and-continue iteration stays cheap.
+// 200-user Hostlo world with faults, large enough that Capture walks a
+// real fleet, event ledger and packing cache, small enough that a
+// restore-and-continue iteration stays cheap. Hostlo only re-packs on a
+// tick that finds the pending queue empty, and this world's queue first
+// drains at 3.5 h (it holds 600-1,000 pods from 10 min on), so the
+// world is captured there: by then the optimizer has run and the
+// packing cache holds entries for Capture, the codec and Restore to
+// carry.
 func benchWorld(tb testing.TB) *cluster.Cluster {
 	tb.Helper()
 	cfg := cluster.Config{
@@ -24,9 +29,13 @@ func benchWorld(tb testing.TB) *cluster.Cluster {
 	}
 	c := cluster.New(cfg)
 	c.Arm()
-	c.Advance(sim.Time(2 * time.Hour))
+	c.Advance(benchCaptureAt)
 	return c
 }
+
+// benchCaptureAt is the benchmark world's capture instant: its first
+// drained tick.
+const benchCaptureAt = sim.Time(3*time.Hour + 30*time.Minute)
 
 // BenchmarkSnapshotFork measures the legs of the what-if loop:
 // capturing a running world, round-tripping it through the binary
@@ -119,6 +128,15 @@ func BenchmarkSnapshotFork(b *testing.B) {
 	})
 }
 
+// TestBenchWorldPackCache: the fork benchmarks capture a world whose
+// Hostlo optimizer has run, so every leg carries a warm packing cache.
+func TestBenchWorldPackCache(t *testing.T) {
+	snap := benchSnapshot(t)
+	if snap.Res.OptimizerRuns == 0 || snap.Pack == nil || len(snap.Pack.Entries) == 0 {
+		t.Fatalf("benchmark world captured with OptimizerRuns=%d and an empty packing cache", snap.Res.OptimizerRuns)
+	}
+}
+
 // benchSnapshot captures the benchmark world.
 func benchSnapshot(tb testing.TB) *cluster.Snapshot {
 	tb.Helper()
@@ -130,8 +148,9 @@ func benchSnapshot(tb testing.TB) *cluster.Snapshot {
 }
 
 // TestRestoreAllocs pins Restore's allocations on the benchmark world
-// (232 nodes, 53 of them live, 1,125 pods, 88 pending events) at the
-// count measured when node storage moved to arenas, 233 under Go 1.24,
+// (415 nodes, 42 of them live, 1,125 pods, 709 pending events, a warm
+// packing cache): 219 under Go 1.24. The bound is the count measured
+// when node storage moved to arenas, 233 on the earlier 2 h capture,
 // plus 10%. Before that, Restore made 885: a heap object, a name and a
 // fault point for every node, dead or alive, and a slice for each live
 // node's items and each placed pod's placement map. A regression to

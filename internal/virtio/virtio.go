@@ -90,6 +90,7 @@ type NIC struct {
 	vhost   *netsim.CPU
 	costs   *netsim.CostModel
 	backend Backend
+	net     *netsim.Net // hop pool
 
 	tx, rx *Queue
 
@@ -121,6 +122,7 @@ func New(cfg Config) *NIC {
 		vhost:    cfg.Vhost,
 		costs:    cfg.GuestNS.Costs,
 		backend:  cfg.Backend,
+		net:      cfg.GuestNS.Net,
 		tx:       NewQueue(ring),
 		rx:       NewQueue(ring),
 		guestCPU: cfg.GuestNS.CPU,
@@ -157,34 +159,53 @@ func (l guestLink) Send(src *netsim.Iface, f *netsim.Frame) {
 		{Cat: cpuacct.Sys, D: n.costs.VirtioTX.For(size)},
 		{Cat: cpuacct.Sys, D: n.costs.VirtioKick.For(0)},
 	}
-	ns.CPU.RunCosts(charges, func() {
-		if !n.tx.Push(f) {
-			return // ring overflow: frame lost
-		}
-		// vhost dequeues and hands to the backend; host-kernel time.
-		n.vhost.Run(cpuacct.Sys, n.costs.Vhost.For(size), func() {
-			if g := n.tx.Pop(); g != nil {
-				n.backend.FromGuest(g)
-			}
-		})
-	})
+	h := ns.Net.NewHop(hopTXPush)
+	h.Arg, h.Frame, h.N = n, f, size
+	ns.CPU.RunCosts(charges, h.Fire())
+}
+
+// hopTXPush publishes Frame on the TX ring of the NIC in Arg; vhost then
+// dequeues it (N payload bytes, host-kernel time) for the backend.
+func hopTXPush(h *netsim.Hop) {
+	n := h.Arg.(*NIC)
+	if !n.tx.Push(h.Frame) {
+		return // ring overflow: frame lost
+	}
+	n.vhost.Run(cpuacct.Sys, n.costs.Vhost.For(h.N), h.Then(hopTXPop))
+}
+
+func hopTXPop(h *netsim.Hop) {
+	n := h.Arg.(*NIC)
+	if g := n.tx.Pop(); g != nil {
+		n.backend.FromGuest(g)
+	}
 }
 
 // InjectToGuest is called by the backend to push a frame toward the
 // guest: vhost moves it into the RX ring, then the guest pays the virtio
 // receive cost and the frame enters the guest interface.
 func (n *NIC) InjectToGuest(f *netsim.Frame) {
-	size := f.PayloadLen()
-	n.vhost.Run(cpuacct.Sys, n.costs.Vhost.For(size), func() {
-		if !n.rx.Push(f) {
-			return
-		}
-		n.guestCPU.RunCosts([]netsim.Charge{{Cat: cpuacct.Sys, D: n.costs.VirtioRX.For(size)}}, func() {
-			if g := n.rx.Pop(); g != nil {
-				n.Guest.Deliver(g)
-			}
-		})
-	})
+	h := n.net.NewHop(hopRXPush)
+	h.Arg, h.Frame, h.N = n, f, f.PayloadLen()
+	n.vhost.Run(cpuacct.Sys, n.costs.Vhost.For(h.N), h.Fire())
+}
+
+// hopRXPush moves Frame into the RX ring of the NIC in Arg; the guest
+// then pays the virtio receive cost (N payload bytes) and the frame
+// enters the guest interface.
+func hopRXPush(h *netsim.Hop) {
+	n := h.Arg.(*NIC)
+	if !n.rx.Push(h.Frame) {
+		return
+	}
+	n.guestCPU.RunCosts([]netsim.Charge{{Cat: cpuacct.Sys, D: n.costs.VirtioRX.For(h.N)}}, h.Then(hopRXPop))
+}
+
+func hopRXPop(h *netsim.Hop) {
+	n := h.Arg.(*NIC)
+	if g := n.rx.Pop(); g != nil {
+		n.Guest.Deliver(g)
+	}
 }
 
 // TAPBackend bridges a NIC to a TAP interface in the host namespace —

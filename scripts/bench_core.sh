@@ -24,7 +24,11 @@
 # TraceReplay/1shard pods/s figure drops more than 20% below this
 # file, when TraceReplay/1shard allocs/op RISES more than 20% above it
 # (benchjson -lower — the pooled replay datapath is an allocation
-# budget, not just a throughput number), when TraceParse rows/s drops
+# budget, not just a throughput number), when a Fig4BrFusionMicro,
+# Fig10HostloMicro or Fig11MemcachedHostlo allocs/op median rises more
+# than 20% (the datapath allocation gate: pooled frames, packets and
+# hops make those counts a budget, and being deterministic they do not
+# flake on a shared runner), when TraceParse rows/s drops
 # more than 20% (benchjson -metric rows/s), or LifecycleScale/100k/hostlo,
 # any SnapshotFork forks/s leg, or a ReconcilerScale rounds/s leg by
 # more than 30% (the wider margin absorbs shared-runner noise); CI also
