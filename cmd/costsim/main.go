@@ -176,6 +176,12 @@ func main() {
 			}
 		}
 	}
+	switch {
+	case *table != 0 && *table != 2:
+		cli.BadFlag("costsim: unknown table %d (want 2)", *table)
+	case *table == 0 && *users <= 0:
+		cli.BadFlag("costsim: -users must be positive, got %d", *users)
+	}
 	prof.Start("costsim")
 	defer prof.Stop("costsim")
 	// The static placement run is engine-less: the spec is validated for
@@ -193,16 +199,9 @@ func main() {
 		}
 	}
 
-	switch *table {
-	case 0:
-	case 2:
+	if *table == 2 {
 		emit(figures.Table2())
 		return
-	default:
-		cli.BadFlag("costsim: unknown table %d (want 2)", *table)
-	}
-	if *users <= 0 {
-		cli.BadFlag("costsim: -users must be positive, got %d", *users)
 	}
 
 	so := simOpts{

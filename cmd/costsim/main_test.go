@@ -2,12 +2,14 @@ package main
 
 import (
 	"errors"
+	"io/fs"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"nestless/internal/cli/clitest"
 	"nestless/internal/cloud"
 )
 
@@ -88,24 +90,27 @@ func TestCheckDurations(t *testing.T) {
 	}
 }
 
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
 // TestSampleCapFlagRetired pins that -sample-cap is no longer a flag:
 // trajectories are a fixed 12 points, so the flag package rejects it as
-// undefined, with exit status 2. The test re-runs its own binary as
-// costsim to observe the exit.
+// undefined, with exit status 2.
 func TestSampleCapFlagRetired(t *testing.T) {
-	if os.Getenv("COSTSIM_RUN_MAIN") == "1" {
-		os.Args = []string{"costsim", "-sample-cap", "4"}
-		main()
-		return
+	_, stderr, code := clitest.Run("-sample-cap 4")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -sample-cap") {
+		t.Errorf("costsim -sample-cap 4: exit status %d, want 2 naming the undefined flag:\n%s", code, stderr)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestSampleCapFlagRetired$")
-	cmd.Env = append(os.Environ(), "COSTSIM_RUN_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("costsim -sample-cap 4: got %v, want exit status 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "flag provided but not defined: -sample-cap") {
-		t.Errorf("costsim -sample-cap 4: stderr does not name the undefined flag:\n%s", out)
+}
+
+// TestBadFlagLeavesNoProfile pins that flag values are checked before
+// -cpuprofile creates its file: a rejected run exits 2 and leaves no
+// truncated profile behind.
+func TestBadFlagLeavesNoProfile(t *testing.T) {
+	for _, bad := range []string{"-table 3", "-users 0"} {
+		prof := filepath.Join(t.TempDir(), "cpu.prof")
+		_, stderr, code := clitest.Run(bad + " -cpuprofile " + prof)
+		if _, err := os.Stat(prof); code != 2 || !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("costsim %s: exit status %d, profile stat %v\n%s", bad, code, err, stderr)
+		}
 	}
 }

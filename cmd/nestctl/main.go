@@ -39,14 +39,14 @@ func main() {
 	flag.Parse()
 	cli.CheckParallel(*workers)
 	schedule := cli.ParseFaults(*faultSpec)
-	prof.Start("nestctl")
-	defer prof.Stop("nestctl")
-
 	switch scenario.Mode(*mode) {
 	case scenario.ModeNAT, scenario.ModeBrFusion, scenario.ModeNoCont:
 	default:
 		cli.BadFlag("nestctl: unknown mode %q (want nat, brfusion or nocont)", *mode)
 	}
+	prof.Start("nestctl")
+	defer prof.Stop("nestctl")
+
 	sc, err := scenario.NewServerClientCfg(
 		scenario.Config{Seed: *seed, Rec: tf.Recorder(), Faults: schedule},
 		scenario.Mode(*mode), 9000)

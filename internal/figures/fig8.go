@@ -114,11 +114,10 @@ func bootChunkSamples(o Opts, mode scenario.Mode, chunk, n int) *sim.Series {
 }
 
 // Fig8 reproduces the container start-up comparison (§5.2.4): summary
-// statistics plus a CDF table for NAT (vanilla Docker) and BrFusion.
-func Fig8(o Opts, runs int) (stats, cdf *report.Table) {
-	if runs <= 0 {
-		runs = 100
-	}
+// statistics plus a CDF table for NAT (vanilla Docker) and BrFusion,
+// over the paper's 100 boots per solution (20 under Quick).
+func Fig8(o Opts) (stats, cdf *report.Table) {
+	runs := 100
 	if o.Quick {
 		runs = 20
 	}

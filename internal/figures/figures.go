@@ -1,9 +1,11 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation (§5) from the simulated stack. Each Fig* function builds
 // fresh scenarios, runs the corresponding workload, and returns
-// report.Tables whose rows mirror the series the paper plots. The
-// cmd/ binaries and the repository benchmarks are thin wrappers around
-// this package, so "the figure" is computed exactly one way.
+// report.Tables whose rows mirror the series the paper plots. Registry
+// names the datapath figures in paper order; cmd/figures prints any
+// entry, the figure corpus (testdata/golden.txt) pins every entry, and
+// costsim prints Fig. 9 and Table 2, so "the figure" is computed
+// exactly one way.
 package figures
 
 import (
@@ -38,6 +40,41 @@ type Opts struct {
 	// builds (nil = injection off). Each scenario run gets its own
 	// injector, so rule counts reset per run.
 	Faults *faults.Schedule
+}
+
+// Figure is one Registry entry: the name cmd/figures takes and the run
+// that returns the figure's tables in print order.
+type Figure struct {
+	Name string
+	Run  func(Opts) []*report.Table
+}
+
+// Registry lists every datapath figure and table in paper order. Fig. 11
+// carries Fig. 12 (one table holds both). Fig. 9 and Table 2 are cost
+// model outputs and live in costsim.
+var Registry = []Figure{
+	{"fig2", func(o Opts) []*report.Table { return []*report.Table{Fig2(o)} }},
+	{"fig4", func(o Opts) []*report.Table { a, b := Fig4(o); return []*report.Table{a, b} }},
+	{"fig5", func(o Opts) []*report.Table { return []*report.Table{Fig5(o)} }},
+	{"fig6", func(o Opts) []*report.Table { return []*report.Table{Fig6(o)} }},
+	{"fig7", func(o Opts) []*report.Table { return []*report.Table{Fig7(o)} }},
+	{"fig8", func(o Opts) []*report.Table { a, b := Fig8(o); return []*report.Table{a, b} }},
+	{"fig10", func(o Opts) []*report.Table { a, b := Fig10(o); return []*report.Table{a, b} }},
+	{"fig11", func(o Opts) []*report.Table { return []*report.Table{Fig11(o)} }},
+	{"fig13", func(o Opts) []*report.Table { return []*report.Table{Fig13(o)} }},
+	{"fig14", func(o Opts) []*report.Table { return []*report.Table{Fig14(o)} }},
+	{"fig15", func(o Opts) []*report.Table { return []*report.Table{Fig15(o)} }},
+	{"table1", func(Opts) []*report.Table { return []*report.Table{Table1()} }},
+}
+
+// Lookup returns the Registry entry named name.
+func Lookup(name string) (Figure, bool) {
+	for _, f := range Registry {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Figure{}, false
 }
 
 // cfg assembles the scenario configuration for one run at the given

@@ -1,14 +1,132 @@
 package figures
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"nestless/internal/golden"
+	"nestless/internal/parallel"
+	"nestless/internal/report"
 	"nestless/internal/scenario"
+	"nestless/internal/telemetry"
 )
 
-var quick = Opts{Seed: 42, Quick: true}
+const goldenPath = "testdata/golden.txt"
+
+// traced marks the figures whose serial leg runs with a telemetry
+// recorder: recording a Quick micro sweep writes traces of a few
+// hundred MB, so the traced legs are the cheap figures that between
+// them cross every datapath (Fig. 6: NAT, BrFusion and NoCont
+// server/client; Fig. 15: every intra-pod transport, Hostlo included;
+// Fig. 8: container boot).
+var traced = map[string]bool{"fig6": true, "fig8": true, "fig15": true}
+
+// serial maps each registry name to its serial leg at Quick, seed 42:
+// the traced run for a traced figure, a plain Workers 1 run otherwise.
+// par maps it to the table text of a plain Workers 8 run at the same
+// seed. A leg runs at most once per test binary; the corpus, the
+// parallel-matches-serial checks and the shape tests share it.
+var (
+	serial = map[string]func() leg{}
+	par    = map[string]func() string{}
+)
+
+// leg is a serial run's tables and its corpus fields: for a traced
+// figure, FNV-1a of the tables and of the run's text trace followed by
+// every metrics table; "-" for both otherwise.
+type leg struct {
+	tables []*report.Table
+	fields string
+}
+
+func init() {
+	for _, f := range Registry {
+		serial[f.Name] = sync.OnceValue(func() leg {
+			o := Opts{Seed: 42, Quick: true, Workers: 1}
+			if !traced[f.Name] {
+				return leg{f.Run(o), "traced=- trace=-"}
+			}
+			o.Rec = telemetry.New()
+			tabs := f.Run(o)
+			h := fnv.New64a()
+			o.Rec.WriteTextTrace(h) // fails only when the writer does
+			for _, m := range o.Rec.MetricsTables() {
+				m.WriteText(h)
+			}
+			return leg{tabs, fmt.Sprintf("traced=%s trace=%016x", hash(text(tabs)), h.Sum64())}
+		})
+		par[f.Name] = sync.OnceValue(func() string {
+			return text(f.Run(Opts{Seed: 42, Quick: true, Workers: 8}))
+		})
+	}
+}
+
+// text renders tables as the corpus hashes them; hash is its FNV-1a.
+func text(tabs []*report.Table) string {
+	var b strings.Builder
+	for _, t := range tabs {
+		t.WriteText(&b)
+	}
+	return b.String()
+}
+
+func hash(s string) string {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestFiguresGolden pins every registry entry at Quick, seed 42, to the
+// recorded corpus. Each line hashes the tables of the Workers 8 leg,
+// then adds the serial leg's fields (per-station counters including
+// max_queue, the per-entity CPU rollup and the instrument registry are
+// among the metrics tables). A datapath change that moves any simulated
+// number, queue depth or CPU split fails here with the replacement line
+// printed. It runs first in this file, so it computes every leg and the
+// tests below only read them.
+func TestFiguresGolden(t *testing.T) {
+	g := golden.Open(t, goldenPath, "")
+	// Figures share nothing, so two run at a time; lines are checked in
+	// registry order afterwards.
+	parallel.Run(len(Registry), 2, func(i int) {
+		par[Registry[i].Name]()
+		serial[Registry[i].Name]()
+	})
+	for _, f := range Registry {
+		g.Check(f.Name, "tables="+hash(par[f.Name]())+" "+serial[f.Name]().fields)
+	}
+}
+
+// matchesSerial holds a registry entry to the parallel harness
+// contract: its Workers 8 tables are byte-identical to its serial leg's,
+// which covers row order, formatting and every numeric digit.
+func matchesSerial(t *testing.T, name string) {
+	t.Helper()
+	if s, p := text(serial[name]().tables), par[name](); s != p {
+		t.Errorf("%s diverges under Workers 8:\nserial:\n%s\nparallel:\n%s", name, s, p)
+	}
+}
+
+func TestFig2ParallelMatchesSerial(t *testing.T)  { matchesSerial(t, "fig2") }
+func TestFig4ParallelMatchesSerial(t *testing.T)  { matchesSerial(t, "fig4") }
+func TestFig5ParallelMatchesSerial(t *testing.T)  { matchesSerial(t, "fig5") }
+func TestFig8ParallelMatchesSerial(t *testing.T)  { matchesSerial(t, "fig8") }
+func TestFig10ParallelMatchesSerial(t *testing.T) { matchesSerial(t, "fig10") }
+
+// TestFiguresDeterministic: every registry entry renders the same
+// tables in its two independent same-seed runs, the serial leg and the
+// Workers 8 leg.
+func TestFiguresDeterministic(t *testing.T) {
+	for _, f := range Registry {
+		matchesSerial(t, f.Name)
+	}
+}
 
 // cell parses a table cell as float.
 func cell(t *testing.T, s string) float64 {
@@ -21,7 +139,7 @@ func cell(t *testing.T, s string) float64 {
 }
 
 func TestFig2TableShape(t *testing.T) {
-	tab := Fig2(quick)
+	tab := serial["fig2"]().tables[0]
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tab.Rows))
 	}
@@ -38,7 +156,8 @@ func TestFig2TableShape(t *testing.T) {
 }
 
 func TestFig4Tables(t *testing.T) {
-	tput, lat := Fig4(quick)
+	tabs := serial["fig4"]().tables
+	tput, lat := tabs[0], tabs[1]
 	if len(tput.Rows) == 0 || len(lat.Rows) == 0 {
 		t.Fatal("empty tables")
 	}
@@ -61,7 +180,7 @@ func TestFig4Tables(t *testing.T) {
 }
 
 func TestFig5MacroOrdering(t *testing.T) {
-	tab := Fig5(quick)
+	tab := serial["fig5"]().tables[0]
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9 (3 apps × 3 modes)", len(tab.Rows))
 	}
@@ -86,7 +205,7 @@ func TestFig5MacroOrdering(t *testing.T) {
 }
 
 func TestFig6SoftIRQReduction(t *testing.T) {
-	tab := Fig6(quick)
+	tab := serial["fig6"]().tables[0]
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -102,7 +221,8 @@ func TestFig6SoftIRQReduction(t *testing.T) {
 }
 
 func TestFig8BootStatistics(t *testing.T) {
-	stats, cdf := Fig8(quick, 0)
+	tabs := serial["fig8"]().tables
+	stats, cdf := tabs[0], tabs[1]
 	if len(stats.Rows) != 2 {
 		t.Fatalf("stats rows = %d", len(stats.Rows))
 	}
@@ -129,8 +249,22 @@ func TestFig8BootStatistics(t *testing.T) {
 	}
 }
 
+// fig9 is Fig. 9's serial run at Quick, seed 42; Fig. 9 is outside the
+// registry and its corpus.
+var fig9 = sync.OnceValues(func() (*report.Table, *report.Table) {
+	return Fig9(Opts{Seed: 42, Quick: true, Workers: 1})
+})
+
+func TestFig9ParallelMatchesSerial(t *testing.T) {
+	hist, stats := fig9()
+	pHist, pStats := Fig9(Opts{Seed: 42, Quick: true, Workers: 8})
+	if s, p := text([]*report.Table{hist, stats}), text([]*report.Table{pHist, pStats}); s != p {
+		t.Fatalf("Fig9 diverges under Workers 8:\nserial:\n%s\nparallel:\n%s", s, p)
+	}
+}
+
 func TestFig9Stats(t *testing.T) {
-	hist, stats := Fig9(quick)
+	hist, stats := fig9()
 	if len(hist.Rows) == 0 {
 		t.Fatal("empty savings histogram")
 	}
@@ -148,7 +282,8 @@ func TestFig9Stats(t *testing.T) {
 }
 
 func TestFig10Tables(t *testing.T) {
-	tput, lat := Fig10(quick)
+	tabs := serial["fig10"]().tables
+	tput, lat := tabs[0], tabs[1]
 	if len(tput.Rows) == 0 || len(lat.Rows) == 0 {
 		t.Fatal("empty tables")
 	}
@@ -172,7 +307,7 @@ func TestFig10Tables(t *testing.T) {
 }
 
 func TestFig11MemcachedOrdering(t *testing.T) {
-	tab := Fig11(quick)
+	tab := serial["fig11"]().tables[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -189,7 +324,7 @@ func TestFig11MemcachedOrdering(t *testing.T) {
 }
 
 func TestFig13NginxOrdering(t *testing.T) {
-	tab := Fig13(quick)
+	tab := serial["fig13"]().tables[0]
 	lat := map[string]float64{}
 	for _, r := range tab.Rows {
 		lat[r[0]] = cell(t, r[2])
@@ -205,7 +340,7 @@ func TestFig13NginxOrdering(t *testing.T) {
 }
 
 func TestFig14CPUAttribution(t *testing.T) {
-	tab := Fig14(quick)
+	tab := serial["fig14"]().tables[0]
 	cores := map[string][2]float64{}
 	for _, r := range tab.Rows {
 		cores[r[0]] = [2]float64{cell(t, r[3]), cell(t, r[4])} // cs_total, guest
@@ -223,7 +358,7 @@ func TestFig14CPUAttribution(t *testing.T) {
 }
 
 func TestFig15Runs(t *testing.T) {
-	tab := Fig15(quick)
+	tab := serial["fig15"]().tables[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -235,7 +370,7 @@ func TestFig15Runs(t *testing.T) {
 }
 
 func TestTables1And2(t *testing.T) {
-	t1 := Table1()
+	t1 := serial["table1"]().tables[0]
 	if len(t1.Rows) != 3 {
 		t.Fatalf("Table 1 rows = %d", len(t1.Rows))
 	}
@@ -248,10 +383,41 @@ func TestTables1And2(t *testing.T) {
 	}
 }
 
-func TestFiguresDeterministic(t *testing.T) {
-	a := Fig2(quick).String()
-	b := Fig2(quick).String()
-	if a != b {
-		t.Fatal("Fig2 not deterministic")
+// TestFig6TraceDeterministic is the acceptance check for the telemetry
+// subsystem: the Kafka CPU-breakdown figure (three scenarios on one
+// recorder) exports byte-identical, valid Chrome JSON across two
+// same-seed runs.
+func TestFig6TraceDeterministic(t *testing.T) {
+	run := func() []byte {
+		rec := telemetry.New()
+		Fig6(Opts{Seed: 42, Quick: true, Rec: rec})
+		var buf bytes.Buffer
+		if err := rec.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := run(), run()
+	if !bytes.Equal(a, b) {
+		t.Fatal("two same-seed Fig6 runs exported different traces")
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(a, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("trace is empty")
+	}
+}
+
+// TestFig2UnchangedByTelemetry: a figure's numbers must not move when a
+// recorder rides along.
+func TestFig2UnchangedByTelemetry(t *testing.T) {
+	off := Fig2(Opts{Seed: 7, Quick: true}).String()
+	on := Fig2(Opts{Seed: 7, Quick: true, Rec: telemetry.New()}).String()
+	if off != on {
+		t.Fatalf("telemetry changed Fig2:\noff:\n%s\non:\n%s", off, on)
 	}
 }
