@@ -47,9 +47,9 @@
 // and each world stores a fixed 12-point trajectory (one sample every
 // horizon/12), so a replay's memory is its live pod table.
 //
-// Cluster-simulation flags (-horizon, -gap, -life, -boot, -repack-cache,
-// -spot-frac, -zones) are rejected with exit status 2 on the static
-// path. So is a negative duration, or a zero -horizon or -barrier.
+// Cluster-simulation flags (-horizon, -gap, -life, -boot, -spot-frac,
+// -zones) are rejected with exit status 2 on the static path. So is a
+// negative duration, or a zero -horizon or -barrier.
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
@@ -89,8 +89,6 @@ func main() {
 	gap := flag.Duration("gap", 2*time.Minute, "lifecycle mean pod inter-arrival gap")
 	life := flag.Duration("life", 45*time.Minute, "lifecycle mean pod lifetime (Pareto-tailed)")
 	boot := flag.Duration("boot", 45*time.Second, "lifecycle VM boot delay")
-	repackCache := flag.Int("repack-cache", 0,
-		"lifecycle: packing-cache entries per cluster world (0 = default 4096, negative = caching off; placements are byte-identical either way)")
 	replay := flag.String("replay", "",
 		"replay a recorded cluster trace file (csv/jsonl, .gz ok; see internal/ctrace) through the sharded lifecycle simulation instead of generating a workload")
 	shards := flag.Int("shards", 1,
@@ -142,17 +140,7 @@ func main() {
 			cli.BadFlag("costsim: %v", err)
 		}
 	}
-	// Spot capacity without a revocation rule would be free money:
-	// unless the user's -faults spec already says something about
-	// spot/ points, merge the default revocation schedule in after
-	// their rules.
-	if cl.SpotFrac > 0 && !sched.HasPointPrefix("spot/") {
-		def, derr := faults.ParseSpec(cloud.DefaultRevocationSpec)
-		if derr != nil {
-			cli.Fatal("costsim", derr)
-		}
-		sched = faults.Merge(sched, def)
-	}
+	sched = cl.WithDefaultRevocation(sched)
 	if *replay != "" {
 		// The trace IS the workload: generator knobs are ambiguous next
 		// to it.
@@ -206,7 +194,7 @@ func main() {
 
 	so := simOpts{
 		seed: *seed, horizon: *horizon, boot: *boot, sched: sched,
-		repackCache: *repackCache, cloud: cl, rec: tf.Recorder(), emit: emit,
+		cloud: cl, rec: tf.Recorder(), emit: emit,
 	}
 	if *replay != "" {
 		runReplay(replayOpts{
@@ -223,16 +211,10 @@ func main() {
 		return
 	}
 
-	// Telemetry records per-user events in trace order, so the fan-out
-	// stays serial when a recorder is active (same rule as the figures).
-	simWorkers := *workers
-	if tf.Recorder() != nil {
-		simWorkers = 1
-	}
 	cfg := trace.DefaultConfig(*seed)
 	cfg.Users = *users
 	pop := trace.Generate(cfg)
-	res := cloudsim.SimulateParallel(pop, cl.Catalog.Types, simWorkers)
+	res := cloudsim.SimulateParallel(pop, cl.Catalog.Types, *workers)
 	record(tf.Recorder(), res)
 
 	topTitle := fmt.Sprintf("Top %d savers", *top)
@@ -241,7 +223,7 @@ func main() {
 		// comparison: the same workload priced on the default AWS m5
 		// table and on the selected catalog. (Fig. 9 itself is pinned
 		// to the paper's m5 pricing, so it is skipped here.)
-		crossCloud(cl.Catalog, res, pop, simWorkers, emit)
+		crossCloud(cl.Catalog, res, pop, *workers, emit)
 		topTitle += fmt.Sprintf(" (%s)", cl.Catalog.Name())
 	} else if *users == 492 {
 		hist, stats := figures.Fig9(figures.Opts{Seed: *seed, Workers: *workers})
@@ -308,7 +290,7 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 // choice applies. explicit holds the flags set on the command line.
 func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
 	for _, name := range []string{
-		"spot-frac", "zones", "repack-cache",
+		"spot-frac", "zones",
 		"horizon", "gap", "life", "boot",
 	} {
 		if explicit[name] {
@@ -339,30 +321,28 @@ func checkDurations(horizon, barrier, boot, gap, life, migrateAfter time.Duratio
 // simOpts bundles the cluster-simulation parameters the -lifecycle and
 // -replay paths share.
 type simOpts struct {
-	seed        int64
-	horizon     time.Duration
-	boot        time.Duration
-	sched       *faults.Schedule
-	repackCache int
-	cloud       *cloud.Resolved
-	rec         *telemetry.Recorder
-	emit        func(*report.Table)
+	seed    int64
+	horizon time.Duration
+	boot    time.Duration
+	sched   *faults.Schedule
+	cloud   *cloud.Resolved
+	rec     *telemetry.Recorder
+	emit    func(*report.Table)
 }
 
 // clusterConfig is the per-world cluster configuration both paths run.
 func (o simOpts) clusterConfig() cluster.Config {
 	return cluster.Config{
-		Seed:          o.seed,
-		Catalog:       o.cloud.Catalog.Types,
-		Horizon:       o.horizon,
-		BootDelay:     o.boot,
-		Faults:        o.sched,
-		PackCacheSize: o.repackCache,
-		Zones:         o.cloud.Zones,
-		ZoneNames:     o.cloud.ZoneNames,
-		SpotFrac:      o.cloud.SpotFrac,
-		SpotDiscount:  o.cloud.SpotDiscount,
-		Rec:           o.rec,
+		Seed:         o.seed,
+		Catalog:      o.cloud.Catalog.Types,
+		Horizon:      o.horizon,
+		BootDelay:    o.boot,
+		Faults:       o.sched,
+		Zones:        o.cloud.Zones,
+		ZoneNames:    o.cloud.ZoneNames,
+		SpotFrac:     o.cloud.SpotFrac,
+		SpotDiscount: o.cloud.SpotDiscount,
+		Rec:          o.rec,
 	}
 }
 

@@ -22,7 +22,7 @@ func TestCheckStaticRejectsClusterFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"spot-frac", "zones", "repack-cache",
+		"spot-frac", "zones",
 		"horizon", "gap", "life", "boot",
 	} {
 		err := checkStatic(map[string]bool{name: true}, cl)
@@ -112,5 +112,53 @@ func TestBadFlagLeavesNoProfile(t *testing.T) {
 		if _, err := os.Stat(prof); code != 2 || !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("costsim %s: exit status %d, profile stat %v\n%s", bad, code, err, stderr)
 		}
+	}
+}
+
+// TestRepackCacheFlagRetired pins that -repack-cache is no longer a
+// flag: the packing cache has a constant capacity, so the flag package
+// rejects it as undefined, with exit status 2.
+func TestRepackCacheFlagRetired(t *testing.T) {
+	_, stderr, code := clitest.Run("-lifecycle -repack-cache 8")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -repack-cache") {
+		t.Errorf("costsim -repack-cache 8: exit status %d, want 2 naming the undefined flag:\n%s", code, stderr)
+	}
+}
+
+// TestFatalKeepsProfile pins that a run failing after -cpuprofile
+// started still leaves a complete profile: a malformed replay trace
+// exits 1, and the profile is a gzip stream pprof can read.
+func TestFatalKeepsProfile(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.csv")
+	if err := os.WriteFile(bad, []byte("1,2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(dir, "bad.prof")
+	_, stderr, code := clitest.Run("-replay " + bad + " -cpuprofile " + prof)
+	if code != 1 {
+		t.Fatalf("costsim -replay bad.csv: exit status %d, want 1:\n%s", code, stderr)
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("profile after a failed run: %d bytes, err %v; want a gzip stream", len(b), err)
+	}
+}
+
+// TestStaticTelemetryParallel pins that the static path's fan-out is
+// independent of telemetry: with -metrics, -parallel 4 prints exactly
+// what -parallel 1 does (the recorder instruments the merged result
+// after the fan-out, in user order).
+func TestStaticTelemetryParallel(t *testing.T) {
+	serial, stderr, code := clitest.Run("-users 60 -metrics -parallel 1")
+	if code != 0 {
+		t.Fatalf("-parallel 1: exit status %d:\n%s", code, stderr)
+	}
+	par, stderr, code := clitest.Run("-users 60 -metrics -parallel 4")
+	if code != 0 {
+		t.Fatalf("-parallel 4: exit status %d:\n%s", code, stderr)
+	}
+	if !strings.Contains(serial, "costsim/users") || par != serial {
+		t.Errorf("-parallel 4 output differs from -parallel 1 (or lacks the metrics):\n%s\nvs\n%s", par, serial)
 	}
 }

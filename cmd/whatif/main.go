@@ -51,7 +51,6 @@ func main() {
 	snapAt := flag.Duration("snap-at", 0, "snapshot instant (default horizon/2)")
 	boot := flag.Duration("boot", 45*time.Second, "VM provisioning delay")
 	faultSpec := flag.String("faults", "", "base-world fault spec (see internal/faults)")
-	cacheSize := flag.Int("repack-cache", 0, "packing cache entries (0 = default, <0 = off)")
 	cloudSpec := flag.String("cloud", cloud.DefaultName,
 		"machine catalog selector: provider:family[:zone=N][:spot=F] (registered: "+strings.Join(cloud.Names(), ", ")+")")
 	spotFrac := flag.Float64("spot-frac", 0, "fraction of the base fleet on spot capacity, in [0,1]")
@@ -72,13 +71,8 @@ func main() {
 		cli.BadFlag("whatif: %v", err)
 	}
 
-	var pol cluster.Policy
-	switch *policy {
-	case "kubernetes":
-		pol = cluster.Kubernetes
-	case "hostlo":
-		pol = cluster.Hostlo
-	default:
+	pol, err := cluster.ParsePolicy(*policy)
+	if err != nil {
 		cli.BadFlag("whatif: -policy %q (want kubernetes|hostlo)", *policy)
 	}
 
@@ -95,7 +89,6 @@ func main() {
 		SnapAt:         *snapAt,
 		BootDelay:      *boot,
 		FaultSpec:      *faultSpec,
-		PackCacheSize:  *cacheSize,
 		Cloud:          cl,
 	})
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nestless/internal/cli/clitest"
 )
 
 // durations names checkDurations' arguments for the table below.
@@ -52,5 +54,26 @@ func TestCheckDurations(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-"+c.flag+" ") {
 			t.Errorf("%+v: got %v, want an error naming -%s", d, err, c.flag)
 		}
+	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestRepackCacheFlagRetired pins that -repack-cache is no longer a
+// flag: the packing cache has a constant capacity, so the flag package
+// rejects it as undefined, with exit status 2, before any world runs.
+func TestRepackCacheFlagRetired(t *testing.T) {
+	_, stderr, code := clitest.Run("-repack-cache 8")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -repack-cache") {
+		t.Errorf("whatif -repack-cache 8: exit status %d, want 2 naming the undefined flag:\n%s", code, stderr)
+	}
+}
+
+// TestUnknownPolicy pins the -policy gate: a name cluster.ParsePolicy
+// does not know exits 2 and names the valid ones.
+func TestUnknownPolicy(t *testing.T) {
+	_, stderr, code := clitest.Run("-policy borg")
+	if code != 2 || !strings.Contains(stderr, `whatif: -policy "borg" (want kubernetes|hostlo)`) {
+		t.Errorf("whatif -policy borg: exit status %d, want 2 naming the policies:\n%s", code, stderr)
 	}
 }

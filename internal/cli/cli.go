@@ -43,9 +43,14 @@ func NonNegative(name string, v time.Duration) error {
 	return nil
 }
 
-// Fatal reports a runtime (post-flag-parsing) failure and exits 1.
+// Fatal reports a runtime (post-flag-parsing) failure and exits 1. A
+// profile Start began is stopped first: os.Exit skips the caller's
+// deferred Stop, which would leave an empty CPU profile behind.
 func Fatal(tool string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+	if active != nil {
+		active.Stop(tool)
+	}
 	os.Exit(1)
 }
 
@@ -105,9 +110,13 @@ func ProfileFlags() *Profile {
 	return p
 }
 
+// active is the profile Start began and Stop has not ended yet.
+var active *Profile
+
 // Start begins CPU profiling if requested. Call it right after
 // flag.Parse; pair with a deferred Stop.
 func (p *Profile) Start(tool string) {
+	active = p
 	if p.CPUPath == "" {
 		return
 	}
@@ -126,6 +135,7 @@ func (p *Profile) Start(tool string) {
 // Errors are reported but do not change the exit status: the simulation
 // results already printed are valid whether or not the profile landed.
 func (p *Profile) Stop(tool string) {
+	active = nil
 	if p.cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := p.cpuFile.Close(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nestless/internal/cloudsim"
+	"nestless/internal/faults"
 	"nestless/internal/trace"
 )
 
@@ -198,5 +199,42 @@ func TestResolveErrors(t *testing.T) {
 	// Explicitly spelling the defaults is not a contradiction.
 	if _, err := Resolve(Options{Spec: "aws:m5", Zones: 1, ZonesSet: true, SpotFrac: 0, SpotFracSet: true}); err != nil {
 		t.Fatalf("explicit defaults rejected: %v", err)
+	}
+}
+
+// TestWithDefaultRevocation: the default revocation rule is merged in
+// after the user's rules exactly when the run has spot capacity and the
+// user's schedule says nothing about spot/ points.
+func TestWithDefaultRevocation(t *testing.T) {
+	spot, err := Resolve(Options{Spec: "gcp:n2:spot=0.5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDemand, err := Resolve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := faults.ParseSpec("node/*:crash:p=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spot.WithDefaultRevocation(user).String(), user.String()+";"+DefaultRevocationSpec; got != want {
+		t.Errorf("spot run, no spot/ rule: schedule %q, want %q", got, want)
+	}
+	if got := spot.WithDefaultRevocation(nil).String(); got != DefaultRevocationSpec {
+		t.Errorf("spot run, no -faults: schedule %q, want %q", got, DefaultRevocationSpec)
+	}
+	named, err := faults.ParseSpec("spot/*:crash:p=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spot.WithDefaultRevocation(named); got != named {
+		t.Errorf("spot run naming spot/: schedule %q, want the user's %q", got, named)
+	}
+	if got := onDemand.WithDefaultRevocation(user); got != user {
+		t.Errorf("on-demand run: schedule %q, want the user's %q", got, user)
+	}
+	if got := onDemand.WithDefaultRevocation(nil); got != nil {
+		t.Errorf("on-demand run, no -faults: schedule %q, want none", got)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"nestless/internal/faults"
 )
 
 // Spec is the parsed form of the -cloud selector:
@@ -113,12 +115,30 @@ func ParseSpec(text string) (*Spec, error) {
 	return s, nil
 }
 
-// DefaultRevocationSpec is the fault schedule merged in (by the CLI)
-// when a run uses spot capacity but the user's -faults string says
-// nothing about it: every autoscaler tick, each live spot node has a 2%
-// chance of being revoked. Matches only "spot/..." points, so
+// DefaultRevocationSpec is the fault schedule WithDefaultRevocation
+// merges in when a run uses spot capacity but the user's -faults string
+// says nothing about it: every autoscaler tick, each live spot node has
+// a 2% chance of being revoked. Matches only "spot/..." points, so
 // on-demand nodes never see it.
 const DefaultRevocationSpec = "spot/*:crash:p=0.02"
+
+// WithDefaultRevocation returns the fault schedule a run under r uses
+// for the user's schedule sched. Spot capacity without a revocation
+// rule would be free money, so when r runs spot capacity and sched
+// says nothing about spot/ points, DefaultRevocationSpec is merged in
+// after sched's rules. Otherwise sched is returned as is.
+func (r *Resolved) WithDefaultRevocation(sched *faults.Schedule) *faults.Schedule {
+	if r.SpotFrac == 0 || sched.HasPointPrefix("spot/") {
+		return sched
+	}
+	def, err := faults.ParseSpec(DefaultRevocationSpec)
+	if err != nil {
+		// The spec is a constant; a failure means the fault grammar
+		// itself changed under it.
+		panic(err)
+	}
+	return faults.Merge(sched, def)
+}
 
 // Options is the raw CLI surface of the machine subsystem, before
 // validation. The *Set booleans distinguish "flag left at default"

@@ -25,9 +25,8 @@ import (
 //     (CanonicalizePlacement), which makes the optimizer's output a
 //     pure function of the group's content rather than its discovery
 //     order. That is what lets a memoized result substitute for a
-//     fresh OptimizeHostlo call byte for byte — and it holds whether
-//     the cache is on or off, which is how cache-on and cache-off runs
-//     stay identical.
+//     fresh OptimizeHostlo call byte for byte, which is why a world's
+//     placements do not depend on what its cache holds.
 //
 // The cache is deliberately not safe for concurrent use: each cluster
 // world owns one (parallel population fan-outs and shard worlds never
@@ -136,24 +135,24 @@ type packEntry struct {
 	prev, next *packEntry
 }
 
+// PackCacheCap bounds every packing cache. Misses are compulsory
+// (distinct group contents), not evictions: a 256× larger cache
+// reproduced the same miss count, so the bound is a constant.
+const PackCacheCap = 4096
+
 // PackCache is a bounded LRU of Hostlo packing sub-solutions. The zero
-// value is not usable; NewPackCache sizes it. A nil *PackCache is a
-// valid always-miss cache, so callers can thread an optional cache
-// without branching.
+// value is not usable; NewPackCache builds one.
 type PackCache struct {
 	cap        int
 	m          map[packKey]*packEntry
 	head, tail *packEntry // head = most recently used
-
-	hits, misses, evictions uint64
 }
 
-// NewPackCache returns a cache bounded to capacity entries
-// (capacity <= 0 returns nil: caching disabled).
-func NewPackCache(capacity int) *PackCache {
-	if capacity <= 0 {
-		return nil
-	}
+// NewPackCache returns an empty cache bounded to PackCacheCap entries.
+func NewPackCache() *PackCache { return newPackCache(PackCacheCap) }
+
+// newPackCache returns an empty cache bounded to capacity entries.
+func newPackCache(capacity int) *PackCache {
 	return &PackCache{cap: capacity, m: make(map[packKey]*packEntry, capacity)}
 }
 
@@ -161,15 +160,10 @@ func NewPackCache(capacity int) *PackCache {
 // verifying the stored input matches exactly. The returned slice is
 // owned by the cache: callers must treat it as read-only.
 func (pc *PackCache) Get(group []PlacedVM) ([]PlacedVM, bool) {
-	if pc == nil {
-		return nil, false
-	}
 	e := pc.m[GroupKey(group)]
 	if e == nil || !equalPlacement(e.input, group) {
-		pc.misses++
 		return nil, false
 	}
-	pc.hits++
 	pc.moveToFront(e)
 	return e.output, true
 }
@@ -178,9 +172,6 @@ func (pc *PackCache) Get(group []PlacedVM) ([]PlacedVM, bool) {
 // copying the group (whose backing arrays the caller reuses) and taking
 // ownership of improved. Re-installing an existing key refreshes it.
 func (pc *PackCache) Put(group, improved []PlacedVM) {
-	if pc == nil {
-		return
-	}
 	key := GroupKey(group)
 	if e := pc.m[key]; e != nil {
 		e.input = copyPlacement(group)
@@ -195,7 +186,6 @@ func (pc *PackCache) Put(group, improved []PlacedVM) {
 		// A restored entry lives in a shared arena: drop its slices so
 		// the arena does not pin an evicted placement.
 		lru.input, lru.output = nil, nil
-		pc.evictions++
 	}
 	e := &packEntry{key: key, input: copyPlacement(group), output: improved}
 	pc.m[key] = e
@@ -214,45 +204,31 @@ type PackCacheEntry struct {
 	key    packKey
 }
 
-// PackCacheState is the complete state of a PackCache: capacity, the
-// entries in recency order (most recently used first), and the lifetime
-// counters. It is the snapshot form — RestorePackCache rebuilds an
-// identical cache, and because the entry slices are immutable the state
-// can share them with a live cache.
+// PackCacheState is the complete state of a PackCache: its entries in
+// recency order (most recently used first). It is the snapshot form —
+// RestorePackCache rebuilds an identical cache, and because the entry
+// slices are immutable the state can share them with a live cache.
 type PackCacheState struct {
-	Cap       int
-	Entries   []PackCacheEntry
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
+	Entries []PackCacheEntry
 }
 
 // NewPackCacheState assembles a state from decoded parts, keying every
 // entry once, here. The state takes ownership of entries. A decoder
 // builds the state before anyone shares it, so no shared snapshot is
 // ever keyed lazily under concurrent restores.
-func NewPackCacheState(capacity int, entries []PackCacheEntry, hits, misses, evictions uint64) *PackCacheState {
+func NewPackCacheState(entries []PackCacheEntry) *PackCacheState {
 	for i := range entries {
 		entries[i].key = GroupKey(entries[i].Input)
 	}
-	return &PackCacheState{Cap: capacity, Entries: entries, Hits: hits, Misses: misses, Evictions: evictions}
+	return &PackCacheState{Entries: entries}
 }
 
-// State captures the cache (nil cache → nil state). The entry slices
-// are shared, not copied: they are immutable by the cache's ownership
-// contract, so the state stays valid while the live cache keeps
-// mutating its map and LRU order.
+// State captures the cache. The entry slices are shared, not copied:
+// they are immutable by the cache's ownership contract, so the state
+// stays valid while the live cache keeps mutating its map and LRU
+// order.
 func (pc *PackCache) State() *PackCacheState {
-	if pc == nil {
-		return nil
-	}
-	st := &PackCacheState{
-		Cap:       pc.cap,
-		Entries:   make([]PackCacheEntry, 0, len(pc.m)),
-		Hits:      pc.hits,
-		Misses:    pc.misses,
-		Evictions: pc.evictions,
-	}
+	st := &PackCacheState{Entries: make([]PackCacheEntry, 0, len(pc.m))}
 	for e := pc.head; e != nil; e = e.next {
 		st.Entries = append(st.Entries, PackCacheEntry{Input: e.input, Output: e.output, key: e.key})
 	}
@@ -263,24 +239,16 @@ func (pc *PackCache) State() *PackCacheState {
 // entry slices copy-on-write (the cache never mutates installed slices,
 // so N restored branches and the original can all hold the same
 // backing arrays). It hashes nothing: the keys travel with the state,
-// and the entries come from one arena. A nil state, or one with a
-// non-positive capacity, restores the nil always-miss cache.
+// and the entries come from one arena. A nil state restores an empty
+// cache; a state holding more than PackCacheCap entries is refused.
 func RestorePackCache(st *PackCacheState) (*PackCache, error) {
-	if st == nil || st.Cap <= 0 {
-		return nil, nil
+	if st == nil {
+		return NewPackCache(), nil
 	}
-	if len(st.Entries) > st.Cap {
-		return nil, fmt.Errorf("cloudsim: pack cache state holds %d entries, capacity %d", len(st.Entries), st.Cap)
+	if len(st.Entries) > PackCacheCap {
+		return nil, fmt.Errorf("cloudsim: pack cache state holds %d entries, capacity %d", len(st.Entries), PackCacheCap)
 	}
-	// The map is sized from the entries, not Cap: a decoded Cap may be
-	// hostile, and presizing to it could exhaust memory.
-	pc := &PackCache{
-		cap:       st.Cap,
-		m:         make(map[packKey]*packEntry, len(st.Entries)),
-		hits:      st.Hits,
-		misses:    st.Misses,
-		evictions: st.Evictions,
-	}
+	pc := &PackCache{cap: PackCacheCap, m: make(map[packKey]*packEntry, len(st.Entries))}
 	// Entries are in recency order; pushing front from the least recent
 	// end reproduces the LRU list exactly.
 	arena := make([]packEntry, len(st.Entries))
@@ -301,22 +269,6 @@ func RestorePackCache(st *PackCacheState) (*PackCache, error) {
 		pc.pushFront(e)
 	}
 	return pc, nil
-}
-
-// Stats reports lifetime hit/miss/eviction counts.
-func (pc *PackCache) Stats() (hits, misses, evictions uint64) {
-	if pc == nil {
-		return 0, 0, 0
-	}
-	return pc.hits, pc.misses, pc.evictions
-}
-
-// Len reports the number of cached sub-solutions.
-func (pc *PackCache) Len() int {
-	if pc == nil {
-		return 0
-	}
-	return len(pc.m)
 }
 
 func (pc *PackCache) pushFront(e *packEntry) {

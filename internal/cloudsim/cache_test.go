@@ -68,7 +68,7 @@ func TestCanonicalizePlacementOrderInvariant(t *testing.T) {
 // when the probe was discovered in a different order.
 func TestPackCacheHitMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	pc := NewPackCache(64)
+	pc := newPackCache(64)
 	for trial := 0; trial < 100; trial++ {
 		g := randGroup(r, fmt.Sprintf("h%d", trial))
 		out := OptimizeHostlo(g, Catalog())
@@ -85,10 +85,6 @@ func TestPackCacheHitMatchesFresh(t *testing.T) {
 				trial, cached, fresh)
 		}
 	}
-	hits, misses, _ := pc.Stats()
-	if hits != 100 || misses != 0 {
-		t.Fatalf("stats: %d hits %d misses, want 100/0", hits, misses)
-	}
 }
 
 // TestPackCacheLRUEviction pins the bounded-LRU discipline: capacity is
@@ -96,7 +92,7 @@ func TestPackCacheHitMatchesFresh(t *testing.T) {
 // Get refreshes recency.
 func TestPackCacheLRUEviction(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	pc := NewPackCache(2)
+	pc := newPackCache(2)
 	a := randGroup(r, "a")
 	b := randGroup(r, "b")
 	c := randGroup(r, "c")
@@ -107,8 +103,8 @@ func TestPackCacheLRUEviction(t *testing.T) {
 		t.Fatal("a missing before eviction")
 	}
 	pc.Put(c, OptimizeHostlo(c, Catalog()))
-	if pc.Len() != 2 {
-		t.Fatalf("len %d after eviction, want 2", pc.Len())
+	if len(pc.m) != 2 {
+		t.Fatalf("len %d after eviction, want 2", len(pc.m))
 	}
 	if _, ok := pc.Get(b); ok {
 		t.Fatal("b survived — LRU should have evicted it")
@@ -119,9 +115,6 @@ func TestPackCacheLRUEviction(t *testing.T) {
 	if _, ok := pc.Get(c); !ok {
 		t.Fatal("c missing right after install")
 	}
-	if _, _, ev := pc.Stats(); ev != 1 {
-		t.Fatalf("evictions %d, want 1", ev)
-	}
 }
 
 // TestPackCacheCollisionVerify pins the exact-input check: even when
@@ -131,7 +124,7 @@ func TestPackCacheLRUEviction(t *testing.T) {
 // under the probe's key with different content.
 func TestPackCacheCollisionVerify(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	pc := NewPackCache(4)
+	pc := newPackCache(4)
 	stored := randGroup(r, "x")
 	probe := copyPlacement(stored)
 	// Perturb the probe's content without changing counts, then forge
@@ -144,40 +137,42 @@ func TestPackCacheCollisionVerify(t *testing.T) {
 	if _, ok := pc.Get(probe); ok {
 		t.Fatal("colliding probe hit — exact-input verification is broken")
 	}
-	if _, misses, _ := pc.Stats(); misses != 1 {
-		t.Fatalf("misses %d, want 1", misses)
-	}
 }
 
 // TestPackCachePutRefresh: re-installing an existing key replaces the
 // entry in place without growing the cache.
 func TestPackCachePutRefresh(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	pc := NewPackCache(4)
+	pc := newPackCache(4)
 	g := randGroup(r, "r")
 	out1 := OptimizeHostlo(g, Catalog())
 	pc.Put(g, out1)
 	pc.Put(g, out1)
-	if pc.Len() != 1 {
-		t.Fatalf("len %d after double install, want 1", pc.Len())
+	if len(pc.m) != 1 {
+		t.Fatalf("len %d after double install, want 1", len(pc.m))
 	}
 }
 
-// TestNilPackCacheIsAlwaysMiss: a nil cache is the documented off
-// switch — every operation is a safe no-op.
-func TestNilPackCacheIsAlwaysMiss(t *testing.T) {
-	var pc *PackCache
-	r := rand.New(rand.NewSource(19))
-	g := randGroup(r, "n")
-	pc.Put(g, nil)
-	if _, ok := pc.Get(g); ok {
-		t.Fatal("nil cache hit")
+// TestNewPackCacheIsEmpty: a new cache and one restored from a nil
+// state are the same empty cache, bounded to the constant capacity,
+// and a probe misses until the group is installed.
+func TestNewPackCacheIsEmpty(t *testing.T) {
+	restored, err := RestorePackCache(nil)
+	if err != nil {
+		t.Fatalf("RestorePackCache(nil): %v", err)
 	}
-	if pc.Len() != 0 {
-		t.Fatal("nil cache non-empty")
-	}
-	if h, m, e := pc.Stats(); h != 0 || m != 0 || e != 0 {
-		t.Fatal("nil cache has stats")
+	g := randGroup(rand.New(rand.NewSource(19)), "n")
+	for name, pc := range map[string]*PackCache{"new": NewPackCache(), "restored": restored} {
+		if pc.cap != PackCacheCap || len(pc.m) != 0 || len(pc.State().Entries) != 0 {
+			t.Fatalf("%s: capacity %d with %d entries, want %d and none", name, pc.cap, len(pc.m), PackCacheCap)
+		}
+		if _, ok := pc.Get(g); ok {
+			t.Fatalf("%s: empty cache hit", name)
+		}
+		pc.Put(g, OptimizeHostlo(g, Catalog()))
+		if _, ok := pc.Get(g); !ok {
+			t.Fatalf("%s: installed group missed", name)
+		}
 	}
 }
 
@@ -284,10 +279,9 @@ func TestVMSigOfSeparatesRequests(t *testing.T) {
 }
 
 // samePackState reports whether two states hold the same entries
-// (content and key) in the same recency order, with the same counters.
+// (content and key) in the same recency order.
 func samePackState(a, b *PackCacheState) bool {
-	if a.Cap != b.Cap || a.Hits != b.Hits || a.Misses != b.Misses || a.Evictions != b.Evictions ||
-		len(a.Entries) != len(b.Entries) {
+	if len(a.Entries) != len(b.Entries) {
 		return false
 	}
 	for i := range a.Entries {
@@ -308,13 +302,13 @@ func samePackState(a, b *PackCacheState) bool {
 // answer the same probe sequence with the same hits, misses and outputs.
 func TestRestoredPackCacheKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	live := NewPackCache(16)
+	live := newPackCache(16)
 	var groups [][]PlacedVM
 	for i := 0; i < 40; i++ { // past capacity: evictions happen
 		g := randGroup(r, fmt.Sprintf("k%d", i))
 		groups = append(groups, g)
 		live.Put(g, OptimizeHostlo(g, Catalog()))
-		if r.Intn(3) == 0 { // shuffle recency, score hits and misses
+		if r.Intn(3) == 0 { // shuffle recency
 			live.Get(groups[r.Intn(len(groups))])
 		}
 	}
@@ -323,7 +317,7 @@ func TestRestoredPackCacheKeys(t *testing.T) {
 	for _, e := range captured.Entries {
 		copies = append(copies, PackCacheEntry{Input: copyPlacement(e.Input), Output: copyPlacement(e.Output)})
 	}
-	decoded := NewPackCacheState(captured.Cap, copies, captured.Hits, captured.Misses, captured.Evictions)
+	decoded := NewPackCacheState(copies)
 
 	var probes [][]PlacedVM
 	for i := 0; i < 120; i++ {
@@ -348,8 +342,12 @@ func TestRestoredPackCacheKeys(t *testing.T) {
 		}
 		restored[name] = pc
 	}
+	hits := 0
 	for i, g := range probes {
 		want, wantOK := live.Get(g)
+		if wantOK {
+			hits++
+		}
 		for name, pc := range restored {
 			if got, ok := pc.Get(g); ok != wantOK || !equalPlacement(got, want) {
 				t.Fatalf("%s: probe %d: hit %v, live cache hit %v", name, i, ok, wantOK)
@@ -361,8 +359,8 @@ func TestRestoredPackCacheKeys(t *testing.T) {
 			t.Fatalf("%s: state after the probes differs from the live cache's", name)
 		}
 	}
-	if h, m, _ := live.Stats(); h == captured.Hits || m == captured.Misses {
-		t.Fatalf("probes scored %d hits and %d misses; want both", h-captured.Hits, m-captured.Misses)
+	if hits == 0 || hits == len(probes) {
+		t.Fatalf("probes scored %d hits and %d misses; want both", hits, len(probes)-hits)
 	}
 }
 
@@ -371,8 +369,26 @@ func TestRestoredPackCacheKeys(t *testing.T) {
 // refused instead of restoring a cache that could never hit.
 func TestRestorePackCacheRejectsUnkeyed(t *testing.T) {
 	g := randGroup(rand.New(rand.NewSource(31)), "u")
-	st := &PackCacheState{Cap: 4, Entries: []PackCacheEntry{{Input: g, Output: g}}}
+	st := &PackCacheState{Entries: []PackCacheEntry{{Input: g, Output: g}}}
 	if _, err := RestorePackCache(st); err == nil {
 		t.Fatal("unkeyed state restored")
+	}
+}
+
+// TestRestorePackCacheRejectsOverfull: a state holding more entries
+// than the cache capacity (only a hostile snapshot can) is refused,
+// while one holding exactly the capacity restores.
+func TestRestorePackCacheRejectsOverfull(t *testing.T) {
+	entries := make([]PackCacheEntry, PackCacheCap+1)
+	for i := range entries {
+		g := []PlacedVM{{Items: []PlacedItem{{Pod: fmt.Sprintf("o%d", i), CPU: 0.1, Mem: 0.1}}}}
+		entries[i] = PackCacheEntry{Input: g, Output: g}
+	}
+	if _, err := RestorePackCache(NewPackCacheState(entries)); err == nil {
+		t.Fatalf("state with %d entries restored, capacity %d", len(entries), PackCacheCap)
+	}
+	pc, err := RestorePackCache(NewPackCacheState(entries[:PackCacheCap]))
+	if err != nil || len(pc.m) != PackCacheCap {
+		t.Fatalf("full state: %v", err)
 	}
 }

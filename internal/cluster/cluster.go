@@ -68,6 +68,17 @@ func (p Policy) String() string {
 	return "kubernetes"
 }
 
+// ParsePolicy is the inverse of Policy.String.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "kubernetes":
+		return Kubernetes, nil
+	case "hostlo":
+		return Hostlo, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q", name)
+}
+
 // AutoscalerMode names the fleet-management regime. Reconciler is the
 // only one; the type stays so callers that spell it out keep compiling.
 type AutoscalerMode int
@@ -103,12 +114,6 @@ type Config struct {
 	Faults *faults.Schedule
 	// Rec collects telemetry (nil = off).
 	Rec *telemetry.Recorder
-	// PackCacheSize bounds the per-cluster packing cache in entries
-	// (0 = default 4096, negative = caching off). A cache hit returns
-	// the placement a fresh optimizer call would produce, so results
-	// are byte-identical with the cache on or off — only the
-	// OptimizerCacheHits/Misses counters (and their telemetry) differ.
-	PackCacheSize int
 
 	// Cloud-model knobs (internal/cloud resolves CLI flags into these).
 	//
@@ -136,9 +141,6 @@ type Config struct {
 	Autoscaler AutoscalerMode
 }
 
-// defaultPackCacheSize bounds the packing cache when Config leaves it 0.
-const defaultPackCacheSize = 4096
-
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
 	if c.Catalog == nil {
@@ -146,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 8 * time.Hour
-	}
-	if c.PackCacheSize == 0 {
-		c.PackCacheSize = defaultPackCacheSize
 	}
 	if c.Zones < 1 {
 		c.Zones = 1
@@ -464,7 +463,7 @@ func New(cfg Config) *Cluster {
 		idx: newCapIndex(cfg.Catalog),
 
 		blockedPod: -1,
-		pack:       cloudsim.NewPackCache(cfg.PackCacheSize),
+		pack:       cloudsim.NewPackCache(),
 		ledger:     make(map[uint64]ledgerEvent),
 	}
 	c.fireFn = c.fireBySeq

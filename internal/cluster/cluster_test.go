@@ -412,3 +412,18 @@ func TestHostloLifecycleSavesUnderChurn(t *testing.T) {
 		t.Fatalf("hostlo $%.2f costs more than kube $%.2f under churn", hostlo, kube)
 	}
 }
+
+// TestParsePolicy: ParsePolicy inverts Policy.String and refuses any
+// other name.
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []cluster.Policy{cluster.Kubernetes, cluster.Hostlo} {
+		if got, err := cluster.ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	for _, name := range []string{"", "Hostlo", "k8s"} {
+		if _, err := cluster.ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", name)
+		}
+	}
+}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"nestless/internal/cloudsim"
 	"nestless/internal/cluster"
 	"nestless/internal/ctrace"
 	"nestless/internal/faults"
@@ -26,8 +28,8 @@ import (
 // corpus was recorded while the linear-scan reference scheduler still
 // existed, with every case asserted identical to it; "byte-identical
 // placement" is the whole contract of the indexed core, and these tests
-// are what pins it. The packing cache is also diffed against a
-// cache-off run directly.
+// are what pins it. The packing cache's entries are also checked
+// against fresh optimizer calls directly.
 
 // policyModes are the two scheduling regimes the suite covers: the
 // Kubernetes baseline and Hostlo, whose optimizer picks incremental or
@@ -45,6 +47,7 @@ const goldenPath = "testdata/golden.txt"
 
 // lifecycleRun is one recorded lifecycle run.
 type lifecycleRun struct {
+	world *cluster.Cluster // finished at its horizon
 	res   cluster.Result
 	trace string // telemetry text trace
 	line  string // golden corpus entry
@@ -68,7 +71,7 @@ func runRecorded(t *testing.T, cfg cluster.Config) lifecycleRun {
 	if buf.Len() == 0 {
 		t.Fatal("empty telemetry trace — recorder not wired")
 	}
-	return lifecycleRun{res: res, trace: buf.String(), line: golden.Line(c.Digest(), res, rec)}
+	return lifecycleRun{world: c, res: res, trace: buf.String(), line: golden.Line(c.Digest(), res, rec)}
 }
 
 // requireGolden runs cfg and checks it against its golden line.
@@ -328,56 +331,42 @@ func TestRepackUnderFaults(t *testing.T) {
 	}
 }
 
-// stripCacheLines drops the optimizer-cache counter lines from a text
-// trace — the only telemetry allowed to differ between cache-on and
-// cache-off runs.
-func stripCacheLines(trace string) string {
-	lines := strings.Split(trace, "\n")
-	kept := lines[:0]
-	for _, l := range lines {
-		if strings.Contains(l, "optimizer_cache") {
-			continue
-		}
-		kept = append(kept, l)
-	}
-	return strings.Join(kept, "\n")
-}
-
-// TestPackCacheEquivalence pins the cache contract: a run with the
-// packing cache enabled must produce the same Result and telemetry as
-// one with caching off, except for the cache hit/miss counters
-// themselves. A memoized sub-solution substitutes for a fresh
-// OptimizeHostlo call byte for byte.
+// TestPackCacheEquivalence pins the cache contract on a whole world: a
+// memoized sub-solution substitutes for a fresh OptimizeHostlo call
+// byte for byte. Every miss installs a new entry, so a world that
+// evicted nothing and holds one entry per miss still holds every
+// entry it ever installed, and every hit returned one of them. Each
+// entry's Output must then equal a fresh optimizer call on its Input.
 func TestPackCacheEquivalence(t *testing.T) {
-	base := cluster.Config{
+	run := runRecorded(t, cluster.Config{
 		Seed:      29,
 		Pods:      repackWorkload(29),
 		Policy:    cluster.Hostlo,
 		Horizon:   6 * time.Hour,
 		BootDelay: 30 * time.Second,
+	})
+	if run.res.OptimizerCacheHits == 0 {
+		t.Fatal("run never hit the cache — the memoization went unexercised")
 	}
-	on := base
-	off := base
-	off.PackCacheSize = -1
-	runOn, runOff := runRecorded(t, on), runRecorded(t, off)
-	resOn, trOn := runOn.res, runOn.trace
-	resOff, trOff := runOff.res, runOff.trace
-	if resOn.OptimizerCacheHits == 0 {
-		t.Fatal("cache-on run never hit the cache — the memoization went unexercised")
+	snap, err := run.world.Capture()
+	if err != nil {
+		t.Fatalf("Capture: %v", err)
 	}
-	if resOff.OptimizerCacheHits != 0 || resOff.OptimizerCacheMisses != 0 {
-		t.Fatalf("cache-off run recorded cache traffic: %d hits, %d misses",
-			resOff.OptimizerCacheHits, resOff.OptimizerCacheMisses)
+	entries := snap.Pack.Entries
+	if len(entries) != run.res.OptimizerCacheMisses || len(entries) >= cloudsim.PackCacheCap {
+		t.Fatalf("cache holds %d entries after %d misses (capacity %d): entries were evicted or refreshed",
+			len(entries), run.res.OptimizerCacheMisses, cloudsim.PackCacheCap)
 	}
-	a, b := resOn, resOff
-	a.OptimizerCacheHits, a.OptimizerCacheMisses = 0, 0
-	b.OptimizerCacheHits, b.OptimizerCacheMisses = 0, 0
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("cache on/off diverged beyond the counters:\non:  %+v\noff: %+v", a, b)
+	cat := cloudsim.Catalog()
+	for i, e := range entries {
+		in := slices.Clone(e.Input)
+		for j := range in {
+			in[j].Items = slices.Clone(in[j].Items)
+		}
+		if fresh := cloudsim.OptimizeHostlo(in, cat); !reflect.DeepEqual(e.Output, fresh) {
+			t.Fatalf("entry %d: cached placement differs from a fresh optimize:\n%v\nvs\n%v", i, e.Output, fresh)
+		}
 	}
-	if got, want := stripCacheLines(trOn), stripCacheLines(trOff); got != want {
-		t.Fatalf("telemetry diverged beyond cache counters (%d vs %d bytes)", len(got), len(want))
-	}
-	// The cached world must also still match the recorded reference.
-	golden.Open(t, goldenPath, "packcache/").Check("packcache/hostlo", runOn.line)
+	// The world must also still match the recorded reference.
+	golden.Open(t, goldenPath, "packcache/").Check("packcache/hostlo", run.line)
 }

@@ -144,17 +144,15 @@ func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 	c.outScratch = outs
 	c.missScratch = miss
 	hits := len(groups) - len(miss)
-	if c.pack != nil {
-		c.res.OptimizerCacheHits += hits
-		c.res.OptimizerCacheMisses += len(miss)
-		if c.rec != nil {
-			reg := c.rec.Metrics()
-			if hits > 0 {
-				reg.Counter("cluster/optimizer_cache_hits").Add(float64(hits))
-			}
-			if len(miss) > 0 {
-				reg.Counter("cluster/optimizer_cache_misses").Add(float64(len(miss)))
-			}
+	c.res.OptimizerCacheHits += hits
+	c.res.OptimizerCacheMisses += len(miss)
+	if c.rec != nil {
+		reg := c.rec.Metrics()
+		if hits > 0 {
+			reg.Counter("cluster/optimizer_cache_hits").Add(float64(hits))
+		}
+		if len(miss) > 0 {
+			reg.Counter("cluster/optimizer_cache_misses").Add(float64(len(miss)))
 		}
 	}
 	// Merge in type order. The cached outputs stay cache-owned and

@@ -366,9 +366,6 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d provisioning events pending, Inflight says %d", provPending, s.Inflight)
 	}
 	if s.Pack != nil {
-		if s.Pack.Cap != cfg.PackCacheSize {
-			return nil, fmt.Errorf("cluster: pack cache capacity %d, config says %d", s.Pack.Cap, cfg.PackCacheSize)
-		}
 		for ei := range s.Pack.Entries {
 			e := &s.Pack.Entries[ei]
 			for _, vms := range [2][]cloudsim.PlacedVM{e.Input, e.Output} {

@@ -47,7 +47,11 @@ const magic = "NLW1"
 // v7 dropped the trajectory downsampler and the step guard: the sample
 // period, MaxSteps, SampleCap, the open partial window and each Sample's
 // window aggregates (the period is Horizon/12, derived at restore).
-const version = 7
+// v8 dropped the packing cache's size knob and private counters: the
+// Config's cache size, the cache capacity (a constant now) and its hit,
+// miss and eviction counts (Result's optimizer cache counters carry the
+// same traffic).
+const version = 8
 
 // maxRandDraws bounds the RNG stream positions the codec will accept.
 // Restoring a stream position replays that many draws, so an unbounded
@@ -79,7 +83,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.uvarint(uint64(s.Cfg.Policy))
 	e.dur(s.Cfg.Horizon)
 	e.dur(s.Cfg.BootDelay)
-	e.varint(int64(s.Cfg.PackCacheSize))
 	e.varint(int64(s.Cfg.Zones))
 	e.uvarint(uint64(len(s.Cfg.ZoneNames)))
 	for _, z := range s.Cfg.ZoneNames {
@@ -252,15 +255,11 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	// Packing cache.
 	e.bool(s.Pack != nil)
 	if s.Pack != nil {
-		e.varint(int64(s.Pack.Cap))
 		e.uvarint(uint64(len(s.Pack.Entries)))
 		for i := range s.Pack.Entries {
 			e.placedVMs(s.Pack.Entries[i].Input)
 			e.placedVMs(s.Pack.Entries[i].Output)
 		}
-		e.uvarint(s.Pack.Hits)
-		e.uvarint(s.Pack.Misses)
-		e.uvarint(s.Pack.Evictions)
 	}
 	return e.buf, nil
 }
@@ -289,7 +288,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	}
 	s.Cfg.Horizon = d.dur()
 	s.Cfg.BootDelay = d.dur()
-	s.Cfg.PackCacheSize = int(d.varint())
 	s.Cfg.Zones = int(d.varint())
 	for i, n := 0, d.count(1); i < n; i++ {
 		s.Cfg.ZoneNames = append(s.Cfg.ZoneNames, d.str())
@@ -472,7 +470,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 
 	// Packing cache.
 	if d.bool() {
-		capacity := int(d.varint())
 		var entries []cloudsim.PackCacheEntry
 		for i, n := 0, d.count(2); i < n; i++ {
 			entries = append(entries, cloudsim.PackCacheEntry{
@@ -483,10 +480,10 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 				return nil, d.err
 			}
 		}
-		hits, misses, evictions := d.uvarint(), d.uvarint(), d.uvarint()
 		// Keys are not serialized: the constructor derives them once,
-		// before the snapshot is shared with concurrent restores.
-		s.Pack = cloudsim.NewPackCacheState(capacity, entries, hits, misses, evictions)
+		// before the snapshot is shared with concurrent restores. An
+		// entry count above the cache capacity is Restore's to refuse.
+		s.Pack = cloudsim.NewPackCacheState(entries)
 	}
 
 	if d.err != nil {

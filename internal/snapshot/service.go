@@ -48,8 +48,6 @@ type BaseConfig struct {
 	// nothing about spot/ points, cloud.DefaultRevocationSpec is merged
 	// in after it.
 	FaultSpec string
-	// PackCacheSize bounds the shared packing cache (0 = default).
-	PackCacheSize int
 	// Cloud is the resolved machine-subsystem configuration (nil = the
 	// default: on-demand aws:m5 in one zone, reconciler autoscaler).
 	Cloud *cloud.Resolved
@@ -214,13 +212,7 @@ func NewService(bc BaseConfig) (*Service, error) {
 			return nil, fmt.Errorf("whatif: fault spec: %w", err)
 		}
 	}
-	if bc.Cloud.SpotFrac > 0 && !sched.HasPointPrefix("spot/") {
-		def, err := faults.ParseSpec(cloud.DefaultRevocationSpec)
-		if err != nil {
-			return nil, fmt.Errorf("whatif: default revocation spec: %w", err)
-		}
-		sched = faults.Merge(sched, def)
-	}
+	sched = bc.Cloud.WithDefaultRevocation(sched)
 	users := trace.Generate(trace.GenConfig{
 		Seed:              bc.Seed,
 		Users:             bc.Users,
@@ -234,18 +226,17 @@ func NewService(bc BaseConfig) (*Service, error) {
 		pods = append(pods, u.Pods...)
 	}
 	c := cluster.New(cluster.Config{
-		Seed:          bc.Seed,
-		Pods:          pods,
-		Catalog:       bc.Cloud.Catalog.Types,
-		Policy:        bc.Policy,
-		Horizon:       bc.Horizon,
-		BootDelay:     bc.BootDelay,
-		Faults:        sched,
-		PackCacheSize: bc.PackCacheSize,
-		Zones:         bc.Cloud.Zones,
-		ZoneNames:     bc.Cloud.ZoneNames,
-		SpotFrac:      bc.Cloud.SpotFrac,
-		SpotDiscount:  bc.Cloud.SpotDiscount,
+		Seed:         bc.Seed,
+		Pods:         pods,
+		Catalog:      bc.Cloud.Catalog.Types,
+		Policy:       bc.Policy,
+		Horizon:      bc.Horizon,
+		BootDelay:    bc.BootDelay,
+		Faults:       sched,
+		Zones:        bc.Cloud.Zones,
+		ZoneNames:    bc.Cloud.ZoneNames,
+		SpotFrac:     bc.Cloud.SpotFrac,
+		SpotDiscount: bc.Cloud.SpotDiscount,
 	})
 	c.Arm()
 	c.Advance(sim.Time(bc.SnapAt))
@@ -292,14 +283,9 @@ func (s *Service) Run(q Query) (*Reply, error) {
 	switch q.Kind {
 	case "baseline", "add-pods", "kill-nodes", "kill-zone", "revoke-spot":
 	case "switch-policy":
-		var p cluster.Policy
-		switch q.Policy {
-		case "kubernetes":
-			p = cluster.Kubernetes
-		case "hostlo":
-			p = cluster.Hostlo
-		default:
-			return nil, fmt.Errorf("whatif: unknown policy %q", q.Policy)
+		p, err := cluster.ParsePolicy(q.Policy)
+		if err != nil {
+			return nil, fmt.Errorf("whatif: %w", err)
 		}
 		opts.Policy = &p
 	default:

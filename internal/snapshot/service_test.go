@@ -190,6 +190,11 @@ func TestServiceHTTP(t *testing.T) {
 	if st.Queries != 1 || st.Errors != 1 {
 		t.Errorf("stats: %d queries / %d errors, want 1 / 1", st.Queries, st.Errors)
 	}
+
+	resp, m = post(`{"kind":"switch-policy","policy":"borg"}`)
+	if resp.StatusCode != http.StatusBadRequest || m["error"] != `whatif: unknown policy "borg"` {
+		t.Errorf("unknown policy: status %d, error %v", resp.StatusCode, m["error"])
+	}
 }
 
 // TestServiceScale100K is the acceptance-scale run: a ~100k-pod base
