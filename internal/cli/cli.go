@@ -59,7 +59,7 @@ func Fatal(tool string, err error) {
 // count after parsing. Every tool validates it with CheckParallel.
 func ParallelFlag() *int {
 	return flag.Int("parallel", 1,
-		"fan independent simulation runs out across N workers (results are byte-identical to -parallel 1; telemetry runs force 1)")
+		"fan independent simulation runs out across N workers (results, -trace and -metrics output are byte-identical to -parallel 1)")
 }
 
 // CheckParallel rejects nonsensical worker counts via BadFlag.

@@ -406,8 +406,9 @@ type Cluster struct {
 	ledger map[uint64]ledgerEvent
 
 	// pack memoizes Hostlo sub-solutions across incremental optimize
-	// passes (nil = caching off). Strictly per-world: parallel
-	// population fan-outs and shard worlds never share a cache.
+	// passes (always on, cloudsim.PackCacheCap entries). Strictly
+	// per-world: parallel population fan-outs and shard worlds never
+	// share a cache.
 	pack *cloudsim.PackCache
 
 	// Optimizer scratch, reused arena-style across optimize() calls so

@@ -121,6 +121,41 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRecordedPopulationWorkerParity: a recorder changes neither the
+// population's schedule nor its output. Each (user, policy) run records
+// on its own child, appended in run order, so workers 1 and 4 export
+// the same text trace and metrics tables, and the results equal an
+// unrecorded run's.
+func TestRecordedPopulationWorkerParity(t *testing.T) {
+	users := trace.Generate(churnConfig(6, 6))
+	cfg := cluster.Config{Seed: 17, Horizon: 3 * time.Hour, BootDelay: 30 * time.Second}
+	plain := cluster.SimulatePopulation(users, cfg, 4)
+	var tel [2]string
+	for i, workers := range []int{1, 4} {
+		rec := telemetry.New()
+		rcfg := cfg
+		rcfg.Rec = rec
+		runs := cluster.SimulatePopulation(users, rcfg, workers)
+		if !reflect.DeepEqual(runs, plain) {
+			t.Fatalf("workers %d: recording perturbed the population results", workers)
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteTextTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range rec.MetricsTables() {
+			m.WriteText(&buf)
+		}
+		tel[i] = buf.String()
+	}
+	if !strings.Contains(tel[0], "user-"+fmt.Sprint(users[len(users)-1].ID)+"/hostlo/") {
+		t.Fatal("last user's Hostlo run left no labeled record")
+	}
+	if tel[0] != tel[1] {
+		t.Fatal("recorded population exports differ between workers 1 and 4")
+	}
+}
+
 // TestTrajectoryShape pins the fixed-resolution trajectory: one sample
 // at k·H/12 for k = 1..12, plus a horizon point only when that chain
 // misses the horizon (12 points at 8h, 13 at 7h13m7s, whose H/12 does

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"nestless/internal/parallel"
+	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
 
@@ -38,30 +38,32 @@ const userSeedStride = 1_000_003
 // worker count produces byte-identical output. cfg supplies everything
 // but the per-user workload and seed: user u runs with seed
 // cfg.Seed + u.ID*userSeedStride and cfg.Pods replaced by the user's
-// pods. A telemetry recorder forces the fan-out serial (single shared
-// timeline), with one run label per (user, policy).
+// pods. With a telemetry recorder every (user, policy) run records on
+// its own child, labeled user-<id>/kube or user-<id>/hostlo, appended
+// in user order, so the recording is byte-identical at any worker
+// count too.
 func SimulatePopulation(users []trace.User, cfg Config, workers int) []UserLifecycle {
-	out := make([]UserLifecycle, len(users))
-	if cfg.Rec != nil {
-		workers = 1
-	}
-	parallel.Run(len(users), workers, func(i int) {
-		u := users[i]
+	// One job per (user, policy) run, Kubernetes first, so each run
+	// records on its own child of cfg.Rec.
+	runs := make([]Result, 2*len(users))
+	telemetry.Fan(cfg.Rec, len(runs), workers, func(j int, rec *telemetry.Recorder) {
+		u := users[j/2]
 		ucfg := cfg
 		ucfg.Seed = cfg.Seed + int64(u.ID)*userSeedStride
 		ucfg.Pods = u.Pods
+		label := "kube"
 		ucfg.Policy = Kubernetes
-		if cfg.Rec != nil {
-			cfg.Rec.BeginRun(fmt.Sprintf("user-%d/kube", u.ID))
+		if j%2 == 1 {
+			ucfg.Policy, label = Hostlo, "hostlo"
 		}
-		kube := Simulate(ucfg)
-		ucfg.Policy = Hostlo
-		if cfg.Rec != nil {
-			cfg.Rec.BeginRun(fmt.Sprintf("user-%d/hostlo", u.ID))
-		}
-		hostlo := Simulate(ucfg)
-		out[i] = UserLifecycle{UserID: u.ID, Kube: kube, Hostlo: hostlo}
+		ucfg.Rec = rec
+		rec.BeginRun(fmt.Sprintf("user-%d/%s", u.ID, label))
+		runs[j] = Simulate(ucfg)
 	})
+	out := make([]UserLifecycle, len(users))
+	for i, u := range users {
+		out[i] = UserLifecycle{UserID: u.ID, Kube: runs[2*i], Hostlo: runs[2*i+1]}
+	}
 	return out
 }
 

@@ -230,7 +230,8 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 type RestoreOpts struct {
 	// Rec attaches a telemetry recorder to the branch. Byte-identical
 	// telemetry continuation requires the recorder the captured world
-	// was using (Rebind keeps its cursors); nil runs the branch silent.
+	// was using (a second BindEngine keeps its cursors); nil runs the
+	// branch silent.
 	Rec *telemetry.Recorder
 	// Policy, when non-nil, switches the placement policy for the
 	// branch ("what if we switch to Hostlo"). Switching to Hostlo marks
@@ -557,7 +558,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		}
 	}
 
-	o.Rec.Rebind(eng)
+	o.Rec.BindEngine(eng)
 	return c, nil
 }
 

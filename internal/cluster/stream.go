@@ -166,18 +166,6 @@ func (c *Cluster) Finish() Result {
 	return c.res
 }
 
-// Activate points a shared telemetry recorder at this world — run
-// label and engine binding — before an Advance. The shard runner calls
-// it per epoch when a recorder forces serial execution; without a
-// recorder it is a no-op.
-func (c *Cluster) Activate(label string) {
-	if c.rec == nil {
-		return
-	}
-	c.rec.BeginRun(label)
-	c.rec.BindEngine(c.eng)
-}
-
 // Transfer is one pod crossing worlds through the shard runner's
 // mailboxes: everything the receiving world needs to adopt it.
 type Transfer struct {

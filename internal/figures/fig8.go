@@ -6,7 +6,6 @@ import (
 	"nestless/internal/container"
 	"nestless/internal/kube"
 	"nestless/internal/netsim"
-	"nestless/internal/parallel"
 	"nestless/internal/report"
 	"nestless/internal/scenario"
 	"nestless/internal/sim"
@@ -30,7 +29,7 @@ const bootChunk = 10
 func BootSamples(o Opts, mode scenario.Mode, runs int) *sim.Series {
 	nChunks := (runs + bootChunk - 1) / bootChunk
 	chunks := make([]*sim.Series, nChunks)
-	parallel.Run(nChunks, o.pool(), func(c int) {
+	o.fan(nChunks, func(c int, o Opts) {
 		n := bootChunk
 		if rem := runs - c*bootChunk; rem < n {
 			n = rem
@@ -124,10 +123,9 @@ func Fig8(o Opts) (stats, cdf *report.Table) {
 	var nat, brf *sim.Series
 	// The two solutions are themselves independent; split the worker
 	// budget rather than serializing one whole solution after the other.
-	parallel.Run(2, min(o.pool(), 2), func(i int) {
-		sub := o
-		if o.pool() > 1 {
-			sub.Workers = (o.pool() + 1) / 2
+	o.fan(2, func(i int, sub Opts) {
+		if o.Workers > 1 {
+			sub.Workers = (o.Workers + 1) / 2
 		}
 		if i == 0 {
 			nat = BootSamples(sub, scenario.ModeNAT, runs)

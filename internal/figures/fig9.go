@@ -17,7 +17,7 @@ func Fig9(o Opts) (hist, stats *report.Table) {
 		cfg.Users = 150
 	}
 	users := trace.Generate(cfg)
-	res := cloudsim.SimulateParallel(users, cloudsim.Catalog(), o.pool())
+	res := cloudsim.SimulateParallel(users, cloudsim.Catalog(), o.Workers)
 
 	hist = report.New("Fig. 9 — relative cost savings among users",
 		"savings_bucket", "users", "fraction_of_savers")

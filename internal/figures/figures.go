@@ -14,7 +14,6 @@ import (
 
 	"nestless/internal/faults"
 	"nestless/internal/netperf"
-	"nestless/internal/parallel"
 	"nestless/internal/report"
 	"nestless/internal/scenario"
 	"nestless/internal/telemetry"
@@ -28,13 +27,15 @@ type Opts struct {
 	// survive, absolute precision drops.
 	Quick bool
 	// Rec collects telemetry across every scenario the figure builds
-	// (nil = telemetry off). Runs are labeled per (workload, mode) so a
-	// multi-scenario figure lays out on one trace timeline.
+	// (nil = telemetry off). Each run records on its own child, labeled
+	// per (workload, mode), and the children are appended in sweep
+	// order, so a multi-scenario figure lays out on one trace timeline
+	// that is byte-identical at any Workers.
 	Rec *telemetry.Recorder
 	// Workers caps how many scenario runs of a figure sweep execute
-	// concurrently (each run owns a private engine; results merge in
-	// index order, so tables are byte-identical for any value). <= 1
-	// means serial.
+	// concurrently (each run owns a private engine and recorder; results
+	// merge in index order, so tables and telemetry are byte-identical
+	// for any value). <= 1 means serial.
 	Workers int
 	// Faults applies a fault schedule to every scenario the figure
 	// builds (nil = injection off). Each scenario run gets its own
@@ -83,14 +84,15 @@ func (o Opts) cfg(seed int64) scenario.Config {
 	return scenario.Config{Seed: seed, Rec: o.Rec, Faults: o.Faults}
 }
 
-// pool returns the effective worker count for a sweep. Telemetry runs
-// are forced serial: a Recorder lays all runs on one shared timeline,
-// which only makes sense (and is only safe) when runs execute in order.
-func (o Opts) pool() int {
-	if o.Rec != nil || o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
+// fan runs a sweep's job(0..n-1) on at most o.Workers goroutines,
+// handing job i a copy of o whose Rec is its own child recorder
+// (telemetry.Fan appends the children in index order).
+func (o Opts) fan(n int, job func(i int, o Opts)) {
+	telemetry.Fan(o.Rec, n, o.Workers, func(i int, rec *telemetry.Recorder) {
+		oi := o
+		oi.Rec = rec
+		job(i, oi)
+	})
 }
 
 func (o Opts) streamWindow() (warmup, dur time.Duration) {
@@ -118,7 +120,7 @@ func Fig2(o Opts) *report.Table {
 		rr netperf.RRResult
 	}
 	cells := make([]cell, len(modes))
-	parallel.Run(len(modes), o.pool(), func(i int) {
+	o.fan(len(modes), func(i int, o Opts) {
 		cells[i].tp, cells[i].rr = measureServerClient(o, modes[i], 1280)
 	})
 	for i, mode := range modes {
@@ -151,7 +153,7 @@ func Fig4(o Opts) (throughput, latency *report.Table) {
 	nm := len(modes)
 	tps := make([]netperf.StreamResult, len(sizes)*nm)
 	rrs := make([]netperf.RRResult, len(rrSizes)*nm)
-	parallel.Run(len(tps)+len(rrs), o.pool(), func(i int) {
+	o.fan(len(tps)+len(rrs), func(i int, o Opts) {
 		if i < len(tps) {
 			tps[i], _ = measureStreamOnly(o, modes[i%nm], sizes[i/nm])
 			return
@@ -247,7 +249,7 @@ func Fig10(o Opts) (throughput, latency *report.Table) {
 	nm := len(modes)
 	tps := make([]netperf.StreamResult, len(sizes)*nm)
 	rrs := make([]netperf.RRResult, len(rrSizes)*nm)
-	parallel.Run(len(tps)+len(rrs), o.pool(), func(i int) {
+	o.fan(len(tps)+len(rrs), func(i int, o Opts) {
 		if i < len(tps) {
 			tps[i] = measureCCStream(o, modes[i%nm], sizes[i/nm])
 			return

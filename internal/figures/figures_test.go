@@ -19,50 +19,50 @@ import (
 
 const goldenPath = "testdata/golden.txt"
 
-// traced marks the figures whose serial leg runs with a telemetry
+// traced marks the figures whose Workers 8 leg runs with a telemetry
 // recorder: recording a Quick micro sweep writes traces of a few
 // hundred MB, so the traced legs are the cheap figures that between
 // them cross every datapath (Fig. 6: NAT, BrFusion and NoCont
 // server/client; Fig. 15: every intra-pod transport, Hostlo included;
-// Fig. 8: container boot).
+// Fig. 8: container boot, through its nested fan-out).
 var traced = map[string]bool{"fig6": true, "fig8": true, "fig15": true}
 
-// serial maps each registry name to its serial leg at Quick, seed 42:
-// the traced run for a traced figure, a plain Workers 1 run otherwise.
-// par maps it to the table text of a plain Workers 8 run at the same
-// seed. A leg runs at most once per test binary; the corpus, the
-// parallel-matches-serial checks and the shape tests share it.
+// serial maps each registry name to the tables of a plain Workers 1 run
+// at Quick, seed 42. par maps it to its Workers 8 leg at the same seed:
+// a traced run for a traced figure, a plain run otherwise. A leg runs
+// at most once per test binary; the corpus, the parallel-matches-serial
+// checks and the shape tests share it.
 var (
-	serial = map[string]func() leg{}
-	par    = map[string]func() string{}
+	serial = map[string]func() []*report.Table{}
+	par    = map[string]func() leg{}
 )
 
-// leg is a serial run's tables and its corpus fields: for a traced
-// figure, FNV-1a of the tables and of the run's text trace followed by
-// every metrics table; "-" for both otherwise.
+// leg is a Workers 8 run's table text and its trace fields: for a
+// traced figure, FNV-1a of the tables and of the run's text trace
+// followed by every metrics table; "-" for both otherwise.
 type leg struct {
-	tables []*report.Table
+	text   string
 	fields string
 }
 
 func init() {
 	for _, f := range Registry {
-		serial[f.Name] = sync.OnceValue(func() leg {
-			o := Opts{Seed: 42, Quick: true, Workers: 1}
+		serial[f.Name] = sync.OnceValue(func() []*report.Table {
+			return f.Run(Opts{Seed: 42, Quick: true, Workers: 1})
+		})
+		par[f.Name] = sync.OnceValue(func() leg {
+			o := Opts{Seed: 42, Quick: true, Workers: 8}
 			if !traced[f.Name] {
-				return leg{f.Run(o), "traced=- trace=-"}
+				return leg{text(f.Run(o)), "traced=- trace=-"}
 			}
 			o.Rec = telemetry.New()
-			tabs := f.Run(o)
+			tabs := text(f.Run(o))
 			h := fnv.New64a()
 			o.Rec.WriteTextTrace(h) // fails only when the writer does
 			for _, m := range o.Rec.MetricsTables() {
 				m.WriteText(h)
 			}
-			return leg{tabs, fmt.Sprintf("traced=%s trace=%016x", hash(text(tabs)), h.Sum64())}
-		})
-		par[f.Name] = sync.OnceValue(func() string {
-			return text(f.Run(Opts{Seed: 42, Quick: true, Workers: 8}))
+			return leg{tabs, fmt.Sprintf("traced=%s trace=%016x", hash(tabs), h.Sum64())}
 		})
 	}
 }
@@ -84,12 +84,14 @@ func hash(s string) string {
 
 // TestFiguresGolden pins every registry entry at Quick, seed 42, to the
 // recorded corpus. Each line hashes the tables of the Workers 8 leg,
-// then adds the serial leg's fields (per-station counters including
+// then adds its trace fields (per-station counters including
 // max_queue, the per-entity CPU rollup and the instrument registry are
-// among the metrics tables). A datapath change that moves any simulated
-// number, queue depth or CPU split fails here with the replacement line
-// printed. It runs first in this file, so it computes every leg and the
-// tests below only read them.
+// among the metrics tables). The traced lines were recorded from serial
+// traced runs, so they also pin that a recorded fan-out at Workers 8
+// exports what a serial one does. A datapath change that moves any
+// simulated number, queue depth or CPU split fails here with the
+// replacement line printed. It runs first in this file, so it computes
+// every leg and the tests below only read them.
 func TestFiguresGolden(t *testing.T) {
 	g := golden.Open(t, goldenPath, "")
 	// Figures share nothing, so two run at a time; lines are checked in
@@ -99,16 +101,18 @@ func TestFiguresGolden(t *testing.T) {
 		serial[Registry[i].Name]()
 	})
 	for _, f := range Registry {
-		g.Check(f.Name, "tables="+hash(par[f.Name]())+" "+serial[f.Name]().fields)
+		p := par[f.Name]()
+		g.Check(f.Name, "tables="+hash(p.text)+" "+p.fields)
 	}
 }
 
 // matchesSerial holds a registry entry to the parallel harness
-// contract: its Workers 8 tables are byte-identical to its serial leg's,
-// which covers row order, formatting and every numeric digit.
+// contract: its Workers 8 tables (recorded, for a traced figure) are
+// byte-identical to its plain serial run's, which covers row order,
+// formatting and every numeric digit.
 func matchesSerial(t *testing.T, name string) {
 	t.Helper()
-	if s, p := text(serial[name]().tables), par[name](); s != p {
+	if s, p := text(serial[name]()), par[name]().text; s != p {
 		t.Errorf("%s diverges under Workers 8:\nserial:\n%s\nparallel:\n%s", name, s, p)
 	}
 }
@@ -139,7 +143,7 @@ func cell(t *testing.T, s string) float64 {
 }
 
 func TestFig2TableShape(t *testing.T) {
-	tab := serial["fig2"]().tables[0]
+	tab := serial["fig2"]()[0]
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tab.Rows))
 	}
@@ -156,7 +160,7 @@ func TestFig2TableShape(t *testing.T) {
 }
 
 func TestFig4Tables(t *testing.T) {
-	tabs := serial["fig4"]().tables
+	tabs := serial["fig4"]()
 	tput, lat := tabs[0], tabs[1]
 	if len(tput.Rows) == 0 || len(lat.Rows) == 0 {
 		t.Fatal("empty tables")
@@ -180,7 +184,7 @@ func TestFig4Tables(t *testing.T) {
 }
 
 func TestFig5MacroOrdering(t *testing.T) {
-	tab := serial["fig5"]().tables[0]
+	tab := serial["fig5"]()[0]
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9 (3 apps × 3 modes)", len(tab.Rows))
 	}
@@ -205,7 +209,7 @@ func TestFig5MacroOrdering(t *testing.T) {
 }
 
 func TestFig6SoftIRQReduction(t *testing.T) {
-	tab := serial["fig6"]().tables[0]
+	tab := serial["fig6"]()[0]
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -221,7 +225,7 @@ func TestFig6SoftIRQReduction(t *testing.T) {
 }
 
 func TestFig8BootStatistics(t *testing.T) {
-	tabs := serial["fig8"]().tables
+	tabs := serial["fig8"]()
 	stats, cdf := tabs[0], tabs[1]
 	if len(stats.Rows) != 2 {
 		t.Fatalf("stats rows = %d", len(stats.Rows))
@@ -282,7 +286,7 @@ func TestFig9Stats(t *testing.T) {
 }
 
 func TestFig10Tables(t *testing.T) {
-	tabs := serial["fig10"]().tables
+	tabs := serial["fig10"]()
 	tput, lat := tabs[0], tabs[1]
 	if len(tput.Rows) == 0 || len(lat.Rows) == 0 {
 		t.Fatal("empty tables")
@@ -307,7 +311,7 @@ func TestFig10Tables(t *testing.T) {
 }
 
 func TestFig11MemcachedOrdering(t *testing.T) {
-	tab := serial["fig11"]().tables[0]
+	tab := serial["fig11"]()[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -324,7 +328,7 @@ func TestFig11MemcachedOrdering(t *testing.T) {
 }
 
 func TestFig13NginxOrdering(t *testing.T) {
-	tab := serial["fig13"]().tables[0]
+	tab := serial["fig13"]()[0]
 	lat := map[string]float64{}
 	for _, r := range tab.Rows {
 		lat[r[0]] = cell(t, r[2])
@@ -340,7 +344,7 @@ func TestFig13NginxOrdering(t *testing.T) {
 }
 
 func TestFig14CPUAttribution(t *testing.T) {
-	tab := serial["fig14"]().tables[0]
+	tab := serial["fig14"]()[0]
 	cores := map[string][2]float64{}
 	for _, r := range tab.Rows {
 		cores[r[0]] = [2]float64{cell(t, r[3]), cell(t, r[4])} // cs_total, guest
@@ -358,7 +362,7 @@ func TestFig14CPUAttribution(t *testing.T) {
 }
 
 func TestFig15Runs(t *testing.T) {
-	tab := serial["fig15"]().tables[0]
+	tab := serial["fig15"]()[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -370,7 +374,7 @@ func TestFig15Runs(t *testing.T) {
 }
 
 func TestTables1And2(t *testing.T) {
-	t1 := serial["table1"]().tables[0]
+	t1 := serial["table1"]()[0]
 	if len(t1.Rows) != 3 {
 		t.Fatalf("Table 1 rows = %d", len(t1.Rows))
 	}

@@ -8,7 +8,6 @@ import (
 	"nestless/internal/apps/memcached"
 	"nestless/internal/apps/nginx"
 	"nestless/internal/cpuacct"
-	"nestless/internal/parallel"
 	"nestless/internal/report"
 	"nestless/internal/scenario"
 )
@@ -126,7 +125,7 @@ func Fig5(o Opts) *report.Table {
 	modes := []scenario.Mode{scenario.ModeNAT, scenario.ModeBrFusion, scenario.ModeNoCont}
 	apps := []string{"memcached", "nginx", "kafka"}
 	runs := make([]macroRun, len(apps)*len(modes))
-	parallel.Run(len(runs), o.pool(), func(i int) {
+	o.fan(len(runs), func(i int, o Opts) {
 		runs[i] = runMacroServerClient(o, modes[i%len(modes)], apps[i/len(modes)])
 	})
 	for ai, app := range apps {
@@ -156,7 +155,7 @@ func cpuBreakdownTable(o Opts, app, title string) *report.Table {
 		"solution", "app_usr_cores", "app_sys_cores", "app_soft_cores", "app_total_cores", "vm_guest_cores")
 	modes := []scenario.Mode{scenario.ModeNAT, scenario.ModeBrFusion, scenario.ModeNoCont}
 	runs := make([]macroRun, len(modes))
-	parallel.Run(len(modes), o.pool(), func(i int) {
+	o.fan(len(modes), func(i int, o Opts) {
 		runs[i] = runMacroServerClient(o, modes[i], app)
 	})
 	for i, mode := range modes {
@@ -251,7 +250,7 @@ var ccModes = []scenario.CCMode{scenario.CCSameNode, scenario.CCHostlo, scenario
 // out under o.Workers; results come back in ccModes order.
 func runCCModes(o Opts, app string) []ccRun {
 	runs := make([]ccRun, len(ccModes))
-	parallel.Run(len(ccModes), o.pool(), func(i int) {
+	o.fan(len(ccModes), func(i int, o Opts) {
 		runs[i] = runMacroPodPair(o, ccModes[i], app)
 	})
 	return runs

@@ -82,9 +82,12 @@ type StreamConn struct {
 	established bool
 	onConnected func(*StreamConn)
 
-	// Send direction.
+	// Send direction. sendQ[sendHead:] holds the unsent messages in
+	// order; the head index (not reslicing) keeps the backing array, so
+	// steady-state SendMessage does not reallocate it.
 	sendQ    []message
-	headSent int // bytes of sendQ[0] already segmented
+	sendHead int
+	headSent int // bytes of sendQ[sendHead] already segmented
 	seq      uint64
 	ackedSeq uint64
 
@@ -185,6 +188,13 @@ func (c *StreamConn) SendMessage(size int, app interface{}) {
 		size = 1
 	}
 	c.MsgsOut++
+	if len(c.sendQ) == cap(c.sendQ) && c.sendHead > 0 {
+		// Full backing array with sent slots in front: slide the unsent
+		// messages down instead of growing.
+		n := copy(c.sendQ, c.sendQ[c.sendHead:])
+		clear(c.sendQ[n:])
+		c.sendQ, c.sendHead = c.sendQ[:n], 0
+	}
 	c.sendQ = append(c.sendQ, message{size: size, app: app, sentAt: c.ns.Net.Eng.Now()})
 	charges := []Charge{
 		{cpuacct.Usr, c.ns.Costs.AppSend.For(size)},
@@ -196,7 +206,7 @@ func (c *StreamConn) SendMessage(size int, app interface{}) {
 // QueuedBytes returns bytes submitted but not yet segmented out.
 func (c *StreamConn) QueuedBytes() int {
 	n := -c.headSent
-	for _, m := range c.sendQ {
+	for _, m := range c.sendQ[c.sendHead:] {
 		n += m.size
 	}
 	if n < 0 {
@@ -211,14 +221,14 @@ func (c *StreamConn) pump() {
 	if !c.established {
 		return
 	}
-	for len(c.sendQ) > 0 && c.InFlight() < c.window {
+	for c.sendHead < len(c.sendQ) && c.InFlight() < c.window {
 		// Fill one segment, possibly spanning several messages.
-		h0 := c.headSent
+		q0, h0 := c.sendHead, c.headSent
 		n := 0
 		var completes []message
 		var sentAt sim.Time
-		for n < c.mss && len(c.sendQ) > 0 {
-			head := &c.sendQ[0]
+		for n < c.mss && c.sendHead < len(c.sendQ) {
+			head := &c.sendQ[c.sendHead]
 			if sentAt == 0 || head.sentAt < sentAt {
 				sentAt = head.sentAt
 			}
@@ -230,16 +240,16 @@ func (c *StreamConn) pump() {
 			c.headSent += take
 			if c.headSent == head.size {
 				completes = append(completes, *head)
-				c.sendQ = c.sendQ[1:]
+				c.sendHead++
 				c.headSent = 0
 			}
 		}
 		if c.InFlight()+n > c.window && c.InFlight() > 0 {
 			// Window would overrun: put the carved bytes back and wait
 			// for ACKs. (Overshoot is only allowed with nothing in
-			// flight, to guarantee progress on jumbo segments.)
-			c.sendQ = append(completes, c.sendQ...)
-			c.headSent = h0
+			// flight, to guarantee progress on jumbo segments.) The
+			// carved messages still sit in their slots.
+			c.sendHead, c.headSent = q0, h0
 			break
 		}
 		p := c.ns.Net.getPacket()
@@ -259,8 +269,12 @@ func (c *StreamConn) pump() {
 	// Writable notification: queue fully flushed (fires on data pumps
 	// and on ACK-driven pumps alike, so senders can keep the window
 	// full).
-	if len(c.sendQ) == 0 && c.OnDrain != nil {
-		c.OnDrain()
+	if c.sendHead == len(c.sendQ) {
+		clear(c.sendQ) // release the sent messages' app payloads
+		c.sendQ, c.sendHead = c.sendQ[:0], 0
+		if c.OnDrain != nil {
+			c.OnDrain()
+		}
 	}
 }
 

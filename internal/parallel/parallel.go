@@ -16,9 +16,8 @@ import "sync"
 
 // Run executes job(0..n-1), fanning out across at most workers
 // goroutines. workers <= 1 (or n <= 1) degenerates to a plain serial
-// loop with zero goroutine overhead, which is also the required path
-// when runs share mutable state (e.g. a telemetry recorder's single
-// timeline).
+// loop with zero goroutine overhead. Jobs that record telemetry go
+// through telemetry.Fan, which gives each job its own recorder.
 //
 // job must be self-contained per index: own engine, own scenario, own
 // result slot. Run returns when every job has completed.

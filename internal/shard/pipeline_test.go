@@ -88,8 +88,9 @@ func TestPipelineEquivalence(t *testing.T) {
 				g.Check(fmt.Sprintf("%s%s/shards=%d", sc.prefix, policy, shards), golden.Line(got.Digest, got, nil))
 			}
 			digests[policy] = want.Digest
-			// A recorder pins the shard count to 1; its timeline covers
-			// the barrier-time transfer counters of a migrating replay.
+			// Recorded at -shards 8 (the line was recorded serially):
+			// the timeline covers the barrier-time transfer counters of
+			// a migrating replay.
 			rec := telemetry.New()
 			cfg.Cluster.Rec = rec
 			got, err := Replay(ctrace.NewSynth(users), cfg)

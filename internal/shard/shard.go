@@ -26,9 +26,10 @@
 // already-prefetched mailboxes by a seq-ordered merge, so every world
 // ingests exactly the trace order restricted to it.
 //
-// A telemetry recorder shares one timeline between all worlds, so it
-// runs the same loop with one goroutine: worlds advance in index
-// order, each activated on the recorder before its advance.
+// A telemetry recorder does not change the schedule: each world
+// records on its own child of Cluster.Rec from construction on, and
+// the finish phase appends the children in world index order, so the
+// recorded timeline is byte-identical for any shard count too.
 package shard
 
 import (
@@ -41,6 +42,7 @@ import (
 	"nestless/internal/ctrace"
 	"nestless/internal/parallel"
 	"nestless/internal/sim"
+	"nestless/internal/telemetry"
 )
 
 // worldSeedStride decorrelates per-world fault streams, a large prime
@@ -56,8 +58,8 @@ type Config struct {
 	// the results.
 	Worlds int
 	// Shards is the number of goroutines executing worlds between
-	// barriers (default 1). Any value produces byte-identical output; a
-	// telemetry recorder forces 1 (single shared timeline).
+	// barriers (default 1). Any value produces byte-identical output,
+	// telemetry included.
 	Shards int
 	// BarrierEvery is the epoch length: how often all worlds stop at
 	// the same virtual instant for the digest fold and the transfer
@@ -164,7 +166,7 @@ type replayer struct {
 	cfg     Config
 	pick    destPolicy
 	worlds  []*cluster.Cluster
-	labels  []string // per-world telemetry run labels
+	recs    []*telemetry.Recorder // per-world children of Cluster.Rec
 	horizon sim.Time
 	epoch   sim.Time
 	res     Result
@@ -203,21 +205,17 @@ func Replay(src ctrace.Source, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Cluster.Rec != nil {
-		// One shared recorder is one timeline: worlds advance one at a
-		// time, in index order, each activated on the recorder first.
-		cfg.Shards = 1
-	}
-
 	r := &replayer{cfg: cfg, pick: pick, src: src, moved: map[string]int{}, delta: map[string]int{}}
 	r.worlds = make([]*cluster.Cluster, cfg.Worlds)
-	r.labels = make([]string, cfg.Worlds)
+	r.recs = make([]*telemetry.Recorder, cfg.Worlds)
 	for w := range r.worlds {
 		wcfg := cfg.Cluster
 		wcfg.Seed = cfg.Cluster.Seed + int64(w)*worldSeedStride
+		wcfg.Rec = cfg.Cluster.Rec.Child()
+		wcfg.Rec.BeginRun(fmt.Sprintf("world-%d", w))
+		r.recs[w] = wcfg.Rec
 		r.worlds[w] = cluster.New(wcfg)
 		r.worlds[w].Start()
-		r.labels[w] = fmt.Sprintf("world-%d", w)
 	}
 	r.horizon = r.worlds[0].Horizon()
 	r.epoch = sim.Time(cfg.BarrierEvery)
@@ -228,7 +226,8 @@ func Replay(src ctrace.Source, cfg Config) (Result, error) {
 	if err := r.drainTail(); err != nil {
 		return Result{}, err
 	}
-	// Finish phase: close every world's books in index order.
+	// Finish phase: close every world's books in index order and lay
+	// its recording on the caller's timeline.
 	r.res.Worlds = make([]cluster.Result, cfg.Worlds)
 	for w := range r.worlds {
 		r.res.Worlds[w] = r.worlds[w].Finish()
@@ -237,6 +236,7 @@ func Replay(src ctrace.Source, cfg Config) (Result, error) {
 				return Result{}, fmt.Errorf("shard: world %d leaks: %v", w, leaks)
 			}
 		}
+		cfg.Cluster.Rec.Append(r.recs[w])
 	}
 	r.res.Merged = cluster.Merge(r.res.Worlds)
 	return r.res, nil
@@ -313,8 +313,7 @@ func (r *replayer) run() error {
 		}
 		// Advance phase on workers: each world ingests its mailbox (the
 		// engine is parked at t, so the events are still in its future)
-		// and runs to the barrier. Activate is a no-op without a
-		// recorder.
+		// and runs to the barrier.
 		done := make(chan struct{})
 		go func() {
 			parallel.Run(r.cfg.Worlds, r.cfg.Shards, func(w int) {
@@ -324,7 +323,6 @@ func (r *replayer) run() error {
 						return
 					}
 				}
-				r.worlds[w].Activate(r.labels[w])
 				r.worlds[w].Advance(end)
 			})
 			close(done)

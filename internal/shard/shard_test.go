@@ -222,12 +222,14 @@ func withGhostEnds(t *testing.T, src *ctrace.Slice, hours int) *ctrace.Slice {
 	return ctrace.NewSlice(evs)
 }
 
-// TestTelemetryForcesSerial pins that a recorder yields one
-// deterministic timeline regardless of the requested shard count, and
-// that recording does not perturb the replay results. The recorded
-// timeline — text trace and metrics table, whose rows follow
-// registration order — is pinned by the golden corpus.
-func TestTelemetryForcesSerial(t *testing.T) {
+// TestRecordedReplayShardParity pins that a recorder changes neither
+// the schedule nor the result: recorded replays at shards 1, 2, 4 and 8
+// export the same text trace and metrics table (each world records on
+// its own child, appended in world order), the one golden line pins it,
+// and a plain replay returns the same Result. The metrics table's rows
+// follow registration order, which the feed-time cluster/end_unknown
+// counter takes part in.
+func TestRecordedReplayShardParity(t *testing.T) {
 	g := golden.Open(t, goldenPath, "telemetry/")
 	src := withGhostEnds(t, synthSource(t, 17, 20), 3)
 	base := Config{
@@ -239,7 +241,9 @@ func TestTelemetryForcesSerial(t *testing.T) {
 			Horizon: 4 * time.Hour,
 		},
 	}
-	record := func(shards int) (Result, string) {
+	var want Result
+	var wantTel string
+	for i, shards := range []int{1, 2, 4, 8} {
 		rec := telemetry.New()
 		cfg := base
 		cfg.Shards = shards
@@ -249,24 +253,26 @@ func TestTelemetryForcesSerial(t *testing.T) {
 		if err := rec.WriteTextTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Contains(rec.Metrics().Names(), "cluster/end_unknown") {
-			t.Fatal("no unknown end reached a world — the feed-time counter went unexercised")
+		rec.Metrics().Table("metrics").WriteText(&buf)
+		if i == 0 {
+			if !slices.Contains(rec.Metrics().Names(), "cluster/end_unknown") {
+				t.Fatal("no unknown end reached a world — the feed-time counter went unexercised")
+			}
+			g.Check("telemetry/recorded", golden.Line(res.Digest, res, rec))
+			want, wantTel = res, buf.String()
+			continue
 		}
-		g.Check(fmt.Sprintf("telemetry/shards=%d", shards), golden.Line(res.Digest, res, rec))
-		return res, buf.String()
-	}
-	r1, t1 := record(1)
-	r4, t4 := record(4)
-	if t1 != t4 {
-		t.Fatal("telemetry timelines differ across shard counts")
-	}
-	if !reflect.DeepEqual(r1, r4) {
-		t.Fatal("results differ across shard counts with telemetry on")
+		if buf.String() != wantTel {
+			t.Fatalf("-shards %d: recorded trace or metrics differ from -shards 1", shards)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("-shards %d: recorded result differs from -shards 1", shards)
+		}
 	}
 	cfg := base
 	cfg.Shards = 4
 	plain := mustReplay(t, src, cfg)
-	if !reflect.DeepEqual(plain, r1) {
+	if !reflect.DeepEqual(plain, want) {
 		t.Fatal("recording perturbed the replay results")
 	}
 	g.Check("telemetry/plain", golden.Line(plain.Digest, plain, nil))

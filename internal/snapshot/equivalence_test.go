@@ -58,6 +58,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 			if err := recA.WriteTextTrace(&bufA); err != nil {
 				t.Fatalf("text trace: %v", err)
 			}
+			recA.Metrics().Table("metrics").WriteText(&bufA)
 
 			for _, snapAt := range snapTimes() {
 				snapAt := snapAt
@@ -113,8 +114,9 @@ func TestSnapshotEquivalence(t *testing.T) {
 					if err := recB.WriteTextTrace(&bufB); err != nil {
 						t.Fatalf("text trace: %v", err)
 					}
+					recB.Metrics().Table("metrics").WriteText(&bufB)
 					if bufA.String() != bufB.String() {
-						t.Errorf("telemetry text diverged after restore (%d vs %d bytes)", bufB.Len(), bufA.Len())
+						t.Errorf("telemetry text or metrics diverged after restore (%d vs %d bytes)", bufB.Len(), bufA.Len())
 					}
 
 					// Decoded leg: the world rebuilt from bytes (silent —

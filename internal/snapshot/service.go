@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -418,6 +420,11 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
+// maxQueryBytes caps a /whatif request body. A real query is a few
+// hundred bytes; the cap keeps one hostile POST from making the service
+// buffer an arbitrarily long nodes list.
+const maxQueryBytes = 1 << 20
+
 // Handler returns the HTTP face: POST /whatif answers queries, GET
 // /stats reports counters, GET /base reports the uninterrupted run.
 func (s *Service) Handler() http.Handler {
@@ -428,9 +435,19 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		var q Query
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
+		err := dec.Decode(&q)
+		if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+			err = errors.New("whatif: trailing data after the query object")
+		}
+		if err != nil {
 			s.countErr()
-			httpErr(w, http.StatusBadRequest, err.Error())
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpErr(w, code, err.Error())
 			return
 		}
 		rep, err := s.Run(q)

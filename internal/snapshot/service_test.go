@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +195,54 @@ func TestServiceHTTP(t *testing.T) {
 	resp, m = post(`{"kind":"switch-policy","policy":"borg"}`)
 	if resp.StatusCode != http.StatusBadRequest || m["error"] != `whatif: unknown policy "borg"` {
 		t.Errorf("unknown policy: status %d, error %v", resp.StatusCode, m["error"])
+	}
+}
+
+// TestServiceRejectsHostileBodies: a /whatif body past maxQueryBytes
+// (a huge nodes list) and a valid query followed by trailing data each
+// answer 4xx without running a query, and each counts as an error.
+func TestServiceRejectsHostileBodies(t *testing.T) {
+	svc := newTestService(t)
+	h := svc.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/whatif", strings.NewReader(body)))
+		return rec
+	}
+
+	var huge strings.Builder
+	huge.WriteString(`{"kind":"kill-nodes","nodes":[`)
+	for huge.Len() <= maxQueryBytes {
+		huge.WriteString(`"n0000000",`)
+	}
+	huge.WriteString(`"n0"]}`)
+	for _, c := range []struct {
+		name string
+		body string
+		code int
+	}{
+		{"oversized", huge.String(), http.StatusRequestEntityTooLarge},
+		{"trailing", `{"kind":"baseline"} {"kind":"baseline"}`, http.StatusBadRequest},
+		{"trailing-garbage", `{"kind":"baseline"}x`, http.StatusBadRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := svc.Stats()
+			rec := post(c.body)
+			var m map[string]string
+			err := json.Unmarshal(rec.Body.Bytes(), &m)
+			if err != nil || rec.Code != c.code || m["error"] == "" {
+				t.Errorf("status %d, reply %v (decode err %v), want %d with an error", rec.Code, m, err, c.code)
+			}
+			after := svc.Stats()
+			if after.Errors != before.Errors+1 || after.Queries != before.Queries {
+				t.Errorf("stats went %d/%d -> %d/%d queries/errors, want one more error and no query",
+					before.Queries, before.Errors, after.Queries, after.Errors)
+			}
+		})
+	}
+	// Trailing whitespace is not trailing data.
+	if rec := post("{\"kind\":\"baseline\"}\n \n"); rec.Code != http.StatusOK {
+		t.Errorf("baseline with trailing whitespace: status %d, want 200", rec.Code)
 	}
 }
 

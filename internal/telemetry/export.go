@@ -34,7 +34,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		writeJSONString(bw, name)
 		bw.WriteString(`}}`)
 	}
-	for _, p := range t.pairs {
+	for _, p := range t.threads() {
 		sep()
 		bw.WriteString(`{"name":"thread_name","ph":"M","pid":`)
 		bw.WriteString(strconv.Itoa(int(p.pid)))

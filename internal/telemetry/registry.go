@@ -85,6 +85,25 @@ func (r *Registry) Series(name string) *sim.Series {
 	return s
 }
 
+// append folds src's instruments into r in src's registration order:
+// counters add, gauges take src's value, series replay src's samples in
+// their recorded order (so running sums accumulate as if recorded here).
+func (r *Registry) append(src *Registry) {
+	for _, name := range src.order {
+		switch {
+		case src.counters[name] != nil:
+			r.Counter(name).Add(src.counters[name].Value())
+		case src.gauges[name] != nil:
+			r.Gauge(name).Set(src.gauges[name].Value())
+		case src.series[name] != nil:
+			dst := r.Series(name)
+			for _, v := range src.series[name].State().Samples {
+				dst.Add(v)
+			}
+		}
+	}
+}
+
 // Names returns all instrument names in registration order.
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.order))

@@ -1,5 +1,5 @@
 // Package telemetry is nestless's deterministic tracing and metrics
-// subsystem. One Recorder per experiment collects:
+// subsystem. One Recorder records one run on one engine and collects:
 //
 //   - CPU charge spans: every (category, duration) billed through a
 //     netsim.CPU becomes one Chrome 'X' span, and rolls up into a
@@ -15,8 +15,11 @@
 //     the sim.StationProbe / sim.EngineProbe hook interfaces.
 //
 // Everything is stamped with virtual time, so the exported trace and the
-// metrics tables are bit-identical across same-seed runs. A nil *Recorder
-// is valid everywhere and records nothing; hot paths guard emission with a
+// metrics tables are bit-identical across same-seed runs. Runs share a
+// timeline only through Append (Fan for a parallel fan-out), so a
+// recorded experiment runs on the schedule of an unrecorded one and
+// exports the same bytes at any worker count. A nil *Recorder is valid
+// everywhere and records nothing; hot paths guard emission with a
 // single nil check and allocate nothing when disabled.
 package telemetry
 
@@ -29,30 +32,29 @@ import (
 	"nestless/internal/sim"
 )
 
-// Recorder is the per-experiment telemetry sink. Zero value is not usable;
-// call New. All methods are safe on a nil receiver (they no-op), so call
-// sites thread a *Recorder without guards.
+// Recorder is the telemetry sink of one run. Zero value is not usable;
+// call New or Child. All methods are safe on a nil receiver (they
+// no-op), so call sites thread a *Recorder without guards.
 type Recorder struct {
 	tr  *Tracer
 	reg *Registry
 
 	// Virtual clock. When bound to an engine, timestamps are the engine's
-	// clock plus offset; otherwise SetNow drives a manual clock (used by
-	// tools without a simulation engine, e.g. costsim).
+	// clock; otherwise SetNow drives a manual clock (used by tools
+	// without a simulation engine, e.g. costsim). maxTS is the timeline's
+	// high-water mark, where Append lays the next run.
 	eng    *sim.Engine
-	offset sim.Time
 	manual sim.Time
 	maxTS  sim.Time
 
-	// run labels everything recorded until the next BeginRun, so one
-	// recorder can hold several scenario runs (fig 6 runs three) without
-	// colliding entity or station names.
+	// run labels everything recorded from BeginRun on, so runs appended
+	// onto one timeline (fig 6 runs three) keep their entity and station
+	// names apart.
 	run string
 
-	// Tick sampling of station utilization.
+	// Tick sampling of station utilization, on the run's own clock.
 	sampleEvery time.Duration
 	nextTick    sim.Time
-	gen         int
 	watches     []*stationWatch
 
 	// Per-entity CPU rollups mirroring what the accountant sees through
@@ -72,6 +74,40 @@ func New() *Recorder {
 		sampleEvery: time.Millisecond,
 		rollups:     make(map[string]*cpuacct.Usage),
 	}
+}
+
+// Child returns an empty recorder for one run of a fan-out, sampling
+// at r's period; Append lays it onto r's timeline once the run is done.
+// A nil r has nil children, so a telemetry-off fan-out stays off.
+func (r *Recorder) Child() *Recorder {
+	if r == nil {
+		return nil
+	}
+	c := New()
+	c.sampleEvery = r.sampleEvery
+	return c
+}
+
+// Append lays child's run after everything r has recorded, exactly
+// where a run recorded on r itself would have landed: child timestamps
+// shift by r's high-water mark, flow ids by r's flow count, and its
+// process and thread names, instruments, entity rollups and station
+// watches join r's in child first-use order (counters add, gauges take
+// child's value, series replay child's samples in order). child is
+// spent afterwards: its events move to r.
+func (r *Recorder) Append(child *Recorder) {
+	if r == nil || child == nil {
+		return
+	}
+	r.tr.append(child.tr, r.maxTS, r.flowSeq)
+	r.flowSeq += child.flowSeq
+	r.maxTS += child.maxTS
+	r.reg.append(child.reg)
+	for _, k := range child.rollupOrder {
+		u := r.rollup(k)
+		*u = u.Plus(*child.rollups[k])
+	}
+	r.watches = append(r.watches, child.watches...)
 }
 
 // SetSampleEvery changes the utilization sampling period (<= 0 disables
@@ -99,39 +135,20 @@ func (r *Recorder) Metrics() *Registry {
 	return r.reg
 }
 
-// BindEngine attaches the recorder to a simulation engine: timestamps
-// follow the engine's virtual clock, offset past everything already
-// recorded (so sequential runs lay out on one timeline), and the engine's
-// probe hook drives tick sampling. The recorder never schedules engine
-// events, so binding cannot perturb the simulation.
+// BindEngine attaches the recorder to its run's engine: timestamps
+// follow the engine's clock, and its probe hook drives tick sampling at
+// whole multiples of the period on that clock. A second binding
+// continues the same run (a world restored from a snapshot resumes on a
+// fresh engine at the captured instant), so only the first one sets the
+// sampling cursor. The recorder never schedules engine events, so
+// binding cannot perturb the simulation.
 func (r *Recorder) BindEngine(eng *sim.Engine) {
 	if r == nil || eng == nil {
 		return
 	}
-	r.offset = r.maxTS
-	r.eng = eng
-	r.gen++
-	if r.sampleEvery > 0 {
-		r.nextTick = r.offset + r.sampleEvery
-	}
-	eng.Probe = r
-}
-
-// Rebind swaps the engine a recorder follows WITHOUT resetting the
-// timeline cursors: offset, sample tick, generation and max timestamp
-// all stay put. It exists for world snapshot/restore — the restored
-// engine resumes at the captured virtual instant, so re-running
-// BindEngine's offset jump would double every timestamp. A recorder
-// that was never bound (no engine, nothing recorded) falls through to
-// BindEngine, so a restored world with a brand-new recorder still gets
-// a sane timeline.
-func (r *Recorder) Rebind(eng *sim.Engine) {
-	if r == nil || eng == nil {
-		return
-	}
-	if r.eng == nil && r.maxTS == 0 && r.offset == 0 {
-		r.BindEngine(eng)
-		return
+	if r.eng == nil && r.sampleEvery > 0 {
+		now := eng.Now()
+		r.nextTick = now - now%r.sampleEvery + r.sampleEvery
 	}
 	r.eng = eng
 	eng.Probe = r
@@ -151,7 +168,7 @@ func (r *Recorder) SetNow(t sim.Time) {
 
 // BeginRun labels everything recorded from here on; entity rollups,
 // station instruments and trace process groups are qualified with the
-// label, keeping multi-run recorders collision-free.
+// label, keeping runs appended onto one timeline collision-free.
 func (r *Recorder) BeginRun(label string) {
 	if r == nil {
 		return
@@ -162,7 +179,7 @@ func (r *Recorder) BeginRun(label string) {
 // now returns the current virtual timestamp.
 func (r *Recorder) now() sim.Time {
 	if r.eng != nil {
-		return r.offset + r.eng.Now()
+		return r.eng.Now()
 	}
 	return r.manual
 }
@@ -188,23 +205,19 @@ func (r *Recorder) emit(e Event) {
 // a sampling tick, snapshot every watched station's utilization. One
 // sample per crossing (not per elapsed tick) keeps big time jumps cheap.
 func (r *Recorder) EngineAdvance(now sim.Time) {
-	t := r.offset + now
-	if t > r.maxTS {
-		r.maxTS = t
+	if now > r.maxTS {
+		r.maxTS = now
 	}
-	if r.sampleEvery <= 0 || t < r.nextTick {
+	if r.sampleEvery <= 0 || now < r.nextTick {
 		return
 	}
 	for _, w := range r.watches {
-		if w.gen != r.gen {
-			continue
-		}
 		u := w.st.Utilization()
 		w.util.Add(u)
-		r.emit(Event{Ph: PhaseCounter, Name: "util", Cat: "station", TS: t, Pid: w.pid, Arg: numArg("util", u)})
+		r.emit(Event{Ph: PhaseCounter, Name: "util", Cat: "station", TS: now, Pid: w.pid, Arg: numArg("util", u)})
 	}
 	r.reg.Counter("telemetry/samples").Inc()
-	r.nextTick = t - t%r.sampleEvery + r.sampleEvery
+	r.nextTick = now - now%r.sampleEvery + r.sampleEvery
 }
 
 // WatchStation instruments a station: queue-depth and busy counters in the
@@ -220,7 +233,6 @@ func (r *Recorder) WatchStation(st *sim.Station, entity string) {
 		st:     st,
 		entity: entity,
 		label:  label,
-		gen:    r.gen,
 		pid:    r.tr.Pid("station/" + label),
 		util:   r.reg.Series("station/" + label + "/util"),
 		wake:   r.reg.Series("station/" + label + "/wake"),
@@ -414,7 +426,6 @@ type stationWatch struct {
 	st     *sim.Station
 	entity string
 	label  string
-	gen    int
 	pid    int32
 
 	busyT, idleT uint64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"io"
 	"testing"
 	"time"
@@ -57,6 +58,11 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Fatal("nil recorder exposed non-nil components")
 	}
 	r.BindEngine(sim.New(1))
+	if r.Child() != nil {
+		t.Fatal("nil recorder has a live child")
+	}
+	r.Append(New())
+	New().Append(r)
 	r.SetNow(5)
 	r.BeginRun("x")
 	r.WatchStation(nil, "e")
@@ -217,36 +223,110 @@ func TestChargeSpanRollupAndRunLabels(t *testing.T) {
 	}
 }
 
-func TestMultiEngineTimelineOffsets(t *testing.T) {
-	r := New()
-	e1 := sim.New(1)
-	r.BindEngine(e1)
-	e1.After(10*time.Microsecond, func() { r.Instant("g", "first", "", 0) })
-	e1.Run()
+// oneRun records one small engine run on rec under label: a watched
+// station crossing several sampling ticks, charge spans with a guest
+// mirror, a flow, an operation, an instant and registry instruments.
+// lead delays the work so two runs sit differently against the ticks.
+func oneRun(rec *Recorder, label string, lead time.Duration) {
+	rec.BeginRun(label)
+	eng := sim.New(1)
+	rec.BindEngine(eng)
+	st := sim.NewStation(eng, "cpu", 1)
+	rec.WatchStation(st, "host")
+	eng.After(lead, func() {
+		for i := 0; i < 3; i++ {
+			st.Process(700*time.Microsecond, func() {
+				rec.ChargeSpan("app", "vm/v", cpuacct.Usr, "cpu", 700*time.Microsecond)
+			})
+		}
+		id := rec.FlowBegin("client", "udp "+label)
+		rec.FlowHop(id, "eth0")
+		op := rec.OpBegin("vmm/vm0", "device_add")
+		eng.After(2500*time.Microsecond, func() {
+			rec.FlowEnd(id, "server")
+			op.End(nil)
+			rec.Instant("g", "done", "n", 1)
+		})
+	})
+	rec.Metrics().Counter("runs").Inc()
+	rec.Metrics().Gauge("lead").Set(lead.Seconds())
+	eng.Run()
+	rec.Metrics().Series("lead_s").Add(lead.Seconds())
+}
 
-	e2 := sim.New(1)
-	r.BindEngine(e2)
-	e2.After(5*time.Microsecond, func() { r.Instant("g", "second", "", 0) })
-	e2.Run()
+// exportAll renders everything a recorder exports: Chrome JSON, text
+// trace and every metrics table.
+func exportAll(t *testing.T, r *Recorder) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteTextTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range r.MetricsTables() {
+		m.WriteText(&b)
+	}
+	return b.String()
+}
 
-	evs := r.Tracer().Events()
-	var firstTS, secondTS sim.Time
-	for _, e := range evs {
-		switch e.Name {
-		case "first":
-			firstTS = e.TS
-		case "second":
-			secondTS = e.TS
+// appendGolden is FNV-1a of exportAll for oneRun "a" (1.3 ms lead)
+// followed by oneRun "b" (0.4 ms lead), recorded on one shared recorder
+// with two BeginRun and two BindEngine calls, the way multi-run
+// recorders were built before Append existed (with run-relative ticks).
+const appendGolden = 0xc6e79fe70347d926
+
+// TestAppendMatchesSharedTimeline: two runs recorded on their own
+// children, in either order, and appended in order export
+// byte-identically to the same two runs on one shared timeline.
+func TestAppendMatchesSharedTimeline(t *testing.T) {
+	p := New()
+	a, b := p.Child(), p.Child()
+	oneRun(b, "b", 400*time.Microsecond) // recording order is free
+	oneRun(a, "a", 1300*time.Microsecond)
+	p.Append(a)
+	p.Append(b)
+	h := fnv.New64a()
+	h.Write([]byte(exportAll(t, p)))
+	if got := h.Sum64(); got != appendGolden {
+		t.Fatalf("appended export hashes to %016x, want %016x", got, uint64(appendGolden))
+	}
+
+	var first, second sim.Time
+	for _, e := range p.Tracer().Events() {
+		if e.Ph == PhaseFlowBegin {
+			if e.ID == 1 {
+				first = e.TS
+			} else if e.ID == 2 {
+				second = e.TS
+			}
 		}
 	}
-	if firstTS != sim.Time(10*time.Microsecond) {
-		t.Fatalf("first at %v", firstTS)
+	if first != sim.Time(1300*time.Microsecond) || second <= first {
+		t.Fatalf("flow begins at %v and %v: want 1.3ms, then past the first run", first, second)
 	}
-	if secondTS <= firstTS {
-		t.Fatalf("second run not offset past the first: first=%v second=%v", firstTS, secondTS)
+	if c := p.Metrics().Counter("runs").Value(); c != 2 {
+		t.Fatalf("runs counter = %v, want 2", c)
 	}
-	if secondTS != sim.Time(15*time.Microsecond) {
-		t.Fatalf("second at %v, want offset(10µs)+5µs", secondTS)
+}
+
+// TestFanAppendsInIndexOrder: Fan over the same two runs, on two
+// workers, exports exactly what the appended pair does.
+func TestFanAppendsInIndexOrder(t *testing.T) {
+	p := New()
+	labels := []string{"a", "b"}
+	leads := []time.Duration{1300 * time.Microsecond, 400 * time.Microsecond}
+	Fan(p, 2, 2, func(i int, rec *Recorder) { oneRun(rec, labels[i], leads[i]) })
+	h := fnv.New64a()
+	h.Write([]byte(exportAll(t, p)))
+	if got := h.Sum64(); got != appendGolden {
+		t.Fatalf("fanned export hashes to %016x, want %016x", got, uint64(appendGolden))
+	}
+	var live [3]bool
+	Fan(nil, 3, 2, func(i int, rec *Recorder) { live[i] = rec != nil })
+	if live != [3]bool{} {
+		t.Fatalf("nil parent handed out live recorders: %v", live)
 	}
 }
 

@@ -52,11 +52,6 @@ type Tracer struct {
 	events []Event
 	pids   internTable
 	tids   internTable
-
-	// (pid, tid) pairs seen on span events, in first-use order, so the
-	// exporter can emit thread_name metadata under the right process.
-	pairs    []pidTid
-	pairSeen map[pidTid]bool
 }
 
 type pidTid struct{ pid, tid int32 }
@@ -103,17 +98,49 @@ func (t *Tracer) Pid(name string) int32 { return t.pids.id(name) }
 // Tid interns a thread-lane name and returns its handle.
 func (t *Tracer) Tid(name string) int32 { return t.tids.id(name) }
 
-// add appends an event, tracking (pid, tid) pairs for metadata export.
-func (t *Tracer) add(e Event) {
-	if e.Pid != 0 && e.Tid != 0 {
+// add appends an event.
+func (t *Tracer) add(e Event) { t.events = append(t.events, e) }
+
+// threads returns the (pid, tid) pairs of the events that carry both,
+// in first-use order, so the exporter can emit thread_name metadata
+// under the right process.
+func (t *Tracer) threads() []pidTid {
+	var out []pidTid
+	seen := make(map[pidTid]bool)
+	for _, e := range t.events {
 		p := pidTid{e.Pid, e.Tid}
-		if !t.pairSeen[p] {
-			if t.pairSeen == nil {
-				t.pairSeen = make(map[pidTid]bool)
-			}
-			t.pairSeen[p] = true
-			t.pairs = append(t.pairs, p)
+		if e.Pid != 0 && e.Tid != 0 && !seen[p] {
+			seen[p] = true
+			out = append(out, p)
 		}
 	}
-	t.events = append(t.events, e)
+	return out
+}
+
+// append moves c's events after t's: timestamps shift by shift, flow
+// ids by flowBase, and c's process and thread names join t's in c's
+// first-use order. c is left empty.
+func (t *Tracer) append(c *Tracer, shift sim.Time, flowBase uint64) {
+	pids, tids := reintern(&t.pids, &c.pids), reintern(&t.tids, &c.tids)
+	for i := range c.events {
+		e := &c.events[i]
+		e.TS += shift
+		e.Pid, e.Tid = pids[e.Pid], tids[e.Tid]
+		if e.ID != 0 {
+			e.ID += flowBase
+		}
+	}
+	t.events = append(t.events, c.events...)
+	*c = Tracer{}
+}
+
+// reintern interns every name of from into to, in from's numbering
+// order, and returns the handle map: out[old] is the name's handle in
+// to (out[0] stays 0, "unset").
+func reintern(to, from *internTable) []int32 {
+	out := make([]int32, len(from.names)+1)
+	for i, name := range from.names {
+		out[i+1] = to.id(name)
+	}
+	return out
 }
