@@ -19,29 +19,27 @@
 //	costsim -lifecycle -faults 'node/*:crash:p=0.01'
 //
 // The machine subsystem (internal/cloud) generalizes the hard-coded
-// m5 table: -cloud selects a registered catalog (optionally with
-// zone=/spot= keys), -zones spreads the lifecycle fleet across
-// availability-zone failure domains, -spot-frac runs part of it on
-// discounted spot capacity (revocation is a seeded fault;
-// spot/*:crash:p=0.02 is merged in unless -faults already covers
-// spot/):
+// m5 table: -cloud names a registered catalog, -zones spreads the
+// lifecycle fleet across availability-zone failure domains, -spot-frac
+// runs part of it on discounted spot capacity (revocation is a seeded
+// fault; spot/*:crash:p=0.02 is merged in unless -faults already
+// covers spot/):
 //
 //	costsim -cloud gcp:n2                  # static cross-cloud comparison
 //	costsim -lifecycle -cloud gcp:n2 -zones 3 -spot-frac 0.5
-//	costsim -lifecycle -cloud 'gcp:n2:zone=3:spot=0.5'
 //
 // The -replay flag feeds a recorded cluster trace file (CSV or JSONL,
 // optionally gzipped — see internal/ctrace) through the sharded
 // multi-cluster replay (internal/shard) instead of generating a
 // synthetic population. Both policies run over the same stream; the
-// trace is reopened per policy. -shards picks the execution
-// parallelism (byte-identical output for any value), -worlds the
-// logical partition count (part of the experiment):
+// trace is reopened per policy. -parallel picks how many goroutines
+// execute the worlds (byte-identical output for any value), -worlds
+// the logical partition count (part of the experiment):
 //
 //	ctracegen -users 200 -out t.csv.gz
-//	costsim -replay t.csv.gz -shards 4
+//	costsim -replay t.csv.gz -parallel 4
 //	costsim -replay t.csv.gz -worlds 8 -migrate-after 20m -migrate-policy locality
-//	costsim -replay big3d.csv.gz -shards 8 -horizon 72h   # multi-day, bounded memory
+//	costsim -replay big3d.csv.gz -parallel 8 -horizon 72h   # multi-day, bounded memory
 //
 // The feed is pipelined (epoch N+1 prefetches while epoch N advances)
 // and each world stores a fixed 12-point trajectory (one sample every
@@ -53,7 +51,8 @@
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
-// OUTPUT; the trace INPUT is -replay.)
+// OUTPUT; the trace INPUT is -replay.) A replay records each policy
+// under its own label (kubernetes/world-0, ..., hostlo/world-0, ...).
 package main
 
 import (
@@ -91,10 +90,8 @@ func main() {
 	boot := flag.Duration("boot", 45*time.Second, "lifecycle VM boot delay")
 	replay := flag.String("replay", "",
 		"replay a recorded cluster trace file (csv/jsonl, .gz ok; see internal/ctrace) through the sharded lifecycle simulation instead of generating a workload")
-	shards := flag.Int("shards", 1,
-		"replay: goroutines executing the cluster worlds (any value is byte-identical to -shards 1)")
 	worlds := flag.Int("worlds", 8,
-		"replay: logical cluster worlds the trace is hash-partitioned over (changes the experiment, unlike -shards)")
+		"replay: logical cluster worlds the trace is hash-partitioned over (changes the experiment, unlike -parallel)")
 	barrier := flag.Duration("barrier", 15*time.Minute,
 		"replay: epoch length between world synchronization barriers")
 	migrateAfter := flag.Duration("migrate-after", 0,
@@ -103,12 +100,12 @@ func main() {
 		"replay: skip malformed trace rows instead of failing")
 	migratePolicy := flag.String("migrate-policy", "least-loaded",
 		"replay: destination policy for -migrate-after transfers: least-loaded or locality")
-	cloudSpec := flag.String("cloud", cloud.DefaultName,
-		"machine catalog selector: provider:family[:zone=N][:spot=F] (registered: "+strings.Join(cloud.Names(), ", ")+")")
+	cloudName := flag.String("cloud", cloud.DefaultName,
+		"machine catalog: one of "+strings.Join(cloud.Names(), ", "))
 	spotFrac := flag.Float64("spot-frac", 0,
 		"lifecycle: target fraction of the fleet on spot capacity, in [0,1] (needs a spot-capable catalog)")
 	zones := flag.Int("zones", 1,
-		"lifecycle: availability zones the fleet spreads across (bounded by the catalog's zone list)")
+		"lifecycle: availability zones the fleet spreads across, >= 1 (bounded by the catalog's zone list)")
 	workers := cli.ParallelFlag()
 	faultSpec := cli.FaultsFlag()
 	tf := cli.TelemetryFlags()
@@ -116,27 +113,25 @@ func main() {
 	flag.Parse()
 	cli.CheckParallel(*workers)
 	sched := cli.ParseFaults(*faultSpec)
-	if *shards < 1 {
-		cli.BadFlag("costsim: -shards must be >= 1, got %d", *shards)
-	}
 	if *worlds < 1 {
 		cli.BadFlag("costsim: -worlds must be >= 1, got %d", *worlds)
 	}
 	if err := checkDurations(*horizon, *barrier, *boot, *gap, *life, *migrateAfter); err != nil {
 		cli.BadFlag("costsim: %v", err)
 	}
+	// cloud.Resolve reads zero zones as one; reject it here so the
+	// report never shows a fleet the flag did not ask for.
+	if *zones < 1 {
+		cli.BadFlag("costsim: -zones must be >= 1, got %d", *zones)
+	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	cl, err := cloud.Resolve(cloud.Options{
-		Spec:     *cloudSpec,
-		SpotFrac: *spotFrac, SpotFracSet: explicit["spot-frac"],
-		Zones: *zones, ZonesSet: explicit["zones"],
-	})
+	cl, err := cloud.Resolve(cloud.Options{Spec: *cloudName, SpotFrac: *spotFrac, Zones: *zones})
 	if err != nil {
 		cli.BadFlag("costsim: %v", err)
 	}
 	if !*lifecycle && *replay == "" {
-		if err := checkStatic(explicit, cl); err != nil {
+		if err := checkStatic(explicit); err != nil {
 			cli.BadFlag("costsim: %v", err)
 		}
 	}
@@ -158,7 +153,7 @@ func main() {
 			cli.BadFlag("costsim: -migrate-policy must be least-loaded or locality, got %q", *migratePolicy)
 		}
 	} else {
-		for _, name := range []string{"shards", "worlds", "barrier", "migrate-after", "lenient", "migrate-policy"} {
+		for _, name := range []string{"worlds", "barrier", "migrate-after", "lenient", "migrate-policy"} {
 			if explicit[name] {
 				cli.BadFlag("costsim: -%s only applies to a trace replay (add -replay FILE)", name)
 			}
@@ -194,11 +189,11 @@ func main() {
 
 	so := simOpts{
 		seed: *seed, horizon: *horizon, boot: *boot, sched: sched,
-		cloud: cl, rec: tf.Recorder(), emit: emit,
+		cloud: cl, rec: tf.Recorder(), emit: emit, workers: *workers,
 	}
 	if *replay != "" {
 		runReplay(replayOpts{
-			simOpts: so, path: *replay, shards: *shards, worlds: *worlds, barrier: *barrier,
+			simOpts: so, path: *replay, worlds: *worlds, barrier: *barrier,
 			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy, lenient: *lenient,
 		})
 		tf.EmitOrDie("costsim")
@@ -206,7 +201,7 @@ func main() {
 	}
 
 	if *lifecycle {
-		runLifecycle(lifecycleOpts{simOpts: so, users: *users, gap: *gap, life: *life, workers: *workers})
+		runLifecycle(lifecycleOpts{simOpts: so, users: *users, gap: *gap, life: *life})
 		tf.EmitOrDie("costsim")
 		return
 	}
@@ -226,7 +221,9 @@ func main() {
 		crossCloud(cl.Catalog, res, pop, *workers, emit)
 		topTitle += fmt.Sprintf(" (%s)", cl.Catalog.Name())
 	} else if *users == 492 {
-		hist, stats := figures.Fig9(figures.Opts{Seed: *seed, Workers: *workers})
+		// The paper's population priced with Table 2 (the default
+		// catalog) is exactly Fig. 9's run.
+		hist, stats := figures.Fig9Of(res)
 		emit(hist)
 		fmt.Println()
 		emit(stats)
@@ -288,7 +285,7 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 // checkStatic rejects cluster-simulation settings on the static path:
 // the snapshot has no fleet to manage and no clock, so only the catalog
 // choice applies. explicit holds the flags set on the command line.
-func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
+func checkStatic(explicit map[string]bool) error {
 	for _, name := range []string{
 		"spot-frac", "zones",
 		"horizon", "gap", "life", "boot",
@@ -296,9 +293,6 @@ func checkStatic(explicit map[string]bool, cl *cloud.Resolved) error {
 		if explicit[name] {
 			return fmt.Errorf("-%s only applies to the cluster simulation (add -lifecycle or -replay)", name)
 		}
-	}
-	if cl.SpotFrac > 0 || cl.Zones > 1 {
-		return fmt.Errorf("zone=/spot= in -cloud only apply to the cluster simulation (add -lifecycle or -replay)")
 	}
 	return nil
 }
@@ -319,7 +313,8 @@ func checkDurations(horizon, barrier, boot, gap, life, migrateAfter time.Duratio
 }
 
 // simOpts bundles the cluster-simulation parameters the -lifecycle and
-// -replay paths share.
+// -replay paths share. workers is -parallel: users simulated at once on
+// -lifecycle, worlds advanced at once on -replay.
 type simOpts struct {
 	seed    int64
 	horizon time.Duration
@@ -328,6 +323,7 @@ type simOpts struct {
 	cloud   *cloud.Resolved
 	rec     *telemetry.Recorder
 	emit    func(*report.Table)
+	workers int
 }
 
 // clusterConfig is the per-world cluster configuration both paths run.
@@ -349,10 +345,9 @@ func (o simOpts) clusterConfig() cluster.Config {
 // lifecycleOpts bundles the -lifecycle run parameters.
 type lifecycleOpts struct {
 	simOpts
-	users   int
-	gap     time.Duration
-	life    time.Duration
-	workers int
+	users int
+	gap   time.Duration
+	life  time.Duration
 }
 
 // runLifecycle simulates the population's cluster lifecycle under both
@@ -374,14 +369,24 @@ func runLifecycle(o lifecycleOpts) {
 		hostloRuns[i] = u.Hostlo
 	}
 	kube, hostlo := cluster.Merge(kubeRuns), cluster.Merge(hostloRuns)
+	o.summary(fmt.Sprintf("Cluster lifecycle over %d users, %v horizon", len(runs), o.horizon),
+		kube, hostlo, false)
+}
 
-	t := report.New(fmt.Sprintf("Cluster lifecycle over %d users, %v horizon", len(runs), o.horizon),
-		"metric", "kubernetes", "hostlo")
+// summary prints the Kubernetes-vs-Hostlo cost/disruption table and the
+// cost-over-time trajectory of a -lifecycle or (replay true) -replay
+// run. A replay adds the cross-world transfer row; a lifecycle run adds
+// the reconciler and optimizer rows.
+func (o simOpts) summary(title string, kube, hostlo cluster.Result, replay bool) {
+	t := report.New(title, "metric", "kubernetes", "hostlo")
 	t.AddRow("pods arrived", kube.Arrived, hostlo.Arrived)
 	t.AddRow("pods scheduled", kube.Scheduled, hostlo.Scheduled)
 	t.AddRow("pods departed", kube.Departed, hostlo.Departed)
 	t.AddRow("pods failed (unschedulable)", kube.Failed, hostlo.Failed)
 	t.AddRow("pods pending at horizon", kube.StillPending, hostlo.StillPending)
+	if replay {
+		t.AddRow("pods transferred across worlds", kube.TransferredIn, hostlo.TransferredIn)
+	}
 	t.AddRow("cost over horizon $", kube.CostDollars, hostlo.CostDollars)
 	t.AddRow("cost split spot / on-demand $", costSplit(kube), costSplit(hostlo))
 	t.AddRow("final fleet $/h", kube.FinalCostPerH, hostlo.FinalCostPerH)
@@ -390,8 +395,10 @@ func runLifecycle(o lifecycleOpts) {
 	t.AddRow("mean time-to-schedule", kube.TTSMean.Round(time.Millisecond), hostlo.TTSMean.Round(time.Millisecond))
 	t.AddRow("scale-ups / scale-downs", fmt.Sprintf("%d / %d", kube.ScaleUps, kube.ScaleDowns),
 		fmt.Sprintf("%d / %d", hostlo.ScaleUps, hostlo.ScaleDowns))
-	t.AddRow("reconcile rounds / actions", fmt.Sprintf("%d / %d", kube.ReconcileRounds, kube.ReconcileActions),
-		fmt.Sprintf("%d / %d", hostlo.ReconcileRounds, hostlo.ReconcileActions))
+	if !replay {
+		t.AddRow("reconcile rounds / actions", fmt.Sprintf("%d / %d", kube.ReconcileRounds, kube.ReconcileActions),
+			fmt.Sprintf("%d / %d", hostlo.ReconcileRounds, hostlo.ReconcileActions))
+	}
 	t.AddRow("node kills (faults)", kube.Kills, hostlo.Kills)
 	if o.cloud.SpotFrac > 0 {
 		t.AddRow("spot provisions / revocations", fmt.Sprintf("%d / %d", kube.SpotProvisions, kube.SpotRevocations),
@@ -404,18 +411,24 @@ func runLifecycle(o lifecycleOpts) {
 	}
 	t.AddRow("pods displaced / rescheduled", fmt.Sprintf("%d / %d", kube.Displaced, kube.Reschedules),
 		fmt.Sprintf("%d / %d", hostlo.Displaced, hostlo.Reschedules))
-	t.AddRow("optimizer runs / moves", "-", fmt.Sprintf("%d / %d", hostlo.OptimizerRuns, hostlo.OptimizerMoves))
-	t.AddRow("optimizer passes incremental / full", "-",
-		fmt.Sprintf("%d / %d", hostlo.OptimizerRuns-hostlo.OptimizerFull, hostlo.OptimizerFull))
-	t.AddRow("packing cache hits / misses", "-",
-		fmt.Sprintf("%d / %d", hostlo.OptimizerCacheHits, hostlo.OptimizerCacheMisses))
+	if !replay {
+		t.AddRow("optimizer runs / moves", "-", fmt.Sprintf("%d / %d", hostlo.OptimizerRuns, hostlo.OptimizerMoves))
+		t.AddRow("optimizer passes incremental / full", "-",
+			fmt.Sprintf("%d / %d", hostlo.OptimizerRuns-hostlo.OptimizerFull, hostlo.OptimizerFull))
+		t.AddRow("packing cache hits / misses", "-",
+			fmt.Sprintf("%d / %d", hostlo.OptimizerCacheHits, hostlo.OptimizerCacheMisses))
+	}
 	if kube.CostDollars > 0 {
 		t.AddRow("hostlo savings", "-", report.Percent((kube.CostDollars-hostlo.CostDollars)/kube.CostDollars))
 	}
 	o.emit(t)
 
 	fmt.Println()
-	tj := report.New("Cost-over-time trajectory",
+	trajTitle := "Cost-over-time trajectory"
+	if replay {
+		trajTitle += " (merged worlds)"
+	}
+	tj := report.New(trajTitle,
 		"t", "kube_$/h", "hostlo_$/h", "kube_pending", "hostlo_pending", "kube_util", "hostlo_util")
 	mk, mh := kube.Samples, hostlo.Samples
 	for i := range mk {
@@ -430,7 +443,6 @@ func runLifecycle(o lifecycleOpts) {
 type replayOpts struct {
 	simOpts
 	path          string
-	shards        int
 	worlds        int
 	barrier       time.Duration
 	migrateAfter  time.Duration
@@ -440,7 +452,10 @@ type replayOpts struct {
 
 // runReplay streams a recorded trace through the sharded multi-cluster
 // replay under both policies and prints the stream stats, the
-// cost/disruption summary and the merged trajectory.
+// cost/disruption summary and the merged trajectory. Each policy
+// records on its own child of o.rec labeled with the policy, so its
+// worlds read kubernetes/world-0, ..., hostlo/world-0, ... on the
+// shared timeline.
 func runReplay(o replayOpts) {
 	run := func(policy cluster.Policy) (shard.Result, ctrace.Stats) {
 		// Reopen per policy: both runs consume the identical stream.
@@ -451,9 +466,11 @@ func runReplay(o replayOpts) {
 		defer r.Close()
 		cfg := o.clusterConfig()
 		cfg.Policy = policy
+		cfg.Rec = o.rec.Child()
+		cfg.Rec.BeginRun(policy.String())
 		res, err := shard.Replay(r, shard.Config{
 			Worlds:        o.worlds,
-			Shards:        o.shards,
+			Shards:        o.workers,
 			BarrierEvery:  o.barrier,
 			MigrateAfter:  o.migrateAfter,
 			MigratePolicy: o.migratePolicy,
@@ -462,13 +479,14 @@ func runReplay(o replayOpts) {
 		if err != nil {
 			cli.Fatal("costsim", err)
 		}
+		o.rec.Append(cfg.Rec)
 		return res, r.Stats()
 	}
 	kubeRes, stats := run(cluster.Kubernetes)
 	hostloRes, _ := run(cluster.Hostlo)
 
 	// The title names only the experiment (worlds), never the execution
-	// (-shards): stdout is byte-identical for every shard count.
+	// (-parallel): stdout is byte-identical for every worker count.
 	st := report.New(fmt.Sprintf("Trace replay: %s over %d worlds", o.path, o.worlds),
 		"metric", "value")
 	st.AddRow("trace rows read", stats.Rows)
@@ -484,50 +502,8 @@ func runReplay(o replayOpts) {
 	o.emit(st)
 	fmt.Println()
 
-	kube, hostlo := kubeRes.Merged, hostloRes.Merged
-	t := report.New(fmt.Sprintf("Sharded trace replay, %v horizon", o.horizon),
-		"metric", "kubernetes", "hostlo")
-	t.AddRow("pods arrived", kube.Arrived, hostlo.Arrived)
-	t.AddRow("pods scheduled", kube.Scheduled, hostlo.Scheduled)
-	t.AddRow("pods departed", kube.Departed, hostlo.Departed)
-	t.AddRow("pods failed (unschedulable)", kube.Failed, hostlo.Failed)
-	t.AddRow("pods pending at horizon", kube.StillPending, hostlo.StillPending)
-	t.AddRow("pods transferred across worlds", kube.TransferredIn, hostlo.TransferredIn)
-	t.AddRow("cost over horizon $", kube.CostDollars, hostlo.CostDollars)
-	t.AddRow("cost split spot / on-demand $", costSplit(kube), costSplit(hostlo))
-	t.AddRow("final fleet $/h", kube.FinalCostPerH, hostlo.FinalCostPerH)
-	t.AddRow("final fleet nodes", kube.FinalNodes, hostlo.FinalNodes)
-	t.AddRow("peak fleet nodes", kube.PeakNodes, hostlo.PeakNodes)
-	t.AddRow("mean time-to-schedule", kube.TTSMean.Round(time.Millisecond), hostlo.TTSMean.Round(time.Millisecond))
-	t.AddRow("scale-ups / scale-downs", fmt.Sprintf("%d / %d", kube.ScaleUps, kube.ScaleDowns),
-		fmt.Sprintf("%d / %d", hostlo.ScaleUps, hostlo.ScaleDowns))
-	t.AddRow("node kills (faults)", kube.Kills, hostlo.Kills)
-	if o.cloud.SpotFrac > 0 {
-		t.AddRow("spot provisions / revocations", fmt.Sprintf("%d / %d", kube.SpotProvisions, kube.SpotRevocations),
-			fmt.Sprintf("%d / %d", hostlo.SpotProvisions, hostlo.SpotRevocations))
-		t.AddRow("on-demand fallbacks", kube.OnDemandFallbacks, hostlo.OnDemandFallbacks)
-	}
-	if o.cloud.Zones > 1 {
-		t.AddRow("zone kills (drills)", kube.ZoneKills, hostlo.ZoneKills)
-		t.AddRow("final zone spread", spread(kube, o.cloud.ZoneNames), spread(hostlo, o.cloud.ZoneNames))
-	}
-	t.AddRow("pods displaced / rescheduled", fmt.Sprintf("%d / %d", kube.Displaced, kube.Reschedules),
-		fmt.Sprintf("%d / %d", hostlo.Displaced, hostlo.Reschedules))
-	if kube.CostDollars > 0 {
-		t.AddRow("hostlo savings", "-", report.Percent((kube.CostDollars-hostlo.CostDollars)/kube.CostDollars))
-	}
-	o.emit(t)
-
-	fmt.Println()
-	tj := report.New("Cost-over-time trajectory (merged worlds)",
-		"t", "kube_$/h", "hostlo_$/h", "kube_pending", "hostlo_pending", "kube_util", "hostlo_util")
-	mk, mh := kube.Samples, hostlo.Samples
-	for i := range mk {
-		tj.AddRow(mk[i].T, mk[i].CostPerH, mh[i].CostPerH,
-			mk[i].Pending, mh[i].Pending,
-			report.Percent(mk[i].Util()), report.Percent(mh[i].Util()))
-	}
-	o.emit(tj)
+	o.summary(fmt.Sprintf("Sharded trace replay, %v horizon", o.horizon),
+		kubeRes.Merged, hostloRes.Merged, true)
 }
 
 // costSplit renders the spot/on-demand halves of the cost integral.
@@ -564,6 +540,6 @@ func record(rec *telemetry.Recorder, res cloudsim.PopulationResult) {
 		sav.Add(u.SavingsRel())
 	}
 	kube, hostlo := res.TotalCosts()
-	reg.Gauge("costsim/kube_cost_per_h").Set(kube)
-	reg.Gauge("costsim/hostlo_cost_per_h").Set(hostlo)
+	reg.Counter("costsim/kube_cost_per_h").Add(kube)
+	reg.Counter("costsim/hostlo_cost_per_h").Add(hostlo)
 }

@@ -10,36 +10,27 @@ import (
 	"time"
 
 	"nestless/internal/cli/clitest"
-	"nestless/internal/cloud"
+	"nestless/internal/ctrace"
+	"nestless/internal/figures"
+	"nestless/internal/trace"
 )
 
 // TestCheckStaticRejectsClusterFlags pins the static path's flag gate:
 // every cluster-simulation flag is an error there (exit 2 in main),
 // while the static snapshot's own flags pass.
 func TestCheckStaticRejectsClusterFlags(t *testing.T) {
-	cl, err := cloud.Resolve(cloud.Options{Spec: cloud.DefaultName})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{
 		"spot-frac", "zones",
 		"horizon", "gap", "life", "boot",
 	} {
-		err := checkStatic(map[string]bool{name: true}, cl)
+		err := checkStatic(map[string]bool{name: true})
 		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
 			t.Errorf("-%s on the static path: got %v, want an error naming it", name, err)
 		}
 	}
 	static := map[string]bool{"users": true, "seed": true, "csv": true, "top": true, "cloud": true, "table": true}
-	if err := checkStatic(static, cl); err != nil {
+	if err := checkStatic(static); err != nil {
 		t.Errorf("static flags rejected: %v", err)
-	}
-	zoned, err := cloud.Resolve(cloud.Options{Spec: "gcp:n2:zone=3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if checkStatic(nil, zoned) == nil {
-		t.Error("zone= in -cloud accepted on the static path")
 	}
 }
 
@@ -102,6 +93,29 @@ func TestSampleCapFlagRetired(t *testing.T) {
 	}
 }
 
+// TestOneSpellingPerSetting pins the flag gate around the settings that
+// have exactly one spelling: -parallel drives replay workers (there is
+// no -shards), -cloud names a catalog and nothing else (zone count and
+// spot fraction are -zones and -spot-frac), and -zones below 1, which
+// cloud.Resolve would read as one zone, is rejected. Each exits 2 and
+// names the problem.
+func TestOneSpellingPerSetting(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-shards 4", "flag provided but not defined: -shards"},
+		{"-lifecycle -cloud gcp:n2:zone=3", `unknown catalog "gcp:n2:zone=3"`},
+		{"-lifecycle -cloud gcp:n2:spot=0.5", `unknown catalog "gcp:n2:spot=0.5"`},
+		{"-lifecycle -zones 0", "-zones must be >= 1, got 0"},
+		{"-lifecycle -zones -2", "-zones must be >= 1, got -2"},
+	} {
+		t.Run(c.args, func(t *testing.T) {
+			_, stderr, code := clitest.Run(c.args)
+			if code != 2 || !strings.Contains(stderr, c.want) {
+				t.Errorf("costsim %s: exit status %d, want 2 with %q:\n%s", c.args, code, c.want, stderr)
+			}
+		})
+	}
+}
+
 // TestBadFlagLeavesNoProfile pins that flag values are checked before
 // -cpuprofile creates its file: a rejected run exits 2 and leaves no
 // truncated profile behind.
@@ -160,5 +174,68 @@ func TestStaticTelemetryParallel(t *testing.T) {
 	}
 	if !strings.Contains(serial, "costsim/users") || par != serial {
 		t.Errorf("-parallel 4 output differs from -parallel 1 (or lacks the metrics):\n%s\nvs\n%s", par, serial)
+	}
+}
+
+// TestReplayRecordsEachPolicyApart pins the replay's recording: each
+// policy's worlds carry the policy's label (kubernetes/world-0, ...,
+// hostlo/world-0, ...), no world is recorded unlabeled, and -parallel 4
+// exports the trace byte-identical to -parallel 1.
+func TestReplayRecordsEachPolicyApart(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "small.csv")
+	f, err := os.Create(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.DefaultConfig(3)
+	cfg.Users = 12
+	if err := ctrace.Write(f, ctrace.NewSynth(trace.Generate(cfg)), ctrace.CSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	export := func(workers string) string {
+		out := filepath.Join(dir, "p"+workers+".txt")
+		_, stderr, code := clitest.Run("-replay " + src + " -worlds 4 -parallel " + workers + " -trace " + out)
+		if code != 0 {
+			t.Fatalf("costsim -replay -parallel %s: exit status %d:\n%s", workers, code, stderr)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	serial := export("1")
+	for _, group := range []string{" kubernetes/world-0/", " kubernetes/world-3/", " hostlo/world-0/", " hostlo/world-3/"} {
+		if !strings.Contains(serial, group) {
+			t.Errorf("replay trace has no %q process group", group)
+		}
+	}
+	if strings.Contains(serial, " world-0/") {
+		t.Error("replay trace records a world without its policy label")
+	}
+	if export("4") != serial {
+		t.Error("-parallel 4 exported a different trace from -parallel 1")
+	}
+}
+
+// TestDefaultRunIsFig9 pins that the default static run prints exactly
+// Fig. 9, rendered from the population result it already simulated:
+// the default catalog and population are Fig. 9's own.
+func TestDefaultRunIsFig9(t *testing.T) {
+	stdout, stderr, code := clitest.Run("-parallel 2")
+	if code != 0 {
+		t.Fatalf("costsim: exit status %d:\n%s", code, stderr)
+	}
+	hist, stats := figures.Fig9(figures.Opts{Seed: 42, Workers: 2})
+	var want strings.Builder
+	hist.WriteText(&want)
+	want.WriteString("\n")
+	stats.WriteText(&want)
+	if stdout != want.String() {
+		t.Errorf("default run differs from Fig. 9:\n%s\nvs\n%s", stdout, want.String())
 	}
 }

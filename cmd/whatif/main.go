@@ -12,8 +12,10 @@
 //	curl -s localhost:8080/stats
 //
 // The -cloud/-zones/-spot-frac flags give the base world a machine
-// configuration (see internal/cloud), which unlocks the zone-loss and
-// spot-revocation branch queries:
+// configuration (see internal/cloud): -cloud names a registered
+// catalog, -zones and -spot-frac spread the fleet and put part of it on
+// spot capacity, which unlocks the zone-loss and spot-revocation branch
+// queries:
 //
 //	whatif -users 200 -cloud gcp:n2 -zones 3 -spot-frac 0.5 &
 //	curl -s -X POST localhost:8080/whatif -d '{"kind":"kill-zone","zone":"us-central1-b"}'
@@ -42,7 +44,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	users := flag.Int("users", 100, "tenant population of the base world")
+	users := flag.Int("users", 100, "tenant population of the base world, >= 1")
 	seed := flag.Int64("seed", 1, "workload and world seed")
 	gap := flag.Duration("gap", 2*time.Minute, "mean pod arrival gap per user")
 	life := flag.Duration("life", 45*time.Minute, "mean pod lifetime")
@@ -51,22 +53,24 @@ func main() {
 	snapAt := flag.Duration("snap-at", 0, "snapshot instant (default horizon/2)")
 	boot := flag.Duration("boot", 45*time.Second, "VM provisioning delay")
 	faultSpec := flag.String("faults", "", "base-world fault spec (see internal/faults)")
-	cloudSpec := flag.String("cloud", cloud.DefaultName,
-		"machine catalog selector: provider:family[:zone=N][:spot=F] (registered: "+strings.Join(cloud.Names(), ", ")+")")
+	cloudName := flag.String("cloud", cloud.DefaultName,
+		"machine catalog: one of "+strings.Join(cloud.Names(), ", "))
 	spotFrac := flag.Float64("spot-frac", 0, "fraction of the base fleet on spot capacity, in [0,1]")
-	zones := flag.Int("zones", 1, "availability zones the base fleet spreads across")
+	zones := flag.Int("zones", 1, "availability zones the base fleet spreads across, >= 1")
 	flag.Parse()
 	if err := checkDurations(*horizon, *snapAt, *boot, *gap, *life); err != nil {
 		cli.BadFlag("whatif: %v", err)
 	}
+	// snapshot.BaseConfig and cloud.Resolve would swap a zero for their
+	// defaults while the banner printed it.
+	if *users < 1 {
+		cli.BadFlag("whatif: -users must be >= 1, got %d", *users)
+	}
+	if *zones < 1 {
+		cli.BadFlag("whatif: -zones must be >= 1, got %d", *zones)
+	}
 
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	cl, err := cloud.Resolve(cloud.Options{
-		Spec:     *cloudSpec,
-		SpotFrac: *spotFrac, SpotFracSet: explicit["spot-frac"],
-		Zones: *zones, ZonesSet: explicit["zones"],
-	})
+	cl, err := cloud.Resolve(cloud.Options{Spec: *cloudName, SpotFrac: *spotFrac, Zones: *zones})
 	if err != nil {
 		cli.BadFlag("whatif: %v", err)
 	}

@@ -77,3 +77,23 @@ func TestUnknownPolicy(t *testing.T) {
 		t.Errorf("whatif -policy borg: exit status %d, want 2 naming the policies:\n%s", code, stderr)
 	}
 }
+
+// TestRejectsWhatDefaultsWouldReplace pins that -users and -zones below
+// 1 exit 2 before any world runs: snapshot.BaseConfig would swap zero
+// users for its default, and cloud.Resolve zero zones for one, while
+// the banner printed the value given. (-addr is unusable so that a run
+// the gate let through fails instead of serving.)
+func TestRejectsWhatDefaultsWouldReplace(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-users 0", "-users must be >= 1, got 0"},
+		{"-users -5", "-users must be >= 1, got -5"},
+		{"-zones 0", "-zones must be >= 1, got 0"},
+	} {
+		t.Run(c.args, func(t *testing.T) {
+			_, stderr, code := clitest.Run(c.args + " -addr localhost:-1")
+			if code != 2 || !strings.Contains(stderr, c.want) {
+				t.Errorf("whatif %s: exit status %d, want 2 with %q:\n%s", c.args, code, c.want, stderr)
+			}
+		})
+	}
+}

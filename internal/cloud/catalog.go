@@ -1,8 +1,9 @@
 // Package cloud generalizes cloudsim's single hard-coded AWS m5 table
 // into a pluggable machine model: named provider catalogs with zones
-// and spot (preemptible) pricing, a small declarative spec grammar for
-// selecting them at the CLI, and the validation glue that turns flag
-// soup into one resolved machine-subsystem configuration.
+// and spot (preemptible) pricing, and the validation that turns the
+// -cloud, -zones and -spot-frac flags into one resolved
+// machine-subsystem configuration. -cloud only names a catalog; zone
+// count and spot fraction each have their own flag.
 //
 // The registry is deliberately value-oriented: Lookup returns a fresh
 // copy on every call, so callers may mutate their catalog (price

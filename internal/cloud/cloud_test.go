@@ -89,59 +89,6 @@ func TestGCPCatalogShape(t *testing.T) {
 	}
 }
 
-func TestParseSpec(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Spec
-	}{
-		{"aws:m5", Spec{Provider: "aws", Family: "m5"}},
-		{"gcp:n2:zone=3", Spec{Provider: "gcp", Family: "n2", Zones: 3}},
-		{"gcp:n2:spot=0.5", Spec{Provider: "gcp", Family: "n2", SpotFrac: 0.5, SpotSet: true}},
-		{"gcp:n2:zone=2:spot=0.25", Spec{Provider: "gcp", Family: "n2", Zones: 2, SpotFrac: 0.25, SpotSet: true}},
-		{"gcp:n2:spot=1:zone=4", Spec{Provider: "gcp", Family: "n2", Zones: 4, SpotFrac: 1, SpotSet: true}},
-		{"gcp:n2:spot=0", Spec{Provider: "gcp", Family: "n2", SpotFrac: 0, SpotSet: true}},
-	}
-	for _, c := range cases {
-		got, err := ParseSpec(c.in)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", c.in, err)
-		}
-		if *got != c.want {
-			t.Fatalf("ParseSpec(%q) = %+v, want %+v", c.in, *got, c.want)
-		}
-		back, err := ParseSpec(got.String())
-		if err != nil || *back != *got {
-			t.Fatalf("round trip of %q via %q: %+v, %v", c.in, got.String(), back, err)
-		}
-	}
-}
-
-func TestParseSpecErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"aws",
-		":m5",
-		"aws:",
-		"AWS:m5",        // uppercase: one spelling per catalog
-		"aws:m5:zone",   // not key=value
-		"aws:m5:zone=0", // zone count must be ≥ 1
-		"aws:m5:zone=-1",
-		"aws:m5:zone=x",
-		"aws:m5:spot=1.5", // fraction outside [0,1]
-		"aws:m5:spot=-0.1",
-		"aws:m5:spot=abc",
-		"aws:m5:spot=0.1:spot=0.2", // duplicate key
-		"aws:m5:zone=1:zone=2",
-		"aws:m5:color=blue", // unknown key
-		"aws:m5:=1",
-	}
-	for _, in := range bad {
-		if s, err := ParseSpec(in); err == nil {
-			t.Fatalf("ParseSpec(%q) accepted as %+v, want error", in, s)
-		}
-	}
-}
-
 func TestResolve(t *testing.T) {
 	r, err := Resolve(Options{})
 	if err != nil {
@@ -154,21 +101,12 @@ func TestResolve(t *testing.T) {
 		t.Fatalf("default zone names = %v", r.ZoneNames)
 	}
 
-	r, err = Resolve(Options{Spec: "gcp:n2:zone=3:spot=0.5"})
+	r, err = Resolve(Options{Spec: "gcp:n2", Zones: 3, SpotFrac: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Zones != 3 || r.SpotFrac != 0.5 || len(r.ZoneNames) != 3 || len(r.SpotDiscount) != 3 {
 		t.Fatalf("gcp resolve = %+v", r)
-	}
-
-	// Flag-provided knobs work the same as spec-embedded ones.
-	r, err = Resolve(Options{Spec: "gcp:n2", Zones: 2, ZonesSet: true, SpotFrac: 0.25, SpotFracSet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Zones != 2 || r.SpotFrac != 0.25 {
-		t.Fatalf("flag resolve = %+v", r)
 	}
 }
 
@@ -179,12 +117,17 @@ func TestResolveErrors(t *testing.T) {
 		frag string // required error substring
 	}{
 		{"unknown catalog", Options{Spec: "azure:dv5"}, "unknown catalog"},
-		{"bad spec", Options{Spec: "aws"}, "cloud spec"},
-		{"zones conflict", Options{Spec: "gcp:n2:zone=2", Zones: 3, ZonesSet: true}, "conflicts"},
-		{"spot conflict", Options{Spec: "gcp:n2:spot=0.5", SpotFrac: 0.1, SpotFracSet: true}, "conflicts"},
-		{"zones too many", Options{Spec: "aws:m5", Zones: 4, ZonesSet: true}, "outside 1..3"},
-		{"zones zero", Options{Zones: 0, ZonesSet: true}, "outside"},
-		{"spot on on-demand catalog", Options{SpotFrac: 0.5, SpotFracSet: true}, "on-demand only"},
+		{"not a catalog name", Options{Spec: "aws"}, "unknown catalog"},
+		// -cloud names a catalog and nothing else: zone count and spot
+		// fraction have their own flags.
+		{"zone key", Options{Spec: "gcp:n2:zone=3"}, "unknown catalog"},
+		{"spot key", Options{Spec: "gcp:n2:spot=0.5"}, "unknown catalog"},
+		{"case folded", Options{Spec: "AWS:m5"}, "unknown catalog"},
+		{"zones too many", Options{Spec: "aws:m5", Zones: 4}, "outside 1..3"},
+		{"zones negative", Options{Zones: -1}, "outside"},
+		{"spot negative", Options{Spec: "gcp:n2", SpotFrac: -0.1}, "outside [0,1]"},
+		{"spot above one", Options{Spec: "gcp:n2", SpotFrac: 1.5}, "outside [0,1]"},
+		{"spot on on-demand catalog", Options{SpotFrac: 0.5}, "on-demand only"},
 	}
 	for _, c := range cases {
 		_, err := Resolve(c.o)
@@ -196,9 +139,14 @@ func TestResolveErrors(t *testing.T) {
 		}
 	}
 
-	// Explicitly spelling the defaults is not a contradiction.
-	if _, err := Resolve(Options{Spec: "aws:m5", Zones: 1, ZonesSet: true, SpotFrac: 0, SpotFracSet: true}); err != nil {
-		t.Fatalf("explicit defaults rejected: %v", err)
+	// Explicitly spelling the defaults resolves like the zero Options.
+	def, err := Resolve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := Resolve(Options{Spec: "aws:m5", Zones: 1, SpotFrac: 0})
+	if err != nil || !reflect.DeepEqual(explicit, def) {
+		t.Fatalf("explicit defaults resolve to %+v, %v; want %+v", explicit, err, def)
 	}
 }
 
@@ -206,7 +154,7 @@ func TestResolveErrors(t *testing.T) {
 // after the user's rules exactly when the run has spot capacity and the
 // user's schedule says nothing about spot/ points.
 func TestWithDefaultRevocation(t *testing.T) {
-	spot, err := Resolve(Options{Spec: "gcp:n2:spot=0.5"})
+	spot, err := Resolve(Options{Spec: "gcp:n2", SpotFrac: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

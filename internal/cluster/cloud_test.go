@@ -28,8 +28,7 @@ func gcpCloud(t *testing.T, zones int, spotFrac float64) *cloud.Resolved {
 	cl, err := cloud.Resolve(cloud.Options{
 		Spec:     "gcp:n2",
 		Zones:    zones,
-		ZonesSet: true,
-		SpotFrac: spotFrac, SpotFracSet: spotFrac > 0,
+		SpotFrac: spotFrac,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -722,10 +722,12 @@ func (c *Cluster) finalize() {
 		})
 	}
 	if c.rec != nil {
+		// Counters, so appended runs add them exactly as Merge adds
+		// the Result fields.
 		reg := c.rec.Metrics()
-		reg.Gauge("cluster/final_cost_per_h").Set(c.res.FinalCostPerH)
-		reg.Gauge("cluster/cost_dollars").Set(c.res.CostDollars)
-		reg.Gauge("cluster/final_nodes").Set(float64(c.res.FinalNodes))
+		reg.Counter("cluster/final_cost_per_h").Add(c.res.FinalCostPerH)
+		reg.Counter("cluster/cost_dollars").Add(c.res.CostDollars)
+		reg.Counter("cluster/final_nodes").Add(float64(c.res.FinalNodes))
 	}
 }
 

@@ -17,8 +17,12 @@ func Fig9(o Opts) (hist, stats *report.Table) {
 		cfg.Users = 150
 	}
 	users := trace.Generate(cfg)
-	res := cloudsim.SimulateParallel(users, cloudsim.Catalog(), o.Workers)
+	return Fig9Of(cloudsim.SimulateParallel(users, cloudsim.Catalog(), o.Workers))
+}
 
+// Fig9Of renders Fig. 9's two tables from an already simulated
+// population, priced with Table 2.
+func Fig9Of(res cloudsim.PopulationResult) (hist, stats *report.Table) {
 	hist = report.New("Fig. 9 — relative cost savings among users",
 		"savings_bucket", "users", "fraction_of_savers")
 	h := res.SavingsHistogram(20)

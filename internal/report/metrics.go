@@ -1,50 +1,20 @@
 package report
 
-import "fmt"
-
 // Metric is one row of a metrics table: a named instrument with a kind
-// ("counter", "gauge", "series", ...) and a pre-rendered or numeric
-// value. Unit is optional and printed as its own column when any metric
-// in the table carries one.
+// ("counter", "series", ...) and a pre-rendered or numeric value.
 type Metric struct {
 	Name  string
 	Kind  string
 	Value interface{}
-	Unit  string
 }
 
-// MetricsTable renders metrics in the given order as a table. Numeric
-// values get the standard 4-significant-digit formatting; anything else
-// is stringified verbatim. The unit column only appears when at least
-// one metric sets it, so unit-less registries stay compact.
+// MetricsTable renders metrics in the given order as a table, with
+// AddRow's cell formatting: 4 significant digits for numbers, anything
+// else stringified verbatim.
 func MetricsTable(title string, metrics []Metric) *Table {
-	units := false
+	t := New(title, "instrument", "kind", "value")
 	for _, m := range metrics {
-		if m.Unit != "" {
-			units = true
-			break
-		}
-	}
-	header := []string{"instrument", "kind", "value"}
-	if units {
-		header = append(header, "unit")
-	}
-	t := New(title, header...)
-	for _, m := range metrics {
-		var val string
-		switch v := m.Value.(type) {
-		case float64:
-			val = fmt.Sprintf("%.4g", v)
-		case float32:
-			val = fmt.Sprintf("%.4g", v)
-		default:
-			val = fmt.Sprint(v)
-		}
-		if units {
-			t.AddRow(m.Name, m.Kind, val, m.Unit)
-		} else {
-			t.AddRow(m.Name, m.Kind, val)
-		}
+		t.AddRow(m.Name, m.Kind, m.Value)
 	}
 	return t
 }

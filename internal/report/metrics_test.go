@@ -8,26 +8,13 @@ import (
 func TestMetricsTable(t *testing.T) {
 	tab := MetricsTable("m", []Metric{
 		{Name: "a", Kind: "counter", Value: 3.14159},
-		{Name: "b", Kind: "gauge", Value: "n=2"},
+		{Name: "b", Kind: "series", Value: "n=2"},
 	})
 	if len(tab.Header) != 3 {
-		t.Fatalf("header = %v, want 3 columns without units", tab.Header)
+		t.Fatalf("header = %v, want instrument, kind, value", tab.Header)
 	}
 	s := tab.String()
 	if !strings.Contains(s, "3.142") || !strings.Contains(s, "n=2") {
 		t.Fatalf("rendered table:\n%s", s)
-	}
-}
-
-func TestMetricsTableWithUnits(t *testing.T) {
-	tab := MetricsTable("m", []Metric{
-		{Name: "a", Kind: "counter", Value: 1.0, Unit: "ms"},
-		{Name: "b", Kind: "gauge", Value: 2.0},
-	})
-	if len(tab.Header) != 4 || tab.Header[3] != "unit" {
-		t.Fatalf("header = %v, want unit column", tab.Header)
-	}
-	if tab.Rows[0][3] != "ms" || tab.Rows[1][3] != "" {
-		t.Fatalf("rows = %v", tab.Rows)
 	}
 }

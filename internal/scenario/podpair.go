@@ -7,7 +7,6 @@ import (
 	"nestless/internal/kube"
 	"nestless/internal/netsim"
 	"nestless/internal/overlay"
-	"nestless/internal/telemetry"
 )
 
 // CCMode selects the intra-pod container-to-container transport (§5.3).
@@ -53,24 +52,19 @@ type PodPair struct {
 	HostloDev *hostlo.Device
 }
 
-// NewPodPair builds a §5.3 topology. ports lists B's server ports
-// (published 1:1 under CCNAT).
+// NewPodPair builds a §5.3 topology with telemetry and fault injection
+// off. ports lists B's server ports (published 1:1 under CCNAT).
 func NewPodPair(seed int64, mode CCMode, ports ...uint16) (*PodPair, error) {
-	return NewPodPairWith(seed, mode, nil, ports...)
+	return NewPodPairCfg(Config{Seed: seed}, mode, ports...)
 }
 
-// NewPodPairWith is NewPodPair with a telemetry recorder (nil = telemetry
-// off) installed before the topology is built.
-func NewPodPairWith(seed int64, mode CCMode, rec *telemetry.Recorder, ports ...uint16) (*PodPair, error) {
-	return NewPodPairCfg(Config{Seed: seed, Rec: rec}, mode, ports...)
-}
-
-// NewPodPairCfg is the fully parameterized constructor: telemetry and
-// fault injection (Config.Faults) are installed before the topology is
-// built, so deployment itself runs under the fault schedule.
+// NewPodPairCfg is the fully parameterized constructor: telemetry
+// (Config.Rec) and fault injection (Config.Faults) are installed before
+// the topology is built, so deployment itself runs under the fault
+// schedule.
 func NewPodPairCfg(cfg Config, mode CCMode, ports ...uint16) (*PodPair, error) {
-	b := newBaseCfg(cfg)
-	n1 := b.addNode("vm1", HostBridgeNet.Host(10))
+	b := NewBaseCfg(cfg)
+	n1 := b.AddNode("vm1", HostBridgeNet.Host(10))
 	pp := &PodPair{Base: b, Mode: mode}
 
 	deploy := func(spec kube.PodSpec) (*kube.Pod, error) {
@@ -100,7 +94,7 @@ func NewPodPairCfg(cfg Config, mode CCMode, ports ...uint16) (*PodPair, error) {
 		return pp, nil
 
 	case CCHostlo:
-		b.addNode("vm2", HostBridgeNet.Host(11))
+		b.AddNode("vm2", HostBridgeNet.Host(11))
 		// Two 4-core containers cannot fit one 5-core VM: forced split.
 		pod, err := deploy(kube.PodSpec{
 			Name:       "pod",
@@ -124,7 +118,7 @@ func NewPodPairCfg(cfg Config, mode CCMode, ports ...uint16) (*PodPair, error) {
 		return pp, nil
 
 	case CCNAT:
-		b.addNode("vm2", HostBridgeNet.Host(11))
+		b.AddNode("vm2", HostBridgeNet.Host(11))
 		podA, err := deploy(kube.PodSpec{
 			Name:     "pod-a",
 			NodeName: "vm1",
@@ -151,7 +145,7 @@ func NewPodPairCfg(cfg Config, mode CCMode, ports ...uint16) (*PodPair, error) {
 		return pp, nil
 
 	case CCOverlay:
-		n2 := b.addNode("vm2", HostBridgeNet.Host(11))
+		n2 := b.AddNode("vm2", HostBridgeNet.Host(11))
 		ovl := overlay.NewNetwork("ovl", OverlayNet)
 		v1, err := ovl.Join(n1.VM, HostBridgeNet.Host(10))
 		if err != nil {

@@ -75,13 +75,11 @@ type Config struct {
 	Faults *faults.Schedule
 }
 
-// NewBaseCfg builds just the host + client substrate with no nodes or
-// pods. Chaos tests use it to keep a handle on the world even when a
-// faulted deployment fails, so they can still audit it for leaks.
-func NewBaseCfg(cfg Config) *Base { return newBaseCfg(cfg) }
-
-// newBaseCfg builds the host + client substrate from a Config.
-func newBaseCfg(cfg Config) *Base {
+// NewBaseCfg builds just the host + client substrate from a Config,
+// with no nodes or pods. Every topology starts from it; chaos tests use
+// it directly to keep a handle on the world even when a faulted
+// deployment fails, so they can still audit it for leaks.
+func NewBaseCfg(cfg Config) *Base {
 	seed, rec := cfg.Seed, cfg.Rec
 	eng := sim.New(seed)
 	eng.MaxSteps = 2_000_000_000
@@ -116,11 +114,11 @@ func newBaseCfg(cfg Config) *Base {
 	return &Base{Eng: eng, Net: w, Host: h, Ctrl: ctrl, Cluster: kube.NewCluster(ctrl), Client: client, Rec: rec, Faults: inj}
 }
 
-// addNode provisions a VM (the paper's size: 5 vCPUs, 4 GB) with a
+// AddNode provisions a VM (the paper's size: 5 vCPUs, 4 GB) with a
 // container engine and both CNI plugins, registered as a cluster node.
 // The BrFusion plugin falls back to the engine's bridge+NAT network
 // when the hot-plug path exhausts its retries.
-func (b *Base) addNode(name string, addr netsim.IPv4) *kube.Node {
+func (b *Base) AddNode(name string, addr netsim.IPv4) *kube.Node {
 	vm, err := b.Host.CreateVM(vmm.VMConfig{Name: name, VCPUs: 5, MemoryMB: 4096})
 	if err != nil {
 		// Scenario topologies use unique literal names; a duplicate is a
@@ -144,10 +142,6 @@ func (b *Base) addNode(name string, addr netsim.IPv4) *kube.Node {
 	return node
 }
 
-// AddNode is the exported form of addNode for tests and tools that
-// extend a Base with extra cluster nodes.
-func (b *Base) AddNode(name string, addr netsim.IPv4) *kube.Node { return b.addNode(name, addr) }
-
 // ServerClient is a deployed client↔server experiment.
 type ServerClient struct {
 	*Base
@@ -163,26 +157,21 @@ type ServerClient struct {
 	AppEntity, VMEntity string
 }
 
-// NewServerClient builds a §5.2 topology. ports lists the server ports
-// to expose; under ModeNAT they are published 1:1 on the VM.
+// NewServerClient builds a §5.2 topology with telemetry and fault
+// injection off. ports lists the server ports to expose; under ModeNAT
+// they are published 1:1 on the VM.
 func NewServerClient(seed int64, mode Mode, ports ...uint16) (*ServerClient, error) {
-	return NewServerClientWith(seed, mode, nil, ports...)
-}
-
-// NewServerClientWith is NewServerClient with a telemetry recorder (nil =
-// telemetry off) installed before the topology is built, so boot-time
-// control-plane operations appear in the trace too.
-func NewServerClientWith(seed int64, mode Mode, rec *telemetry.Recorder, ports ...uint16) (*ServerClient, error) {
-	return NewServerClientCfg(Config{Seed: seed, Rec: rec}, mode, ports...)
+	return NewServerClientCfg(Config{Seed: seed}, mode, ports...)
 }
 
 // NewServerClientCfg is the fully parameterized constructor: telemetry
-// and fault injection (Config.Faults) are installed before the topology
-// is built, so provisioning itself runs under the fault schedule.
+// (Config.Rec) and fault injection (Config.Faults) are installed before
+// the topology is built, so boot-time control-plane operations appear
+// in the trace and provisioning itself runs under the fault schedule.
 func NewServerClientCfg(cfg Config, mode Mode, ports ...uint16) (*ServerClient, error) {
-	b := newBaseCfg(cfg)
+	b := NewBaseCfg(cfg)
 	vmAddr := HostBridgeNet.Host(10)
-	node := b.addNode("server-vm", vmAddr)
+	node := b.AddNode("server-vm", vmAddr)
 	sc := &ServerClient{
 		Base:     b,
 		Mode:     mode,

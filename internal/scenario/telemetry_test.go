@@ -17,7 +17,7 @@ import (
 // world accountant all describe the same billing, exactly.
 func TestTraceReconcilesWithAccountant(t *testing.T) {
 	rec := telemetry.New()
-	sc, err := NewServerClientWith(42, ModeNAT, rec, 7001)
+	sc, err := NewServerClientCfg(Config{Seed: 42, Rec: rec}, ModeNAT, 7001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTraceReconcilesWithAccountant(t *testing.T) {
 // perturb — same seed, same results, recorder or not.
 func TestTelemetryOffMatchesTelemetryOn(t *testing.T) {
 	run := func(rec *telemetry.Recorder) netperf.RRResult {
-		sc, err := NewServerClientWith(7, ModeBrFusion, rec, 7001)
+		sc, err := NewServerClientCfg(Config{Seed: 7, Rec: rec}, ModeBrFusion, 7001)
 		if err != nil {
 			t.Fatal(err)
 		}

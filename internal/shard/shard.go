@@ -14,7 +14,7 @@
 // share mutable state and the barrier phases run serially in world
 // index order, so the merged results, trajectories, digests and
 // telemetry are byte-identical for any shard count — replaying at
-// -shards 8 is a wall-clock optimisation, never a different
+// Shards 8 is a wall-clock optimisation, never a different
 // experiment. The equivalence suite pins this bit for bit, fault
 // schedules included, and testdata/golden.txt pins the digests.
 //
@@ -58,8 +58,8 @@ type Config struct {
 	// the results.
 	Worlds int
 	// Shards is the number of goroutines executing worlds between
-	// barriers (default 1). Any value produces byte-identical output,
-	// telemetry included.
+	// barriers (default 1; costsim's -parallel). Any value produces
+	// byte-identical output, telemetry included.
 	Shards int
 	// BarrierEvery is the epoch length: how often all worlds stop at
 	// the same virtual instant for the digest fold and the transfer

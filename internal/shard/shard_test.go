@@ -258,6 +258,21 @@ func TestRecordedReplayShardParity(t *testing.T) {
 			if !slices.Contains(rec.Metrics().Names(), "cluster/end_unknown") {
 				t.Fatal("no unknown end reached a world — the feed-time counter went unexercised")
 			}
+			// The appended worlds' cluster/* counters total the replay,
+			// exactly as Merge totals the worlds' Results.
+			reg := rec.Metrics()
+			for name, want := range map[string]float64{
+				"cluster/cost_dollars":     res.Merged.CostDollars,
+				"cluster/final_cost_per_h": res.Merged.FinalCostPerH,
+				"cluster/final_nodes":      float64(res.Merged.FinalNodes),
+			} {
+				if got := reg.Counter(name).Value(); got != want {
+					t.Errorf("%s = %v, want the merged %v", name, got, want)
+				}
+			}
+			if res.Merged.CostDollars == 0 {
+				t.Error("replay cost nothing — the cost total went unexercised")
+			}
 			g.Check("telemetry/recorded", golden.Line(res.Digest, res, rec))
 			want, wantTel = res, buf.String()
 			continue

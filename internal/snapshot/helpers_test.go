@@ -70,8 +70,7 @@ func equivalenceSpecs(t testing.TB) []worldSpec {
 	gcp, err := cloud.Resolve(cloud.Options{
 		Spec:     "gcp:n2",
 		Zones:    3,
-		ZonesSet: true,
-		SpotFrac: 0.6, SpotFracSet: true,
+		SpotFrac: 0.6,
 	})
 	if err != nil {
 		t.Fatal(err)

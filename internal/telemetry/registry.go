@@ -23,23 +23,13 @@ func (c *Counter) Inc() { c.v++ }
 // Value returns the accumulated count.
 func (c *Counter) Value() float64 { return c.v }
 
-// Gauge is a last-value metric.
-type Gauge struct{ v float64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Registry is a deterministic collection of named instruments: counters,
-// gauges and sample series. Instruments are created on first use and
+// Registry is a deterministic collection of named instruments: counters
+// and sample series. Instruments are created on first use and
 // enumerate in registration order, so two same-seed runs render their
 // metrics identically — the same hard requirement the simulator has.
 type Registry struct {
 	order    []string
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	series   map[string]*sim.Series
 }
 
@@ -47,7 +37,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		series:   make(map[string]*sim.Series),
 	}
 }
@@ -63,17 +52,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	r.order = append(r.order, name)
-	return g
-}
-
 // Series returns the named sample series, creating it on first use.
 func (r *Registry) Series(name string) *sim.Series {
 	if s, ok := r.series[name]; ok {
@@ -86,15 +64,14 @@ func (r *Registry) Series(name string) *sim.Series {
 }
 
 // append folds src's instruments into r in src's registration order:
-// counters add, gauges take src's value, series replay src's samples in
-// their recorded order (so running sums accumulate as if recorded here).
+// counters add, series replay src's samples in their recorded order (so
+// running sums accumulate as if recorded here). Both kinds compose, so
+// appended runs report their totals.
 func (r *Registry) append(src *Registry) {
 	for _, name := range src.order {
 		switch {
 		case src.counters[name] != nil:
 			r.Counter(name).Add(src.counters[name].Value())
-		case src.gauges[name] != nil:
-			r.Gauge(name).Set(src.gauges[name].Value())
 		case src.series[name] != nil:
 			dst := r.Series(name)
 			for _, v := range src.series[name].State().Samples {
@@ -112,16 +89,14 @@ func (r *Registry) Names() []string {
 }
 
 // Metrics flattens every instrument into report metrics, in
-// registration order. Counters and gauges carry their value; series
-// carry a summary digest.
+// registration order. Counters carry their value; series carry a
+// summary digest.
 func (r *Registry) Metrics() []report.Metric {
 	out := make([]report.Metric, 0, len(r.order))
 	for _, name := range r.order {
 		switch {
 		case r.counters[name] != nil:
 			out = append(out, report.Metric{Name: name, Kind: "counter", Value: r.counters[name].Value()})
-		case r.gauges[name] != nil:
-			out = append(out, report.Metric{Name: name, Kind: "gauge", Value: r.gauges[name].Value()})
 		case r.series[name] != nil:
 			s := r.series[name]
 			out = append(out, report.Metric{Name: name, Kind: "series",

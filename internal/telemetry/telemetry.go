@@ -49,7 +49,7 @@ type Recorder struct {
 
 	// run labels everything recorded from BeginRun on, so runs appended
 	// onto one timeline (fig 6 runs three) keep their entity and station
-	// names apart.
+	// names apart. A child starts with its parent's label.
 	run string
 
 	// Tick sampling of station utilization, on the run's own clock.
@@ -77,14 +77,16 @@ func New() *Recorder {
 }
 
 // Child returns an empty recorder for one run of a fan-out, sampling
-// at r's period; Append lays it onto r's timeline once the run is done.
-// A nil r has nil children, so a telemetry-off fan-out stays off.
+// at r's period and labeled like r, so a BeginRun on the child nests
+// under r's label; Append lays it onto r's timeline once the run is
+// done. A nil r has nil children, so a telemetry-off fan-out stays off.
 func (r *Recorder) Child() *Recorder {
 	if r == nil {
 		return nil
 	}
 	c := New()
 	c.sampleEvery = r.sampleEvery
+	c.run = r.run
 	return c
 }
 
@@ -92,9 +94,9 @@ func (r *Recorder) Child() *Recorder {
 // where a run recorded on r itself would have landed: child timestamps
 // shift by r's high-water mark, flow ids by r's flow count, and its
 // process and thread names, instruments, entity rollups and station
-// watches join r's in child first-use order (counters add, gauges take
-// child's value, series replay child's samples in order). child is
-// spent afterwards: its events move to r.
+// watches join r's in child first-use order (counters add, series
+// replay child's samples in order). child is spent afterwards: its
+// events move to r.
 func (r *Recorder) Append(child *Recorder) {
 	if r == nil || child == nil {
 		return
@@ -168,12 +170,14 @@ func (r *Recorder) SetNow(t sim.Time) {
 
 // BeginRun labels everything recorded from here on; entity rollups,
 // station instruments and trace process groups are qualified with the
-// label, keeping runs appended onto one timeline collision-free.
+// label, keeping runs appended onto one timeline collision-free. The
+// label nests under the one r already carries (a child's parent's), so
+// a fan-out inside a labeled run yields "parent/child" labels.
 func (r *Recorder) BeginRun(label string) {
 	if r == nil {
 		return
 	}
-	r.run = label
+	r.run = r.key(label)
 }
 
 // now returns the current virtual timestamp.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,19 +17,19 @@ import (
 func TestRegistryOrderAndIdentity(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("b/count")
-	g := r.Gauge("a/gauge")
+	g := r.Counter("a/total")
 	s := r.Series("c/series")
 	c.Inc()
 	c.Add(2)
 	c.Add(-5) // ignored
-	g.Set(3.5)
+	g.Add(3.5)
 	s.Add(1)
 	s.Add(3)
 
-	if r.Counter("b/count") != c || r.Gauge("a/gauge") != g || r.Series("c/series") != s {
+	if r.Counter("b/count") != c || r.Counter("a/total") != g || r.Series("c/series") != s {
 		t.Fatal("get-or-create returned a different instrument on second lookup")
 	}
-	want := []string{"b/count", "a/gauge", "c/series"}
+	want := []string{"b/count", "a/total", "c/series"}
 	got := r.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -223,6 +224,29 @@ func TestChargeSpanRollupAndRunLabels(t *testing.T) {
 	}
 }
 
+// TestChildNestsUnderParentLabel: a child starts with its parent's run
+// label and BeginRun nests under it, so a fan-out inside a labeled run
+// keeps its runs apart from a sibling fan-out's.
+func TestChildNestsUnderParentLabel(t *testing.T) {
+	top := New()
+	for _, policy := range []string{"kube", "hostlo"} {
+		p := top.Child()
+		p.BeginRun(policy)
+		w := p.Child()
+		w.BeginRun("world-0")
+		w.ChargeSpan("app", "", cpuacct.Usr, "st", time.Millisecond)
+		p.Append(w)
+		top.Append(p)
+	}
+	want := []string{"kube/world-0/app", "hostlo/world-0/app"}
+	if got := top.RollupKeys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RollupKeys = %v, want %v", got, want)
+	}
+	if top.Child().run != "" {
+		t.Fatal("a child of an unlabeled recorder carries a label")
+	}
+}
+
 // oneRun records one small engine run on rec under label: a watched
 // station crossing several sampling ticks, charge spans with a guest
 // mirror, a flow, an operation, an instant and registry instruments.
@@ -249,7 +273,7 @@ func oneRun(rec *Recorder, label string, lead time.Duration) {
 		})
 	})
 	rec.Metrics().Counter("runs").Inc()
-	rec.Metrics().Gauge("lead").Set(lead.Seconds())
+	rec.Metrics().Counter("lead").Add(lead.Seconds())
 	eng.Run()
 	rec.Metrics().Series("lead_s").Add(lead.Seconds())
 }
@@ -275,7 +299,10 @@ func exportAll(t *testing.T, r *Recorder) string {
 // followed by oneRun "b" (0.4 ms lead), recorded on one shared recorder
 // with two BeginRun and two BindEngine calls, the way multi-run
 // recorders were built before Append existed (with run-relative ticks).
-const appendGolden = 0xc6e79fe70347d926
+// It was re-taken once, when the "lead" gauge became a counter: the
+// export's only changed line was that row (gauge 0.0004, the last run's
+// value, became counter 0.0017, the sum of both).
+const appendGolden = 0xdccdc94baed2c4a5
 
 // TestAppendMatchesSharedTimeline: two runs recorded on their own
 // children, in either order, and appended in order export
