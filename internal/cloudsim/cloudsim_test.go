@@ -54,7 +54,7 @@ func TestKubernetesPacksWholePods(t *testing.T) {
 	u := trace.User{ID: 1, Pods: []trace.Pod{
 		podOf("p", [2]float64{0.03125, 0.03125}, [2]float64{0.03125, 0.03125}),
 	}}
-	f, err := packKubernetes(u, c)
+	f, err := packKubernetesPolicy(u, c, MostRequested)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestHostloNeverOvercommits(t *testing.T) {
 	users := trace.Generate(trace.DefaultConfig(7))
 	c := Catalog()
 	for _, u := range users[:100] {
-		base, err := packKubernetes(u, c)
+		base, err := packKubernetesPolicy(u, c, MostRequested)
 		if err != nil {
 			continue
 		}
@@ -145,7 +145,7 @@ func TestPackingInvariantsProperty(t *testing.T) {
 	prop := func(seed int64, nPods uint8) bool {
 		cfg := trace.GenConfig{Seed: seed, Users: 1, MeanPodsPerUser: float64(nPods%8) + 1, HeavyUserFraction: 0.5}
 		users := trace.Generate(cfg)
-		base, err := packKubernetes(users[0], c)
+		base, err := packKubernetesPolicy(users[0], c, MostRequested)
 		if err != nil {
 			return true
 		}
@@ -192,7 +192,7 @@ func TestOptimizeHostloMatchesInternalPass(t *testing.T) {
 	users := trace.Generate(trace.DefaultConfig(3))
 	checked := 0
 	for _, u := range users[:60] {
-		base, err := packKubernetes(u, c)
+		base, err := packKubernetesPolicy(u, c, MostRequested)
 		if err != nil {
 			continue
 		}
@@ -206,7 +206,7 @@ func TestOptimizeHostloMatchesInternalPass(t *testing.T) {
 				t.Fatalf("user %d VM %d: type %d vs %d", u.ID, i, got[i].Type, improved.vms[i].typ)
 			}
 		}
-		if gc, ic := PlacementCostPerH(got, c), improved.cost(); gc != ic {
+		if gc, ic := placementCostPerH(got, c), improved.cost(); gc != ic {
 			t.Fatalf("user %d: cost %v vs %v", u.ID, gc, ic)
 		}
 		checked++
@@ -226,7 +226,7 @@ func TestOptimizeHostloSplitsMotivatingExample(t *testing.T) {
 		in[0].Items = append(in[0].Items, PlacedItem{Pod: "p", CPU: 0.0104, Mem: 0.0104})
 	}
 	out := OptimizeHostlo(in, c)
-	if got := PlacementCostPerH(out, c); got != 0.336 {
+	if got := placementCostPerH(out, c); got != 0.336 {
 		t.Fatalf("optimized cost %v, want 0.336 (large + xlarge)", got)
 	}
 	items := 0
@@ -269,4 +269,14 @@ func TestPopulationStats(t *testing.T) {
 	if len(top) != 5 || top[0].SavingsRel() < top[4].SavingsRel() {
 		t.Fatal("TopSavers ordering wrong")
 	}
+}
+
+// placementCostPerH prices a placement per hour (sequential sum in VM
+// order, matching the internal fleet costing exactly).
+func placementCostPerH(vms []PlacedVM, catalog []VMType) float64 {
+	var c float64
+	for _, v := range vms {
+		c += catalog[v.Type].PricePerH
+	}
+	return c
 }

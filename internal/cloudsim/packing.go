@@ -221,13 +221,10 @@ const (
 	LeastRequested
 )
 
-// packKubernetes runs the paper's baseline (steps 1–3): pods biggest
-// first; whole pod onto the most-requested VM that fits, otherwise buy
-// the cheapest type that fits the whole pod.
-func packKubernetes(user trace.User, catalog []VMType) (*fleet, error) {
-	return packKubernetesPolicy(user, catalog, MostRequested)
-}
-
+// packKubernetesPolicy runs the paper's baseline (steps 1–3): pods
+// biggest first; whole pod onto the VM pol scores best among those that
+// fit (most-requested in the paper), otherwise buy the cheapest type
+// that fits the whole pod.
 func packKubernetesPolicy(user trace.User, catalog []VMType, pol Policy) (*fleet, error) {
 	pods := append([]trace.Pod(nil), user.Pods...)
 	sort.SliceStable(pods, func(i, j int) bool {

@@ -176,13 +176,3 @@ func le32(s string) uint64 {
 	_ = s[3]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
 }
-
-// PlacementCostPerH prices a placement per hour (sequential sum in VM
-// order, matching the internal fleet costing exactly).
-func PlacementCostPerH(vms []PlacedVM, catalog []VMType) float64 {
-	var c float64
-	for _, v := range vms {
-		c += catalog[v.Type].PricePerH
-	}
-	return c
-}

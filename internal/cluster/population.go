@@ -20,15 +20,6 @@ type UserLifecycle struct {
 	Hostlo Result
 }
 
-// SavingsRel is the relative saving of Hostlo's cost integral over the
-// horizon (0 when the Kubernetes run cost nothing).
-func (u UserLifecycle) SavingsRel() float64 {
-	if u.Kube.CostDollars <= 0 {
-		return 0
-	}
-	return (u.Kube.CostDollars - u.Hostlo.CostDollars) / u.Kube.CostDollars
-}
-
 // userSeedStride decorrelates per-user fault/injection streams; a large
 // prime so consecutive user IDs land far apart in seed space.
 const userSeedStride = 1_000_003

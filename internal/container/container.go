@@ -138,9 +138,6 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Node returns the node name.
-func (e *Engine) Node() string { return e.cfg.Node }
-
 // SetBootProfile swaps the start-up timing model (e.g. tests run fast,
 // the Fig. 8 experiment uses realistic durations).
 func (e *Engine) SetBootProfile(p BootProfile) { e.boot = p }

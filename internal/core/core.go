@@ -135,16 +135,6 @@ func (c *Controller) ProvisionPodNIC(vm *vmm.VM, bridge string, done func(NICInf
 	})
 }
 
-// ReleasePodNIC detaches a BrFusion pod NIC with a single device_del
-// (no retries — see ReleaseDevice for the fault-hardened variant).
-func (c *Controller) ReleasePodNIC(vm *vmm.VM, deviceID string, done func(error)) {
-	vm.Monitor().Execute("device_del", map[string]string{"id": deviceID}, func(_ vmm.Result, err error) {
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
 // releasePolicy is the teardown retry loop: more attempts than the
 // provision side, because a wedged release is a leak while a wedged
 // provision merely falls back. The watchdog arms only in faulted

@@ -68,7 +68,7 @@ func TestReleasePodNIC(t *testing.T) {
 	ctrl.ProvisionPodNIC(vm, "virbr0", func(i NICInfo, err error) { id = i.DeviceID })
 	eng.Run()
 	var rerr error
-	ctrl.ReleasePodNIC(vm, id, func(err error) { rerr = err })
+	ctrl.ReleaseDevice(vm, id, func(err error) { rerr = err })
 	eng.Run()
 	if rerr != nil {
 		t.Fatal(rerr)

@@ -24,11 +24,10 @@ func NewBackend(d *Device) *Backend {
 	return &Backend{dev: d}
 }
 
-// Bind attaches the backend's queue for the named VM and wires it to the
-// endpoint NIC.
-func (b *Backend) Bind(vm string, nic *virtio.NIC) {
+// Bind attaches the backend's queue and wires it to the endpoint NIC.
+func (b *Backend) Bind(nic *virtio.NIC) {
 	b.nic = nic
-	b.queue = b.dev.AddQueue(vm, b)
+	b.queue = b.dev.AddQueue(b)
 }
 
 // Unbind releases the queue (endpoint hot-unplug).
@@ -38,9 +37,6 @@ func (b *Backend) Unbind() {
 		b.queue = nil
 	}
 }
-
-// Queue exposes the underlying queue (diagnostics).
-func (b *Backend) Queue() *Queue { return b.queue }
 
 // FromGuest ingests a guest-transmitted frame into the loopback device.
 func (b *Backend) FromGuest(f *netsim.Frame) {

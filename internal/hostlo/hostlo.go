@@ -85,9 +85,6 @@ func New(name string, hostCPU *netsim.CPU, costs *netsim.CostModel) *Device {
 // Name returns the device name (e.g. "hostlo0").
 func (d *Device) Name() string { return d.name }
 
-// Mode returns the fan-out policy.
-func (d *Device) Mode() Mode { return d.mode }
-
 // SetMode selects the fan-out policy (ablation hook).
 func (d *Device) SetMode(m Mode) { d.mode = m }
 
@@ -97,7 +94,6 @@ func (d *Device) Queues() int { return len(d.queues) }
 // Queue is one RX/TX queue pair, owned by one VM's endpoint NIC.
 type Queue struct {
 	dev *Device
-	vm  string
 	ep  Endpoint
 
 	// RX counts frames this queue received from its VM; TX counts
@@ -105,10 +101,10 @@ type Queue struct {
 	RX, TX uint64
 }
 
-// AddQueue attaches a queue pair for the named VM — the ioctl the VMM
-// issues when multiplexing the device into another VM.
-func (d *Device) AddQueue(vm string, ep Endpoint) *Queue {
-	q := &Queue{dev: d, vm: vm, ep: ep}
+// AddQueue attaches a queue pair for one VM's endpoint — the ioctl the
+// VMM issues when multiplexing the device into another VM.
+func (d *Device) AddQueue(ep Endpoint) *Queue {
+	q := &Queue{dev: d, ep: ep}
 	d.queues = append(d.queues, q)
 	return q
 }
@@ -122,9 +118,6 @@ func (d *Device) RemoveQueue(q *Queue) {
 		}
 	}
 }
-
-// VM returns the owning VM's name.
-func (q *Queue) VM() string { return q.vm }
 
 // Receive ingests a frame arriving from the queue's VM (called on the
 // vhost completion path) and reflects it per the device policy. Each

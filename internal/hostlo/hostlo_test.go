@@ -37,7 +37,7 @@ func newRig(t *testing.T, n int) *rig {
 		vhost := netsim.NewCPU(eng, "vhost-"+name, 1, netsim.BillTo(w.Acct, "host", ""))
 		b := NewBackend(dev)
 		nic := virtio.New(virtio.Config{Name: "hlo0", MAC: w.NewMAC(), GuestNS: vm, Vhost: vhost, Backend: b})
-		b.Bind(name, nic)
+		b.Bind(nic)
 		nic.Guest.SetAddr(podNet.Host(10+i), podNet)
 		nic.Guest.Up = true
 		r.vms = append(r.vms, vm)

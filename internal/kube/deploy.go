@@ -10,9 +10,7 @@ import (
 	"nestless/internal/core"
 	"nestless/internal/faults"
 	"nestless/internal/hostlocni"
-	"nestless/internal/mempipe"
 	"nestless/internal/netsim"
-	"nestless/internal/virtfs"
 	"nestless/internal/vmm"
 )
 
@@ -57,7 +55,6 @@ func (c *Cluster) Deploy(spec PodSpec, done func(*Pod, error)) {
 				fail(err)
 				return
 			}
-			c.attachResources(pod)
 			c.pods[spec.Name] = pod
 			done(pod, nil)
 		})
@@ -122,45 +119,10 @@ func (c *Cluster) Deploy(spec PodSpec, done func(*Pod, error)) {
 					fail(err)
 					return
 				}
-				c.attachResources(pod)
 				c.pods[spec.Name] = pod
 				done(pod, nil)
 			})
 		})
-}
-
-// attachResources provisions the pod's non-network shared resources
-// (§4.3): VirtFS volumes mounted into every part, and — for split pods
-// that ask for it — a MemPipe between each pair of parts.
-func (c *Cluster) attachResources(pod *Pod) {
-	host := c.Ctrl.Host()
-	if len(pod.Spec.Volumes) > 0 {
-		pod.Volumes = make(map[string]*virtfs.FS, len(pod.Spec.Volumes))
-		for _, name := range pod.Spec.Volumes {
-			fs := virtfs.New(pod.Spec.Name+"/"+name, host.CPU)
-			pod.Volumes[name] = fs
-			for _, part := range pod.Parts {
-				if part.Mounts == nil {
-					part.Mounts = make(map[string]*virtfs.Mount)
-				}
-				part.Mounts[name] = fs.Mount(part.Node.Name, part.Sandbox.NS.CPU)
-			}
-		}
-	}
-	if pod.Spec.SharedMemory && len(pod.Parts) > 1 {
-		pod.Pipes = make(map[[2]int]*mempipe.Pipe)
-		for i := 0; i < len(pod.Parts); i++ {
-			for j := i + 1; j < len(pod.Parts); j++ {
-				pipe := mempipe.New(
-					fmt.Sprintf("%s/%d-%d", pod.Spec.Name, i, j),
-					host.Eng, 1<<20,
-					pod.Parts[i].Sandbox.NS.CPU,
-					pod.Parts[j].Sandbox.NS.CPU,
-				)
-				pod.Pipes[[2]int{i, j}] = pipe
-			}
-		}
-	}
 }
 
 // deployParts starts every part sequentially: sandbox (with CNI chain)

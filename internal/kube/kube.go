@@ -13,9 +13,7 @@ import (
 	"nestless/internal/cni"
 	"nestless/internal/container"
 	"nestless/internal/core"
-	"nestless/internal/mempipe"
 	"nestless/internal/netsim"
-	"nestless/internal/virtfs"
 	"nestless/internal/vmm"
 )
 
@@ -42,14 +40,6 @@ type PodSpec struct {
 	// NodeName pins the pod to one node (a node selector), bypassing
 	// scoring. Splitting never applies to pinned pods.
 	NodeName string
-	// Volumes names shared volumes mounted into every part of the pod.
-	// For split pods the volume is a host-backed VirtFS (§4.3.1), so all
-	// parts observe one coherent filesystem.
-	Volumes []string
-	// SharedMemory provisions a MemPipe (§4.3.2) between the parts of a
-	// split pod for bulk intra-pod data (ignored for unsplit pods, whose
-	// containers already share memory natively).
-	SharedMemory bool
 }
 
 // TotalCPU sums the pod's CPU requests.
@@ -143,9 +133,6 @@ type PodPart struct {
 	LocalAddr netsim.IPv4
 	// PodIP is the part's primary-network address.
 	PodIP netsim.IPv4
-	// Mounts are the part's views of the pod's shared volumes, keyed by
-	// volume name.
-	Mounts map[string]*virtfs.Mount
 
 	specs []ContainerSpec
 }
@@ -155,11 +142,6 @@ type Pod struct {
 	Spec     PodSpec
 	Parts    []*PodPart
 	HostloID string
-	// Volumes are the pod's shared filesystems, keyed by name.
-	Volumes map[string]*virtfs.FS
-	// Pipes are MemPipe channels between split parts, keyed by the part
-	// index pair (i < j).
-	Pipes map[[2]int]*mempipe.Pipe
 }
 
 // Split reports whether the pod spans more than one VM.

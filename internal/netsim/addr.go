@@ -14,8 +14,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // MAC is a 48-bit Ethernet hardware address.
@@ -74,23 +72,6 @@ func ipFromUint32(v uint32) IPv4 {
 // IP builds an address from four octets; clearer than IPv4{...} literals
 // at call sites.
 func IP(a, b, c, d byte) IPv4 { return IPv4{a, b, c, d} }
-
-// ParseIPv4 parses dotted-decimal notation.
-func ParseIPv4(s string) (IPv4, error) {
-	var ip IPv4
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return ip, fmt.Errorf("netsim: invalid IPv4 %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return ip, fmt.Errorf("netsim: invalid IPv4 octet in %q", s)
-		}
-		ip[i] = byte(v)
-	}
-	return ip, nil
-}
 
 // Prefix is an IPv4 CIDR prefix.
 type Prefix struct {

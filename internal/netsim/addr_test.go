@@ -30,21 +30,9 @@ func TestMACAllocatorUnique(t *testing.T) {
 	}
 }
 
-func TestIPv4ParseAndString(t *testing.T) {
-	ip, err := ParseIPv4("192.168.122.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ip != IP(192, 168, 122, 1) {
-		t.Fatalf("parsed %v", ip)
-	}
-	if ip.String() != "192.168.122.1" {
-		t.Fatalf("String = %q", ip.String())
-	}
-	for _, bad := range []string{"", "1.2.3", "1.2.3.4.5", "300.1.1.1", "a.b.c.d"} {
-		if _, err := ParseIPv4(bad); err == nil {
-			t.Errorf("ParseIPv4(%q) accepted", bad)
-		}
+func TestIPv4String(t *testing.T) {
+	if s := IP(192, 168, 122, 1).String(); s != "192.168.122.1" {
+		t.Fatalf("String = %q", s)
 	}
 }
 

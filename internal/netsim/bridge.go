@@ -40,9 +40,6 @@ func (b *Bridge) Name() string { return b.name }
 // Iface returns the bridge's own interface (for addressing/routing).
 func (b *Bridge) Iface() *Iface { return b.self }
 
-// NS returns the owning namespace.
-func (b *Bridge) NS() *NetNS { return b.ns }
-
 // AddPort enslaves an interface to the bridge. The interface must live
 // in the bridge's namespace.
 func (b *Bridge) AddPort(i *Iface) {

@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"nestless/internal/sim"
 )
@@ -74,68 +72,6 @@ func (c *Capture) Detach() {
 // Records returns the captured frames in order.
 func (c *Capture) Records() []CaptureRecord {
 	return append([]CaptureRecord(nil), c.records...)
-}
-
-// Count returns the number of captured frames.
-func (c *Capture) Count() int { return len(c.records) }
-
-// WriteTo dumps the capture in a compact binary format: for each record
-// a timestamp (ns), direction byte, frame length and the frame's header
-// encoding — a pcap-like trace for offline inspection.
-func (c *Capture) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, r := range c.records {
-		data, err := r.Frame.MarshalBinary()
-		if err != nil {
-			return total, err
-		}
-		var hdr [13]byte
-		binary.BigEndian.PutUint64(hdr[0:8], uint64(r.At))
-		hdr[8] = byte(r.Dir)
-		binary.BigEndian.PutUint32(hdr[9:13], uint32(len(data)))
-		n, err := w.Write(hdr[:])
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-		n, err = w.Write(data)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// ReadCapture parses a trace written by WriteTo.
-func ReadCapture(r io.Reader) ([]CaptureRecord, error) {
-	var out []CaptureRecord
-	for {
-		var hdr [13]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
-		}
-		size := binary.BigEndian.Uint32(hdr[9:13])
-		if size > 1<<20 {
-			return out, fmt.Errorf("netsim: implausible capture record size %d", size)
-		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return out, err
-		}
-		f := new(Frame)
-		if err := f.UnmarshalBinary(buf); err != nil {
-			return out, err
-		}
-		out = append(out, CaptureRecord{
-			At:    sim.Time(binary.BigEndian.Uint64(hdr[0:8])),
-			Dir:   Direction(hdr[8]),
-			Frame: f,
-		})
-	}
 }
 
 // String renders one record for diagnostics.

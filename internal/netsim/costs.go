@@ -17,14 +17,6 @@ func (c StageCost) For(n int) time.Duration {
 	return c.PerPacket + time.Duration(c.PerByteNs*float64(n))
 }
 
-// Scale returns the cost multiplied by f (used by ablation benchmarks).
-func (c StageCost) Scale(f float64) StageCost {
-	return StageCost{
-		PerPacket: time.Duration(float64(c.PerPacket) * f),
-		PerByteNs: c.PerByteNs * f,
-	}
-}
-
 // CostModel holds every calibrated stage cost of the simulated stack.
 //
 // Calibration. The constants below were fitted so that the vanilla nested

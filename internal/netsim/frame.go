@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"nestless/internal/sim"
@@ -115,70 +113,4 @@ func (a *ARPPayload) String() string {
 		return fmt.Sprintf("arp who-has %s tell %s", a.TargetIP, a.SenderIP)
 	}
 	return fmt.Sprintf("arp %s is-at %s", a.SenderIP, a.SenderMAC)
-}
-
-// MarshalBinary encodes the header fields of the frame (not the payload
-// bytes, which the simulator carries out of band). Used for property
-// tests and for on-disk traces.
-func (f *Frame) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, f.Dst[:]...)
-	buf = append(buf, f.Src[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(f.Type))
-	switch f.Type {
-	case EtherARP:
-		if f.ARP == nil {
-			return nil, errors.New("netsim: ARP frame without ARP payload")
-		}
-		buf = binary.BigEndian.AppendUint16(buf, f.ARP.Op)
-		buf = append(buf, f.ARP.SenderMAC[:]...)
-		buf = append(buf, f.ARP.SenderIP[:]...)
-		buf = append(buf, f.ARP.TargetMAC[:]...)
-		buf = append(buf, f.ARP.TargetIP[:]...)
-	case EtherIPv4:
-		if f.Packet == nil {
-			return nil, errors.New("netsim: IPv4 frame without packet")
-		}
-		pb, err := f.Packet.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, pb...)
-	default:
-		return nil, fmt.Errorf("netsim: cannot marshal ethertype %#04x", uint16(f.Type))
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a frame encoded with MarshalBinary.
-func (f *Frame) UnmarshalBinary(data []byte) error {
-	if len(data) < EthHeaderLen {
-		return errors.New("netsim: frame too short")
-	}
-	copy(f.Dst[:], data[0:6])
-	copy(f.Src[:], data[6:12])
-	f.Type = EtherType(binary.BigEndian.Uint16(data[12:14]))
-	rest := data[EthHeaderLen:]
-	f.Packet, f.ARP = nil, nil
-	switch f.Type {
-	case EtherARP:
-		if len(rest) < 2+6+4+6+4 {
-			return errors.New("netsim: ARP payload too short")
-		}
-		a := &ARPPayload{Op: binary.BigEndian.Uint16(rest[0:2])}
-		copy(a.SenderMAC[:], rest[2:8])
-		copy(a.SenderIP[:], rest[8:12])
-		copy(a.TargetMAC[:], rest[12:18])
-		copy(a.TargetIP[:], rest[18:22])
-		f.ARP = a
-	case EtherIPv4:
-		p := new(Packet)
-		if err := p.UnmarshalBinary(rest); err != nil {
-			return err
-		}
-		f.Packet = p
-	default:
-		return fmt.Errorf("netsim: cannot unmarshal ethertype %#04x", uint16(f.Type))
-	}
-	return nil
 }

@@ -56,9 +56,6 @@ func (nf *Netfilter) AddMasquerade(r SNATRule) { nf.snat = append(nf.snat, r) }
 // directions counted).
 func (nf *Netfilter) ConntrackLen() int { return len(nf.nat) }
 
-// Flush drops all conntrack state (rules are kept).
-func (nf *Netfilter) Flush() { nf.nat = make(map[FlowTuple]FlowTuple) }
-
 // matchDNAT returns the first DNAT rule matching p, or nil.
 func (nf *Netfilter) matchDNAT(p *Packet) *DNATRule {
 	for i := range nf.dnat {

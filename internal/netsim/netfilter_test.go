@@ -121,10 +121,6 @@ func TestConntrackStableAcrossPackets(t *testing.T) {
 	if nf.ConntrackLen() != 2 { // one entry per direction
 		t.Fatalf("conntrack entries = %d, want 2", nf.ConntrackLen())
 	}
-	nf.Flush()
-	if nf.ConntrackLen() != 0 {
-		t.Fatal("Flush left entries")
-	}
 }
 
 // Property: masquerade followed by the reply-direction translation is

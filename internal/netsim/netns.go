@@ -133,7 +133,6 @@ type NetNS struct {
 	udp       map[uint16]*UDPSocket
 	listeners map[uint16]*StreamListener
 	conns     map[connKey]*StreamConn
-	pings     map[uint64]*pingWaiter
 	nextPort  uint16
 }
 
@@ -203,9 +202,6 @@ func (ns *NetNS) AdoptIface(i *Iface, newName string) {
 
 // Iface returns the named interface, or nil.
 func (ns *NetNS) Iface(name string) *Iface { return ns.ifaces[name] }
-
-// Loopback returns the namespace's lo interface.
-func (ns *NetNS) Loopback() *Iface { return ns.lo }
 
 // Ifaces returns the namespace's interfaces in creation order.
 func (ns *NetNS) Ifaces() []*Iface { return slices.Clone(ns.ifList) }
@@ -465,8 +461,7 @@ func (ns *NetNS) sendVia(out *Iface, nexthop IPv4, p *Packet) {
 	ns.arpResolve(out, nexthop, f)
 }
 
-// deliverLocal hands a packet to the owning socket (or the kernel's
-// ICMP handling).
+// deliverLocal hands a packet to the owning socket.
 func (ns *NetNS) deliverLocal(p *Packet) {
 	if p.Flow != 0 {
 		if rec := ns.Net.Rec; rec != nil {
@@ -481,9 +476,6 @@ func (ns *NetNS) deliverLocal(p *Packet) {
 		}
 	case ProtoTCP:
 		ns.streamInput(p)
-		return
-	case ProtoICMP:
-		ns.icmpInput(p)
 		return
 	}
 	ns.Drops.NoSocket++

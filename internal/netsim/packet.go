@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"nestless/internal/sim"
@@ -116,43 +114,4 @@ func (t FlowTuple) String() string {
 // String formats the packet for diagnostics.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%v len=%d ttl=%d", p.Tuple(), p.PayloadLen, p.TTL)
-}
-
-// MarshalBinary encodes the packet headers (payload is out of band).
-func (p *Packet) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 48)
-	buf = append(buf, p.Src[:]...)
-	buf = append(buf, p.Dst[:]...)
-	buf = append(buf, byte(p.Proto), p.TTL)
-	buf = binary.BigEndian.AppendUint16(buf, p.SrcPort)
-	buf = binary.BigEndian.AppendUint16(buf, p.DstPort)
-	if p.PayloadLen < 0 {
-		return nil, errors.New("netsim: negative payload length")
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.PayloadLen))
-	buf = append(buf, byte(p.Seg.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, p.Seg.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, p.Seg.AckSeq)
-	buf = binary.BigEndian.AppendUint64(buf, p.Seg.ConnID)
-	return buf, nil
-}
-
-// UnmarshalBinary decodes headers encoded with MarshalBinary.
-func (p *Packet) UnmarshalBinary(data []byte) error {
-	const need = 4 + 4 + 2 + 2 + 2 + 4 + 1 + 24
-	if len(data) < need {
-		return errors.New("netsim: packet too short")
-	}
-	copy(p.Src[:], data[0:4])
-	copy(p.Dst[:], data[4:8])
-	p.Proto = Proto(data[8])
-	p.TTL = data[9]
-	p.SrcPort = binary.BigEndian.Uint16(data[10:12])
-	p.DstPort = binary.BigEndian.Uint16(data[12:14])
-	p.PayloadLen = int(binary.BigEndian.Uint32(data[14:18]))
-	p.Seg.Kind = SegKind(data[18])
-	p.Seg.Seq = binary.BigEndian.Uint64(data[19:27])
-	p.Seg.AckSeq = binary.BigEndian.Uint64(data[27:35])
-	p.Seg.ConnID = binary.BigEndian.Uint64(data[35:43])
-	return nil
 }

@@ -22,7 +22,7 @@ package netsim
 //   - putPacket: only for stream-transport packets, at the end of
 //     streamInput — the transport never leaks *Packet to applications
 //     (OnMessage receives size/app/sentAt), unlike UDP's OnRecv, so UDP
-//     and ICMP packets are never pooled.
+//     packets are never pooled.
 //
 // Dropped objects (ring overflows, no-route, bad MAC before input) are
 // simply left to the GC: a pool miss is a missed reuse, never a leak.

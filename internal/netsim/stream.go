@@ -157,12 +157,6 @@ func (ns *NetNS) pathMSS(dst IPv4) int {
 	return mss
 }
 
-// ID returns the connection's demux ID.
-func (c *StreamConn) ID() uint64 { return c.id }
-
-// NS returns the owning namespace.
-func (c *StreamConn) NS() *NetNS { return c.ns }
-
 // Established reports whether the handshake completed.
 func (c *StreamConn) Established() bool { return c.established }
 

@@ -128,6 +128,26 @@ func TestRouterForwardsAndMasquerades(t *testing.T) {
 	if router.Filter.Translations == 0 {
 		t.Error("no NAT rewrites recorded")
 	}
+
+	// Forwarding costs a hop: the server's reply takes longer than one
+	// from the router's own address (ARP is warm on both paths).
+	if _, err := router.BindUDP(7, func(p *Packet) {
+		router.udp[7].SendTo(p.Src, p.SrcPort, 64, nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rtt := func(dst IPv4, port uint16) sim.Time {
+		var back sim.Time
+		start := eng.Now()
+		s, _ := client.BindUDP(0, func(*Packet) { back = eng.Now() - start })
+		s.SendTo(dst, port, 64, nil)
+		eng.Run()
+		return back
+	}
+	direct, routed := rtt(IP(10, 0, 2, 1), 7), rtt(IP(192, 168, 1, 2), 53)
+	if direct <= 0 || routed <= direct {
+		t.Fatalf("routed RTT %v not above direct %v", routed, direct)
+	}
 }
 
 func TestDNATPortPublish(t *testing.T) {

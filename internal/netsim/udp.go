@@ -38,9 +38,6 @@ func (ns *NetNS) BindUDP(port uint16, onRecv func(*Packet)) (*UDPSocket, error) 
 // Port returns the bound port.
 func (s *UDPSocket) Port() uint16 { return s.port }
 
-// NS returns the owning namespace.
-func (s *UDPSocket) NS() *NetNS { return s.ns }
-
 // Close releases the port.
 func (s *UDPSocket) Close() {
 	if s.ns.udp[s.port] == s {

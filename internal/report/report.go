@@ -103,19 +103,3 @@ func pad(s string, w int) string {
 func Percent(v float64) string {
 	return fmt.Sprintf("%.1f%%", v*100)
 }
-
-// Kv prints aligned key/value summary lines ("  key: value").
-func Kv(w io.Writer, pairs ...interface{}) {
-	if len(pairs)%2 != 0 {
-		panic("report: Kv needs key/value pairs")
-	}
-	width := 0
-	for i := 0; i < len(pairs); i += 2 {
-		if l := len(fmt.Sprint(pairs[i])); l > width {
-			width = l
-		}
-	}
-	for i := 0; i < len(pairs); i += 2 {
-		fmt.Fprintf(w, "  %s: %v\n", pad(fmt.Sprint(pairs[i]), width), pairs[i+1])
-	}
-}

@@ -52,18 +52,3 @@ func TestPercent(t *testing.T) {
 		t.Fatalf("Percent = %q", Percent(0.114))
 	}
 }
-
-func TestKv(t *testing.T) {
-	var b strings.Builder
-	Kv(&b, "alpha", 1, "b", "two")
-	out := b.String()
-	if !strings.Contains(out, "alpha: 1") || !strings.Contains(out, "b    : two") {
-		t.Fatalf("Kv output:\n%s", out)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("odd Kv args did not panic")
-		}
-	}()
-	Kv(&b, "only-key")
-}

@@ -53,9 +53,8 @@ type Recorder struct {
 	run string
 
 	// Tick sampling of station utilization, on the run's own clock.
-	sampleEvery time.Duration
-	nextTick    sim.Time
-	watches     []*stationWatch
+	nextTick sim.Time
+	watches  []*stationWatch
 
 	// Per-entity CPU rollups mirroring what the accountant sees through
 	// ChargeSpan, keyed by run-qualified entity name, in first-use order.
@@ -65,19 +64,22 @@ type Recorder struct {
 	flowSeq uint64
 }
 
-// New returns an empty recorder sampling utilization every millisecond of
+// sampleEvery is the station utilization sampling period, in virtual
+// time on the run's own clock.
+const sampleEvery = time.Millisecond
+
+// New returns an empty recorder sampling utilization every sampleEvery of
 // virtual time.
 func New() *Recorder {
 	return &Recorder{
-		tr:          NewTracer(),
-		reg:         NewRegistry(),
-		sampleEvery: time.Millisecond,
-		rollups:     make(map[string]*cpuacct.Usage),
+		tr:      NewTracer(),
+		reg:     NewRegistry(),
+		rollups: make(map[string]*cpuacct.Usage),
 	}
 }
 
-// Child returns an empty recorder for one run of a fan-out, sampling
-// at r's period and labeled like r, so a BeginRun on the child nests
+// Child returns an empty recorder for one run of a fan-out, labeled
+// like r, so a BeginRun on the child nests
 // under r's label; Append lays it onto r's timeline once the run is
 // done. A nil r has nil children, so a telemetry-off fan-out stays off.
 func (r *Recorder) Child() *Recorder {
@@ -85,7 +87,6 @@ func (r *Recorder) Child() *Recorder {
 		return nil
 	}
 	c := New()
-	c.sampleEvery = r.sampleEvery
 	c.run = r.run
 	return c
 }
@@ -110,15 +111,6 @@ func (r *Recorder) Append(child *Recorder) {
 		*u = u.Plus(*child.rollups[k])
 	}
 	r.watches = append(r.watches, child.watches...)
-}
-
-// SetSampleEvery changes the utilization sampling period (<= 0 disables
-// tick sampling).
-func (r *Recorder) SetSampleEvery(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.sampleEvery = d
 }
 
 // Tracer returns the underlying event tracer (nil on a nil recorder).
@@ -148,9 +140,9 @@ func (r *Recorder) BindEngine(eng *sim.Engine) {
 	if r == nil || eng == nil {
 		return
 	}
-	if r.eng == nil && r.sampleEvery > 0 {
+	if r.eng == nil {
 		now := eng.Now()
-		r.nextTick = now - now%r.sampleEvery + r.sampleEvery
+		r.nextTick = now - now%sampleEvery + sampleEvery
 	}
 	r.eng = eng
 	eng.Probe = r
@@ -212,7 +204,7 @@ func (r *Recorder) EngineAdvance(now sim.Time) {
 	if now > r.maxTS {
 		r.maxTS = now
 	}
-	if r.sampleEvery <= 0 || now < r.nextTick {
+	if now < r.nextTick {
 		return
 	}
 	for _, w := range r.watches {
@@ -221,7 +213,7 @@ func (r *Recorder) EngineAdvance(now sim.Time) {
 		r.emit(Event{Ph: PhaseCounter, Name: "util", Cat: "station", TS: now, Pid: w.pid, Arg: numArg("util", u)})
 	}
 	r.reg.Counter("telemetry/samples").Inc()
-	r.nextTick = now - now%r.sampleEvery + r.sampleEvery
+	r.nextTick = now - now%sampleEvery + sampleEvery
 }
 
 // WatchStation instruments a station: queue-depth and busy counters in the

@@ -54,7 +54,6 @@ func TestRegistryOrderAndIdentity(t *testing.T) {
 
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.SetSampleEvery(time.Second)
 	if r.Tracer() != nil || r.Metrics() != nil {
 		t.Fatal("nil recorder exposed non-nil components")
 	}
@@ -359,17 +358,16 @@ func TestFanAppendsInIndexOrder(t *testing.T) {
 
 func TestStationWatchSamplesUtilization(t *testing.T) {
 	r := New()
-	r.SetSampleEvery(100 * time.Microsecond)
 	eng := sim.New(1)
 	r.BindEngine(eng)
 	st := sim.NewStation(eng, "cpu", 1)
 	r.WatchStation(st, "host")
 
 	for i := 0; i < 4; i++ {
-		st.Process(60*time.Microsecond, nil)
+		st.Process(sampleEvery*6/10, nil)
 	}
 	// Carry the clock across several ticks.
-	eng.After(350*time.Microsecond, func() {})
+	eng.After(sampleEvery*35/10, func() {})
 	eng.Run()
 
 	util := r.Metrics().Series("station/cpu/util")

@@ -231,32 +231,3 @@ func clamp(v, lo, hi float64) float64 {
 func round4(v float64) float64 {
 	return float64(int(v*10000+0.5)) / 10000
 }
-
-// Stats summarises a generated population (for tests and reports).
-type Stats struct {
-	Users, Pods, Containers int
-	MaxPodCPU               float64
-	MeanPodCPU              float64
-}
-
-// Summarize computes population statistics.
-func Summarize(users []User) Stats {
-	var s Stats
-	s.Users = len(users)
-	var cpuSum float64
-	for _, u := range users {
-		s.Pods += len(u.Pods)
-		for _, p := range u.Pods {
-			s.Containers += len(p.Containers)
-			c := p.TotalCPU()
-			cpuSum += c
-			if c > s.MaxPodCPU {
-				s.MaxPodCPU = c
-			}
-		}
-	}
-	if s.Pods > 0 {
-		s.MeanPodCPU = cpuSum / float64(s.Pods)
-	}
-	return s
-}

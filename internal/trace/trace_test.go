@@ -142,19 +142,29 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGeneratePopulationShape(t *testing.T) {
 	users := Generate(DefaultConfig(42))
-	s := Summarize(users)
-	if s.Users != 492 {
-		t.Fatalf("users = %d, want 492", s.Users)
+	if len(users) != 492 {
+		t.Fatalf("users = %d, want 492", len(users))
 	}
-	if s.Pods < 492 {
-		t.Fatalf("pods = %d, want at least one per user", s.Pods)
+	var pods, containers int
+	var cpuSum, maxPodCPU float64
+	for _, u := range users {
+		pods += len(u.Pods)
+		for _, p := range u.Pods {
+			containers += len(p.Containers)
+			c := p.TotalCPU()
+			cpuSum += c
+			maxPodCPU = max(maxPodCPU, c)
+		}
 	}
-	if s.Containers < s.Pods {
+	if pods < 492 {
+		t.Fatalf("pods = %d, want at least one per user", pods)
+	}
+	if containers < pods {
 		t.Fatal("containers < pods")
 	}
 	// Heavy-tailed: mean pod far below max pod.
-	if s.MaxPodCPU < 4*s.MeanPodCPU {
-		t.Errorf("tail too light: max=%.3f mean=%.3f", s.MaxPodCPU, s.MeanPodCPU)
+	if mean := cpuSum / float64(pods); maxPodCPU < 4*mean {
+		t.Errorf("tail too light: max=%.3f mean=%.3f", maxPodCPU, mean)
 	}
 }
 
@@ -190,12 +200,5 @@ func TestPodTotals(t *testing.T) {
 	}
 	if got := p.TotalMem(); got < 0.2999 || got > 0.3001 {
 		t.Fatalf("TotalMem = %v", got)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Users != 0 || s.MeanPodCPU != 0 {
-		t.Fatal("empty summary wrong")
 	}
 }

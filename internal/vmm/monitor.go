@@ -212,7 +212,7 @@ func (m *Monitor) deviceAdd(args map[string]string, done func(Result, error)) {
 			b := hostlo.NewBackend(h.Hostlo(nd.hostloD))
 			cfg.Backend = b
 			dev.NIC = virtio.New(cfg)
-			b.Bind(vm.Name, dev.NIC)
+			b.Bind(dev.NIC)
 			dev.Hostlo = b
 		}
 		vm.devices[id] = dev
