@@ -28,8 +28,9 @@
 //	costsim -cloud gcp:n2                  # static cross-cloud comparison
 //	costsim -lifecycle -cloud gcp:n2 -zones 3 -spot-frac 0.5
 //
-// The -replay flag feeds a recorded cluster trace file (CSV or JSONL,
-// optionally gzipped — see internal/ctrace) through the sharded
+// The -replay flag feeds a recorded Google cluster trace file (2011
+// task_events CSV or 2019 instance_events JSON, optionally gzipped —
+// see internal/ctrace) through the sharded
 // multi-cluster replay (internal/shard) instead of generating a
 // synthetic population. Both policies run over the same stream; the
 // trace is reopened per policy. -parallel picks how many goroutines
@@ -89,7 +90,7 @@ func main() {
 	life := flag.Duration("life", 45*time.Minute, "lifecycle mean pod lifetime (Pareto-tailed)")
 	boot := flag.Duration("boot", 45*time.Second, "lifecycle VM boot delay")
 	replay := flag.String("replay", "",
-		"replay a recorded cluster trace file (csv/jsonl, .gz ok; see internal/ctrace) through the sharded lifecycle simulation instead of generating a workload")
+		"replay a recorded cluster trace file (task_events csv or instance_events json, .gz ok; see internal/ctrace) through the sharded lifecycle simulation instead of generating a workload")
 	worlds := flag.Int("worlds", 8,
 		"replay: logical cluster worlds the trace is hash-partitioned over (changes the experiment, unlike -parallel)")
 	barrier := flag.Duration("barrier", 15*time.Minute,

@@ -159,6 +159,26 @@ func TestFatalKeepsProfile(t *testing.T) {
 	}
 }
 
+// TestReplaySchemas pins what -replay accepts: the committed
+// instance_events fixture replays (exit 0), and a pod-level JSON line,
+// which no Google schema spells, fails as an instance_events row with
+// exit 1 and an error naming line 1.
+func TestReplaySchemas(t *testing.T) {
+	_, stderr, code := clitest.Run("-replay ../../internal/ctrace/testdata/instance_events.json")
+	if code != 0 {
+		t.Errorf("costsim -replay instance_events.json: exit status %d:\n%s", code, stderr)
+	}
+	pod := filepath.Join(t.TempDir(), "pod.jsonl")
+	line := `{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}]}` + "\n"
+	if err := os.WriteFile(pod, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code = clitest.Run("-replay " + pod)
+	if code != 1 || !strings.Contains(stderr, "line 1: instance_events: missing collection_id") {
+		t.Errorf("costsim -replay pod.jsonl: exit status %d, want 1 naming line 1:\n%s", code, stderr)
+	}
+}
+
 // TestStaticTelemetryParallel pins that the static path's fan-out is
 // independent of telemetry: with -metrics, -parallel 4 prints exactly
 // what -parallel 1 does (the recorder instruments the merged result

@@ -1,13 +1,12 @@
-// ctracegen emits a seeded sample cluster trace in either on-disk
-// format internal/ctrace reads back: the Google task_events-compatible
-// CSV or the pod-level JSONL. The workload comes from the synthetic
-// generator (internal/trace) with churn stamped on, flattened into a
-// time-ordered event stream — so tests, benchmarks and the worked
-// examples in EXPERIMENTS.md can replay a realistic trace without
-// shipping a real one in the repo.
+// ctracegen emits a seeded sample cluster trace as the Google
+// task_events-compatible CSV that internal/ctrace reads back. The
+// workload comes from the synthetic generator (internal/trace) with
+// churn stamped on, flattened into a time-ordered event stream — so
+// tests, benchmarks and the worked examples in EXPERIMENTS.md can
+// replay a realistic trace without shipping a real one in the repo.
 //
 //	ctracegen -users 100 -seed 7 -out trace.csv.gz
-//	ctracegen -format jsonl -pods 1000 -out trace.jsonl
+//	ctracegen -pods 1000 -out trace.csv
 //	ctracegen -days 3 -pods 1000000 -out trace-3d.csv.gz
 //
 // The -days/-pods presets shape multi-day replay inputs without knob
@@ -31,23 +30,18 @@ import (
 
 func main() {
 	var (
-		out    = flag.String("out", "", "output path ('' = stdout; a .gz suffix gzips)")
-		format = flag.String("format", "csv", "trace format: csv (task_events-compatible) or jsonl (pod-level)")
-		users  = flag.Int("users", 100, "users in the generated population (with -pods and no explicit -users, derived from the pod target)")
-		pods   = flag.Int("pods", 0, "cap the total pod count (0 = no cap); without an explicit -users the population is sized to hit the cap")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		gap    = flag.Duration("gap", 2*time.Minute, "mean per-user arrival gap (overridden by -days unless explicit)")
-		life   = flag.Duration("life", 45*time.Minute, "mean pod lifetime (Pareto-tailed)")
-		days   = flag.Int("days", 0, "preset: stretch arrival gaps so each user's pods span this many days (0 = off; explicit -gap wins)")
+		out   = flag.String("out", "", "output path ('' = stdout; a .gz suffix gzips)")
+		users = flag.Int("users", 100, "users in the generated population (with -pods and no explicit -users, derived from the pod target)")
+		pods  = flag.Int("pods", 0, "cap the total pod count (0 = no cap); without an explicit -users the population is sized to hit the cap")
+		seed  = flag.Int64("seed", 1, "generator seed")
+		gap   = flag.Duration("gap", 2*time.Minute, "mean per-user arrival gap (overridden by -days unless explicit)")
+		life  = flag.Duration("life", 45*time.Minute, "mean pod lifetime (Pareto-tailed)")
+		days  = flag.Int("days", 0, "preset: stretch arrival gaps so each user's pods span this many days (0 = off; explicit -gap wins)")
 	)
 	flag.Parse()
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	f, err := ctrace.ParseFormat(*format)
-	if err != nil {
-		cli.BadFlag("-format: %v", err)
-	}
 	if *pods < 0 {
 		cli.BadFlag("-pods must be >= 0 (got %d)", *pods)
 	}
@@ -116,7 +110,7 @@ func main() {
 			w = gz
 		}
 	}
-	if err := ctrace.Write(w, ctrace.NewSynth(population), f); err != nil {
+	if err := ctrace.Write(w, ctrace.NewSynth(population), ctrace.CSV); err != nil {
 		cli.Fatal("ctracegen", err)
 	}
 }

@@ -47,9 +47,6 @@ type Plugin struct {
 	// Fallback, when set, takes over pods whose hot-plug path exhausted
 	// its retries — the degraded-but-connected bridge+NAT network.
 	Fallback container.Provisioner
-	// Retry shapes the hot-plug retry loop. Zero means defaults (with
-	// the timeout watchdog armed only when fault injection is active).
-	Retry faults.RetryPolicy
 
 	// Retries and Fallbacks count recovery activity for reports.
 	Retries   uint64
@@ -73,14 +70,12 @@ func New(ctrl *core.Controller, vm *vmm.VM, bridge string) *Plugin {
 // Name identifies the plugin.
 func (p *Plugin) Name() string { return "brfusion" }
 
-// policy resolves the effective retry policy. The watchdog timer is
-// armed only in faulted worlds: a fault-free monitor cannot stall, and
-// the leftover timer events would perturb the deterministic baseline.
+// policy is the hot-plug retry policy: the fault package's default,
+// with the watchdog timer armed only in faulted worlds. A fault-free
+// monitor cannot stall, and the leftover timer events would perturb the
+// deterministic baseline.
 func (p *Plugin) policy() faults.RetryPolicy {
-	pol := p.Retry
-	if pol.MaxAttempts == 0 {
-		pol = faults.DefaultRetryPolicy()
-	}
+	pol := faults.DefaultRetryPolicy()
 	if p.VM.Host.Net.Faults == nil {
 		pol.Timeout = 0
 	}

@@ -106,8 +106,9 @@ type Config struct {
 	Policy Policy
 	// Horizon ends the simulation (default 8h).
 	Horizon time.Duration
-	// BootDelay is the VM provisioning latency (default 45s; the
-	// steady-state equivalence tests use 0).
+	// BootDelay is the VM provisioning latency. Zero boots instantly
+	// (the steady-state equivalence tests use it); the commands pass
+	// their -boot flag, 45s by default.
 	BootDelay time.Duration
 	// Faults arms the deterministic fault injector (nil = off). Points:
 	// "node/provision" (fail/delay) and "node/<name>" (crash).
@@ -385,7 +386,7 @@ type Cluster struct {
 	blockedPod int
 	blockedVer uint64
 	dirty      bool
-	started    bool    // world armed (Arm or Start ran; idempotent)
+	started    bool    // world armed (Start ran; idempotent)
 	dirtyList  []*node // Hostlo: nodes touched since the last optimize
 	schedPend  bool
 	tts        sim.Series
@@ -491,36 +492,13 @@ func Simulate(cfg Config) Result {
 	return New(cfg).Run()
 }
 
-// Run executes the lifecycle to the horizon and returns the result.
+// Run executes the lifecycle to the horizon and returns the result:
+// Start, then Advance(horizon) and Finish.
 func (c *Cluster) Run() Result {
-	c.Arm()
+	c.Start()
 	c.eng.RunUntil(sim.Time(c.cfg.Horizon))
 	c.finalize()
 	return c.res
-}
-
-// Arm schedules the Config.Pods workload and starts the autoscaler and
-// sample chains without running anything — the run-to-t face that
-// snapshotting needs: Arm, Advance to any instant, Capture, keep
-// advancing. Run is exactly Arm + Advance(horizon) + Finish. Idempotent;
-// exclusive with feeding a streaming workload (Start alone covers that).
-func (c *Cluster) Arm() {
-	if c.started {
-		return
-	}
-	// Arrivals.
-	c.eng.Reserve(len(c.pods))
-	for i := range c.pods {
-		at := sim.Time(c.pods[i].pod.Arrival)
-		if at > sim.Time(c.cfg.Horizon) {
-			c.res.BeyondHorizon++
-			continue
-		}
-		c.schedEvent(at, evArrive, int64(i), 0)
-	}
-	// Autoscaler ticks and trajectory samples, each a self-rescheduling
-	// chain so the event heap stays small.
-	c.Start()
 }
 
 // arrive admits one pod into the pending queue.

@@ -261,8 +261,7 @@ func TestIncrementalOptimizerEngages(t *testing.T) {
 		BootDelay: 30 * time.Second,
 	}
 	// This workload is the one that actually drives incremental passes,
-	// so pin the dual-path neighborhood selection (tree tail-walk vs
-	// fleet scan) on it too.
+	// so pin the neighborhood selection (the tree tail-walk) on it too.
 	g := golden.Open(t, goldenPath, "incremental/")
 	res := requireGolden(t, g, "incremental/hostlo", base)
 	if res.OptimizerRuns == 0 {

@@ -30,14 +30,26 @@ import (
 // Digest is the per-epoch world fingerprint the runner folds across
 // shards to prove schedule independence.
 
-// Start arms the world for streaming execution: the autoscaler tick and
-// trajectory sample chains begin, and the engine sits at t=0 waiting
-// for FeedEvent/Advance. Exclusive with Run.
+// Start arms the world without running anything: it schedules the
+// Config.Pods arrivals, then the reconciler tick and trajectory sample
+// chains (each self-rescheduling, so the event heap stays small). The
+// engine then sits at t=0 for FeedEvent/Advance — the run-to-t face
+// that replay and snapshotting share: Start, Advance to any instant,
+// Capture, keep advancing. Idempotent.
 func (c *Cluster) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
+	c.eng.Reserve(len(c.pods))
+	for i := range c.pods {
+		at := sim.Time(c.pods[i].pod.Arrival)
+		if at > sim.Time(c.cfg.Horizon) {
+			c.res.BeyondHorizon++
+			continue
+		}
+		c.schedEvent(at, evArrive, int64(i), 0)
+	}
 	c.schedEvent(scaleEvery, evTick, 0, 0)
 	c.schedEvent(c.sampleEvery(), evSample, 0, 0)
 }

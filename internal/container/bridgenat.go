@@ -39,7 +39,7 @@ func (p *bridgeNAT) Provision(c *Container, ports []PortMap, done func(netsim.IP
 		}
 		ip := e.allocIP()
 		ctrEnd, nodeEnd := netsim.NewVethPair(c.NS, "eth0", e.cfg.NS, "veth-"+c.Name)
-		ctrEnd.SetAddr(ip, e.briNet)
+		ctrEnd.SetAddr(ip, bridgeNet)
 		e.bridge.AddPort(nodeEnd)
 		c.NS.AddRoute(netsim.Route{
 			Dst: netsim.MustPrefix(netsim.IPv4{}, 0),

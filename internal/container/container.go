@@ -85,11 +85,13 @@ type Config struct {
 	Uplink string
 	// Boot overrides the start-up timing profile (nil = DefaultBootProfile).
 	Boot *BootProfile
-	// BridgeAddr/BridgeNet configure the default container network
-	// (zero values pick Docker's 172.17.0.1/16).
-	BridgeAddr netsim.IPv4
-	BridgeNet  netsim.Prefix
 }
+
+// The default container network is Docker's: docker0 at 172.17.0.1/16.
+var (
+	bridgeNet  = netsim.MustPrefix(netsim.IP(172, 17, 0, 0), 16)
+	bridgeAddr = netsim.IP(172, 17, 0, 1)
+)
 
 // Engine is the per-node container engine.
 type Engine struct {
@@ -102,7 +104,6 @@ type Engine struct {
 
 	// Default bridge network (docker0 equivalent).
 	bridge  *netsim.Bridge
-	briNet  netsim.Prefix
 	ipNext  int
 	defProv *bridgeNAT
 }
@@ -110,17 +111,12 @@ type Engine struct {
 // NewEngine starts a container engine on the node and creates its
 // default bridge network with masquerading.
 func NewEngine(cfg Config) *Engine {
-	if cfg.BridgeNet.Bits == 0 {
-		cfg.BridgeNet = netsim.MustPrefix(netsim.IP(172, 17, 0, 0), 16)
-		cfg.BridgeAddr = netsim.IP(172, 17, 0, 1)
-	}
 	e := &Engine{
 		cfg:        cfg,
 		rng:        cfg.Eng.Rand().Fork(),
 		boot:       DefaultBootProfile(),
 		images:     make(map[string]Image),
 		containers: make(map[string]*Container),
-		briNet:     cfg.BridgeNet,
 		ipNext:     2,
 	}
 	if cfg.Boot != nil {
@@ -132,8 +128,8 @@ func NewEngine(cfg Config) *Engine {
 	// them, locally terminated traffic does not.
 	cfg.NS.ForwardChainScale = 2.4
 	e.bridge = netsim.NewBridge(cfg.NS, "docker0")
-	e.bridge.Iface().SetAddr(cfg.BridgeAddr, cfg.BridgeNet)
-	cfg.NS.Filter.AddMasquerade(netsim.SNATRule{SrcNet: cfg.BridgeNet, OutDev: cfg.Uplink})
+	e.bridge.Iface().SetAddr(bridgeAddr, bridgeNet)
+	cfg.NS.Filter.AddMasquerade(netsim.SNATRule{SrcNet: bridgeNet, OutDev: cfg.Uplink})
 	e.defProv = &bridgeNAT{e: e}
 	return e
 }
@@ -165,7 +161,7 @@ func (e *Engine) Containers() map[string]*Container {
 
 // allocIP hands out the next container address on the default bridge.
 func (e *Engine) allocIP() netsim.IPv4 {
-	ip := e.briNet.Host(e.ipNext)
+	ip := bridgeNet.Host(e.ipNext)
 	e.ipNext++
 	return ip
 }

@@ -106,20 +106,6 @@ func (u Usage) Plus(v Usage) Usage {
 	return out
 }
 
-// Cores converts the usage into mean cores consumed over the elapsed
-// window (the unit of the paper's CPU figures). Zero elapsed yields zeros.
-func (u Usage) Cores(elapsed time.Duration) map[Category]float64 {
-	out := make(map[Category]float64, numCategories)
-	for i := Category(0); i < numCategories; i++ {
-		if elapsed > 0 {
-			out[i] = float64(u.byCat[i]) / float64(elapsed)
-		} else {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
 // String formats the usage as "usr=… sys=… soft=… guest=…".
 func (u Usage) String() string {
 	var b strings.Builder

@@ -47,22 +47,6 @@ func TestUsageSubClampsAtZero(t *testing.T) {
 	}
 }
 
-func TestUsageCores(t *testing.T) {
-	var u Usage
-	u.Add(Sys, 500*time.Millisecond)
-	cores := u.Cores(time.Second)
-	if cores[Sys] != 0.5 {
-		t.Fatalf("Cores[sys] = %v, want 0.5", cores[Sys])
-	}
-	if cores[Usr] != 0 {
-		t.Fatalf("Cores[usr] = %v, want 0", cores[Usr])
-	}
-	zero := u.Cores(0)
-	if zero[Sys] != 0 {
-		t.Fatal("zero elapsed must report zero cores")
-	}
-}
-
 func TestAccountantRecordAndQuery(t *testing.T) {
 	a := New()
 	a.Record("host", Sys, time.Second)

@@ -1,7 +1,7 @@
 // Package ctrace is the streaming cluster-trace loader: an
-// iterator-style reader over Google cluster-trace-schema-compatible
-// CSV/JSONL files (optionally gzip-compressed) that yields normalized
-// pod lifecycle events for the cluster lifecycle simulator.
+// iterator-style reader over Google cluster-trace files (optionally
+// gzip-compressed) that yields normalized pod lifecycle events for the
+// cluster lifecycle simulator.
 //
 // It is deliberately distinct from two similarly named things:
 //
@@ -22,9 +22,10 @@
 // memory proportional to the number of *concurrently live* pods, not to
 // the file size.
 //
-// Two on-disk formats are accepted, sniffed from the first byte:
+// Google published its traces in two schemas, and the reader accepts
+// both, sniffed from the first byte:
 //
-// CSV — Google task_events-compatible, one row per task event:
+// CSV — the 2011 task_events schema, one row per task event:
 //
 //	time_us,event,job,task,user,cpu,mem
 //	0,0,j1,0,alice,0.01,0.02
@@ -42,10 +43,12 @@
 // Lines starting with '#', blank lines and the canonical header line
 // are skipped.
 //
-// JSONL — one JSON object per line, pod-level (no task pairing):
+// instance_events — the 2019 v3 schema's BigQuery JSON export, one
+// object per line, selected by a first byte of '{'. Its rows feed the
+// same task-level state machine as the CSV (see instance_events.go):
 //
-//	{"t_us":0,"ev":"submit","pod":"j1","user":"alice","containers":[{"cpu":0.01,"mem":0.02}]}
-//	{"t_us":3600000000,"ev":"finish","pod":"j1","user":"alice"}
+//	{"time":"0","type":"0","collection_id":"1","instance_index":"0","user":"alice","resource_request":{"cpus":0.01,"memory":0.02}}
+//	{"time":"3600000000","type":"6","collection_id":"1","instance_index":"0"}
 //
 // Validation is strict by default — malformed rows, NaN/negative/>1
 // requests, decreasing timestamps, duplicate submits and ends for
@@ -75,7 +78,8 @@ const (
 	Kill
 )
 
-// String names the kind the way the JSONL format spells it.
+// String names the kind the way the CSV's symbolic event column
+// spells it.
 func (k EventKind) String() string {
 	switch k {
 	case Submit:

@@ -8,9 +8,11 @@ import (
 	"testing"
 )
 
-// FuzzParseTraceLine drives both line parsers — the CSV task row and
-// the JSONL pod row — plus a whole strict-mode reader pass over the
-// input as a two-line document. Properties: no panics ever; anything
+// FuzzParseTraceLine drives the CSV task-row parser plus a whole
+// strict-mode reader pass over the input as a two-line document (a
+// line starting with '{' reads as an instance_events export, so the
+// JSON seeds exercise that decoder and its rejections). Properties: no
+// panics ever; anything
 // the CSV parser accepts satisfies the row invariants the consumers
 // rely on; the reader never yields an event that violates the
 // normalized-event contract (non-negative time, known kind, non-empty
@@ -22,6 +24,8 @@ func FuzzParseTraceLine(f *testing.F) {
 		"1000,kill,j1,0,alice,0,0",
 		"1000,SUBMIT,j1,1,alice,0.0625,0.125",
 		"1000, 0 ,\tj1 ,0,\u00a0alice\u0085, 0.25\r,0.5 ", // white space around fields
+		// Pod-level JSON rows: instance_events rows without a
+		// collection_id, so the reader rejects them.
 		`{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}]}`,
 		`{"t_us":9000,"ev":"finish","pod":"p1"}`,
 		// Malformed shapes the parser must reject without panicking.
@@ -38,8 +42,8 @@ func FuzzParseTraceLine(f *testing.F) {
 		`{"t_us":-1,"ev":"kill","pod":"p"}`, // negative time
 		`{"bogus":true}`,                    // unknown field soup
 		"\x00\xff,",                         // binary garbage
-		// 2019 instance_events shapes (whole-reader pass sniffs these
-		// into the adapter via the collection_id field).
+		// 2019 instance_events shapes (the whole-reader pass sniffs
+		// these into the adapter by their first byte).
 		`{"time":"1000","type":"0","collection_id":"389","instance_index":"0","user":"a","resource_request":{"cpus":"0.25","memory":0.5}}`,
 		`{"time":"9000","type":"7","collection_id":"389","instance_index":"0"}`,
 		`{"time":"1000","type":"11","collection_id":"1","instance_index":"0"}`, // unknown type
@@ -70,7 +74,6 @@ func FuzzParseTraceLine(f *testing.F) {
 			}
 		}
 		checkRowMatchesStrconv(t, line, row, err)
-		parseJSONLine(line)
 
 		// Whole-reader pass: the line as a document body (with the CSV
 		// header when it does not sniff as JSON). Strict mode may error;

@@ -8,43 +8,27 @@ import (
 	"time"
 )
 
-// The trace writer: serializes an event Source back into either on-disk
-// format. ctracegen (cmd/ctracegen) pairs it with NewSynth to emit
-// seeded sample traces for tests, benchmarks and worked examples; the
+// The trace writer: serializes an event Source as task_events CSV.
+// ctracegen (cmd/ctracegen) pairs it with NewSynth to emit seeded
+// sample traces for tests, benchmarks and worked examples; the
 // golden-file round-trip test pins that Write∘Read is the identity.
 
-// Format selects the on-disk encoding.
+// Format selects the on-disk encoding. CSV is its only value; Write
+// keeps the argument for the callers that pass it.
 type Format int
 
-const (
-	// CSV is the Google task_events-compatible per-task form.
-	CSV Format = iota
-	// JSONL is the native pod-level form, one JSON object per line.
-	JSONL
-)
+// CSV is the Google task_events-compatible per-task form.
+const CSV Format = 0
 
-// ParseFormat resolves a -format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "csv":
-		return CSV, nil
-	case "jsonl", "json":
-		return JSONL, nil
-	}
-	return 0, fmt.Errorf("unknown trace format %q (want csv or jsonl)", s)
-}
-
-// Write drains src into w in the given format. Events must be
-// time-ordered (every Source in this package is). CSV expands each pod
-// event into per-task rows — submit rows carry the container requests,
-// end rows close every task — so the output is also a valid corpus for
+// Write drains src into w as CSV. Events must be time-ordered (every
+// Source in this package is). Each pod event expands into per-task
+// rows — submit rows carry the container requests, end rows close
+// every task — so the output is also a valid corpus for
 // schema-compatible external tools.
-func Write(w io.Writer, src Source, format Format) error {
+func Write(w io.Writer, src Source, _ Format) error {
 	bw := bufio.NewWriter(w)
-	if format == CSV {
-		if _, err := fmt.Fprintln(bw, header); err != nil {
-			return err
-		}
+	if _, err := fmt.Fprintln(bw, header); err != nil {
+		return err
 	}
 	// Open-pod container counts: CSV end rows must close each task.
 	tasks := map[string]int{}
@@ -56,19 +40,16 @@ func Write(w io.Writer, src Source, format Format) error {
 		if err != nil {
 			return err
 		}
-		if err := writeEvent(bw, ev, format, tasks); err != nil {
+		if err := writeEvent(bw, ev, tasks); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// writeEvent emits one normalized event.
-func writeEvent(bw *bufio.Writer, ev Event, format Format, tasks map[string]int) error {
+// writeEvent emits one normalized event as its task rows.
+func writeEvent(bw *bufio.Writer, ev Event, tasks map[string]int) error {
 	us := int64(ev.Time / time.Microsecond)
-	if format == JSONL {
-		return writeJSONL(bw, ev, us)
-	}
 	switch ev.Kind {
 	case Submit:
 		tasks[ev.Pod] = len(ev.Containers)
@@ -93,31 +74,6 @@ func writeEvent(bw *bufio.Writer, ev Event, format Format, tasks map[string]int)
 		}
 	}
 	return nil
-}
-
-// writeJSONL emits one pod-level JSON line. The fields are flat and
-// ordered by hand so output is byte-stable (golden tests diff it).
-func writeJSONL(bw *bufio.Writer, ev Event, us int64) error {
-	if ev.Kind == Submit {
-		if _, err := fmt.Fprintf(bw, `{"t_us":%d,"ev":"submit","pod":%q,"user":%q,"containers":[`,
-			us, ev.Pod, ev.User); err != nil {
-			return err
-		}
-		for i, c := range ev.Containers {
-			sep := ","
-			if i == 0 {
-				sep = ""
-			}
-			if _, err := fmt.Fprintf(bw, `%s{"cpu":%s,"mem":%s}`, sep, fmtFloat(c.CPU), fmtFloat(c.Mem)); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintln(bw, "]}")
-		return err
-	}
-	_, err := fmt.Fprintf(bw, `{"t_us":%d,"ev":%q,"pod":%q,"user":%q}`+"\n",
-		us, ev.Kind.String(), ev.Pod, ev.User)
-	return err
 }
 
 // fmtFloat renders a request with exact round-trip precision.

@@ -3,16 +3,15 @@ package ctrace
 // The 2019 v3 cluster trace schema adapter. Google's second trace
 // release (May 2019, eight clusters) ships as BigQuery tables; the
 // instance_events table is the task_events analogue — one row per
-// instance lifecycle transition, exported to JSONL with
+// instance lifecycle transition, exported as newline-delimited JSON with
 //
 //	bq extract --destination_format NEWLINE_DELIMITED_JSON \
 //	    clusterdata_2019_a.instance_events gs://.../instance_events-*.json
 //
-// A Reader recognizes such an export automatically: the file sniffs as
-// JSON lines, and the first data line containing a "collection_id"
-// field switches the reader into instance_events mode for the whole
-// file (the native JSONL format has no such field, and its strict
-// parser would reject one).
+// A Reader recognizes such an export automatically: a file whose first
+// byte is '{' is read as instance_events for its whole length. JSON is
+// this format's only spelling, so a JSON line of any other shape fails
+// as a row with no collection_id.
 //
 // Mapping onto the normalized event model:
 //
@@ -39,10 +38,6 @@ import (
 	"encoding/json"
 	"strconv"
 )
-
-// instanceSniff marks a 2019 instance_events export; looked for in the
-// first JSON data line.
-var instanceSniff = []byte(`"collection_id"`)
 
 // i64flex is an INT64 that may arrive as a JSON number or as the
 // string BigQuery's JSON export wraps INT64 columns in.

@@ -64,18 +64,23 @@ func TestInstanceEventsMatchCSV(t *testing.T) {
 	}
 }
 
-// TestInstanceSniff pins the mode decision: the first JSON data line
-// picks instance_events (collection_id present) or native JSONL, and
-// native JSONL files keep their strict unknown-field check.
+// TestInstanceSniff pins the mode decision: a first byte of '{' reads
+// the whole file as instance_events. A pod-level JSON line is then a
+// row with no collection_id: strict mode names its line, lenient mode
+// counts it as skipped.
 func TestInstanceSniff(t *testing.T) {
-	native := `{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}]}` + "\n"
-	r := mustReader(t, strings.NewReader(native), Options{})
-	if evs := drain(t, r); len(evs) != 1 || evs[0].Pod != "p1" {
-		t.Fatalf("native JSONL misrouted: %+v", evs)
+	pod := `{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}]}` + "\n"
+	r := mustReader(t, strings.NewReader(pod), Options{})
+	_, err := r.Next()
+	if err == nil || err == io.EOF || !strings.Contains(err.Error(), "line 1:") ||
+		!strings.Contains(err.Error(), "missing collection_id") {
+		t.Fatalf("strict reader on a pod-level line: err = %v, want line 1 missing collection_id", err)
+	}
+	if evs, stats := read(t, pod, Options{Lenient: true}); len(evs) != 0 || stats.Rows != 1 || stats.Skipped != 1 {
+		t.Fatalf("lenient reader on a pod-level line: events %+v, stats %+v", evs, stats)
 	}
 	// Comment and blank lines inside an export are skipped like
-	// everywhere else (the format sniff itself needs '{' first, as for
-	// native JSONL).
+	// everywhere else (the format sniff itself needs '{' first).
 	lines := strings.SplitAfterN(instanceBody, "\n", 2)
 	commented := lines[0] + "# re-sorted 2019-05-01\n\n" + lines[1]
 	if evs, _ := read(t, commented, Options{}); len(evs) != 4 {

@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 	"unicode/utf8"
 	"unsafe"
@@ -30,18 +28,15 @@ type Options struct {
 // header is the canonical CSV header line, skipped when present.
 const header = "time_us,event,job,task,user,cpu,mem"
 
-// maxLine bounds one physical line (a JSONL pod with very many
-// containers); beyond it the file is malformed.
+// maxLine bounds one physical line (an instance_events row carrying
+// very many columns); beyond it the file is malformed.
 const maxLine = 4 << 20
 
-// Input mode, sniffed from content. A '{' first byte means JSON lines;
-// whether those are the native pod-level rows or a 2019 v3
-// instance_events export is decided from the first data line (see
-// instance_events.go).
+// Input mode, sniffed from the first byte: '{' or '[' means a 2019 v3
+// instance_events export (see instance_events.go), anything else the
+// task_events CSV.
 const (
 	modeCSV = iota
-	modeJSONSniff
-	modeJSONL
 	modeInstance
 )
 
@@ -94,7 +89,8 @@ type Reader struct {
 }
 
 // Open opens a trace file for streaming. Gzip compression and the
-// CSV/JSONL format are sniffed from the content, not the name.
+// CSV/instance_events format are sniffed from the content, not the
+// name.
 func Open(path string, opts Options) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -125,9 +121,10 @@ func NewReader(src io.Reader, opts Options) (*Reader, error) {
 		jobs:  map[string]*jobState{},
 		users: map[string]string{},
 	}
-	// Format sniff: the first non-space byte of a JSONL trace is '{'.
+	// Format sniff: an instance_events export is JSON, so its first
+	// byte is '{' (or '[' for a malformed one the row decoder rejects).
 	if first, err := br.Peek(1); err == nil && (first[0] == '{' || first[0] == '[') {
-		r.mode = modeJSONSniff
+		r.mode = modeInstance
 	}
 	r.sc = bufio.NewScanner(br)
 	r.sc.Buffer(make([]byte, 0, 64<<10), maxLine)
@@ -195,20 +192,14 @@ func (r *Reader) Next() (Event, error) {
 // consume parses and applies one physical line. line aliases the
 // scanner's buffer and is only valid for this call.
 func (r *Reader) consume(line []byte) error {
-	if r.mode == modeJSONSniff {
-		if bytes.Contains(line, instanceSniff) {
-			r.mode = modeInstance
-		} else {
-			r.mode = modeJSONL
-		}
-	}
-	switch r.mode {
-	case modeJSONL:
-		return r.consumeJSON(line)
-	case modeInstance:
+	if r.mode == modeInstance {
 		return r.consumeInstance(line)
 	}
-	return r.consumeCSV(line)
+	row, err := parseCSVRow(line)
+	if err != nil {
+		return err
+	}
+	return r.apply(row)
 }
 
 // badf builds a row-level validation error.
@@ -491,15 +482,6 @@ func parseDecimal(b []byte) (v float64, ok bool) {
 	return float64(m) / pow10[k], true
 }
 
-// consumeCSV applies one task-level row.
-func (r *Reader) consumeCSV(line []byte) error {
-	row, err := parseCSVRow(line)
-	if err != nil {
-		return err
-	}
-	return r.apply(row)
-}
-
 // apply is the task-level lifecycle state machine shared by the CSV
 // format and the instance_events adapter: submits coalesce into pod
 // submit groups, task ends decrement the job's live count and emit the
@@ -561,113 +543,6 @@ func (r *Reader) apply(row rawRow) error {
 	}
 	// code 0-8 was validated by the parsers; anything else is unreachable.
 	return badf("unhandled event code %d", row.code)
-}
-
-// jsonRow is one parsed JSONL line: a pod-level event.
-type jsonRow struct {
-	US         int64  `json:"t_us"`
-	Ev         string `json:"ev"`
-	Pod        string `json:"pod"`
-	User       string `json:"user"`
-	Containers []struct {
-		CPU float64 `json:"cpu"`
-		Mem float64 `json:"mem"`
-	} `json:"containers"`
-}
-
-// parseJSONLine parses (without applying) one JSONL row — the JSON half
-// of the fuzz surface.
-func parseJSONLine(line string) (jsonRow, EventKind, error) {
-	return parseJSONRow([]byte(line))
-}
-
-// parseJSONRow parses one native pod-level JSON row.
-func parseJSONRow(line []byte) (jsonRow, EventKind, error) {
-	var row jsonRow
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&row); err != nil {
-		return row, 0, badf("json: %v", err)
-	}
-	var kind EventKind
-	switch strings.ToLower(row.Ev) {
-	case "submit":
-		kind = Submit
-	case "finish":
-		kind = Finish
-	case "kill":
-		kind = Kill
-	default:
-		return row, 0, badf("event %q (want submit/finish/kill)", row.Ev)
-	}
-	if row.Pod == "" {
-		return row, 0, badf("empty pod id")
-	}
-	if kind == Submit && len(row.Containers) == 0 {
-		return row, 0, badf("submit without containers")
-	}
-	for i, c := range row.Containers {
-		if err := checkRequest(fmt.Sprintf("container %d cpu", i), c.CPU); err != nil {
-			return row, 0, err
-		}
-		if err := checkRequest(fmt.Sprintf("container %d mem", i), c.Mem); err != nil {
-			return row, 0, err
-		}
-	}
-	return row, kind, nil
-}
-
-// consumeJSON applies one pod-level row.
-func (r *Reader) consumeJSON(line []byte) error {
-	row, kind, err := parseJSONRow(line)
-	if err != nil {
-		return err
-	}
-	if err := r.checkTime(row.US); err != nil {
-		return err
-	}
-	switch kind {
-	case Submit:
-		if r.jobs[row.Pod] != nil {
-			return badf("pod %s submitted while already live", row.Pod)
-		}
-		r.accept(row.US)
-		ctrs := make([]trace.Container, len(row.Containers))
-		for i, c := range row.Containers {
-			ctrs[i] = trace.Container{CPU: c.CPU, Mem: c.Mem}
-		}
-		js := r.takeJob()
-		js.id, js.user = row.Pod, r.internString(row.User)
-		js.ctrs, js.open = ctrs, 1
-		r.jobs[js.id] = js
-		r.stats.Pods++
-		r.ready = append(r.ready, Event{
-			Time: time.Duration(row.US) * time.Microsecond, Kind: Submit,
-			Pod: js.id, User: js.user, Containers: ctrs,
-		})
-	default:
-		js := r.jobs[row.Pod]
-		if js == nil {
-			return badf("end event for unknown pod %s", row.Pod)
-		}
-		r.accept(row.US)
-		// The submit's recorded user wins: an end row with a missing or
-		// different user must still partition to the submit's world.
-		r.emitEnd(row.US, kind, js)
-	}
-	return nil
-}
-
-// internString is intern for names the decoder already materialized.
-func (r *Reader) internString(user string) string {
-	if user == "" {
-		return ""
-	}
-	if u, ok := r.users[user]; ok {
-		return u
-	}
-	r.users[user] = user
-	return user
 }
 
 // flushSubmits releases the submit groups built at the current

@@ -178,29 +178,6 @@ garbage line
 	}
 }
 
-func TestJSONL(t *testing.T) {
-	body := `{"t_us":1000,"ev":"submit","pod":"p1","user":"alice","containers":[{"cpu":0.25,"mem":0.5}]}
-{"t_us":9000,"ev":"finish","pod":"p1"}
-`
-	evs, _ := read(t, body, Options{})
-	want := []Event{
-		{Time: 1000 * time.Microsecond, Kind: Submit, Pod: "p1", User: "alice",
-			Containers: []trace.Container{{CPU: 0.25, Mem: 0.5}}},
-		{Time: 9000 * time.Microsecond, Kind: Finish, Pod: "p1", User: "alice"},
-	}
-	if !reflect.DeepEqual(evs, want) {
-		t.Fatalf("events:\n got %+v\nwant %+v", evs, want)
-	}
-}
-
-func TestJSONLStrictUnknownField(t *testing.T) {
-	body := `{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}],"bogus":1}` + "\n"
-	r := mustReader(t, strings.NewReader(body), Options{})
-	if _, err := r.Next(); err == nil || err == io.EOF {
-		t.Fatalf("strict reader accepted unknown field: %v", err)
-	}
-}
-
 func TestGzipSniff(t *testing.T) {
 	plain := "time_us,event,job,task,user,cpu,mem\n1000,0,j1,0,alice,0.25,0.5\n"
 	var buf bytes.Buffer
@@ -226,8 +203,7 @@ func TestGzipSniff(t *testing.T) {
 }
 
 // TestRoundTrip pins Write∘Read as the identity on the synthetic
-// stream, in both formats — the contract ctracegen and every replay
-// test lean on.
+// stream — the contract ctracegen and every replay test lean on.
 func TestRoundTrip(t *testing.T) {
 	gcfg := trace.DefaultConfig(11)
 	gcfg.Users = 40
@@ -235,16 +211,14 @@ func TestRoundTrip(t *testing.T) {
 	gcfg.MeanLifetime = 45 * time.Minute
 	users := trace.Generate(gcfg)
 	want := drainAll(t, NewSynth(users))
-	for _, f := range []Format{CSV, JSONL} {
-		var buf bytes.Buffer
-		if err := Write(&buf, NewSynth(users), f); err != nil {
-			t.Fatal(err)
-		}
-		r := mustReader(t, bytes.NewReader(buf.Bytes()), Options{})
-		got := drain(t, r)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("format %v: round-trip diverged (%d vs %d events)", f, len(got), len(want))
-		}
+	var buf bytes.Buffer
+	if err := Write(&buf, NewSynth(users), CSV); err != nil {
+		t.Fatal(err)
+	}
+	r := mustReader(t, bytes.NewReader(buf.Bytes()), Options{})
+	got := drain(t, r)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round-trip diverged (%d vs %d events)", len(got), len(want))
 	}
 }
 

@@ -26,9 +26,11 @@ type StreamConfig struct {
 	// Warmup is excluded from measurement; Duration is the measured
 	// window. Zero values pick the defaults (30 ms / 120 ms).
 	Warmup, Duration time.Duration
-	// Burst is the number of messages the sender keeps queued (0 = 16).
-	Burst int
 }
+
+// streamBurst bounds how many messages one refill of the TCP_STREAM
+// sender queues.
+const streamBurst = 64
 
 // StreamResult is one TCP_STREAM measurement.
 type StreamResult struct {
@@ -48,10 +50,6 @@ func RunTCPStream(eng *sim.Engine, cfg StreamConfig) StreamResult {
 	dur := cfg.Duration
 	if dur == 0 {
 		dur = 120 * time.Millisecond
-	}
-	burst := cfg.Burst
-	if burst == 0 {
-		burst = 64
 	}
 
 	start := eng.Now()
@@ -81,7 +79,7 @@ func RunTCPStream(eng *sim.Engine, cfg StreamConfig) StreamResult {
 		if stopped {
 			return
 		}
-		for i := 0; i < burst && conn.InFlight()+conn.QueuedBytes() < conn.Window(); i++ {
+		for i := 0; i < streamBurst && conn.InFlight()+conn.QueuedBytes() < conn.Window(); i++ {
 			conn.SendMessage(cfg.MsgSize, nil)
 		}
 	}
@@ -109,11 +107,14 @@ type RRConfig struct {
 	DialAddr       netsim.IPv4
 	Port           uint16
 	MsgSize        int
-	// Warmup transactions are discarded; then transactions run until
-	// Duration elapses. Zero values pick defaults (20 tx / 100 ms).
-	WarmupTx int
+	// Duration is the measured window after rrWarmupTx discarded
+	// transactions (zero = 100 ms).
 	Duration time.Duration
 }
+
+// rrWarmupTx is the number of UDP_RR transactions discarded before
+// measurement starts.
+const rrWarmupTx = 20
 
 // RRResult is one UDP_RR measurement.
 type RRResult struct {
@@ -129,10 +130,6 @@ type RRResult struct {
 
 // RunUDPRR executes one synchronous request/response measurement.
 func RunUDPRR(eng *sim.Engine, cfg RRConfig) RRResult {
-	warmupTx := cfg.WarmupTx
-	if warmupTx == 0 {
-		warmupTx = 20
-	}
 	dur := cfg.Duration
 	if dur == 0 {
 		dur = 100 * time.Millisecond
@@ -163,10 +160,10 @@ func RunUDPRR(eng *sim.Engine, cfg RRConfig) RRResult {
 	cli.OnRecv = func(p *netsim.Packet) {
 		rtt := eng.Now() - sentAt
 		tx++
-		if tx == warmupTx {
+		if tx == rrWarmupTx {
 			deadline = eng.Now() + dur
 		}
-		if tx > warmupTx {
+		if tx > rrWarmupTx {
 			rtts.Add(float64(rtt))
 		}
 		if deadline == 0 || eng.Now() < deadline {

@@ -108,20 +108,6 @@ func (s *Series) Samples() []float64 {
 	return out
 }
 
-// CDF returns (value, cumulative fraction) pairs over the sorted samples,
-// suitable for plotting an empirical CDF like the paper's Fig. 8a.
-func (s *Series) CDF() (values, fractions []float64) {
-	s.ensureSorted()
-	n := len(s.samples)
-	values = make([]float64, n)
-	fractions = make([]float64, n)
-	for i, v := range s.samples {
-		values[i] = v
-		fractions[i] = float64(i+1) / float64(n)
-	}
-	return values, fractions
-}
-
 // SeriesState is the exact internal state of a Series — raw samples in
 // their current order plus the running sums, whose float accumulation
 // order a recompute could not reproduce. Snapshot/restore round-trips

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -44,25 +43,6 @@ func TestSeriesPercentiles(t *testing.T) {
 		if got := s.Percentile(c.p); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
 		}
-	}
-}
-
-func TestSeriesCDFMonotone(t *testing.T) {
-	var s Series
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		s.Add(v)
-	}
-	values, fracs := s.CDF()
-	if !sort.Float64sAreSorted(values) {
-		t.Fatal("CDF values not sorted")
-	}
-	for i := 1; i < len(fracs); i++ {
-		if fracs[i] <= fracs[i-1] {
-			t.Fatal("CDF fractions not strictly increasing")
-		}
-	}
-	if fracs[len(fracs)-1] != 1 {
-		t.Fatalf("CDF must end at 1, got %v", fracs[len(fracs)-1])
 	}
 }
 

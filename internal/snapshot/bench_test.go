@@ -28,7 +28,7 @@ func benchWorld(tb testing.TB) *cluster.Cluster {
 		Faults:    mustSpec(tb, "node/*:crash:p=0.02;node/provision:fail:p=0.1"),
 	}
 	c := cluster.New(cfg)
-	c.Arm()
+	c.Start()
 	c.Advance(benchCaptureAt)
 	return c
 }

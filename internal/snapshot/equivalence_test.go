@@ -47,7 +47,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 			cfgA := spec.cfg
 			cfgA.Rec = recA
 			a := cluster.New(cfgA)
-			a.Arm()
+			a.Start()
 			a.Advance(horizon)
 			resA := a.Finish()
 			digA := a.Digest()
@@ -70,7 +70,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 					cfgB := spec.cfg
 					cfgB.Rec = recB
 					b := cluster.New(cfgB)
-					b.Arm()
+					b.Start()
 					b.Advance(snapAt)
 					snap, err := b.Capture()
 					if err != nil {
@@ -154,7 +154,7 @@ func TestCaptureRefusesMidPass(t *testing.T) {
 		BootDelay: 0,
 	}
 	c := cluster.New(cfg)
-	c.Arm()
+	c.Start()
 	c.Advance(sim.Time(time.Hour))
 	live := c.LiveNodeNames()
 	if len(live) == 0 {

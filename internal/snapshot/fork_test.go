@@ -101,14 +101,14 @@ func TestForkIsolationConcurrent(t *testing.T) {
 
 	// The never-forked control run.
 	control := cluster.New(cfg)
-	control.Arm()
+	control.Start()
 	control.Advance(horizon)
 	controlRes := control.Finish()
 	controlDig := control.Digest()
 
 	// The parent world, captured at snapAt.
 	parent := cluster.New(cfg)
-	parent.Arm()
+	parent.Start()
 	parent.Advance(snapAt)
 	snap, err := parent.Capture()
 	if err != nil {
@@ -209,7 +209,7 @@ func TestForkAdoptionConservation(t *testing.T) {
 		Faults:    mustSpec(t, "node/*:crash:p=0.05"),
 	}
 	c := cluster.New(cfg)
-	c.Arm()
+	c.Start()
 	c.Advance(sim.Time(90 * time.Minute))
 	branch, err := c.Fork(cluster.RestoreOpts{})
 	if err != nil {

@@ -25,7 +25,7 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 		Faults:    mustSpec(tb, "node/*:crash:p=0.05;node/provision:fail:p=0.1"),
 	}
 	c := cluster.New(cfg)
-	c.Arm()
+	c.Start()
 	c.Advance(sim.Time(30 * time.Minute))
 	snap, err := c.Capture()
 	if err != nil {
@@ -200,7 +200,7 @@ func TestDecodedPackCacheKeys(t *testing.T) {
 		Horizon:   4 * time.Hour,
 		BootDelay: 30 * time.Second,
 	})
-	c.Arm()
+	c.Start()
 	c.Advance(sim.Time(2 * time.Hour))
 	snap, err := c.Capture()
 	if err != nil {

@@ -43,7 +43,8 @@ type BaseConfig struct {
 	// instant (default Horizon/2).
 	Horizon time.Duration
 	SnapAt  time.Duration
-	// BootDelay is the VM provisioning latency (default 45s).
+	// BootDelay is the VM provisioning latency, as in cluster.Config:
+	// zero boots instantly.
 	BootDelay time.Duration
 	// FaultSpec arms the base world's fault injector ("" = off). When
 	// the cloud configuration runs spot capacity and the spec says
@@ -70,9 +71,6 @@ func (bc BaseConfig) withDefaults() BaseConfig {
 	}
 	if bc.SnapAt <= 0 || bc.SnapAt > bc.Horizon {
 		bc.SnapAt = bc.Horizon / 2
-	}
-	if bc.BootDelay < 0 {
-		bc.BootDelay = 45 * time.Second
 	}
 	if bc.Cloud == nil {
 		cl, err := cloud.Resolve(cloud.Options{})
@@ -240,7 +238,7 @@ func NewService(bc BaseConfig) (*Service, error) {
 		SpotFrac:     bc.Cloud.SpotFrac,
 		SpotDiscount: bc.Cloud.SpotDiscount,
 	})
-	c.Arm()
+	c.Start()
 	c.Advance(sim.Time(bc.SnapAt))
 	snap, err := c.Capture()
 	if err != nil {

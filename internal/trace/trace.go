@@ -14,9 +14,9 @@
 //
 //   - trace (this package) GENERATES synthetic workloads in memory —
 //     no files involved.
-//   - ctrace READS recorded cluster-trace FILES (task_events CSV or
-//     pod-level JSONL, gzipped or not) as a streaming event source, and
-//     writes them back (cmd/ctracegen).
+//   - ctrace READS recorded cluster-trace FILES (2011 task_events CSV
+//     or 2019 instance_events JSON, gzipped or not) as a streaming
+//     event source, and writes CSV back (cmd/ctracegen).
 //   - telemetry WRITES Chrome trace-event dumps of a simulation run —
 //     the -trace out.json flag on every cmd/ tool names that OUTPUT;
 //     the replay INPUT flag is -replay.
