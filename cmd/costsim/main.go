@@ -484,6 +484,9 @@ func runReplay(o replayOpts) {
 		return res, r.Stats()
 	}
 	kubeRes, stats := run(cluster.Kubernetes)
+	if stats.Rows > 0 && stats.Skipped == stats.Rows {
+		cli.Fatal("costsim", fmt.Errorf("%s: -lenient skipped all %d rows", o.path, stats.Rows))
+	}
 	hostloRes, _ := run(cluster.Hostlo)
 
 	// The title names only the experiment (worlds), never the execution

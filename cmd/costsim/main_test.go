@@ -83,25 +83,19 @@ func TestCheckDurations(t *testing.T) {
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-// TestSampleCapFlagRetired pins that -sample-cap is no longer a flag:
-// trajectories are a fixed 12 points, so the flag package rejects it as
-// undefined, with exit status 2.
-func TestSampleCapFlagRetired(t *testing.T) {
-	_, stderr, code := clitest.Run("-sample-cap 4")
-	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -sample-cap") {
-		t.Errorf("costsim -sample-cap 4: exit status %d, want 2 naming the undefined flag:\n%s", code, stderr)
-	}
-}
-
 // TestOneSpellingPerSetting pins the flag gate around the settings that
 // have exactly one spelling: -parallel drives replay workers (there is
 // no -shards), -cloud names a catalog and nothing else (zone count and
 // spot fraction are -zones and -spot-frac), and -zones below 1, which
-// cloud.Resolve would read as one zone, is rejected. Each exits 2 and
-// names the problem.
+// cloud.Resolve would read as one zone, is rejected. Retired knobs are
+// no flags at all: trajectories are a fixed 12 points (no -sample-cap)
+// and the packing cache has a constant capacity (no -repack-cache).
+// Each exits 2 and names the problem.
 func TestOneSpellingPerSetting(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-shards 4", "flag provided but not defined: -shards"},
+		{"-sample-cap 4", "flag provided but not defined: -sample-cap"},
+		{"-lifecycle -repack-cache 8", "flag provided but not defined: -repack-cache"},
 		{"-lifecycle -cloud gcp:n2:zone=3", `unknown catalog "gcp:n2:zone=3"`},
 		{"-lifecycle -cloud gcp:n2:spot=0.5", `unknown catalog "gcp:n2:spot=0.5"`},
 		{"-lifecycle -zones 0", "-zones must be >= 1, got 0"},
@@ -129,16 +123,6 @@ func TestBadFlagLeavesNoProfile(t *testing.T) {
 	}
 }
 
-// TestRepackCacheFlagRetired pins that -repack-cache is no longer a
-// flag: the packing cache has a constant capacity, so the flag package
-// rejects it as undefined, with exit status 2.
-func TestRepackCacheFlagRetired(t *testing.T) {
-	_, stderr, code := clitest.Run("-lifecycle -repack-cache 8")
-	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -repack-cache") {
-		t.Errorf("costsim -repack-cache 8: exit status %d, want 2 naming the undefined flag:\n%s", code, stderr)
-	}
-}
-
 // TestFatalKeepsProfile pins that a run failing after -cpuprofile
 // started still leaves a complete profile: a malformed replay trace
 // exits 1, and the profile is a gzip stream pprof can read.
@@ -160,13 +144,27 @@ func TestFatalKeepsProfile(t *testing.T) {
 }
 
 // TestReplaySchemas pins what -replay accepts: the committed
-// instance_events fixture replays (exit 0), and a pod-level JSON line,
-// which no Google schema spells, fails as an instance_events row with
-// exit 1 and an error naming line 1.
+// instance_events fixture replays (exit 0), with -lenient printing
+// exactly what it prints without; a pod-level JSON line, which no
+// Google schema spells, fails as an instance_events row with exit 1
+// and an error naming line 1; and a -lenient replay that skipped every
+// row exits 1 naming the file and the count.
 func TestReplaySchemas(t *testing.T) {
-	_, stderr, code := clitest.Run("-replay ../../internal/ctrace/testdata/instance_events.json")
+	const fixture = "../../internal/ctrace/testdata/instance_events.json"
+	plain, stderr, code := clitest.Run("-replay " + fixture)
 	if code != 0 {
 		t.Errorf("costsim -replay instance_events.json: exit status %d:\n%s", code, stderr)
+	}
+	if lenient, stderr, code := clitest.Run("-replay " + fixture + " -lenient"); code != 0 || lenient != plain {
+		t.Errorf("costsim -replay instance_events.json -lenient: exit status %d, output differs from strict:\n%s", code, stderr)
+	}
+	bogus := filepath.Join(t.TempDir(), "bogus.json")
+	if err := os.WriteFile(bogus, []byte(`{"bogus":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code = clitest.Run("-replay " + bogus + " -lenient")
+	if code != 1 || !strings.Contains(stderr, bogus+": -lenient skipped all 1 rows") {
+		t.Errorf("costsim -replay bogus.json -lenient: exit status %d, want 1 naming the file and count:\n%s", code, stderr)
 	}
 	pod := filepath.Join(t.TempDir(), "pod.jsonl")
 	line := `{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}]}` + "\n"

@@ -35,6 +35,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"nestless/internal/cloudsim"
@@ -780,12 +781,30 @@ func (c *Cluster) podNodeLink(i, nid int) {
 	p.onNodes = append(p.onNodes, nid)
 }
 
-// Leaks audits the post-run state and returns human-readable invariant
-// violations (empty = clean). It is the cluster analog of
-// vmm.Host.Leaks(): chaos runs call it after every schedule to prove
-// that node kills displace pods without losing or duplicating them. It
-// also reconciles the capacity index and the pod→node placement map
-// against the authoritative per-node state.
+// Leaks audits the world and returns human-readable invariant
+// violations (empty = clean). It is the one home of the world
+// invariants, and every one of them holds at any instant the engine is
+// parked (after Advance as well as after Finish):
+//
+//   - node books: a live node's used CPU and memory equal the sum of
+//     its items and fit its machine type; a dead node holds nothing;
+//   - capacity index: it holds exactly the live nodes, each keyed by
+//     its current score, and liveCount counts them;
+//   - cloud model: per-zone and spot live counts match the fleet, and
+//     each node's zone, spot point and price agree with its identity;
+//   - spot fallback: OnDemandFallbacks plus the outstanding fallback
+//     credits equals SpotRevocations (each revocation grants one
+//     credit, each fallback spends one);
+//   - disruption: Reschedules <= Displaced;
+//   - cost split: CostSpotDollars + CostOnDemandDollars equals
+//     CostDollars within a relative 1e-9;
+//   - pod placement: a running pod's placed containers are exactly its
+//     own, on exactly the nodes its placement map names; every queue
+//     entry names a pending pod, and a pending pod holds no items.
+//
+// Once the world is finished it also checks conservation: every pod
+// that entered (arrival, transfer-in, adoption) left exactly one way,
+// and each pending pod sits in the queue once.
 func (c *Cluster) Leaks() []string {
 	var leaks []string
 	leakf := func(format string, args ...interface{}) {
@@ -885,6 +904,22 @@ func (c *Cluster) Leaks() []string {
 	}
 	if c.odFallback < 0 {
 		leakf("negative on-demand fallback credit %d", c.odFallback)
+	}
+	if c.res.OnDemandFallbacks+c.odFallback != c.res.SpotRevocations {
+		leakf("on-demand fallbacks %d + outstanding credits %d != %d spot revocations",
+			c.res.OnDemandFallbacks, c.odFallback, c.res.SpotRevocations)
+	}
+	if c.res.Reschedules > c.res.Displaced {
+		leakf("%d reschedules > %d displacements", c.res.Reschedules, c.res.Displaced)
+	}
+	// The split's buckets are separate accumulators, so the sum may
+	// differ from the total by float association: compare relatively
+	// (a multi-day replay books six-figure dollar totals). Written so a
+	// NaN fails.
+	split := c.res.CostSpotDollars + c.res.CostOnDemandDollars
+	if !(math.Abs(split-c.res.CostDollars) <= eps*math.Abs(c.res.CostDollars)) {
+		leakf("cost split $%v spot + $%v on-demand != $%v total",
+			c.res.CostSpotDollars, c.res.CostOnDemandDollars, c.res.CostDollars)
 	}
 	// Per-pod placement reconciliation. Every queue entry must name a
 	// pending pod: departures, failures and transfers remove their

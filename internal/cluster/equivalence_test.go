@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -45,115 +44,192 @@ var policyModes = []struct {
 // goldenPath is the recorded corpus the lifecycle cases are pinned to.
 const goldenPath = "testdata/golden.txt"
 
-// lifecycleRun is one recorded lifecycle run.
+// lifecycleRun is one audited, recorded lifecycle run.
 type lifecycleRun struct {
 	world *cluster.Cluster // finished at its horizon
 	res   cluster.Result
-	trace string // telemetry text trace
-	line  string // golden corpus entry
+	line  string // golden corpus entry, telemetry included
 }
 
-// runRecorded executes one lifecycle run with a telemetry recorder
-// and audits it for leaks.
-func runRecorded(t *testing.T, cfg cluster.Config) lifecycleRun {
+// runRecorded is the one audited path every lifecycle test world runs
+// through. It attaches a telemetry recorder, then Starts the world and
+// Advances it to each trajectory instant k·H/12 (k = 1..12), calling
+// Leaks at every one, then Finishes it and calls Leaks once more, so
+// the finished books' conservation is audited too. A failure names the
+// first instant whose audit found a violation, after the world's name.
+func runRecorded(t *testing.T, name string, cfg cluster.Config) lifecycleRun {
 	t.Helper()
 	rec := telemetry.New()
 	cfg.Rec = rec
 	c := cluster.New(cfg)
-	res := c.Run()
-	if leaks := c.Leaks(); len(leaks) != 0 {
-		t.Fatalf("leaks:\n  %s", strings.Join(leaks, "\n  "))
+	c.Start()
+	horizon := c.Horizon()
+	audit := func(at string) {
+		t.Helper()
+		if leaks := c.Leaks(); len(leaks) != 0 {
+			t.Fatalf("%s: %s: leaks:\n  %s", name, at, strings.Join(leaks, "\n  "))
+		}
 	}
-	var buf bytes.Buffer
-	if err := rec.WriteTextTrace(&buf); err != nil {
-		t.Fatal(err)
+	for k := sim.Time(1); k <= 12; k++ {
+		at := k * (horizon / 12)
+		c.Advance(at)
+		audit(fmt.Sprintf("t=%v", time.Duration(at)))
 	}
-	if buf.Len() == 0 {
-		t.Fatal("empty telemetry trace — recorder not wired")
-	}
-	return lifecycleRun{world: c, res: res, trace: buf.String(), line: golden.Line(c.Digest(), res, rec)}
+	c.Advance(horizon)
+	res := c.Finish()
+	audit("finished")
+	return lifecycleRun{world: c, res: res, line: golden.Line(c.Digest(), res, rec)}
 }
 
-// requireGolden runs cfg and checks it against its golden line.
-func requireGolden(t *testing.T, g *golden.Set, name string, cfg cluster.Config) cluster.Result {
-	t.Helper()
-	run := runRecorded(t, cfg)
-	g.Check(name, run.line)
-	return run.res
+// goldenCase is one row of the lifecycle golden table: the corpus line
+// it must reproduce, its world, and an optional check on the result.
+type goldenCase struct {
+	name  string // corpus line; the segment before the first '/' names the subtest
+	cfg   cluster.Config
+	check func(cluster.Result) error
 }
 
-// TestIndexedMatchesReferenceChurn sweeps seeded churned workloads
-// through both regimes against the recorded reference digests.
-func TestIndexedMatchesReferenceChurn(t *testing.T) {
-	g := golden.Open(t, goldenPath, "churn/")
-	var scheduled int
+// engaged is the usual post-check: the case must still exercise the
+// path it was recorded for, which count tallies.
+func engaged(what string, count func(cluster.Result) int) func(cluster.Result) error {
+	return func(res cluster.Result) error {
+		if count(res) == 0 {
+			return fmt.Errorf("no %s — the case no longer exercises that path", what)
+		}
+		return nil
+	}
+}
+
+// TestLifecycleGolden runs every recorded lifecycle world through the
+// audited path and against its corpus line: seeded churn in both
+// regimes (churn/), churn under node kills and provisioning faults
+// (faults/), pods wider than the largest machine, which only Hostlo can
+// split (split/), the reconciler's one-zone on-demand configuration,
+// recorded while the imperative demand loop it replaced still ran
+// (reconciler/), spot revocation across three zones (spot/), the
+// grouped repack under kills and wide pods (repack/), and a large
+// long-lived base fleet with a trickle of short-lived pods churning a
+// few nodes at a time, which keeps the dirty fraction under the
+// full-fleet threshold and so drives incremental passes and the
+// neighborhood selection (incremental/).
+func TestLifecycleGolden(t *testing.T) {
+	var cases []goldenCase
+	sweep := func(name string, cfg cluster.Config, check func(cluster.Result) error) {
+		for _, mode := range policyModes {
+			c := cfg
+			mode.adjust(&c)
+			cases = append(cases, goldenCase{name + "/" + mode.name, c, check})
+		}
+	}
+	scheduled := engaged("pod scheduled", func(r cluster.Result) int { return r.Scheduled })
 	for _, seed := range []int64{1, 2, 3, 4} {
-		users := trace.Generate(churnConfig(seed, 6))
-		for ui, u := range users {
-			if ui%2 == 1 {
-				continue // half the users keeps the sweep fast
-			}
-			for _, mode := range policyModes {
-				cfg := cluster.Config{
-					Seed:      seed,
-					Pods:      u.Pods,
-					Horizon:   4 * time.Hour,
-					BootDelay: 30 * time.Second,
-				}
-				mode.adjust(&cfg)
-				res := requireGolden(t, g, fmt.Sprintf("churn/s%d/u%d/%s", seed, ui, mode.name), cfg)
-				scheduled += res.Scheduled
+		for ui, u := range trace.Generate(churnConfig(seed, 6)) {
+			if ui%2 == 0 { // half the users keeps the sweep fast
+				sweep(fmt.Sprintf("churn/s%d/u%d", seed, ui),
+					cluster.Config{Seed: seed, Pods: u.Pods, Horizon: 4 * time.Hour, BootDelay: 30 * time.Second}, scheduled)
 			}
 		}
 	}
-	if scheduled == 0 {
-		t.Fatal("no pod was ever scheduled — the sweep exercised nothing")
-	}
-}
-
-// TestIndexedMatchesReferenceFaults adds node kills, provisioning
-// failures and delays on top of churn.
-func TestIndexedMatchesReferenceFaults(t *testing.T) {
-	g := golden.Open(t, goldenPath, "faults/")
-	specs := []string{
+	users := trace.Generate(churnConfig(17, 6))
+	for si, spec := range []string{
 		"node/*:crash:p=0.03",
 		"node/n0:crash:n=1;node/provision:fail:p=0.2",
 		"node/*:crash:p=0.01;node/provision:delay:n=2:d=90s",
+	} {
+		sweep(fmt.Sprintf("faults/%d", si), cluster.Config{
+			Seed: int64(100 + si), Pods: users[si].Pods,
+			Horizon: 6 * time.Hour, BootDelay: 45 * time.Second, Faults: mustSpec(t, spec),
+		}, engaged("node kill", func(r cluster.Result) int { return r.Kills }))
 	}
-	users := trace.Generate(churnConfig(17, 6))
-	var kills int
-	for si, spec := range specs {
-		sched, err := faults.ParseSpec(spec)
-		if err != nil {
-			t.Fatalf("spec %q: %v", spec, err)
+	split := cluster.Config{Seed: 5, Pods: splitPods(), Horizon: 5 * time.Hour, BootDelay: 30 * time.Second}
+	split.Policy = cluster.Hostlo
+	cases = append(cases, goldenCase{"split/hostlo", split, func(res cluster.Result) error {
+		if res.Failed != 0 || res.Scheduled != len(split.Pods) {
+			return fmt.Errorf("scheduled %d of %d pods, %d failed — split placement did not engage",
+				res.Scheduled, len(split.Pods), res.Failed)
 		}
-		for _, mode := range policyModes {
-			cfg := cluster.Config{
-				Seed:      int64(100 + si),
-				Pods:      users[si%len(users)].Pods,
-				Horizon:   6 * time.Hour,
-				BootDelay: 45 * time.Second,
-				Faults:    sched,
+		return nil
+	}})
+	split.Policy = cluster.Kubernetes
+	cases = append(cases, goldenCase{"split/kubernetes", split, func(res cluster.Result) error {
+		if res.Failed != 4 {
+			return fmt.Errorf("failed %d, want the 4 wide pods", res.Failed)
+		}
+		return nil
+	}})
+	for _, seed := range []int64{1, 9} {
+		users := trace.Generate(churnConfig(seed, 6))
+		sweep(fmt.Sprintf("reconciler/s%d", seed), cluster.Config{
+			Seed: seed, Pods: users[int(seed)%len(users)].Pods, Horizon: 4 * time.Hour, BootDelay: 30 * time.Second,
+		}, engaged("reconcile round", func(r cluster.Result) int { return r.ReconcileRounds }))
+	}
+	users = trace.Generate(churnConfig(21, 4))
+	for _, seed := range []int64{2, 5} {
+		cases = append(cases, goldenCase{fmt.Sprintf("spot/s%d", seed), spotChaosConfig(t, seed, users[seed%4].Pods),
+			engaged("spot revocation", func(r cluster.Result) int { return r.SpotRevocations })})
+	}
+	cases = append(cases, goldenCase{"repack/hostlo", cluster.Config{
+		Seed: 23, Pods: repackWorkload(23), Policy: cluster.Hostlo,
+		Horizon: 6 * time.Hour, BootDelay: 30 * time.Second, Faults: mustSpec(t, "node/*:crash:p=0.02"),
+	}, func(res cluster.Result) error {
+		// With no knob left to force one, only the dirty fraction
+		// selects a full-fleet pass: both kinds must occur.
+		if res.OptimizerFull == 0 || res.OptimizerFull == res.OptimizerRuns {
+			return fmt.Errorf("%d of %d passes were full-fleet — want both kinds", res.OptimizerFull, res.OptimizerRuns)
+		}
+		if res.OptimizerGroups < 2 || res.Kills == 0 {
+			return fmt.Errorf("%d candidate groups, %d kills — the grouping or the fault path went unexercised",
+				res.OptimizerGroups, res.Kills)
+		}
+		return nil
+	}})
+	var pods []trace.Pod
+	for i := 0; i < 200; i++ {
+		pods = append(pods, trace.Pod{ID: fmt.Sprintf("base%d", i), Containers: []trace.Container{{CPU: 0.22, Mem: 0.22}}})
+	}
+	for i := 0; i < 12; i++ {
+		pods = append(pods, trace.Pod{ID: fmt.Sprintf("churn%d", i), Arrival: time.Duration(i+1) * 12 * time.Minute,
+			Lifetime: 25 * time.Minute, Containers: []trace.Container{{CPU: 0.2, Mem: 0.2}}})
+	}
+	cases = append(cases, goldenCase{"incremental/hostlo", cluster.Config{
+		Seed: 11, Pods: pods, Policy: cluster.Hostlo, Horizon: 6 * time.Hour, BootDelay: 30 * time.Second,
+	}, func(res cluster.Result) error {
+		if res.OptimizerRuns == res.OptimizerFull {
+			return fmt.Errorf("all %d passes were full-fleet — the incremental policy never engaged", res.OptimizerRuns)
+		}
+		return nil
+	}})
+
+	for len(cases) > 0 {
+		prefix, _, _ := strings.Cut(cases[0].name, "/")
+		n := 1
+		for n < len(cases) && strings.HasPrefix(cases[n].name, prefix+"/") {
+			n++
+		}
+		group := cases[:n]
+		cases = cases[n:]
+		t.Run(prefix, func(t *testing.T) {
+			g := golden.Open(t, goldenPath, prefix+"/")
+			for _, c := range group {
+				run := runRecorded(t, c.name, c.cfg)
+				g.Check(c.name, run.line)
+				if c.check == nil {
+					continue
+				}
+				if err := c.check(run.res); err != nil {
+					t.Errorf("%s: %v", c.name, err)
+				}
 			}
-			mode.adjust(&cfg)
-			res := requireGolden(t, g, fmt.Sprintf("faults/%d/%s", si, mode.name), cfg)
-			kills += res.Kills
-		}
-	}
-	if kills == 0 {
-		t.Error("no run killed a node — the displacement path went unexercised")
+		})
 	}
 }
 
-// TestIndexedMatchesReferenceSplit pins the split-placement path: pods
-// wider than the largest machine, which only Hostlo can run, placed
-// container by container across nodes.
-func TestIndexedMatchesReferenceSplit(t *testing.T) {
-	g := golden.Open(t, goldenPath, "split/")
+// splitPods is the split-placement workload: four pods wider than the
+// largest machine (1.6 rel CPU against 1.0), in 8 containers of 0.2,
+// with a few small pods churning around them.
+func splitPods() []trace.Pod {
 	var pods []trace.Pod
 	for i := 0; i < 4; i++ {
-		// Each pod totals 1.6 rel CPU — wider than the largest machine
-		// (1.0) — in 8 containers of 0.2.
 		var ctrs []trace.Container
 		for j := 0; j < 8; j++ {
 			ctrs = append(ctrs, trace.Container{CPU: 0.2, Mem: 0.2})
@@ -165,7 +241,6 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 			Containers: ctrs,
 		})
 	}
-	// A couple of small pods churning around them.
 	for i := 0; i < 6; i++ {
 		pods = append(pods, trace.Pod{
 			ID:         fmt.Sprintf("small%d", i),
@@ -174,23 +249,17 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 			Containers: []trace.Container{{CPU: 0.01, Mem: 0.01}},
 		})
 	}
-	cfg := cluster.Config{
-		Seed: 5, Pods: pods, Policy: cluster.Hostlo,
-		Horizon: 5 * time.Hour, BootDelay: 30 * time.Second,
+	return pods
+}
+
+// mustSpec parses a fault spec or fails the test.
+func mustSpec(t *testing.T, spec string) *faults.Schedule {
+	t.Helper()
+	sched, err := faults.ParseSpec(spec)
+	if err != nil {
+		t.Fatalf("spec %q: %v", spec, err)
 	}
-	res := requireGolden(t, g, "split/hostlo", cfg)
-	if res.Failed != 0 {
-		t.Fatalf("hostlo: %d wide pods failed — split placement did not engage", res.Failed)
-	}
-	if res.Scheduled != len(pods) {
-		t.Fatalf("hostlo: scheduled %d of %d pods", res.Scheduled, len(pods))
-	}
-	// Kubernetes must refuse the wide pods.
-	cfg.Policy = cluster.Kubernetes
-	res = requireGolden(t, g, "split/kubernetes", cfg)
-	if res.Failed != 4 {
-		t.Fatalf("kubernetes: failed %d, want the 4 wide pods", res.Failed)
-	}
+	return sched
 }
 
 // TestStreamLeakFree audits the streaming books directly: feed, run,
@@ -232,46 +301,6 @@ func TestStreamLeakFree(t *testing.T) {
 	golden.Open(t, goldenPath, "stream-leak/").Check("stream-leak/kubernetes", golden.Line(c.Digest(), res, rec))
 }
 
-// TestIncrementalOptimizerEngages proves the dirty-set policy actually
-// runs incremental passes under churn. The workload is a large
-// long-lived base fleet — so the dirty fraction stays under the
-// threshold — with a trickle of short-lived pods churning a few nodes
-// at a time.
-func TestIncrementalOptimizerEngages(t *testing.T) {
-	var pods []trace.Pod
-	for i := 0; i < 200; i++ {
-		pods = append(pods, trace.Pod{
-			ID:         fmt.Sprintf("base%d", i),
-			Containers: []trace.Container{{CPU: 0.22, Mem: 0.22}},
-		})
-	}
-	for i := 0; i < 12; i++ {
-		pods = append(pods, trace.Pod{
-			ID:         fmt.Sprintf("churn%d", i),
-			Arrival:    time.Duration(i+1) * 12 * time.Minute,
-			Lifetime:   25 * time.Minute,
-			Containers: []trace.Container{{CPU: 0.2, Mem: 0.2}},
-		})
-	}
-	base := cluster.Config{
-		Seed:      11,
-		Pods:      pods,
-		Policy:    cluster.Hostlo,
-		Horizon:   6 * time.Hour,
-		BootDelay: 30 * time.Second,
-	}
-	// This workload is the one that actually drives incremental passes,
-	// so pin the neighborhood selection (the tree tail-walk) on it too.
-	g := golden.Open(t, goldenPath, "incremental/")
-	res := requireGolden(t, g, "incremental/hostlo", base)
-	if res.OptimizerRuns == 0 {
-		t.Fatal("optimizer never ran")
-	}
-	if res.OptimizerRuns == res.OptimizerFull {
-		t.Fatalf("all %d passes were full-fleet — the incremental policy never engaged", res.OptimizerRuns)
-	}
-}
-
 // repackWorkload builds a churned mixed-size workload (including pods
 // wider than the largest machine) big enough that incremental passes
 // carry several per-type candidate groups — the shape that actually
@@ -298,38 +327,6 @@ func repackWorkload(seed int64) []trace.Pod {
 	return pods
 }
 
-// TestRepackUnderFaults pins the grouped repack under churn, node kills
-// and wide split pods, so displacement-heavy repacks are covered. Its
-// golden line was recorded while a pass could still fan its
-// cache-missing groups across goroutines, and matched at 1, 2, 4 and 8
-// workers. It asserts both kinds of pass: with no knob left to force
-// one, only the dirty fraction selects a full-fleet pass.
-func TestRepackUnderFaults(t *testing.T) {
-	sched, err := faults.ParseSpec("node/*:crash:p=0.02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cluster.Config{
-		Seed:      23,
-		Pods:      repackWorkload(23),
-		Policy:    cluster.Hostlo,
-		Horizon:   6 * time.Hour,
-		BootDelay: 30 * time.Second,
-		Faults:    sched,
-	}
-	res := requireGolden(t, golden.Open(t, goldenPath, "repack/"), "repack/hostlo", base)
-	if res.OptimizerFull == 0 || res.OptimizerFull == res.OptimizerRuns {
-		t.Fatalf("%d of %d passes were full-fleet — want both kinds of pass",
-			res.OptimizerFull, res.OptimizerRuns)
-	}
-	if res.OptimizerGroups < 2 {
-		t.Fatalf("only %d candidate groups across the run — the per-type grouping went unexercised", res.OptimizerGroups)
-	}
-	if res.Kills == 0 {
-		t.Fatal("no node was killed — the fault path went unexercised")
-	}
-}
-
 // TestPackCacheEquivalence pins the cache contract on a whole world: a
 // memoized sub-solution substitutes for a fresh OptimizeHostlo call
 // byte for byte. Every miss installs a new entry, so a world that
@@ -337,7 +334,7 @@ func TestRepackUnderFaults(t *testing.T) {
 // entry it ever installed, and every hit returned one of them. Each
 // entry's Output must then equal a fresh optimizer call on its Input.
 func TestPackCacheEquivalence(t *testing.T) {
-	run := runRecorded(t, cluster.Config{
+	run := runRecorded(t, "packcache/hostlo", cluster.Config{
 		Seed:      29,
 		Pods:      repackWorkload(29),
 		Policy:    cluster.Hostlo,

@@ -3,20 +3,22 @@ package ctrace
 import (
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// FuzzParseTraceLine drives the CSV task-row parser plus a whole
-// strict-mode reader pass over the input as a two-line document (a
+// FuzzParseTraceLine drives the CSV task-row parser plus whole
+// strict-mode reader passes over the input as a two-line document (a
 // line starting with '{' reads as an instance_events export, so the
-// JSON seeds exercise that decoder and its rejections). Properties: no
-// panics ever; anything
+// JSON seeds exercise that decoder and its rejections), once bare and
+// once behind a '#' comment line. Properties: no panics ever; anything
 // the CSV parser accepts satisfies the row invariants the consumers
 // rely on; the reader never yields an event that violates the
 // normalized-event contract (non-negative time, known kind, non-empty
-// pod id, finite in-range requests).
+// pod id, finite in-range requests); and the comment line changes
+// neither the events nor whether the document reads to the end.
 func FuzzParseTraceLine(f *testing.F) {
 	seeds := []string{
 		"1000,0,j1,0,alice,0.25,0.5",
@@ -75,42 +77,54 @@ func FuzzParseTraceLine(f *testing.F) {
 		}
 		checkRowMatchesStrconv(t, line, row, err)
 
-		// Whole-reader pass: the line as a document body (with the CSV
-		// header when it does not sniff as JSON). Strict mode may error;
-		// it must not panic, and yielded events must be well-formed.
+		// Whole-reader passes: the line as a document body (with the
+		// CSV header when it does not sniff as JSON), bare and behind a
+		// comment. Strict mode may error; it must not panic, and yielded
+		// events must be well-formed.
 		body := line + "\n"
 		if !strings.HasPrefix(strings.TrimLeft(line, " \t"), "{") {
 			body = header + "\n" + body
 		}
-		r, err := NewReader(strings.NewReader(body), Options{})
-		if err != nil {
-			return
-		}
-		for {
-			ev, err := r.Next()
-			if err != nil {
-				if err != io.EOF {
-					return // rejected: fine
-				}
-				return
-			}
-			if ev.Time < 0 {
-				t.Fatalf("yielded negative time %v", ev.Time)
-			}
-			if ev.Kind != Submit && ev.Kind != Finish && ev.Kind != Kill {
-				t.Fatalf("yielded kind %v", ev.Kind)
-			}
-			if ev.Pod == "" {
-				t.Fatal("yielded empty pod id")
-			}
-			for _, c := range ev.Containers {
-				if math.IsNaN(c.CPU) || c.CPU < 0 || c.CPU > 1 ||
-					math.IsNaN(c.Mem) || c.Mem < 0 || c.Mem > 1 {
-					t.Fatalf("yielded out-of-range request %+v", c)
-				}
-			}
+		evs, complete := readAll(t, body)
+		cevs, ccomplete := readAll(t, "# exported\n"+body)
+		if complete != ccomplete || !reflect.DeepEqual(evs, cevs) {
+			t.Fatalf("comment line changed the read: %d events (complete %v), bare %d (complete %v)",
+				len(cevs), ccomplete, len(evs), complete)
 		}
 	})
+}
+
+// readAll reads body with a strict reader, checking every event it
+// yields against the normalized-event contract. It returns the events
+// and whether the reader got to the end without an error.
+func readAll(t *testing.T, body string) ([]Event, bool) {
+	r, err := NewReader(strings.NewReader(body), Options{})
+	if err != nil {
+		return nil, false
+	}
+	var evs []Event
+	for {
+		ev, err := r.Next()
+		if err != nil {
+			return evs, err == io.EOF
+		}
+		if ev.Time < 0 {
+			t.Fatalf("yielded negative time %v", ev.Time)
+		}
+		if ev.Kind != Submit && ev.Kind != Finish && ev.Kind != Kill {
+			t.Fatalf("yielded kind %v", ev.Kind)
+		}
+		if ev.Pod == "" {
+			t.Fatal("yielded empty pod id")
+		}
+		for _, c := range ev.Containers {
+			if math.IsNaN(c.CPU) || c.CPU < 0 || c.CPU > 1 ||
+				math.IsNaN(c.Mem) || c.Mem < 0 || c.Mem > 1 {
+				t.Fatalf("yielded out-of-range request %+v", c)
+			}
+		}
+		evs = append(evs, ev)
+	}
 }
 
 // checkRowMatchesStrconv is the differential half of the fuzz: split

@@ -2,6 +2,7 @@ package ctrace
 
 import (
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,10 +65,12 @@ func TestInstanceEventsMatchCSV(t *testing.T) {
 	}
 }
 
-// TestInstanceSniff pins the mode decision: a first byte of '{' reads
-// the whole file as instance_events. A pod-level JSON line is then a
-// row with no collection_id: strict mode names its line, lenient mode
-// counts it as skipped.
+// TestInstanceSniff pins the mode decision: a first data line starting
+// with '{' reads the whole file as instance_events. A pod-level JSON
+// line is then a row with no collection_id: strict mode names its
+// line, lenient mode counts it as skipped. Blank and comment lines and
+// a leading byte-order mark come before the sniff, so the committed
+// fixture reads the same behind each, and so does a CSV behind a mark.
 func TestInstanceSniff(t *testing.T) {
 	pod := `{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}]}` + "\n"
 	r := mustReader(t, strings.NewReader(pod), Options{})
@@ -80,11 +83,27 @@ func TestInstanceSniff(t *testing.T) {
 		t.Fatalf("lenient reader on a pod-level line: events %+v, stats %+v", evs, stats)
 	}
 	// Comment and blank lines inside an export are skipped like
-	// everywhere else (the format sniff itself needs '{' first).
+	// everywhere else.
 	lines := strings.SplitAfterN(instanceBody, "\n", 2)
 	commented := lines[0] + "# re-sorted 2019-05-01\n\n" + lines[1]
 	if evs, _ := read(t, commented, Options{}); len(evs) != 4 {
 		t.Fatalf("commented export misrouted: %+v", evs)
+	}
+	fixture, err := os.ReadFile("testdata/instance_events.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv := header + "\n1000,0,j1,0,alice,0.25,0.5\n2000,4,j1,0,alice,0,0\n"
+	for _, tc := range []struct{ name, plain, led string }{
+		{"comment", string(fixture), "# exported 2019-05-01\n\n" + string(fixture)},
+		{"bom", string(fixture), "\ufeff" + string(fixture)},
+		{"bom+comment", string(fixture), "\ufeff# exported 2019-05-01\n" + string(fixture)},
+		{"csv bom", csv, "\ufeff" + csv},
+	} {
+		want, _ := read(t, tc.plain, Options{})
+		if got, _ := read(t, tc.led, Options{}); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: read %d events, the plain body %d", tc.name, len(got), len(want))
+		}
 	}
 }
 

@@ -32,9 +32,11 @@ const header = "time_us,event,job,task,user,cpu,mem"
 // very many columns); beyond it the file is malformed.
 const maxLine = 4 << 20
 
-// Input mode, sniffed from the first byte: '{' or '[' means a 2019 v3
+// Input mode, sniffed from the first line that is neither blank nor a
+// '#' comment (see Reader.sniff): '{' or '[' means a 2019 v3
 // instance_events export (see instance_events.go), anything else the
-// task_events CSV.
+// task_events CSV. A UTF-8 byte-order mark leading the file is
+// dropped.
 const (
 	modeCSV = iota
 	modeInstance
@@ -121,11 +123,7 @@ func NewReader(src io.Reader, opts Options) (*Reader, error) {
 		jobs:  map[string]*jobState{},
 		users: map[string]string{},
 	}
-	// Format sniff: an instance_events export is JSON, so its first
-	// byte is '{' (or '[' for a malformed one the row decoder rejects).
-	if first, err := br.Peek(1); err == nil && (first[0] == '{' || first[0] == '[') {
-		r.mode = modeInstance
-	}
+	r.sniff(br)
 	r.sc = bufio.NewScanner(br)
 	r.sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	return r, nil
@@ -185,6 +183,47 @@ func (r *Reader) Next() (Event, error) {
 				continue
 			}
 			r.err = fmt.Errorf("ctrace: line %d: %w", r.line, err)
+		}
+	}
+}
+
+// utf8BOM is the byte-order mark some exporters put before a file.
+var utf8BOM = []byte("\ufeff")
+
+// sniff picks the input mode before the row loop starts, so the loop
+// pays nothing for it. It drops a byte-order mark leading the stream,
+// then consumes the blank and '#' comment lines ahead of the first
+// data line, counting them so error line numbers stay the file's (the
+// row loop would skip them anyway). The data line's first byte that is
+// not ASCII white space picks the mode: an instance_events export is
+// JSON, so '{', or '[' for a malformed one the row decoder rejects.
+func (r *Reader) sniff(br *bufio.Reader) {
+	if b, err := br.Peek(len(utf8BOM)); err == nil && bytes.Equal(b, utf8BOM) {
+		br.Discard(len(utf8BOM))
+	}
+	for {
+		b, err := br.Peek(1)
+		if err != nil {
+			return
+		}
+		switch b[0] {
+		case ' ', '\t', '\r', '\v', '\f':
+			br.Discard(1) // the row loop trims it
+		case '\n':
+			br.Discard(1)
+			r.line++
+		case '#':
+			for {
+				if _, err := br.ReadSlice('\n'); err != bufio.ErrBufferFull {
+					break
+				}
+			}
+			r.line++
+		case '{', '[':
+			r.mode = modeInstance
+			return
+		default:
+			return
 		}
 	}
 }

@@ -40,7 +40,7 @@ func benchSource(n int) *ctrace.Slice {
 // BenchmarkTraceReplay measures sharded replay throughput (pods/s) on
 // a ~100k-pod trace at 1, 4 and 8 execution shards over 8 fixed
 // worlds. The shard counts produce byte-identical results (pinned by
-// TestShardCountEquivalence); the only thing that varies is wall
+// TestPipelineEquivalence); the only thing that varies is wall
 // clock, so the ratio between the rows IS the parallel speedup. On a
 // single-core box the rows tie — the ≥2.5x 4-shard target needs the
 // multi-core CI runner.

@@ -9,6 +9,7 @@ import (
 
 	"nestless/internal/cluster"
 	"nestless/internal/ctrace"
+	"nestless/internal/faults"
 	"nestless/internal/golden"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
@@ -48,63 +49,166 @@ func migratorConfig() Config {
 	}
 }
 
-// TestPipelineEquivalence is the pipelining gate: the overlapped feed
-// must reproduce the golden digests — recorded while the strict
-// feed-then-advance loop still existed and matched it — at every shard
-// count, for both migration policies, on a workload where prefetched
-// mailboxes really do get re-routed after migration barriers. The
-// homeward/ cases are the workload where migrated pods migrate again,
-// so the two policies must pick different worlds.
+// replayCase is one replay golden case.
+type replayCase struct {
+	name  string // corpus lines name/shards=N, and name/recorded
+	users []trace.User
+	cfg   Config
+	// migrating cases must move pods between worlds, and also replay at
+	// 8 shards with a recorder, whose timeline then covers the
+	// barrier-time transfer counters.
+	migrating bool
+}
+
+// The replay golden tables: every case replays at 1, 2, 4 and 8 shards
+// with the per-world Leaks audit on, and must return the same Result at
+// each, matching its corpus lines (recorded while the strict
+// feed-then-advance loop still existed and matched it), and keep the
+// books checkBooks reads.
+
+// TestPipelineEquivalence is the pipelining gate: the migrator
+// workload, under both migration policies, where prefetched mailboxes
+// really do get re-routed after migration barriers. The homeward/
+// variant is the workload where migrated pods migrate again, so the two
+// policies must pick different worlds.
 func TestPipelineEquivalence(t *testing.T) {
 	g := golden.Open(t, goldenPath, "pipeline/")
-	for _, sc := range []struct {
+	digests := map[string]uint64{}
+	for _, w := range []struct {
 		prefix string
 		life   time.Duration
-	}{
-		{"pipeline/", 12 * time.Minute},
-		{"pipeline/homeward/", 30 * time.Minute},
-	} {
-		users := migratorUsers(sc.life)
-		digests := map[string]uint64{}
+	}{{"pipeline/", 12 * time.Minute}, {"pipeline/homeward/", 30 * time.Minute}} {
 		for _, policy := range []string{"least-loaded", "locality"} {
 			cfg := migratorConfig()
 			cfg.MigratePolicy = policy
-			var want Result
-			for i, shards := range []int{1, 2, 4, 8} {
-				cfg.Shards = shards
-				got, err := Replay(ctrace.NewSynth(users), cfg)
+			c := replayCase{w.prefix + policy, migratorUsers(w.life), cfg, true}
+			digests[c.name] = replayGolden(t, g, c).Digest
+		}
+	}
+	if digests["pipeline/homeward/locality"] == digests["pipeline/homeward/least-loaded"] {
+		t.Fatal("homeward: locality and least-loaded replayed identically — no migrated pod went home")
+	}
+}
+
+// TestShardCountEquivalence replays a churned population under each
+// placement policy with no faults, with node kills and provisioning
+// failures, and with provisioning delays added: the faults/ cases.
+func TestShardCountEquivalence(t *testing.T) {
+	g := golden.Open(t, goldenPath, "faults/")
+	for _, policy := range []cluster.Policy{cluster.Kubernetes, cluster.Hostlo} {
+		for si, spec := range []string{
+			"",
+			"node/*:crash:p=0.02;node/provision:fail:p=0.1",
+			"node/*:crash:p=0.03;node/provision:fail:p=0.2;node/provision:delay:n=2:d=60s",
+		} {
+			cfg := Config{Worlds: 8, MigrateAfter: 20 * time.Minute, Audit: true,
+				Cluster: cluster.Config{Policy: policy, Seed: 7, Horizon: 6 * time.Hour}}
+			if spec != "" {
+				sched, err := faults.ParseSpec(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if i == 0 {
-					want = got
-					if want.Migrations == 0 {
-						t.Fatalf("%s%s: scenario no longer migrates", sc.prefix, policy)
-					}
-				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s%s: -shards %d diverged from -shards 1\n got %+v\nwant %+v",
-						sc.prefix, policy, shards, got.Merged, want.Merged)
-				}
-				g.Check(fmt.Sprintf("%s%s/shards=%d", sc.prefix, policy, shards), golden.Line(got.Digest, got, nil))
+				cfg.Cluster.Faults = sched
 			}
-			digests[policy] = want.Digest
-			// Recorded at -shards 8 (the line was recorded serially):
-			// the timeline covers the barrier-time transfer counters of
-			// a migrating replay.
-			rec := telemetry.New()
-			cfg.Cluster.Rec = rec
-			got, err := Replay(ctrace.NewSynth(users), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s%s: recording perturbed the replay", sc.prefix, policy)
-			}
-			g.Check(fmt.Sprintf("%s%s/recorded", sc.prefix, policy), golden.Line(got.Digest, got, rec))
+			replayGolden(t, g, replayCase{name: fmt.Sprintf("faults/%v/%d", policy, si), users: churnUsers(31, 60), cfg: cfg})
 		}
-		if sc.prefix == "pipeline/homeward/" && digests["locality"] == digests["least-loaded"] {
-			t.Fatal("homeward: locality and least-loaded replayed identically — no migrated pod went home")
+	}
+}
+
+// replayGolden runs one replay case at every shard count, checks its
+// books and corpus lines, and returns its Result.
+func replayGolden(t *testing.T, g *golden.Set, c replayCase) Result {
+	t.Helper()
+	var want Result
+	for i, shards := range []int{1, 2, 4, 8} {
+		cfg := c.cfg
+		cfg.Shards = shards
+		got, err := Replay(ctrace.NewSynth(c.users), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		if i > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: -shards %d diverged from -shards 1\n got %+v\nwant %+v", c.name, shards, got.Merged, want.Merged)
+		}
+		want = got
+		g.Check(fmt.Sprintf("%s/shards=%d", c.name, shards), golden.Line(got.Digest, got, nil))
+	}
+	if c.migrating && want.Migrations == 0 {
+		t.Errorf("%s: no pod migrated", c.name)
+	}
+	checkBooks(t, c.name, want)
+	if c.migrating {
+		rec := telemetry.New()
+		cfg := c.cfg
+		cfg.Shards = 8
+		cfg.Cluster.Rec = rec
+		got, err := Replay(ctrace.NewSynth(c.users), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: recording perturbed the replay", c.name)
+		}
+		g.Check(c.name+"/recorded", golden.Line(got.Digest, got, rec))
+	}
+	return want
+}
+
+// checkBooks checks what no world's Leaks can see: every transfer left
+// one world and entered another, one per migration, and every submit
+// arrived or fell past the horizon.
+func checkBooks(t *testing.T, name string, res Result) {
+	t.Helper()
+	var in, out int
+	for _, w := range res.Worlds {
+		in += w.TransferredIn
+		out += w.TransferredOut
+	}
+	if in != out || in != res.Migrations {
+		t.Errorf("%s: transfer books: in %d out %d migrations %d", name, in, out, res.Migrations)
+	}
+	if res.Merged.Arrived+res.BeyondHorizon != res.Submits {
+		t.Errorf("%s: submit accounting: arrived %d + beyond %d != submits %d",
+			name, res.Merged.Arrived, res.BeyondHorizon, res.Submits)
+	}
+}
+
+// TestMigrationEngages forces cross-world migration — the migrator
+// workload with pods that outlive the 40m provisioning stall — and
+// checks the books of a 2-shard replay.
+func TestMigrationEngages(t *testing.T) {
+	cfg := migratorConfig()
+	cfg.Shards = 2
+	res, err := Replay(ctrace.NewSynth(migratorUsers(3*time.Hour)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Migrations == 0 {
+		t.Fatal("migration never engaged")
+	}
+	checkBooks(t, "stall", res)
+}
+
+// TestMigrationEquivalence re-runs that migration-heavy replay across
+// shard counts: transfers are drained serially at barriers, so they
+// must not break schedule independence.
+func TestMigrationEquivalence(t *testing.T) {
+	users := migratorUsers(3 * time.Hour)
+	cfg := migratorConfig()
+	var want Result
+	for i, shards := range []int{1, 2, 4} {
+		cfg.Shards = shards
+		got, err := Replay(ctrace.NewSynth(users), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && got.Migrations == 0 {
+			t.Fatal("scenario no longer migrates")
+		}
+		if i > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("-shards %d diverged under migration", shards)
+		}
+		want = got
 	}
 }
 

@@ -12,20 +12,24 @@ import (
 
 	"nestless/internal/cluster"
 	"nestless/internal/ctrace"
-	"nestless/internal/faults"
 	"nestless/internal/golden"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
 
-// synthSource builds a quantized churny event stream.
-func synthSource(t *testing.T, seed int64, users int) *ctrace.Slice {
-	t.Helper()
+// churnUsers generates a churny population.
+func churnUsers(seed int64, users int) []trace.User {
 	gcfg := trace.DefaultConfig(seed)
 	gcfg.Users = users
 	gcfg.MeanArrivalGap = 2 * time.Minute
 	gcfg.MeanLifetime = 45 * time.Minute
-	return ctrace.NewSynth(trace.Generate(gcfg))
+	return trace.Generate(gcfg)
+}
+
+// synthSource builds a quantized churny event stream.
+func synthSource(t *testing.T, seed int64, users int) *ctrace.Slice {
+	t.Helper()
+	return ctrace.NewSynth(churnUsers(seed, users))
 }
 
 func mustReplay(t *testing.T, src *ctrace.Slice, cfg Config) Result {
@@ -36,55 +40,6 @@ func mustReplay(t *testing.T, src *ctrace.Slice, cfg Config) Result {
 		t.Fatalf("Replay: %v", err)
 	}
 	return res
-}
-
-// TestShardCountEquivalence is the PR's gate: the same trace replayed
-// at -shards 1 vs 2, 4 and 8 produces byte-identical merged results,
-// world results, trajectories and digests — including under node-kill
-// and provisioning-fault schedules, and for both policies.
-func TestShardCountEquivalence(t *testing.T) {
-	src := synthSource(t, 31, 60)
-	specs := []string{
-		"",
-		"node/*:crash:p=0.02;node/provision:fail:p=0.1",
-		"node/*:crash:p=0.03;node/provision:fail:p=0.2;node/provision:delay:n=2:d=60s",
-	}
-	for _, policy := range []cluster.Policy{cluster.Kubernetes, cluster.Hostlo} {
-		for _, spec := range specs {
-			var sched *faults.Schedule
-			if spec != "" {
-				var err error
-				sched, err = faults.ParseSpec(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			cfg := Config{
-				Worlds:       8,
-				MigrateAfter: 20 * time.Minute,
-				Audit:        true,
-				Cluster: cluster.Config{
-					Policy:  policy,
-					Seed:    7,
-					Horizon: 6 * time.Hour,
-					Faults:  sched,
-				},
-			}
-			cfg.Shards = 1
-			want := mustReplay(t, src, cfg)
-			if want.Merged.Arrived == 0 || want.Merged.Departed == 0 {
-				t.Fatalf("degenerate replay: %+v", want.Merged)
-			}
-			for _, shards := range []int{2, 4, 8} {
-				cfg.Shards = shards
-				got := mustReplay(t, src, cfg)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("policy %v faults %q: -shards %d diverged from -shards 1\n got %+v\nwant %+v",
-						policy, spec, shards, got.Merged, want.Merged)
-				}
-			}
-		}
-	}
 }
 
 // TestBarrierInvariance pins that without migration the barrier period
@@ -108,93 +63,6 @@ func TestBarrierInvariance(t *testing.T) {
 	b := mustReplay(t, src, cfg)
 	if !reflect.DeepEqual(a.Worlds, b.Worlds) || !reflect.DeepEqual(a.Merged, b.Merged) {
 		t.Fatal("barrier period changed replay results without migration")
-	}
-}
-
-// TestMigrationEngages forces cross-world migration — one overloaded
-// world with a long provisioning stall next to idle worlds — and
-// checks the merged conservation and per-world books.
-func TestMigrationEngages(t *testing.T) {
-	// One user (one world gets everything), slow boots, eager migration.
-	gcfg := trace.DefaultConfig(5)
-	gcfg.Users = 2
-	gcfg.MeanArrivalGap = 30 * time.Second
-	gcfg.MeanLifetime = 3 * time.Hour
-	src := ctrace.NewSynth(trace.Generate(gcfg))
-	cfg := Config{
-		Worlds:       4,
-		Shards:       2,
-		BarrierEvery: 10 * time.Minute,
-		MigrateAfter: 5 * time.Minute,
-		Audit:        true,
-		Cluster: cluster.Config{
-			Policy:    cluster.Kubernetes,
-			Horizon:   4 * time.Hour,
-			BootDelay: 40 * time.Minute,
-		},
-	}
-	res, err := Replay(src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("migration never engaged")
-	}
-	var in, out int
-	for _, w := range res.Worlds {
-		in += w.TransferredIn
-		out += w.TransferredOut
-	}
-	if in != out || in != res.Migrations {
-		t.Fatalf("transfer books: in %d out %d migrations %d", in, out, res.Migrations)
-	}
-	m := res.Merged
-	if m.Arrived != m.Departed+m.Running+m.StillPending+m.Failed {
-		t.Fatalf("merged conservation broken: %+v", m)
-	}
-	if m.Arrived+res.BeyondHorizon != res.Submits {
-		t.Fatalf("submit accounting: arrived %d + beyond %d != submits %d",
-			m.Arrived, res.BeyondHorizon, res.Submits)
-	}
-}
-
-// TestMigrationEquivalence re-runs the migration-heavy scenario across
-// shard counts: transfers are drained serially at barriers, so they
-// must not break schedule independence.
-func TestMigrationEquivalence(t *testing.T) {
-	gcfg := trace.DefaultConfig(5)
-	gcfg.Users = 2
-	gcfg.MeanArrivalGap = 30 * time.Second
-	gcfg.MeanLifetime = 3 * time.Hour
-	users := trace.Generate(gcfg)
-	cfg := Config{
-		Worlds:       4,
-		BarrierEvery: 10 * time.Minute,
-		MigrateAfter: 5 * time.Minute,
-		Audit:        true,
-		Cluster: cluster.Config{
-			Policy:    cluster.Kubernetes,
-			Horizon:   4 * time.Hour,
-			BootDelay: 40 * time.Minute,
-		},
-	}
-	cfg.Shards = 1
-	want, err := Replay(ctrace.NewSynth(users), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Migrations == 0 {
-		t.Fatal("scenario no longer migrates")
-	}
-	for _, shards := range []int{2, 4} {
-		cfg.Shards = shards
-		got, err := Replay(ctrace.NewSynth(users), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("-shards %d diverged under migration", shards)
-		}
 	}
 }
 

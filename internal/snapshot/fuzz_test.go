@@ -79,8 +79,9 @@ func hostileSnapshots(tb testing.TB) []struct {
 // under fuzzing: Decode never panics and never over-allocates;
 // anything it accepts re-encodes canonically (Encode∘Decode is a
 // fixpoint after one round); and cluster.Restore on an accepted
-// snapshot either errors cleanly or builds a world — hostile bytes can
-// produce a garbage world, but never a crash.
+// snapshot either errors cleanly or builds a world whose Leaks audit
+// runs to completion — hostile bytes can produce a garbage world, which
+// the audit may report, but never a crash.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	valid := fuzzSeedSnapshot(f)
 	f.Add(valid)
@@ -130,7 +131,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			return
 		}
 		if c, err := cluster.Restore(s, cluster.RestoreOpts{}); err == nil {
-			_ = c.Now()
+			_ = c.Leaks()
 		}
 	})
 }
