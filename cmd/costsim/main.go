@@ -25,7 +25,7 @@
 // fault; spot/*:crash:p=0.02 is merged in unless -faults already
 // covers spot/):
 //
-//	costsim -cloud gcp:n2                  # static cross-cloud comparison
+//	costsim -cloud gcp:n2                  # non-default catalog: cross-cloud comparison
 //	costsim -lifecycle -cloud gcp:n2 -zones 3 -spot-frac 0.5
 //
 // The -replay flag feeds a recorded Google cluster trace file (2011
@@ -46,9 +46,10 @@
 // and each world stores a fixed 12-point trajectory (one sample every
 // horizon/12), so a replay's memory is its live pod table.
 //
-// Cluster-simulation flags (-horizon, -gap, -life, -boot, -spot-frac,
-// -zones) are rejected with exit status 2 on the static path. So is a
-// negative duration, or a zero -horizon or -barrier.
+// A flag the run mode ignores exits 2 naming it: cluster flags (-horizon,
+// -gap, -life, -boot, -spot-frac, -zones, -faults) on the static path,
+// -top and -table off it, replay flags without -replay and -users, -gap,
+// -life with it. So does a negative duration, or a zero -horizon/-barrier.
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
@@ -131,20 +132,18 @@ func main() {
 	if err != nil {
 		cli.BadFlag("costsim: %v", err)
 	}
-	if !*lifecycle && *replay == "" {
-		if err := checkStatic(explicit); err != nil {
-			cli.BadFlag("costsim: %v", err)
-		}
+	mode := "static"
+	switch {
+	case *replay != "":
+		mode = "replay"
+	case *lifecycle:
+		mode = "lifecycle"
+	}
+	if err := checkMode(mode, explicit); err != nil {
+		cli.BadFlag("costsim: %v", err)
 	}
 	sched = cl.WithDefaultRevocation(sched)
-	if *replay != "" {
-		// The trace IS the workload: generator knobs are ambiguous next
-		// to it.
-		for _, name := range []string{"users", "gap", "life"} {
-			if explicit[name] {
-				cli.BadFlag("costsim: -%s shapes the generated workload and conflicts with -replay (the trace is the workload)", name)
-			}
-		}
+	if mode == "replay" {
 		if _, err := os.Stat(*replay); err != nil {
 			cli.BadFlag("costsim: -replay: %v", err)
 		}
@@ -152,12 +151,6 @@ func main() {
 		case "least-loaded", "locality":
 		default:
 			cli.BadFlag("costsim: -migrate-policy must be least-loaded or locality, got %q", *migratePolicy)
-		}
-	} else {
-		for _, name := range []string{"worlds", "barrier", "migrate-after", "lenient", "migrate-policy"} {
-			if explicit[name] {
-				cli.BadFlag("costsim: -%s only applies to a trace replay (add -replay FILE)", name)
-			}
 		}
 	}
 	switch {
@@ -168,12 +161,6 @@ func main() {
 	}
 	prof.Start("costsim")
 	defer prof.Stop("costsim")
-	// The static placement run is engine-less: the spec is validated for
-	// command-line uniformity, but only the simulated datapaths can
-	// fault.
-	if sched != nil && !*lifecycle && *replay == "" {
-		fmt.Fprintln(os.Stderr, "costsim: note: -faults validated but ignored (static placement has no simulated datapath; use -lifecycle or -replay)")
-	}
 
 	emit := func(t *report.Table) {
 		if *csv {
@@ -192,17 +179,16 @@ func main() {
 		seed: *seed, horizon: *horizon, boot: *boot, sched: sched,
 		cloud: cl, rec: tf.Recorder(), emit: emit, workers: *workers,
 	}
-	if *replay != "" {
+	switch mode {
+	case "replay":
 		runReplay(replayOpts{
 			simOpts: so, path: *replay, worlds: *worlds, barrier: *barrier,
 			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy, lenient: *lenient,
 		})
-		tf.EmitOrDie("costsim")
-		return
-	}
-
-	if *lifecycle {
+	case "lifecycle":
 		runLifecycle(lifecycleOpts{simOpts: so, users: *users, gap: *gap, life: *life})
+	}
+	if mode != "static" {
 		tf.EmitOrDie("costsim")
 		return
 	}
@@ -214,8 +200,8 @@ func main() {
 	record(tf.Recorder(), res)
 
 	topTitle := fmt.Sprintf("Top %d savers", *top)
-	if explicit["cloud"] {
-		// An explicit catalog choice turns the run into a cross-cloud
+	if cl.Catalog.Name() != cloud.DefaultName {
+		// A non-default catalog turns the run into a cross-cloud
 		// comparison: the same workload priced on the default AWS m5
 		// table and on the selected catalog. (Fig. 9 itself is pinned
 		// to the paper's m5 pricing, so it is skipped here.)
@@ -265,10 +251,7 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 	if err != nil {
 		cli.Fatal("costsim", err)
 	}
-	baseRes := selRes
-	if sel.Name() != base.Name() {
-		baseRes = cloudsim.SimulateParallel(pop, base.Types, workers)
-	}
+	baseRes := cloudsim.SimulateParallel(pop, base.Types, workers)
 	baseKube, baseHostlo := baseRes.TotalCosts()
 	selKube, selHostlo := selRes.TotalCosts()
 	t := report.New(fmt.Sprintf("Cross-cloud comparison over %d users", len(pop)),
@@ -283,16 +266,33 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 	emit(t)
 }
 
-// checkStatic rejects cluster-simulation settings on the static path:
-// the snapshot has no fleet to manage and no clock, so only the catalog
-// choice applies. explicit holds the flags set on the command line.
-func checkStatic(explicit map[string]bool) error {
-	for _, name := range []string{
-		"spot-frac", "zones",
-		"horizon", "gap", "life", "boot",
-	} {
-		if explicit[name] {
-			return fmt.Errorf("-%s only applies to the cluster simulation (add -lifecycle or -replay)", name)
+// flagRule names flags a run mode would ignore and why.
+type flagRule struct {
+	names []string
+	why   string
+}
+
+var replayOnly = flagRule{[]string{"worlds", "barrier", "migrate-after", "lenient", "migrate-policy"}, "only applies to a trace replay (add -replay FILE)"}
+var staticOnly = flagRule{[]string{"top", "table"}, "only applies to the static snapshot (drop -lifecycle and -replay)"}
+
+// modeRules lists, per run mode, every flag the mode would ignore: the
+// static snapshot has no fleet, clock or datapath to fault, only it
+// prints Table 2 or a top-savers list, and a replay's trace is its
+// workload.
+var modeRules = map[string][]flagRule{
+	"static":    {{[]string{"spot-frac", "zones", "horizon", "gap", "life", "boot", "faults"}, "only applies to the cluster simulation (add -lifecycle or -replay)"}, replayOnly},
+	"lifecycle": {replayOnly, staticOnly},
+	"replay":    {{[]string{"users", "gap", "life"}, "shapes the generated workload and conflicts with -replay (the trace is the workload)"}, staticOnly},
+}
+
+// checkMode rejects the first flag set on the command line (explicit)
+// that run mode ignores, so main exits 2 instead of dropping it.
+func checkMode(mode string, explicit map[string]bool) error {
+	for _, r := range modeRules[mode] {
+		for _, name := range r.names {
+			if explicit[name] {
+				return fmt.Errorf("-%s %s", name, r.why)
+			}
 		}
 	}
 	return nil

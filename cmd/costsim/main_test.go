@@ -10,26 +10,29 @@ import (
 	"time"
 
 	"nestless/internal/cli/clitest"
+	"nestless/internal/cloud"
 	"nestless/internal/ctrace"
 	"nestless/internal/figures"
 	"nestless/internal/trace"
 )
 
 // TestCheckStaticRejectsClusterFlags pins the static path's flag gate:
-// every cluster-simulation flag is an error there (exit 2 in main),
-// while the static snapshot's own flags pass.
+// every cluster-simulation flag, -faults included (the snapshot has no
+// datapath to fault), and every replay flag is an error there (exit 2
+// in main), while the static snapshot's own flags pass.
 func TestCheckStaticRejectsClusterFlags(t *testing.T) {
 	for _, name := range []string{
 		"spot-frac", "zones",
-		"horizon", "gap", "life", "boot",
+		"horizon", "gap", "life", "boot", "faults",
+		"worlds", "barrier", "migrate-after", "lenient", "migrate-policy",
 	} {
-		err := checkStatic(map[string]bool{name: true})
+		err := checkMode("static", map[string]bool{name: true})
 		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
 			t.Errorf("-%s on the static path: got %v, want an error naming it", name, err)
 		}
 	}
 	static := map[string]bool{"users": true, "seed": true, "csv": true, "top": true, "cloud": true, "table": true}
-	if err := checkStatic(static); err != nil {
+	if err := checkMode("static", static); err != nil {
 		t.Errorf("static flags rejected: %v", err)
 	}
 }
@@ -107,6 +110,43 @@ func TestOneSpellingPerSetting(t *testing.T) {
 				t.Errorf("costsim %s: exit status %d, want 2 with %q:\n%s", c.args, code, c.want, stderr)
 			}
 		})
+	}
+}
+
+// TestModeRejectsIgnoredFlags pins that no flag is accepted and then
+// dropped: -top and -table, which only the static snapshot prints, and
+// -faults, which only a simulated datapath can fire, each exit 2 naming
+// the flag in a mode that would ignore it.
+func TestModeRejectsIgnoredFlags(t *testing.T) {
+	const fixture = "../../internal/ctrace/testdata/instance_events.json"
+	for _, c := range []struct{ args, want string }{
+		{"-lifecycle -top 3", "-top only applies to the static snapshot"},
+		{"-replay " + fixture + " -top 3", "-top only applies to the static snapshot"},
+		{"-lifecycle -table 2", "-table only applies to the static snapshot"},
+		{"-replay " + fixture + " -table 2", "-table only applies to the static snapshot"},
+		{"-users 10 -faults node/*:crash:p=0.01", "-faults only applies to the cluster simulation"},
+	} {
+		t.Run(c.args, func(t *testing.T) {
+			_, stderr, code := clitest.Run(c.args)
+			if code != 2 || !strings.Contains(stderr, c.want) {
+				t.Errorf("costsim %s: exit status %d, want 2 with %q:\n%s", c.args, code, c.want, stderr)
+			}
+		})
+	}
+}
+
+// TestDefaultCatalogIsNotCrossCloud pins that the cross-cloud comparison
+// follows the catalog value: naming the default catalog prints exactly
+// what the bare command prints.
+func TestDefaultCatalogIsNotCrossCloud(t *testing.T) {
+	bare, stderr, code := clitest.Run("-users 10 -top 2")
+	if code != 0 {
+		t.Fatalf("costsim -users 10: exit status %d:\n%s", code, stderr)
+	}
+	named, stderr, code := clitest.Run("-users 10 -top 2 -cloud " + cloud.DefaultName)
+	if code != 0 || named != bare {
+		t.Errorf("costsim -cloud %s: exit status %d, output differs from the bare run:\n%s\nvs\n%s\n%s",
+			cloud.DefaultName, code, named, bare, stderr)
 	}
 }
 

@@ -30,9 +30,9 @@ func Catalog() []VMType {
 	}
 }
 
-// cheapestFitting returns the cheapest type able to host (cpu, mem), or
-// -1 when nothing fits (the request exceeds the largest machine).
-func cheapestFitting(catalog []VMType, cpu, mem float64) int {
+// CheapestFitting returns the index of the cheapest catalog type able
+// to host (cpu, mem), or -1 when the request exceeds every machine.
+func CheapestFitting(catalog []VMType, cpu, mem float64) int {
 	best := -1
 	for i, t := range catalog {
 		if t.RelCPU >= cpu && t.RelMem >= mem {

@@ -27,13 +27,13 @@ func TestCatalogMatchesTable2(t *testing.T) {
 
 func TestCheapestFitting(t *testing.T) {
 	c := Catalog()
-	if i := cheapestFitting(c, 0.01, 0.01); c[i].Name != "large" {
+	if i := CheapestFitting(c, 0.01, 0.01); c[i].Name != "large" {
 		t.Errorf("tiny pod got %s", c[i].Name)
 	}
-	if i := cheapestFitting(c, 0.06, 0.02); c[i].Name != "2xlarge" {
+	if i := CheapestFitting(c, 0.06, 0.02); c[i].Name != "2xlarge" {
 		t.Errorf("6%% CPU pod got %s", c[i].Name)
 	}
-	if i := cheapestFitting(c, 2.0, 0.1); i != -1 {
+	if i := CheapestFitting(c, 2.0, 0.1); i != -1 {
 		t.Error("oversized request fit somewhere")
 	}
 }

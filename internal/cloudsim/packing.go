@@ -10,18 +10,12 @@ import (
 	"nestless/internal/trace"
 )
 
-// item is one placed container.
-type item struct {
-	pod      string
-	cpu, mem float64
-}
-
 // vm is one bought instance with its contents.
 type vm struct {
 	typ     int
 	usedCPU float64
 	usedMem float64
-	items   []item
+	items   []PlacedItem
 	// splitPass memo: when splitClean, a trial re-pack of exactly these
 	// items found nothing cheaper than catalog type splitCleanTyp.
 	// packContainersFFD is deterministic in the items, so the verdict
@@ -33,30 +27,23 @@ type vm struct {
 func (v *vm) freeCPU(c []VMType) float64 { return c[v.typ].RelCPU - v.usedCPU }
 func (v *vm) freeMem(c []VMType) float64 { return c[v.typ].RelMem - v.usedMem }
 
-// requestedFraction is the "most requested" score (§5.3.1): mean of the
-// requested CPU and memory fractions.
-func (v *vm) requestedFraction(c []VMType) float64 {
-	t := c[v.typ]
-	return (v.usedCPU/t.RelCPU + v.usedMem/t.RelMem) / 2
-}
-
 // waste is free capacity (the inverse), used by the Hostlo pass.
 func (v *vm) waste(c []VMType) float64 {
 	return v.freeCPU(c) + v.freeMem(c)
 }
 
-func (v *vm) place(it item) {
+func (v *vm) place(it PlacedItem) {
 	v.items = append(v.items, it)
-	v.usedCPU += it.cpu
-	v.usedMem += it.mem
+	v.usedCPU += it.CPU
+	v.usedMem += it.Mem
 	v.splitClean = false
 }
 
-func (v *vm) remove(i int) item {
+func (v *vm) remove(i int) PlacedItem {
 	it := v.items[i]
 	v.items = append(v.items[:i], v.items[i+1:]...)
-	v.usedCPU -= it.cpu
-	v.usedMem -= it.mem
+	v.usedCPU -= it.CPU
+	v.usedMem -= it.Mem
 	v.splitClean = false
 	return it
 }
@@ -77,21 +64,21 @@ type fleet struct {
 // value is ready to use; buffers grow to the high-water mark of the
 // call and stay there.
 type optScratch struct {
-	order  []int      // consolidate: candidate visit order
-	wastes []float64  // consolidate: each VM's waste at entry, by position
-	items  []item     // consolidate: sorted copy of the source VM's items
-	plan   []consMove // consolidate: tentative moves, kept for revert
-	ffd    []item     // packContainersFFD: sorted copy of the input
+	order  []int        // consolidate: candidate visit order
+	wastes []float64    // consolidate: each VM's waste at entry, by position
+	items  []PlacedItem // consolidate: sorted copy of the source VM's items
+	plan   []consMove   // consolidate: tentative moves, kept for revert
+	ffd    []PlacedItem // packContainersFFD: sorted copy of the input
 
 	// packContainersFFD's sub-fleet arenas. The returned fleet aliases
 	// them, so it is only valid until the next call with the same
 	// scratch — splitPass copies the sub-VMs out on the (rare) accept.
-	subVMs    []vm   // VM arena
-	subPtrs   []*vm  // the returned fleet's vms slice
-	subAssign []int  // item k → VM index
-	subCounts []int  // items per VM
-	subItems  []item // final per-VM item storage, one flat arena
-	subFleet  fleet  // the returned fleet header itself
+	subVMs    []vm         // VM arena
+	subPtrs   []*vm        // the returned fleet's vms slice
+	subAssign []int        // item k → VM index
+	subCounts []int        // items per VM
+	subItems  []PlacedItem // final per-VM item storage, one flat arena
+	subFleet  fleet        // the returned fleet header itself
 
 	vmix vmIndex // consolidate: recycled target index storage
 
@@ -107,7 +94,7 @@ type cloneBuf struct {
 	f      fleet
 	vms    []*vm
 	varena []vm
-	iarena []item
+	iarena []PlacedItem
 }
 
 // scratchPool recycles optimizer scratch across OptimizeHostlo calls.
@@ -129,7 +116,7 @@ func (f *fleet) sc() *optScratch {
 type consMove struct {
 	target *vm
 	ord    int
-	it     item
+	it     PlacedItem
 }
 
 // cost prices the fleet per hour.
@@ -170,7 +157,7 @@ func (f *fleet) cloneBuffered() *fleet {
 	const cloneSlack = 32
 	need := total + cloneSlack*len(f.vms)
 	if cap(b.iarena) < need {
-		b.iarena = make([]item, need)
+		b.iarena = make([]PlacedItem, need)
 	} else {
 		b.iarena = b.iarena[:need]
 	}
@@ -195,7 +182,7 @@ func (f *fleet) shrink() {
 		if len(v.items) == 0 {
 			continue
 		}
-		if t := cheapestFitting(f.catalog, v.usedCPU, v.usedMem); t >= 0 {
+		if t := CheapestFitting(f.catalog, v.usedCPU, v.usedMem); t >= 0 {
 			v.typ = t
 		}
 		out = append(out, v)
@@ -234,18 +221,20 @@ func packKubernetesPolicy(user trace.User, catalog []VMType, pol Policy) (*fleet
 	for _, p := range pods {
 		cpu, mem := p.TotalCPU(), p.TotalMem()
 		var best *vm
+		var bestScore float64
 		for _, v := range f.vms {
 			if v.freeCPU(catalog) >= cpu && v.freeMem(catalog) >= mem {
+				score := MostRequestedFraction(catalog[v.typ], v.usedCPU, v.usedMem)
 				better := best == nil ||
-					(pol == MostRequested && v.requestedFraction(catalog) > best.requestedFraction(catalog)) ||
-					(pol == LeastRequested && v.requestedFraction(catalog) < best.requestedFraction(catalog))
+					(pol == MostRequested && score > bestScore) ||
+					(pol == LeastRequested && score < bestScore)
 				if better {
-					best = v
+					best, bestScore = v, score
 				}
 			}
 		}
 		if best == nil {
-			t := cheapestFitting(catalog, cpu, mem)
+			t := CheapestFitting(catalog, cpu, mem)
 			if t < 0 {
 				return nil, ErrPodTooBig{Pod: p.ID}
 			}
@@ -253,7 +242,7 @@ func packKubernetesPolicy(user trace.User, catalog []VMType, pol Policy) (*fleet
 			f.vms = append(f.vms, best)
 		}
 		for _, c := range p.Containers {
-			best.place(item{pod: p.ID, cpu: c.CPU, mem: c.Mem})
+			best.place(PlacedItem{Pod: p.ID, CPU: c.CPU, Mem: c.Mem})
 		}
 	}
 	return f, nil
@@ -346,7 +335,7 @@ func (f *fleet) splitPass() bool {
 		f.vms = append(f.vms[:i], f.vms[i+1:]...)
 		for _, sv := range sub.vms {
 			nv := &vm{typ: sv.typ, usedCPU: sv.usedCPU, usedMem: sv.usedMem,
-				items: append([]item(nil), sv.items...)}
+				items: append([]PlacedItem(nil), sv.items...)}
 			f.vms = append(f.vms, nv)
 		}
 		i--
@@ -361,13 +350,13 @@ func (f *fleet) splitPass() bool {
 // swapper on the short per-VM slices the optimizer sorts millions of
 // times. Insertion order equals stable-sort order, so the switch is
 // invisible to placement results.
-func sortItemsBySize(items []item, desc bool) {
+func sortItemsBySize(items []PlacedItem, desc bool) {
 	if desc {
 		for i := 1; i < len(items); i++ {
 			it := items[i]
-			k := it.cpu + it.mem
+			k := it.CPU + it.Mem
 			j := i
-			for j > 0 && items[j-1].cpu+items[j-1].mem < k {
+			for j > 0 && items[j-1].CPU+items[j-1].Mem < k {
 				items[j] = items[j-1]
 				j--
 			}
@@ -377,9 +366,9 @@ func sortItemsBySize(items []item, desc bool) {
 	}
 	for i := 1; i < len(items); i++ {
 		it := items[i]
-		k := it.cpu + it.mem
+		k := it.CPU + it.Mem
 		j := i
-		for j > 0 && items[j-1].cpu+items[j-1].mem > k {
+		for j > 0 && items[j-1].CPU+items[j-1].Mem > k {
 			items[j] = items[j-1]
 			j--
 		}
@@ -450,7 +439,7 @@ func (r catalogRates) repackBound(usedCPU, usedMem float64) float64 {
 // in sc (the items themselves are copied by value into the new VMs, so
 // reusing the buffer across calls is safe); pass nil for a one-shot
 // call outside the optimizer loop.
-func packContainersFFD(items []item, catalog []VMType, sc *optScratch) *fleet {
+func packContainersFFD(items []PlacedItem, catalog []VMType, sc *optScratch) *fleet {
 	if sc == nil {
 		sc = &optScratch{}
 	}
@@ -468,16 +457,17 @@ func packContainersFFD(items []item, catalog []VMType, sc *optScratch) *fleet {
 	assign := sc.subAssign[:0]
 	for _, it := range sorted {
 		best := -1
+		var bestScore float64
 		for j := range vms {
 			v := &vms[j]
-			if v.freeCPU(catalog) >= it.cpu && v.freeMem(catalog) >= it.mem {
-				if best < 0 || v.requestedFraction(catalog) > vms[best].requestedFraction(catalog) {
-					best = j
+			if v.freeCPU(catalog) >= it.CPU && v.freeMem(catalog) >= it.Mem {
+				if score := MostRequestedFraction(catalog[v.typ], v.usedCPU, v.usedMem); best < 0 || score > bestScore {
+					best, bestScore = j, score
 				}
 			}
 		}
 		if best < 0 {
-			t := cheapestFitting(catalog, it.cpu, it.mem)
+			t := CheapestFitting(catalog, it.CPU, it.Mem)
 			if t < 0 {
 				sc.subVMs, sc.subAssign = vms, assign
 				return nil
@@ -485,8 +475,8 @@ func packContainersFFD(items []item, catalog []VMType, sc *optScratch) *fleet {
 			vms = append(vms, vm{typ: t})
 			best = len(vms) - 1
 		}
-		vms[best].usedCPU += it.cpu
-		vms[best].usedMem += it.mem
+		vms[best].usedCPU += it.CPU
+		vms[best].usedMem += it.Mem
 		assign = append(assign, best)
 	}
 	counts := sc.subCounts[:0]
@@ -498,7 +488,7 @@ func packContainersFFD(items []item, catalog []VMType, sc *optScratch) *fleet {
 	}
 	arena := sc.subItems[:0]
 	if cap(arena) < len(sorted) {
-		arena = make([]item, 0, len(sorted))
+		arena = make([]PlacedItem, 0, len(sorted))
 	}
 	arena = arena[:len(sorted)]
 	offs := counts // reuse: counts[j] becomes the next write offset for VM j
@@ -587,16 +577,16 @@ func (f *fleet) consolidate() bool {
 		// is only paid for attempts that can get past this check.
 		largest := src.items[0]
 		for _, it := range src.items[1:] {
-			if it.cpu+it.mem > largest.cpu+largest.mem {
+			if it.CPU+it.Mem > largest.CPU+largest.Mem {
 				largest = it
 			}
 		}
 		fits := false
 		if ix != nil {
-			fits = ix.tree.FirstFit(largest.cpu, largest.mem, 0, -1) != nil
+			fits = ix.tree.FirstFit(largest.CPU, largest.Mem, 0, -1) != nil
 		} else {
 			for _, t := range f.vms {
-				if t != src && t.freeCPU(f.catalog) >= largest.cpu && t.freeMem(f.catalog) >= largest.mem {
+				if t != src && t.freeCPU(f.catalog) >= largest.CPU && t.freeMem(f.catalog) >= largest.Mem {
 					fits = true
 					break
 				}
@@ -618,7 +608,7 @@ func (f *fleet) consolidate() bool {
 			var best *vm
 			ord := -1
 			if ix != nil {
-				if n := ix.tree.FirstFit(it.cpu, it.mem, 0, -1); n != nil {
+				if n := ix.tree.FirstFit(it.CPU, it.Mem, 0, -1); n != nil {
 					best, ord = f.vms[n.Ord], n.Ord
 				}
 			} else {
@@ -626,7 +616,7 @@ func (f *fleet) consolidate() bool {
 					if t == src {
 						continue
 					}
-					if t.freeCPU(f.catalog) >= it.cpu && t.freeMem(f.catalog) >= it.mem {
+					if t.freeCPU(f.catalog) >= it.CPU && t.freeMem(f.catalog) >= it.Mem {
 						if best == nil || t.waste(f.catalog) > best.waste(f.catalog) {
 							best, ord = t, ti
 						}

@@ -22,12 +22,6 @@ type PlacedVM struct {
 	Items []PlacedItem
 }
 
-// CheapestFitting returns the index of the cheapest catalog type able
-// to host (cpu, mem), or -1 when the request exceeds every machine.
-func CheapestFitting(catalog []VMType, cpu, mem float64) int {
-	return cheapestFitting(catalog, cpu, mem)
-}
-
 // MostRequestedFraction is the §5.3.1 "most requested" score of a VM
 // with the given load: the mean of its used CPU and memory fractions.
 func MostRequestedFraction(t VMType, usedCPU, usedMem float64) float64 {
@@ -49,14 +43,14 @@ func toFleet(vms []PlacedVM, catalog []VMType) *fleet {
 	}
 	f := &fleet{catalog: catalog, vms: make([]*vm, len(vms))}
 	varena := make([]vm, len(vms))
-	iarena := make([]item, 0, total)
+	iarena := make([]PlacedItem, 0, total)
 	for i := range vms {
 		pv := &vms[i]
 		v := &varena[i]
 		v.typ = pv.Type
 		is := len(iarena)
 		for _, it := range pv.Items {
-			iarena = append(iarena, item{pod: it.Pod, cpu: it.CPU, mem: it.Mem})
+			iarena = append(iarena, it)
 			v.usedCPU += it.CPU
 			v.usedMem += it.Mem
 		}
@@ -78,9 +72,7 @@ func fromFleet(f *fleet) []PlacedVM {
 	arena := make([]PlacedItem, 0, total)
 	for _, v := range f.vms {
 		is := len(arena)
-		for _, it := range v.items {
-			arena = append(arena, PlacedItem{Pod: it.pod, CPU: it.cpu, Mem: it.mem})
-		}
+		arena = append(arena, v.items...)
 		out = append(out, PlacedVM{Type: v.typ, Items: arena[is:len(arena):len(arena)]})
 	}
 	return out

@@ -23,7 +23,7 @@ func randomFleet(r *rand.Rand, n int) *fleet {
 			if v.freeCPU(cat) < cpu || v.freeMem(cat) < mem {
 				continue
 			}
-			v.place(item{pod: fmt.Sprintf("p%d", pod), cpu: cpu, mem: mem})
+			v.place(PlacedItem{Pod: fmt.Sprintf("p%d", pod), CPU: cpu, Mem: mem})
 			pod++
 		}
 		f.vms = append(f.vms, v)

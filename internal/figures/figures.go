@@ -6,6 +6,13 @@
 // entry, the figure corpus (testdata/golden.txt) pins every entry, and
 // costsim prints Fig. 9 and Table 2, so "the figure" is computed
 // exactly one way.
+//
+// The datapath figures share one harness over the two topology
+// families, server↔client (§5.2) and intra-pod (§5.3): a topology is
+// reduced to its ends (engine, client, server, dial address), each
+// netperf test is one cell on those ends (stream, rr), Figs. 4 and 10
+// are one size×mode grid (microGrid), and every application figure
+// runs its load through one runner (runApp).
 package figures
 
 import (
@@ -14,8 +21,10 @@ import (
 
 	"nestless/internal/faults"
 	"nestless/internal/netperf"
+	"nestless/internal/netsim"
 	"nestless/internal/report"
 	"nestless/internal/scenario"
+	"nestless/internal/sim"
 	"nestless/internal/telemetry"
 )
 
@@ -109,25 +118,116 @@ func (o Opts) rrWindow() time.Duration {
 	return 100 * time.Millisecond
 }
 
+// ends is one built topology as a workload sees it: the engine, the
+// client and server namespaces, and the address the client dials.
+type ends struct {
+	eng            *sim.Engine
+	client, server *netsim.NetNS
+	dial           netsim.IPv4
+}
+
+// serverClient starts run label and builds a §5.2 topology serving ports.
+func (o Opts) serverClient(label string, mode scenario.Mode, ports ...uint16) (*scenario.ServerClient, ends) {
+	o.Rec.BeginRun(label)
+	sc, err := scenario.NewServerClientCfg(o.cfg(o.Seed), mode, ports...)
+	if err != nil {
+		panic(err)
+	}
+	return sc, ends{sc.Eng, sc.Client, sc.ServerNS, sc.DialAddr}
+}
+
+// podPair starts run label and builds a §5.3 pod pair, container B
+// serving ports to container A.
+func (o Opts) podPair(label string, mode scenario.CCMode, ports ...uint16) (*scenario.PodPair, ends) {
+	o.Rec.BeginRun(label)
+	pp, err := scenario.NewPodPairCfg(o.cfg(o.Seed), mode, ports...)
+	if err != nil {
+		panic(err)
+	}
+	return pp, ends{pp.Eng, pp.ANS, pp.BNS, pp.DialAddr}
+}
+
+// netperfPorts is the server port of each netperf test.
+var netperfPorts = map[string]uint16{"stream": 5001, "rr": 7001}
+
+// stream runs one TCP_STREAM cell on e.
+func (o Opts) stream(e ends, size int) netperf.StreamResult {
+	warm, dur := o.streamWindow()
+	return netperf.RunTCPStream(e.eng, netperf.StreamConfig{
+		Client: e.client, Server: e.server,
+		DialAddr: e.dial, Port: netperfPorts["stream"], MsgSize: size,
+		Warmup: warm, Duration: dur,
+	})
+}
+
+// rr runs one UDP_RR cell on e.
+func (o Opts) rr(e ends, size int) netperf.RRResult {
+	return netperf.RunUDPRR(e.eng, netperf.RRConfig{
+		Client: e.client, Server: e.server,
+		DialAddr: e.dial, Port: netperfPorts["rr"], MsgSize: size,
+		Duration: o.rrWindow(),
+	})
+}
+
+// us renders a duration in microseconds.
+func us(d time.Duration) float64 { return float64(d) / 1e3 }
+
 // Fig2 reproduces the motivation measurement (§2, Fig. 2): nested (NAT)
 // versus single-level (NoCont) at 1280 B.
 func Fig2(o Opts) *report.Table {
 	t := report.New("Fig. 2 — nested vs single-level virtualization (1280 B)",
 		"solution", "throughput_mbps", "rr_latency_us", "rr_stddev_us")
 	modes := []scenario.Mode{scenario.ModeNAT, scenario.ModeNoCont}
-	type cell struct {
-		tp netperf.StreamResult
-		rr netperf.RRResult
-	}
-	cells := make([]cell, len(modes))
+	const size = 1280
+	tps := make([]netperf.StreamResult, len(modes))
+	rrs := make([]netperf.RRResult, len(modes))
 	o.fan(len(modes), func(i int, o Opts) {
-		cells[i].tp, cells[i].rr = measureServerClient(o, modes[i], 1280)
+		_, e := o.serverClient(fmt.Sprintf("micro-%s-%d", modes[i], size), modes[i],
+			netperfPorts["stream"], netperfPorts["rr"])
+		tps[i] = o.stream(e, size)
+		rrs[i] = o.rr(e, size)
 	})
 	for i, mode := range modes {
-		t.AddRow(string(mode), cells[i].tp.ThroughputMbps,
-			float64(cells[i].rr.MeanRTT)/1e3, float64(cells[i].rr.StddevRTT)/1e3)
+		t.AddRow(string(mode), tps[i].ThroughputMbps, us(rrs[i].MeanRTT), us(rrs[i].StddevRTT))
 	}
 	return t
+}
+
+// microGrid fills a micro-benchmark figure: one TCP_STREAM cell per
+// (size, mode) into throughput and one UDP_RR cell per (rrSize, mode)
+// into latency. build(o, kind, mode, size) builds the fresh topology of
+// one cell, kind being "stream" or "rr" and mode an index into the
+// figure's columns. The whole grid fans out at once; rows are assembled
+// afterwards in index order, so the tables are identical at any worker
+// count.
+func (o Opts) microGrid(throughput, latency *report.Table, nModes int, sizes, rrSizes []int,
+	build func(o Opts, kind string, mode, size int) ends) {
+	tps := make([]netperf.StreamResult, len(sizes)*nModes)
+	rrs := make([]netperf.RRResult, len(rrSizes)*nModes)
+	o.fan(len(tps)+len(rrs), func(i int, o Opts) {
+		if i < len(tps) {
+			size := sizes[i/nModes]
+			tps[i] = o.stream(build(o, "stream", i%nModes, size), size)
+			return
+		}
+		j := i - len(tps)
+		size := rrSizes[j/nModes]
+		rrs[j] = o.rr(build(o, "rr", j%nModes, size), size)
+	})
+	for si, size := range sizes {
+		row := []interface{}{size}
+		for _, tp := range tps[si*nModes : (si+1)*nModes] {
+			row = append(row, tp.ThroughputMbps)
+		}
+		throughput.AddRow(row...)
+	}
+	for si, size := range rrSizes {
+		row := []interface{}{size}
+		for _, rr := range rrs[si*nModes : (si+1)*nModes] {
+			row = append(row, us(rr.MeanRTT), us(rr.StddevRTT))
+		}
+		latency.AddRow(row...)
+	}
 }
 
 // Fig4 reproduces the BrFusion micro-benchmark (§5.2.1): TCP_STREAM
@@ -139,169 +239,32 @@ func Fig4(o Opts) (throughput, latency *report.Table) {
 		"msg_size", "nat", "brfusion", "nocont")
 	latency = report.New("Fig. 4b — UDP_RR latency (µs, mean±sd)",
 		"msg_size", "nat", "nat_sd", "brfusion", "brfusion_sd", "nocont", "nocont_sd")
-
-	sizes := netperf.Sizes
-	rrSizes := netperf.RRSizes
+	sizes, rrSizes := netperf.Sizes, netperf.RRSizes
 	if o.Quick {
-		sizes = []int{256, 1280, 8192}
-		rrSizes = []int{256, 1280}
+		sizes, rrSizes = []int{256, 1280, 8192}, []int{256, 1280}
 	}
-	// One job per (size, mode) cell across both sweeps; each job builds
-	// its own scenario, so the whole grid fans out at once. Rows are
-	// assembled afterwards in index order — identical tables at any
-	// worker count.
-	nm := len(modes)
-	tps := make([]netperf.StreamResult, len(sizes)*nm)
-	rrs := make([]netperf.RRResult, len(rrSizes)*nm)
-	o.fan(len(tps)+len(rrs), func(i int, o Opts) {
-		if i < len(tps) {
-			tps[i], _ = measureStreamOnly(o, modes[i%nm], sizes[i/nm])
-			return
-		}
-		j := i - len(tps)
-		rrs[j] = measureRROnly(o, modes[j%nm], rrSizes[j/nm])
+	o.microGrid(throughput, latency, len(modes), sizes, rrSizes, func(o Opts, kind string, mi, size int) ends {
+		_, e := o.serverClient(fmt.Sprintf("%s-%s-%d", kind, modes[mi], size), modes[mi], netperfPorts[kind])
+		return e
 	})
-	for si, size := range sizes {
-		row := make([]interface{}, 0, 1+nm)
-		row = append(row, size)
-		for mi := range modes {
-			row = append(row, tps[si*nm+mi].ThroughputMbps)
-		}
-		throughput.AddRow(row...)
-	}
-	for si, size := range rrSizes {
-		row := make([]interface{}, 0, 1+2*nm)
-		row = append(row, size)
-		for mi := range modes {
-			rr := rrs[si*nm+mi]
-			row = append(row, float64(rr.MeanRTT)/1e3, float64(rr.StddevRTT)/1e3)
-		}
-		latency.AddRow(row...)
-	}
 	return throughput, latency
-}
-
-// measureServerClient runs both micro modes against one fresh scenario.
-func measureServerClient(o Opts, mode scenario.Mode, size int) (netperf.StreamResult, netperf.RRResult) {
-	o.Rec.BeginRun(fmt.Sprintf("micro-%s-%d", mode, size))
-	sc, err := scenario.NewServerClientCfg(o.cfg(o.Seed), mode, 5001, 7001)
-	if err != nil {
-		panic(err)
-	}
-	warm, dur := o.streamWindow()
-	tp := netperf.RunTCPStream(sc.Eng, netperf.StreamConfig{
-		Client: sc.Client, Server: sc.ServerNS,
-		DialAddr: sc.DialAddr, Port: 5001, MsgSize: size,
-		Warmup: warm, Duration: dur,
-	})
-	rr := netperf.RunUDPRR(sc.Eng, netperf.RRConfig{
-		Client: sc.Client, Server: sc.ServerNS,
-		DialAddr: sc.DialAddr, Port: 7001, MsgSize: size,
-		Duration: o.rrWindow(),
-	})
-	return tp, rr
-}
-
-func measureStreamOnly(o Opts, mode scenario.Mode, size int) (netperf.StreamResult, *scenario.ServerClient) {
-	o.Rec.BeginRun(fmt.Sprintf("stream-%s-%d", mode, size))
-	sc, err := scenario.NewServerClientCfg(o.cfg(o.Seed), mode, 5001)
-	if err != nil {
-		panic(err)
-	}
-	warm, dur := o.streamWindow()
-	tp := netperf.RunTCPStream(sc.Eng, netperf.StreamConfig{
-		Client: sc.Client, Server: sc.ServerNS,
-		DialAddr: sc.DialAddr, Port: 5001, MsgSize: size,
-		Warmup: warm, Duration: dur,
-	})
-	return tp, sc
-}
-
-func measureRROnly(o Opts, mode scenario.Mode, size int) netperf.RRResult {
-	o.Rec.BeginRun(fmt.Sprintf("rr-%s-%d", mode, size))
-	sc, err := scenario.NewServerClientCfg(o.cfg(o.Seed), mode, 7001)
-	if err != nil {
-		panic(err)
-	}
-	return netperf.RunUDPRR(sc.Eng, netperf.RRConfig{
-		Client: sc.Client, Server: sc.ServerNS,
-		DialAddr: sc.DialAddr, Port: 7001, MsgSize: size,
-		Duration: o.rrWindow(),
-	})
 }
 
 // Fig10 reproduces the Hostlo micro-benchmark (§5.3.2): throughput and
 // latency over message sizes for NAT, Overlay, Hostlo and SameNode
 // container-to-container transports.
 func Fig10(o Opts) (throughput, latency *report.Table) {
-	modes := []scenario.CCMode{scenario.CCSameNode, scenario.CCHostlo, scenario.CCNAT, scenario.CCOverlay}
 	throughput = report.New("Fig. 10a — intra-pod TCP_STREAM throughput (Mbps)",
 		"msg_size", "samenode", "hostlo", "nat", "overlay")
 	latency = report.New("Fig. 10b — intra-pod UDP_RR latency (µs, mean±sd)",
 		"msg_size", "samenode", "sn_sd", "hostlo", "hl_sd", "nat", "nat_sd", "overlay", "ov_sd")
-
-	sizes := netperf.Sizes
-	rrSizes := netperf.RRSizes
+	sizes, rrSizes := netperf.Sizes, netperf.RRSizes
 	if o.Quick {
-		sizes = []int{256, 1024, 8192}
-		rrSizes = []int{256, 1024}
+		sizes, rrSizes = []int{256, 1024, 8192}, []int{256, 1024}
 	}
-	nm := len(modes)
-	tps := make([]netperf.StreamResult, len(sizes)*nm)
-	rrs := make([]netperf.RRResult, len(rrSizes)*nm)
-	o.fan(len(tps)+len(rrs), func(i int, o Opts) {
-		if i < len(tps) {
-			tps[i] = measureCCStream(o, modes[i%nm], sizes[i/nm])
-			return
-		}
-		j := i - len(tps)
-		rrs[j] = measureCCRR(o, modes[j%nm], rrSizes[j/nm])
+	o.microGrid(throughput, latency, len(ccModes), sizes, rrSizes, func(o Opts, kind string, mi, size int) ends {
+		_, e := o.podPair(fmt.Sprintf("cc-%s-%s-%d", kind, ccModes[mi], size), ccModes[mi], netperfPorts[kind])
+		return e
 	})
-	for si, size := range sizes {
-		row := make([]interface{}, 0, 1+nm)
-		row = append(row, size)
-		for mi := range modes {
-			row = append(row, tps[si*nm+mi].ThroughputMbps)
-		}
-		throughput.AddRow(row...)
-	}
-	for si, size := range rrSizes {
-		row := make([]interface{}, 0, 1+2*nm)
-		row = append(row, size)
-		for mi := range modes {
-			rr := rrs[si*nm+mi]
-			row = append(row, float64(rr.MeanRTT)/1e3, float64(rr.StddevRTT)/1e3)
-		}
-		latency.AddRow(row...)
-	}
 	return throughput, latency
-}
-
-// measureCCStream runs one intra-pod TCP_STREAM cell on a fresh pod pair.
-func measureCCStream(o Opts, m scenario.CCMode, size int) netperf.StreamResult {
-	o.Rec.BeginRun(fmt.Sprintf("cc-stream-%s-%d", m, size))
-	pp, err := scenario.NewPodPairCfg(o.cfg(o.Seed), m, 5001)
-	if err != nil {
-		panic(err)
-	}
-	warm, dur := o.streamWindow()
-	return netperf.RunTCPStream(pp.Eng, netperf.StreamConfig{
-		Client: pp.ANS, Server: pp.BNS,
-		DialAddr: pp.DialAddr, Port: 5001, MsgSize: size,
-		Warmup: warm, Duration: dur,
-	})
-}
-
-// measureCCRR runs one intra-pod UDP_RR cell on a fresh pod pair.
-func measureCCRR(o Opts, m scenario.CCMode, size int) netperf.RRResult {
-	o.Rec.BeginRun(fmt.Sprintf("cc-rr-%s-%d", m, size))
-	pp, err := scenario.NewPodPairCfg(o.cfg(o.Seed), m, 7001)
-	if err != nil {
-		panic(err)
-	}
-	return netperf.RunUDPRR(pp.Eng, netperf.RRConfig{
-		Client: pp.ANS, Server: pp.BNS,
-		DialAddr: pp.DialAddr, Port: 7001, MsgSize: size,
-		Duration: o.rrWindow(),
-	})
 }

@@ -12,12 +12,8 @@ import (
 	"nestless/internal/scenario"
 )
 
-// Application ports.
-const (
-	memcachedPort = 11211
-	nginxPort     = 80
-	kafkaPort     = 9092
-)
+// appPorts is the server port of each application.
+var appPorts = map[string]uint16{"memcached": 11211, "nginx": 80, "kafka": 9092}
 
 // macroWindows shrinks the app windows under Quick.
 func (o Opts) macroWindows() (warmup, measure time.Duration) {
@@ -35,39 +31,60 @@ func nginxProfile(containerized bool) nginx.ServerConfig {
 	return nginx.NativeConfig()
 }
 
+// appLoad is what an application's load generator measured: the rate
+// achieved (in unit) and the latency distribution.
+type appLoad struct {
+	rate          float64
+	unit          string
+	mean, sd, p99 time.Duration
+}
+
+// runApp starts app's server on e.server (NGINX with profile) and runs
+// its load generator from e.client over the macro windows.
+func (o Opts) runApp(app string, e ends, profile nginx.ServerConfig) appLoad {
+	port := appPorts[app]
+	warm, meas := o.macroWindows()
+	switch app {
+	case "memcached":
+		if _, err := memcached.NewServer(e.server, port); err != nil {
+			panic(err)
+		}
+		cfg := memcached.DefaultClientConfig()
+		cfg.Warmup, cfg.Measure = warm, meas
+		r := memcached.RunClient(e.eng, e.client, e.dial, port, cfg)
+		return appLoad{r.ResponsesPerSec, "resp/s", r.MeanLatency, r.StddevLatency, r.P99Latency}
+	case "nginx":
+		if _, err := nginx.NewServer(e.server, port, profile); err != nil {
+			panic(err)
+		}
+		cfg := nginx.DefaultClientConfig()
+		cfg.Warmup, cfg.Measure = warm, meas
+		r := nginx.RunClient(e.eng, e.client, e.dial, port, cfg)
+		return appLoad{r.Achieved, "req/s", r.MeanLatency, r.StddevLatency, r.P99Latency}
+	case "kafka":
+		if _, err := kafka.NewBroker(e.server, port); err != nil {
+			panic(err)
+		}
+		cfg := kafka.DefaultProducerConfig()
+		cfg.Warmup, cfg.Measure = warm, meas
+		r := kafka.RunProducer(e.eng, e.client, e.dial, port, cfg)
+		return appLoad{r.PerSec, "msg/s", r.MeanLatency, r.StddevLatency, r.P99Latency}
+	}
+	panic("figures: unknown application " + app)
+}
+
 // macroRun bundles one macro measurement with its CPU usage window.
 type macroRun struct {
-	memcached memcached.Result
-	nginx     nginx.Result
-	kafka     kafka.Result
-
-	appUsage  cpuacct.Usage
-	vmGuest   time.Duration
-	hostSys   time.Duration
-	elapsed   time.Duration
-	appEntity string
+	load     appLoad
+	appUsage cpuacct.Usage
+	vmGuest  time.Duration
+	elapsed  time.Duration
 }
 
 // runMacroServerClient executes one application benchmark in a §5.2
 // scenario and captures the CPU window around it.
 func runMacroServerClient(o Opts, mode scenario.Mode, app string) macroRun {
-	var port uint16
-	switch app {
-	case "memcached":
-		port = memcachedPort
-	case "nginx":
-		port = nginxPort
-	case "kafka":
-		port = kafkaPort
-	}
-	o.Rec.BeginRun(app + "-" + string(mode))
-	sc, err := scenario.NewServerClientCfg(o.cfg(o.Seed), mode, port)
-	if err != nil {
-		panic(err)
-	}
-	containerized := mode != scenario.ModeNoCont
-
-	warm, meas := o.macroWindows()
+	sc, e := o.serverClient(app+"-"+string(mode), mode, appPorts[app])
 	// The in-guest view the paper measures (mpstat inside the VM)
 	// covers every lane running on the vCPUs: the application entity
 	// plus the guest kernel entity ("guest/<vm>"), which is where the
@@ -82,37 +99,11 @@ func runMacroServerClient(o Opts, mode scenario.Mode, app string) macroRun {
 	}
 	appBefore := inGuest()
 	vmBefore := sc.Usage(sc.VMEntity)
-	hostBefore := sc.Usage("host")
 	t0 := sc.Eng.Now()
 
-	out := macroRun{appEntity: sc.AppEntity}
-	switch app {
-	case "memcached":
-		if _, err := memcached.NewServer(sc.ServerNS, port); err != nil {
-			panic(err)
-		}
-		cfg := memcached.DefaultClientConfig()
-		cfg.Warmup, cfg.Measure = warm, meas
-		out.memcached = memcached.RunClient(sc.Eng, sc.Client, sc.DialAddr, port, cfg)
-	case "nginx":
-		if _, err := nginx.NewServer(sc.ServerNS, port, nginxProfile(containerized)); err != nil {
-			panic(err)
-		}
-		cfg := nginx.DefaultClientConfig()
-		cfg.Warmup, cfg.Measure = warm, meas
-		out.nginx = nginx.RunClient(sc.Eng, sc.Client, sc.DialAddr, port, cfg)
-	case "kafka":
-		if _, err := kafka.NewBroker(sc.ServerNS, port); err != nil {
-			panic(err)
-		}
-		cfg := kafka.DefaultProducerConfig()
-		cfg.Warmup, cfg.Measure = warm, meas
-		out.kafka = kafka.RunProducer(sc.Eng, sc.Client, sc.DialAddr, port, cfg)
-	}
-
+	out := macroRun{load: o.runApp(app, e, nginxProfile(mode != scenario.ModeNoCont))}
 	out.appUsage = inGuest().Sub(appBefore)
 	out.vmGuest = sc.Usage(sc.VMEntity).Sub(vmBefore).Of(cpuacct.Guest)
-	out.hostSys = sc.Usage("host").Sub(hostBefore).Of(cpuacct.Sys)
 	out.elapsed = sc.Eng.Now() - t0
 	return out
 }
@@ -128,21 +119,9 @@ func Fig5(o Opts) *report.Table {
 	o.fan(len(runs), func(i int, o Opts) {
 		runs[i] = runMacroServerClient(o, modes[i%len(modes)], apps[i/len(modes)])
 	})
-	for ai, app := range apps {
-		for mi, mode := range modes {
-			r := runs[ai*len(modes)+mi]
-			switch app {
-			case "memcached":
-				t.AddRow(app, string(mode), r.memcached.ResponsesPerSec, "resp/s",
-					float64(r.memcached.MeanLatency)/1e3, float64(r.memcached.StddevLatency)/1e3)
-			case "nginx":
-				t.AddRow(app, string(mode), r.nginx.Achieved, "req/s",
-					float64(r.nginx.MeanLatency)/1e3, float64(r.nginx.StddevLatency)/1e3)
-			case "kafka":
-				t.AddRow(app, string(mode), r.kafka.PerSec, "msg/s",
-					float64(r.kafka.MeanLatency)/1e3, float64(r.kafka.StddevLatency)/1e3)
-			}
-		}
+	for i, r := range runs {
+		l := r.load
+		t.AddRow(apps[i/len(modes)], string(modes[i%len(modes)]), l.rate, l.unit, us(l.mean), us(l.sd))
 	}
 	return t
 }
@@ -182,57 +161,26 @@ func Fig7(o Opts) *report.Table {
 	return cpuBreakdownTable(o, "nginx", "Fig. 7 — NGINX CPU usage breakdown (cores)")
 }
 
-// runMacroPodPair executes one application inside a §5.3 pod pair:
-// the server in container B, the load generator in container A.
+// ccRun bundles one application run inside a §5.3 pod pair (the server
+// in container B, the load generator in container A) with its CPU
+// usage window.
 type ccRun struct {
-	memcached memcached.Result
-	nginx     nginx.Result
-
-	aUsage, bUsage cpuacct.Usage
-	guests         time.Duration
-	hostSys        time.Duration
-	elapsed        time.Duration
+	load                     appLoad
+	aUsage, bUsage           cpuacct.Usage
+	guests, hostSys, elapsed time.Duration
 }
 
+// runMacroPodPair executes one application in a §5.3 pod pair and
+// captures the CPU window around it.
 func runMacroPodPair(o Opts, mode scenario.CCMode, app string) ccRun {
-	var port uint16
-	switch app {
-	case "memcached":
-		port = memcachedPort
-	case "nginx":
-		port = nginxPort
-	}
-	o.Rec.BeginRun(app + "-cc-" + string(mode))
-	pp, err := scenario.NewPodPairCfg(o.cfg(o.Seed), mode, port)
-	if err != nil {
-		panic(err)
-	}
-	warm, meas := o.macroWindows()
-
+	pp, e := o.podPair(app+"-cc-"+string(mode), mode, appPorts[app])
 	aBefore := pp.Usage(pp.AEntity)
 	bBefore := pp.Usage(pp.BEntity)
 	guestsBefore := pp.Net.Acct.TotalFor("vm/").Of(cpuacct.Guest)
 	hostBefore := pp.Usage("host").Of(cpuacct.Sys)
 	t0 := pp.Eng.Now()
 
-	out := ccRun{}
-	switch app {
-	case "memcached":
-		if _, err := memcached.NewServer(pp.BNS, port); err != nil {
-			panic(err)
-		}
-		cfg := memcached.DefaultClientConfig()
-		cfg.Warmup, cfg.Measure = warm, meas
-		out.memcached = memcached.RunClient(pp.Eng, pp.ANS, pp.DialAddr, port, cfg)
-	case "nginx":
-		if _, err := nginx.NewServer(pp.BNS, port, nginx.ContainerConfig()); err != nil {
-			panic(err)
-		}
-		cfg := nginx.DefaultClientConfig()
-		cfg.Warmup, cfg.Measure = warm, meas
-		out.nginx = nginx.RunClient(pp.Eng, pp.ANS, pp.DialAddr, port, cfg)
-	}
-
+	out := ccRun{load: o.runApp(app, e, nginx.ContainerConfig())}
 	out.aUsage = pp.Usage(pp.AEntity).Sub(aBefore)
 	out.bUsage = pp.Usage(pp.BEntity).Sub(bBefore)
 	if pp.AEntity == pp.BEntity { // SameNode shares one entity
@@ -256,35 +204,26 @@ func runCCModes(o Opts, app string) []ccRun {
 	return runs
 }
 
-// Fig11 reproduces Memcached throughput over the intra-pod transports
-// (§5.3.3) and Fig12 the corresponding latencies; one table covers both.
-func Fig11(o Opts) *report.Table {
-	t := report.New("Figs. 11–12 — Memcached over intra-pod transports",
-		"solution", "responses_per_s", "latency_us", "stddev_us", "p99_us")
-	runs := runCCModes(o, "memcached")
-	for i, m := range ccModes {
-		r := runs[i]
-		t.AddRow(string(m), r.memcached.ResponsesPerSec,
-			float64(r.memcached.MeanLatency)/1e3,
-			float64(r.memcached.StddevLatency)/1e3,
-			float64(r.memcached.P99Latency)/1e3)
+// ccLoadTable renders one app's load-generator view over the intra-pod
+// transports (§5.3.3): the rate achieved and the latency distribution.
+func ccLoadTable(o Opts, app, title, rateColumn string) *report.Table {
+	t := report.New(title, "solution", rateColumn, "latency_us", "stddev_us", "p99_us")
+	for i, r := range runCCModes(o, app) {
+		l := r.load
+		t.AddRow(string(ccModes[i]), l.rate, us(l.mean), us(l.sd), us(l.p99))
 	}
 	return t
 }
 
+// Fig11 reproduces Memcached throughput over the intra-pod transports
+// (§5.3.3) and Fig12 the corresponding latencies; one table covers both.
+func Fig11(o Opts) *report.Table {
+	return ccLoadTable(o, "memcached", "Figs. 11–12 — Memcached over intra-pod transports", "responses_per_s")
+}
+
 // Fig13 reproduces NGINX latency over the intra-pod transports (§5.3.3).
 func Fig13(o Opts) *report.Table {
-	t := report.New("Fig. 13 — NGINX over intra-pod transports",
-		"solution", "req_per_s", "latency_us", "stddev_us", "p99_us")
-	runs := runCCModes(o, "nginx")
-	for i, m := range ccModes {
-		r := runs[i]
-		t.AddRow(string(m), r.nginx.Achieved,
-			float64(r.nginx.MeanLatency)/1e3,
-			float64(r.nginx.StddevLatency)/1e3,
-			float64(r.nginx.P99Latency)/1e3)
-	}
-	return t
+	return ccLoadTable(o, "nginx", "Fig. 13 — NGINX over intra-pod transports", "req_per_s")
 }
 
 // ccCPUTable renders the §5.3.4 CPU views: client/server (guest view)
@@ -292,13 +231,11 @@ func Fig13(o Opts) *report.Table {
 func ccCPUTable(o Opts, app, title string) *report.Table {
 	t := report.New(title,
 		"solution", "client_cores", "server_cores", "cs_total_cores", "guest_cores", "host_sys_cores")
-	runs := runCCModes(o, app)
-	for i, m := range ccModes {
-		r := runs[i]
+	for i, r := range runCCModes(o, app) {
 		el := float64(r.elapsed)
 		a := float64(r.aUsage.Total()) / el
 		b := float64(r.bUsage.Total()) / el
-		t.AddRow(string(m), a, b, a+b,
+		t.AddRow(string(ccModes[i]), a, b, a+b,
 			float64(r.guests)/el, float64(r.hostSys)/el)
 	}
 	return t
