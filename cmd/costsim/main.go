@@ -48,8 +48,10 @@
 //
 // A flag the run mode ignores exits 2 naming it: cluster flags (-horizon,
 // -gap, -life, -boot, -spot-frac, -zones, -faults) on the static path,
-// -top and -table off it, replay flags without -replay and -users, -gap,
-// -life with it. So does a negative duration, or a zero -horizon/-barrier.
+// -top and -table off it, replay flags without -replay, -users, -gap,
+// -life and -lifecycle with it, and any flag beside -table 2 but -csv,
+// -cpuprofile and -memprofile. So does a negative duration, or a zero
+// -horizon/-barrier.
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
@@ -62,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -126,8 +129,8 @@ func main() {
 	if *zones < 1 {
 		cli.BadFlag("costsim: -zones must be >= 1, got %d", *zones)
 	}
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	var explicit []string // in lexical order
+	flag.Visit(func(f *flag.Flag) { explicit = append(explicit, f.Name) })
 	cl, err := cloud.Resolve(cloud.Options{Spec: *cloudName, SpotFrac: *spotFrac, Zones: *zones})
 	if err != nil {
 		cli.BadFlag("costsim: %v", err)
@@ -138,6 +141,8 @@ func main() {
 		mode = "replay"
 	case *lifecycle:
 		mode = "lifecycle"
+	case *table != 0:
+		mode = "table"
 	}
 	if err := checkMode(mode, explicit); err != nil {
 		cli.BadFlag("costsim: %v", err)
@@ -170,7 +175,7 @@ func main() {
 		}
 	}
 
-	if *table == 2 {
+	if mode == "table" {
 		emit(figures.Table2())
 		return
 	}
@@ -278,19 +283,30 @@ var staticOnly = flagRule{[]string{"top", "table"}, "only applies to the static 
 // modeRules lists, per run mode, every flag the mode would ignore: the
 // static snapshot has no fleet, clock or datapath to fault, only it
 // prints Table 2 or a top-savers list, and a replay's trace is its
-// workload.
+// workload, run through the lifecycle simulation already.
 var modeRules = map[string][]flagRule{
 	"static":    {{[]string{"spot-frac", "zones", "horizon", "gap", "life", "boot", "faults"}, "only applies to the cluster simulation (add -lifecycle or -replay)"}, replayOnly},
 	"lifecycle": {replayOnly, staticOnly},
-	"replay":    {{[]string{"users", "gap", "life"}, "shapes the generated workload and conflicts with -replay (the trace is the workload)"}, staticOnly},
+	"replay": {
+		{[]string{"users", "gap", "life"}, "shapes the generated workload and conflicts with -replay (the trace is the workload)"},
+		{[]string{"lifecycle"}, "conflicts with -replay (a replay runs the lifecycle simulation on the trace)"},
+		staticOnly,
+	},
 }
+
+// tableFlags are the only flags Table 2 reads: it prints the catalog
+// and runs nothing, so every other flag would be dropped.
+var tableFlags = []string{"table", "csv", "cpuprofile", "memprofile"}
 
 // checkMode rejects the first flag set on the command line (explicit)
 // that run mode ignores, so main exits 2 instead of dropping it.
-func checkMode(mode string, explicit map[string]bool) error {
-	for _, r := range modeRules[mode] {
-		for _, name := range r.names {
-			if explicit[name] {
+func checkMode(mode string, explicit []string) error {
+	for _, name := range explicit {
+		if mode == "table" && !slices.Contains(tableFlags, name) {
+			return fmt.Errorf("-%s does not apply to -table (Table 2 is the catalog; it runs nothing)", name)
+		}
+		for _, r := range modeRules[mode] {
+			if slices.Contains(r.names, name) {
 				return fmt.Errorf("-%s %s", name, r.why)
 			}
 		}

@@ -26,12 +26,12 @@ func TestCheckStaticRejectsClusterFlags(t *testing.T) {
 		"horizon", "gap", "life", "boot", "faults",
 		"worlds", "barrier", "migrate-after", "lenient", "migrate-policy",
 	} {
-		err := checkMode("static", map[string]bool{name: true})
+		err := checkMode("static", []string{name})
 		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
 			t.Errorf("-%s on the static path: got %v, want an error naming it", name, err)
 		}
 	}
-	static := map[string]bool{"users": true, "seed": true, "csv": true, "top": true, "cloud": true, "table": true}
+	static := []string{"cloud", "csv", "seed", "table", "top", "users"}
 	if err := checkMode("static", static); err != nil {
 		t.Errorf("static flags rejected: %v", err)
 	}
@@ -114,9 +114,10 @@ func TestOneSpellingPerSetting(t *testing.T) {
 }
 
 // TestModeRejectsIgnoredFlags pins that no flag is accepted and then
-// dropped: -top and -table, which only the static snapshot prints, and
-// -faults, which only a simulated datapath can fire, each exit 2 naming
-// the flag in a mode that would ignore it.
+// dropped: -top and -table, which only the static snapshot prints,
+// -faults, which only a simulated datapath can fire, -lifecycle beside
+// -replay, and any flag beside -table but -csv and the profiles each
+// exit 2 naming the flag in a mode that would ignore it.
 func TestModeRejectsIgnoredFlags(t *testing.T) {
 	const fixture = "../../internal/ctrace/testdata/instance_events.json"
 	for _, c := range []struct{ args, want string }{
@@ -125,6 +126,10 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 		{"-lifecycle -table 2", "-table only applies to the static snapshot"},
 		{"-replay " + fixture + " -table 2", "-table only applies to the static snapshot"},
 		{"-users 10 -faults node/*:crash:p=0.01", "-faults only applies to the cluster simulation"},
+		{"-lifecycle -replay " + fixture, "-lifecycle conflicts with -replay"},
+		{"-table 2 -top 3 -users 7", "-top does not apply to -table"},
+		{"-table 2 -cloud gcp:n2", "-cloud does not apply to -table"},
+		{"-table 2 -trace " + os.DevNull, "-trace does not apply to -table"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
 			_, stderr, code := clitest.Run(c.args)

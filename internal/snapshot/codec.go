@@ -5,10 +5,16 @@
 // integers, IEEE-754 bit patterns for the floats (exactness is the whole
 // point — a snapshot round-trips the float accumulator states bit for
 // bit), length-prefixed strings, and map contents in sorted key order so
-// Encode is a pure function of the world state. Decode is hostile-input
-// safe: every count is bounds-checked against the remaining input, so a
+// Encode is a pure function of the world state. One walk lists the
+// format: walk visits every field through a pointer, in stream order;
+// encoding reads through each pointer and decoding writes through it,
+// so the two directions cannot disagree. Decode is hostile-input safe:
+// every count is bounds-checked against the remaining input, so a
 // truncated, corrupted or version-skewed snapshot returns an error —
-// never a panic, never an over-allocation.
+// never a panic, never an over-allocation. The checks that only make
+// sense one way sit outside the walk: Decode alone reads the magic and
+// version and refuses trailing bytes, and it checks the policy, parses
+// the embedded fault spec and keys the packing cache after the walk.
 package snapshot
 
 import (
@@ -16,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"nestless/internal/cloudsim"
 	"nestless/internal/cluster"
@@ -68,200 +73,12 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("snapshot: encode nil snapshot")
 	}
-	if s.Eng.Rand.Draws > maxRandDraws {
-		return nil, fmt.Errorf("snapshot: engine RNG position %d exceeds the codec bound %d", s.Eng.Rand.Draws, maxRandDraws)
+	c := &codec{b: binary.AppendUvarint([]byte(magic), version)}
+	walk(c, s)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if s.Inj != nil && s.Inj.Rand.Draws > maxRandDraws {
-		return nil, fmt.Errorf("snapshot: injector RNG position %d exceeds the codec bound %d", s.Inj.Rand.Draws, maxRandDraws)
-	}
-	e := &enc{}
-	e.raw([]byte(magic))
-	e.uvarint(version)
-
-	// Config.
-	e.varint(s.Cfg.Seed)
-	e.uvarint(uint64(s.Cfg.Policy))
-	e.dur(s.Cfg.Horizon)
-	e.dur(s.Cfg.BootDelay)
-	e.varint(int64(s.Cfg.Zones))
-	e.uvarint(uint64(len(s.Cfg.ZoneNames)))
-	for _, z := range s.Cfg.ZoneNames {
-		e.str(z)
-	}
-	e.f64(s.Cfg.SpotFrac)
-	e.uvarint(uint64(len(s.Cfg.SpotDiscount)))
-	for _, f := range s.Cfg.SpotDiscount {
-		e.f64(f)
-	}
-	e.uvarint(uint64(len(s.Cfg.Catalog)))
-	for _, t := range s.Cfg.Catalog {
-		e.str(t.Name)
-		e.varint(int64(t.VCPU))
-		e.varint(int64(t.MemGB))
-		e.f64(t.RelCPU)
-		e.f64(t.RelMem)
-		e.f64(t.PricePerH)
-	}
-	e.str(s.FaultsSpec)
-
-	// Engine.
-	e.varint(int64(s.Eng.Now))
-	e.uvarint(s.Eng.Seq)
-	e.uvarint(s.Eng.Steps)
-	e.varint(s.Eng.Rand.Seed)
-	e.uvarint(s.Eng.Rand.Draws)
-
-	// Pods.
-	e.uvarint(uint64(len(s.Pods)))
-	for i := range s.Pods {
-		p := &s.Pods[i]
-		e.str(p.Pod.ID)
-		e.uvarint(uint64(len(p.Pod.Containers)))
-		for _, ct := range p.Pod.Containers {
-			e.f64(ct.CPU)
-			e.f64(ct.Mem)
-		}
-		e.dur(p.Pod.Arrival)
-		e.dur(p.Pod.Lifetime)
-		e.str(p.User)
-		e.varint(int64(p.State))
-		e.varint(int64(p.ArrivedAt))
-		e.varint(int64(p.WaitSince))
-		e.varint(int64(p.PlacedAt))
-		e.dur(p.Remaining)
-		e.varint(int64(p.DepartGen))
-		e.bool(p.ScheduledOnce)
-		e.bool(p.Displaced)
-		e.uvarint(uint64(len(p.OnNodes)))
-		for _, nid := range p.OnNodes {
-			e.varint(int64(nid))
-		}
-	}
-
-	// Nodes and fleet lists.
-	e.uvarint(uint64(len(s.Nodes)))
-	for i := range s.Nodes {
-		n := &s.Nodes[i]
-		e.varint(int64(n.Typ))
-		e.varint(int64(n.Zone))
-		e.bool(n.Spot)
-		e.bool(n.Live)
-		e.varint(int64(n.BornAt))
-		e.varint(int64(n.IdleSince))
-		e.placedItems(n.Items)
-	}
-	e.i32s(s.LiveList)
-	e.varint(int64(s.DeadLive))
-	e.i32s(s.DirtyList)
-
-	// Pending queue.
-	e.uvarint(uint64(len(s.PQ)))
-	for _, q := range s.PQ {
-		e.f64(q.Key)
-		e.uvarint(q.Seq)
-		e.varint(int64(q.Idx))
-	}
-	e.uvarint(s.EnqSeq)
-
-	// Scheduler scalars.
-	e.varint(int64(s.BlockedPod))
-	e.uvarint(s.BlockedVer)
-	e.uvarint(s.IdxVer)
-	e.varint(int64(s.Inflight))
-	e.varint(int64(s.OdFallback))
-	e.bool(s.Dirty)
-	e.bool(s.Started)
-	e.bool(s.Finalized)
-
-	// Pending events.
-	e.uvarint(uint64(len(s.Events)))
-	for _, ev := range s.Events {
-		e.varint(int64(ev.At))
-		e.uvarint(ev.Seq)
-		e.uvarint(uint64(ev.Kind))
-		e.varint(ev.A)
-		e.varint(ev.B)
-	}
-
-	// Result.
-	r := &s.Res
-	e.uvarint(uint64(r.Policy))
-	for _, v := range []int{
-		r.Arrived, r.BeyondHorizon, r.Scheduled, r.Departed, r.Running,
-		r.StillPending, r.Failed, r.Displaced, r.Reschedules, r.Kills,
-		r.TransferredIn, r.TransferredOut, r.Adopted,
-		r.ScaleUps, r.ScaleDowns, r.ProvisionRetries,
-		r.OptimizerRuns, r.OptimizerFull, r.OptimizerMoves, r.OptimizerGroups,
-		r.OptimizerCacheHits, r.OptimizerCacheMisses,
-		r.PeakNodes, r.FinalNodes,
-		r.ReconcileRounds, r.ReconcileActions, r.SpotProvisions,
-		r.SpotRevocations, r.OnDemandFallbacks, r.ZoneKills,
-	} {
-		e.varint(int64(v))
-	}
-	e.uvarint(uint64(len(r.FleetTypes)))
-	for _, t := range r.FleetTypes {
-		e.varint(int64(t))
-	}
-	e.uvarint(uint64(len(r.ZoneSpread)))
-	for _, z := range r.ZoneSpread {
-		e.varint(int64(z))
-	}
-	e.f64(r.CostDollars)
-	e.f64(r.FinalCostPerH)
-	e.f64(r.CostSpotDollars)
-	e.f64(r.CostOnDemandDollars)
-	e.dur(r.TTSSum)
-	e.dur(r.TTSMean)
-	e.dur(r.TTSP95)
-	e.dur(r.TTSMax)
-	e.uvarint(uint64(len(r.Samples)))
-	for _, sm := range r.Samples {
-		e.sample(sm)
-	}
-
-	// Time-to-schedule series.
-	e.uvarint(uint64(len(s.TTS.Samples)))
-	for _, v := range s.TTS.Samples {
-		e.f64(v)
-	}
-	e.bool(s.TTS.Sorted)
-	e.f64(s.TTS.Sum)
-	e.f64(s.TTS.SumSq)
-
-	// Fault injector.
-	e.bool(s.Inj != nil)
-	if s.Inj != nil {
-		e.varint(s.Inj.Rand.Seed)
-		e.uvarint(s.Inj.Rand.Draws)
-		e.uvarint(uint64(len(s.Inj.Rules)))
-		for _, rc := range s.Inj.Rules {
-			e.uvarint(rc.Hits)
-			e.uvarint(rc.Fires)
-		}
-		keys := make([]string, 0, len(s.Inj.Counts))
-		for k := range s.Inj.Counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.str(k)
-			e.uvarint(s.Inj.Counts[k])
-		}
-		e.uvarint(s.Inj.Total)
-	}
-
-	// Packing cache.
-	e.bool(s.Pack != nil)
-	if s.Pack != nil {
-		e.uvarint(uint64(len(s.Pack.Entries)))
-		for i := range s.Pack.Entries {
-			e.placedVMs(s.Pack.Entries[i].Input)
-			e.placedVMs(s.Pack.Entries[i].Output)
-		}
-	}
-	return e.buf, nil
+	return c.b, nil
 }
 
 // Decode parses an Encode stream back into a snapshot. Any deviation —
@@ -271,138 +88,134 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 // kinds, conservation of the inflight count) is cluster.Restore's check:
 // Decode guarantees only a well-formed Snapshot value.
 func Decode(b []byte) (*cluster.Snapshot, error) {
-	d := &dec{b: b}
-	if string(d.raw(4)) != magic {
+	c := &codec{dec: true, b: b}
+	if string(c.raw(len(magic))) != magic {
 		return nil, fmt.Errorf("snapshot: bad magic (not a nestless snapshot)")
 	}
-	if v := d.uvarint(); d.err == nil && v != version {
+	var v uint64
+	if c.u64(&v); c.err == nil && v != version {
 		return nil, fmt.Errorf("snapshot: format version %d, this build reads %d", v, version)
 	}
 	s := &cluster.Snapshot{}
-
-	// Config.
-	s.Cfg.Seed = d.varint()
-	s.Cfg.Policy = cluster.Policy(d.uvarint())
-	if d.err == nil && s.Cfg.Policy != cluster.Kubernetes && s.Cfg.Policy != cluster.Hostlo {
+	walk(c, s)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if c.off != len(c.b) {
+		return nil, fmt.Errorf("snapshot: %d trailing bytes after the snapshot", len(c.b)-c.off)
+	}
+	if s.Cfg.Policy != cluster.Kubernetes && s.Cfg.Policy != cluster.Hostlo {
 		return nil, fmt.Errorf("snapshot: unknown policy %d", s.Cfg.Policy)
 	}
-	s.Cfg.Horizon = d.dur()
-	s.Cfg.BootDelay = d.dur()
-	s.Cfg.Zones = int(d.varint())
-	for i, n := 0, d.count(1); i < n; i++ {
-		s.Cfg.ZoneNames = append(s.Cfg.ZoneNames, d.str())
-	}
-	s.Cfg.SpotFrac = d.f64()
-	for i, n := 0, d.count(8); i < n; i++ {
-		s.Cfg.SpotDiscount = append(s.Cfg.SpotDiscount, d.f64())
-	}
-	for i, n := 0, d.count(1); i < n; i++ {
-		t := cloudsim.VMType{
-			Name:   d.str(),
-			VCPU:   int(d.varint()),
-			MemGB:  int(d.varint()),
-			RelCPU: d.f64(),
-			RelMem: d.f64(),
-		}
-		t.PricePerH = d.f64()
-		s.Cfg.Catalog = append(s.Cfg.Catalog, t)
-	}
-	s.FaultsSpec = d.str()
-	if d.err == nil && s.FaultsSpec != "" {
+	if s.FaultsSpec != "" {
 		sched, err := faults.ParseSpec(s.FaultsSpec)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: embedded fault spec: %w", err)
 		}
 		s.Cfg.Faults = sched
 	}
+	if s.Pack != nil {
+		// Keys are not serialized: the constructor derives them once,
+		// before the snapshot is shared with concurrent restores. An
+		// entry count above the cache capacity is Restore's to refuse.
+		s.Pack = cloudsim.NewPackCacheState(s.Pack.Entries)
+	}
+	return s, nil
+}
+
+// walk lists the format: every field of s, in stream order.
+func walk(c *codec, s *cluster.Snapshot) {
+	// Config.
+	cfg := &s.Cfg
+	vint(c, &cfg.Seed)
+	uvint(c, &cfg.Policy)
+	vint(c, &cfg.Horizon)
+	vint(c, &cfg.BootDelay)
+	vint(c, &cfg.Zones)
+	seq(c, &cfg.ZoneNames, 1, (*codec).str)
+	c.f64(&cfg.SpotFrac)
+	seq(c, &cfg.SpotDiscount, 8, (*codec).f64)
+	seq(c, &cfg.Catalog, 1, func(c *codec, t *cloudsim.VMType) {
+		c.str(&t.Name)
+		vint(c, &t.VCPU)
+		vint(c, &t.MemGB)
+		c.f64(&t.RelCPU)
+		c.f64(&t.RelMem)
+		c.f64(&t.PricePerH)
+	})
+	c.str(&s.FaultsSpec)
 
 	// Engine.
-	s.Eng.Now = sim.Time(d.varint())
-	s.Eng.Seq = d.uvarint()
-	s.Eng.Steps = d.uvarint()
-	s.Eng.Rand.Seed = d.varint()
-	s.Eng.Rand.Draws = d.uvarint()
-	if d.err == nil && s.Eng.Rand.Draws > maxRandDraws {
-		return nil, fmt.Errorf("snapshot: engine RNG position %d exceeds the codec bound %d", s.Eng.Rand.Draws, maxRandDraws)
-	}
+	vint(c, &s.Eng.Now)
+	c.u64(&s.Eng.Seq)
+	c.u64(&s.Eng.Steps)
+	c.rand(&s.Eng.Rand, "engine")
 
 	// Pods.
-	for i, n := 0, d.count(8); i < n; i++ {
-		p := cluster.PodSnap{}
-		p.Pod.ID = d.str()
-		for j, m := 0, d.count(2); j < m; j++ {
-			p.Pod.Containers = append(p.Pod.Containers, trace.Container{CPU: d.f64(), Mem: d.f64()})
-		}
-		p.Pod.Arrival = d.dur()
-		p.Pod.Lifetime = d.dur()
-		p.User = d.str()
-		p.State = int8(d.varint())
-		p.ArrivedAt = sim.Time(d.varint())
-		p.WaitSince = sim.Time(d.varint())
-		p.PlacedAt = sim.Time(d.varint())
-		p.Remaining = d.dur()
-		p.DepartGen = int(d.varint())
-		p.ScheduledOnce = d.bool()
-		p.Displaced = d.bool()
-		for j, m := 0, d.count(1); j < m; j++ {
-			p.OnNodes = append(p.OnNodes, int32(d.varint()))
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.Pods = append(s.Pods, p)
-	}
+	seq(c, &s.Pods, 8, func(c *codec, p *cluster.PodSnap) {
+		c.str(&p.Pod.ID)
+		seq(c, &p.Pod.Containers, 2, func(c *codec, ct *trace.Container) {
+			c.f64(&ct.CPU)
+			c.f64(&ct.Mem)
+		})
+		vint(c, &p.Pod.Arrival)
+		vint(c, &p.Pod.Lifetime)
+		c.str(&p.User)
+		vint(c, &p.State)
+		vint(c, &p.ArrivedAt)
+		vint(c, &p.WaitSince)
+		vint(c, &p.PlacedAt)
+		vint(c, &p.Remaining)
+		vint(c, &p.DepartGen)
+		c.bool(&p.ScheduledOnce)
+		c.bool(&p.Displaced)
+		seq(c, &p.OnNodes, 1, vint[int32])
+	})
 
 	// Nodes and fleet lists.
-	for i, n := 0, d.count(4); i < n; i++ {
-		ns := cluster.NodeSnap{
-			Typ:       int32(d.varint()),
-			Zone:      int32(d.varint()),
-			Spot:      d.bool(),
-			Live:      d.bool(),
-			BornAt:    sim.Time(d.varint()),
-			IdleSince: sim.Time(d.varint()),
-			Items:     d.placedItems(),
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.Nodes = append(s.Nodes, ns)
-	}
-	s.LiveList = d.i32s()
-	s.DeadLive = int(d.varint())
-	s.DirtyList = d.i32s()
+	seq(c, &s.Nodes, 4, func(c *codec, n *cluster.NodeSnap) {
+		vint(c, &n.Typ)
+		vint(c, &n.Zone)
+		c.bool(&n.Spot)
+		c.bool(&n.Live)
+		vint(c, &n.BornAt)
+		vint(c, &n.IdleSince)
+		placedItems(c, &n.Items)
+	})
+	seq(c, &s.LiveList, 1, vint[int32])
+	vint(c, &s.DeadLive)
+	seq(c, &s.DirtyList, 1, vint[int32])
 
 	// Pending queue.
-	for i, n := 0, d.count(3); i < n; i++ {
-		s.PQ = append(s.PQ, cluster.QueueSnap{Key: d.f64(), Seq: d.uvarint(), Idx: int32(d.varint())})
-	}
-	s.EnqSeq = d.uvarint()
+	seq(c, &s.PQ, 3, func(c *codec, q *cluster.QueueSnap) {
+		c.f64(&q.Key)
+		c.u64(&q.Seq)
+		vint(c, &q.Idx)
+	})
+	c.u64(&s.EnqSeq)
 
 	// Scheduler scalars.
-	s.BlockedPod = int(d.varint())
-	s.BlockedVer = d.uvarint()
-	s.IdxVer = d.uvarint()
-	s.Inflight = int(d.varint())
-	s.OdFallback = int(d.varint())
-	s.Dirty = d.bool()
-	s.Started = d.bool()
-	s.Finalized = d.bool()
+	vint(c, &s.BlockedPod)
+	c.u64(&s.BlockedVer)
+	c.u64(&s.IdxVer)
+	vint(c, &s.Inflight)
+	vint(c, &s.OdFallback)
+	c.bool(&s.Dirty)
+	c.bool(&s.Started)
+	c.bool(&s.Finalized)
 
 	// Pending events.
-	for i, n := 0, d.count(5); i < n; i++ {
-		s.Events = append(s.Events, cluster.EventSnap{
-			At:   sim.Time(d.varint()),
-			Seq:  d.uvarint(),
-			Kind: uint8(d.uvarint()),
-			A:    d.varint(),
-			B:    d.varint(),
-		})
-	}
+	seq(c, &s.Events, 5, func(c *codec, ev *cluster.EventSnap) {
+		vint(c, &ev.At)
+		c.u64(&ev.Seq)
+		uvint(c, &ev.Kind)
+		vint(c, &ev.A)
+		vint(c, &ev.B)
+	})
 
 	// Result.
 	r := &s.Res
-	r.Policy = cluster.Policy(d.uvarint())
+	uvint(c, &r.Policy)
 	for _, p := range []*int{
 		&r.Arrived, &r.BeyondHorizon, &r.Scheduled, &r.Departed, &r.Running,
 		&r.StillPending, &r.Failed, &r.Displaced, &r.Reschedules, &r.Kills,
@@ -414,280 +227,277 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 		&r.ReconcileRounds, &r.ReconcileActions, &r.SpotProvisions,
 		&r.SpotRevocations, &r.OnDemandFallbacks, &r.ZoneKills,
 	} {
-		*p = int(d.varint())
+		vint(c, p)
 	}
-	for i, n := 0, d.count(1); i < n; i++ {
-		r.FleetTypes = append(r.FleetTypes, int(d.varint()))
-	}
-	for i, n := 0, d.count(1); i < n; i++ {
-		r.ZoneSpread = append(r.ZoneSpread, int(d.varint()))
-	}
-	r.CostDollars = d.f64()
-	r.FinalCostPerH = d.f64()
-	r.CostSpotDollars = d.f64()
-	r.CostOnDemandDollars = d.f64()
-	r.TTSSum = d.dur()
-	r.TTSMean = d.dur()
-	r.TTSP95 = d.dur()
-	r.TTSMax = d.dur()
-	for i, n := 0, d.count(12); i < n; i++ {
-		r.Samples = append(r.Samples, d.sample())
-	}
+	seq(c, &r.FleetTypes, 1, vint[int])
+	seq(c, &r.ZoneSpread, 1, vint[int])
+	c.f64(&r.CostDollars)
+	c.f64(&r.FinalCostPerH)
+	c.f64(&r.CostSpotDollars)
+	c.f64(&r.CostOnDemandDollars)
+	vint(c, &r.TTSSum)
+	vint(c, &r.TTSMean)
+	vint(c, &r.TTSP95)
+	vint(c, &r.TTSMax)
+	seq(c, &r.Samples, 12, func(c *codec, sm *cluster.Sample) {
+		vint(c, &sm.T)
+		c.f64(&sm.CostPerH)
+		vint(c, &sm.Pending)
+		vint(c, &sm.Nodes)
+		c.f64(&sm.UsedCPU)
+		c.f64(&sm.CapCPU)
+	})
 
 	// Time-to-schedule series.
-	for i, n := 0, d.count(8); i < n; i++ {
-		s.TTS.Samples = append(s.TTS.Samples, d.f64())
-	}
-	s.TTS.Sorted = d.bool()
-	s.TTS.Sum = d.f64()
-	s.TTS.SumSq = d.f64()
+	seq(c, &s.TTS.Samples, 8, (*codec).f64)
+	c.bool(&s.TTS.Sorted)
+	c.f64(&s.TTS.Sum)
+	c.f64(&s.TTS.SumSq)
 
 	// Fault injector.
-	if d.bool() {
-		inj := &faults.InjectorState{Counts: map[string]uint64{}}
-		inj.Rand.Seed = d.varint()
-		inj.Rand.Draws = d.uvarint()
-		if d.err == nil && inj.Rand.Draws > maxRandDraws {
-			return nil, fmt.Errorf("snapshot: injector RNG position %d exceeds the codec bound %d", inj.Rand.Draws, maxRandDraws)
-		}
-		for i, n := 0, d.count(2); i < n; i++ {
-			inj.Rules = append(inj.Rules, faults.RuleCursor{Hits: d.uvarint(), Fires: d.uvarint()})
-		}
-		for i, n := 0, d.count(2); i < n; i++ {
-			k := d.str()
-			v := d.uvarint()
-			if d.err != nil {
-				return nil, d.err
-			}
-			if _, dup := inj.Counts[k]; dup {
-				return nil, fmt.Errorf("snapshot: injector count %q repeated", k)
-			}
-			inj.Counts[k] = v
-		}
-		inj.Total = d.uvarint()
-		s.Inj = inj
-	}
+	opt(c, &s.Inj, func(c *codec, inj *faults.InjectorState) {
+		c.rand(&inj.Rand, "injector")
+		seq(c, &inj.Rules, 2, func(c *codec, rc *faults.RuleCursor) {
+			c.u64(&rc.Hits)
+			c.u64(&rc.Fires)
+		})
+		c.counts(&inj.Counts)
+		c.u64(&inj.Total)
+	})
 
 	// Packing cache.
-	if d.bool() {
-		var entries []cloudsim.PackCacheEntry
-		for i, n := 0, d.count(2); i < n; i++ {
-			entries = append(entries, cloudsim.PackCacheEntry{
-				Input:  d.placedVMs(),
-				Output: d.placedVMs(),
-			})
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
-		// Keys are not serialized: the constructor derives them once,
-		// before the snapshot is shared with concurrent restores. An
-		// entry count above the cache capacity is Restore's to refuse.
-		s.Pack = cloudsim.NewPackCacheState(entries)
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after the snapshot", len(d.b)-d.off)
-	}
-	return s, nil
+	opt(c, &s.Pack, func(c *codec, p *cloudsim.PackCacheState) {
+		seq(c, &p.Entries, 2, func(c *codec, e *cloudsim.PackCacheEntry) {
+			placedVMs(c, &e.Input)
+			placedVMs(c, &e.Output)
+		})
+	})
 }
 
-// enc is the append-only encoder. Unlike dec it cannot fail.
-type enc struct{ buf []byte }
-
-func (e *enc) raw(b []byte)        { e.buf = append(e.buf, b...) }
-func (e *enc) uvarint(v uint64)    { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) varint(v int64)      { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) dur(v time.Duration) { e.varint(int64(v)) }
-func (e *enc) f64(v float64)       { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-func (e *enc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *enc) i32s(v []int32) {
-	e.uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.varint(int64(x))
-	}
-}
-func (e *enc) placedItems(items []cloudsim.PlacedItem) {
-	e.uvarint(uint64(len(items)))
-	for _, it := range items {
-		e.str(it.Pod)
-		e.f64(it.CPU)
-		e.f64(it.Mem)
-	}
-}
-func (e *enc) placedVMs(vms []cloudsim.PlacedVM) {
-	e.uvarint(uint64(len(vms)))
-	for _, vm := range vms {
-		e.varint(int64(vm.Type))
-		e.placedItems(vm.Items)
-	}
-}
-func (e *enc) sample(s cluster.Sample) {
-	e.varint(int64(s.T))
-	e.f64(s.CostPerH)
-	e.varint(int64(s.Pending))
-	e.varint(int64(s.Nodes))
-	e.f64(s.UsedCPU)
-	e.f64(s.CapCPU)
+func placedVMs(c *codec, vms *[]cloudsim.PlacedVM) {
+	seq(c, vms, 2, func(c *codec, vm *cloudsim.PlacedVM) {
+		vint(c, &vm.Type)
+		placedItems(c, &vm.Items)
+	})
 }
 
-// dec is the bounds-checked decoder: the first malformed read latches
-// d.err and every later read returns a zero value, so call sites can
-// decode a whole section and check once.
-type dec struct {
+func placedItems(c *codec, items *[]cloudsim.PlacedItem) {
+	// 17: a 1-byte pod id length and two 8-byte floats.
+	seq(c, items, 17, func(c *codec, it *cloudsim.PlacedItem) {
+		c.str(&it.Pod)
+		c.f64(&it.CPU)
+		c.f64(&it.Mem)
+	})
+}
+
+// codec runs the walk one way. Encoding (dec false) appends each field
+// to b and writes nothing through the walk's pointers, so a shared
+// snapshot may be encoded while branches restore from it. Decoding
+// reads b at off, and the first malformed read latches err: every later
+// read leaves its field zero and every count reads 0, so the walk runs
+// out quickly and the caller checks once.
+type codec struct {
+	dec bool
 	b   []byte
 	off int
 	err error
 }
 
-func (d *dec) fail(format string, args ...interface{}) {
-	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: "+format+" at offset %d", append(args, d.off)...)
+func (c *codec) fail(format string, args ...interface{}) {
+	if c.err == nil {
+		c.err = fmt.Errorf("snapshot: "+format+" at offset %d", append(args, c.off)...)
 	}
 }
 
-func (d *dec) raw(n int) []byte {
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail("truncated (%d bytes short)", d.off+n-len(d.b))
-		return make([]byte, n)
+// raw consumes the next n input bytes (decoding only).
+func (c *codec) raw(n int) []byte {
+	if c.err != nil || c.off+n > len(c.b) {
+		c.fail("truncated (%d bytes short)", c.off+n-len(c.b))
+		return nil
 	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
+	v := c.b[c.off : c.off+n]
+	c.off += n
 	return v
 }
 
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+func (c *codec) u64(p *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *p)
+		return
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
+	if c.err != nil {
+		return
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
+		c.fail("bad uvarint")
+		return
 	}
-	d.off += n
-	return v
+	c.off += n
+	*p = v
 }
 
-func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
+func (c *codec) i64(p *int64) {
+	if !c.dec {
+		c.b = binary.AppendVarint(c.b, *p)
+		return
 	}
-	v, n := binary.Varint(d.b[d.off:])
+	if c.err != nil {
+		return
+	}
+	v, n := binary.Varint(c.b[c.off:])
 	if n <= 0 {
-		d.fail("bad varint")
-		return 0
+		c.fail("bad varint")
+		return
 	}
-	d.off += n
-	return v
+	c.off += n
+	*p = v
 }
 
-func (d *dec) dur() time.Duration { return time.Duration(d.varint()) }
-
-func (d *dec) f64() float64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail("truncated float")
-		return 0
+// vint carries any signed integer field as a varint, and uvint any
+// unsigned or enum field as a uvarint. Decoding converts to the field's
+// type, truncating as a conversion does.
+func vint[T ~int | ~int8 | ~int32 | ~int64](c *codec, p *T) {
+	v := int64(*p)
+	c.i64(&v)
+	if c.dec {
+		*p = T(v)
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
 }
 
-func (d *dec) bool() bool {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail("truncated bool")
-		return false
+func uvint[T ~int | ~uint8](c *codec, p *T) {
+	v := uint64(*p)
+	c.u64(&v)
+	if c.dec {
+		*p = T(v)
 	}
-	v := d.b[d.off]
-	d.off++
+}
+
+func (c *codec) f64(p *float64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*p))
+		return
+	}
+	if c.err != nil || c.off+8 > len(c.b) {
+		c.fail("truncated float")
+		return
+	}
+	*p = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
+	c.off += 8
+}
+
+func (c *codec) bool(p *bool) {
+	if !c.dec {
+		var v byte
+		if *p {
+			v = 1
+		}
+		c.b = append(c.b, v)
+		return
+	}
+	if c.err != nil || c.off >= len(c.b) {
+		c.fail("truncated bool")
+		return
+	}
+	v := c.b[c.off]
+	c.off++
 	if v > 1 {
-		d.fail("bad bool %d", v)
-		return false
+		c.fail("bad bool %d", v)
+		return
 	}
-	return v == 1
+	*p = v == 1
 }
 
-// count reads an element count and rejects any value that could not fit
-// in the remaining input at minBytes encoded bytes per element — the
-// allocation guard that keeps a hostile length prefix from buying a
+func (c *codec) str(p *string) {
+	n := len(*p)
+	c.count(&n, 1)
+	if !c.dec {
+		c.b = append(c.b, *p...)
+	} else if c.err == nil {
+		*p = string(c.raw(n))
+	}
+}
+
+// count carries an element count. Decoding rejects any count that could
+// not fit in the remaining input at minBytes encoded bytes per element —
+// the allocation guard that keeps a hostile length prefix from buying a
 // giant make().
-func (d *dec) count(minBytes int) int {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0
+func (c *codec) count(n *int, minBytes int) {
+	v := uint64(*n)
+	c.u64(&v)
+	if !c.dec || c.err != nil {
+		return
 	}
-	if v > uint64(len(d.b)-d.off)/uint64(minBytes)+1 {
-		d.fail("count %d exceeds the remaining input", v)
-		return 0
+	if v > uint64(len(c.b)-c.off)/uint64(minBytes)+1 {
+		c.fail("count %d exceeds the remaining input", v)
+		return
 	}
-	return int(v)
+	*n = int(v)
 }
 
-func (d *dec) str() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
+// seq carries a slice: its count, then each element through f. Decoding
+// allocates the slice once, after count has bounded its length; an empty
+// slice decodes as nil.
+func seq[T any](c *codec, s *[]T, minBytes int, f func(*codec, *T)) {
+	n := len(*s)
+	c.count(&n, minBytes)
+	if c.dec && n > 0 {
+		*s = make([]T, n)
 	}
-	return string(d.raw(n))
-}
-
-func (d *dec) i32s() []int32 {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, int32(d.varint()))
-	}
-	return out
-}
-
-func (d *dec) placedItems() []cloudsim.PlacedItem {
-	n := d.count(17) // 1-byte pod id length + two 8-byte floats
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]cloudsim.PlacedItem, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, cloudsim.PlacedItem{Pod: d.str(), CPU: d.f64(), Mem: d.f64()})
-	}
-	return out
-}
-
-func (d *dec) sample() cluster.Sample {
-	return cluster.Sample{
-		T:        sim.Time(d.varint()),
-		CostPerH: d.f64(),
-		Pending:  int(d.varint()),
-		Nodes:    int(d.varint()),
-		UsedCPU:  d.f64(),
-		CapCPU:   d.f64(),
+	for i := range *s {
+		if c.err != nil {
+			return
+		}
+		f(c, &(*s)[i])
 	}
 }
 
-func (d *dec) placedVMs() []cloudsim.PlacedVM {
-	n := d.count(2)
-	if d.err != nil || n == 0 {
-		return nil
+// opt carries an optional pointer: a presence flag, then the value
+// through f.
+func opt[T any](c *codec, p **T, f func(*codec, *T)) {
+	present := *p != nil
+	c.bool(&present)
+	if !present {
+		return
 	}
-	out := make([]cloudsim.PlacedVM, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, cloudsim.PlacedVM{Type: int(d.varint()), Items: d.placedItems()})
+	if c.dec {
+		*p = new(T)
 	}
-	return out
+	f(c, *p)
+}
+
+// counts carries a string-keyed counter map in sorted key order, so the
+// bytes are a function of the contents. Decoding refuses a repeated key
+// and always yields a non-nil map.
+func (c *codec) counts(m *map[string]uint64) {
+	keys := make([]string, 0, len(*m))
+	for k := range *m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if c.dec {
+		*m = map[string]uint64{}
+	}
+	seq(c, &keys, 2, func(c *codec, k *string) {
+		v := (*m)[*k]
+		c.str(k)
+		c.u64(&v)
+		if !c.dec || c.err != nil {
+			return
+		}
+		if _, dup := (*m)[*k]; dup {
+			c.err = fmt.Errorf("snapshot: injector count %q repeated", *k)
+		}
+		(*m)[*k] = v
+	})
+}
+
+// rand carries an RNG stream position and refuses one past
+// maxRandDraws, encoding or decoding.
+func (c *codec) rand(r *sim.RandState, stream string) {
+	vint(c, &r.Seed)
+	c.u64(&r.Draws)
+	if c.err == nil && r.Draws > maxRandDraws {
+		c.err = fmt.Errorf("snapshot: %s RNG position %d exceeds the codec bound %d", stream, r.Draws, maxRandDraws)
+	}
 }
