@@ -69,7 +69,7 @@ func main() {
 		"maximum tolerated fractional regression of -metric vs -baseline before failing")
 	lower := flag.Bool("lower", false,
 		"the gated metric is lower-is-better (B/op, allocs/op, ns/op): fail on a rise instead of a drop")
-	flag.Parse()
+	cli.Parse()
 	if *maxdrop < 0 || *maxdrop >= 1 {
 		cli.BadFlag("-maxdrop must be in [0, 1), got %v", *maxdrop)
 	}

@@ -5,7 +5,21 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"nestless/internal/cli/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestStrayArgument pins that flag parsing does not stop at a stray
+// argument and drop the flags after it: the run exits 2 naming it
+// before it reads stdin.
+func TestStrayArgument(t *testing.T) {
+	_, stderr, code := clitest.Run("stray -baseline BENCH_core.json")
+	if code != 2 || !strings.Contains(stderr, `unexpected argument "stray"`) {
+		t.Errorf("benchjson stray: exit status %d, want 2 naming the argument:\n%s", code, stderr)
+	}
+}
 
 func TestParseBenchOutput(t *testing.T) {
 	in := `goos: linux

@@ -2,61 +2,62 @@
 // (Fig. 9, §5.3.1): per-user VM fleet costs under Kubernetes whole-pod
 // placement versus Hostlo container-level placement, over a synthetic
 // Google-cluster-trace population priced with the AWS EC2 m5 catalog.
+// (The catalog itself, Table 2, is `figures -fig table2`.)
 //
 //	costsim                # Fig. 9 histogram + headline statistics
-//	costsim -table 2       # the VM catalog (Table 2)
 //	costsim -users 1000    # a larger population
+//	costsim -top 10        # also list the top savers
 //
-// The -lifecycle flag switches from the static snapshot pricing to the
+// costsim runs one mode per command line: the bare command above, or
+// a mode named by its first argument. Each mode registers only the
+// flags it reads, so a flag it would ignore fails to parse like any
+// unknown flag (exit 2), and so does an argument the mode does not
+// take. A negative duration, or a zero -horizon/-barrier, exits 2 too.
+//
+// The lifecycle mode switches from the static snapshot pricing to the
 // event-driven cluster simulation (internal/cluster): pods arrive and
 // depart over a horizon, an autoscaler grows and reclaims the VM fleet,
 // and -faults node-kill schedules displace pods mid-run. It reports
 // Kubernetes-vs-Hostlo cost integrals, time-to-schedule statistics, and
 // the cost-over-time trajectory:
 //
-//	costsim -lifecycle -users 100
-//	costsim -lifecycle -horizon 8h -gap 2m -life 45m
-//	costsim -lifecycle -faults 'node/*:crash:p=0.01'
+//	costsim lifecycle -users 100
+//	costsim lifecycle -horizon 8h -gap 2m -life 45m
+//	costsim lifecycle -faults 'node/*:crash:p=0.01'
 //
 // The machine subsystem (internal/cloud) generalizes the hard-coded
 // m5 table: -cloud names a registered catalog, -zones spreads the
-// lifecycle fleet across availability-zone failure domains, -spot-frac
+// cluster fleet across availability-zone failure domains, -spot-frac
 // runs part of it on discounted spot capacity (revocation is a seeded
 // fault; spot/*:crash:p=0.02 is merged in unless -faults already
 // covers spot/):
 //
 //	costsim -cloud gcp:n2                  # non-default catalog: cross-cloud comparison
-//	costsim -lifecycle -cloud gcp:n2 -zones 3 -spot-frac 0.5
+//	costsim lifecycle -cloud gcp:n2 -zones 3 -spot-frac 0.5
 //
-// The -replay flag feeds a recorded Google cluster trace file (2011
+// The replay mode feeds a recorded Google cluster trace FILE (2011
 // task_events CSV or 2019 instance_events JSON, optionally gzipped —
-// see internal/ctrace) through the sharded
-// multi-cluster replay (internal/shard) instead of generating a
-// synthetic population. Both policies run over the same stream; the
-// trace is reopened per policy. -parallel picks how many goroutines
-// execute the worlds (byte-identical output for any value), -worlds
-// the logical partition count (part of the experiment):
+// see internal/ctrace) through the sharded multi-cluster replay
+// (internal/shard) instead of generating a synthetic population. Both
+// policies run over the same stream; the trace is reopened per policy.
+// -parallel picks how many goroutines execute the worlds
+// (byte-identical output for any value), -worlds the logical partition
+// count (part of the experiment). Flags go before FILE:
 //
 //	ctracegen -users 200 -out t.csv.gz
-//	costsim -replay t.csv.gz -parallel 4
-//	costsim -replay t.csv.gz -worlds 8 -migrate-after 20m -migrate-policy locality
-//	costsim -replay big3d.csv.gz -parallel 8 -horizon 72h   # multi-day, bounded memory
+//	costsim replay -parallel 4 t.csv.gz
+//	costsim replay -worlds 8 -migrate-after 20m -migrate-policy locality t.csv.gz
+//	costsim replay -parallel 8 -horizon 72h big3d.csv.gz   # multi-day, bounded memory
 //
 // The feed is pipelined (epoch N+1 prefetches while epoch N advances)
 // and each world stores a fixed 12-point trajectory (one sample every
 // horizon/12), so a replay's memory is its live pod table.
 //
-// A flag the run mode ignores exits 2 naming it: cluster flags (-horizon,
-// -gap, -life, -boot, -spot-frac, -zones, -faults) on the static path,
-// -top and -table off it, replay flags without -replay, -users, -gap,
-// -life and -lifecycle with it, and any flag beside -table 2 but -csv,
-// -cpuprofile and -memprofile. So does a negative duration, or a zero
-// -horizon/-barrier.
-//
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
-// OUTPUT; the trace INPUT is -replay.) A replay records each policy
-// under its own label (kubernetes/world-0, ..., hostlo/world-0, ...).
+// OUTPUT; the trace INPUT is replay's FILE.) A replay records each
+// policy under its own label (kubernetes/world-0, ...,
+// hostlo/world-0, ...).
 package main
 
 import (
@@ -64,7 +65,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -82,127 +82,166 @@ import (
 	"nestless/internal/trace"
 )
 
+// usage lists the command lines; a mode's usage adds its own flags.
+const usage = `usage:
+  costsim [flags]              Fig. 9, or the cross-cloud table under a non-default -cloud
+  costsim lifecycle [flags]    the event-driven cluster lifecycle
+  costsim replay [flags] FILE  the sharded replay of a recorded cluster trace`
+
 func main() {
-	table := flag.Int("table", 0, "print a table instead: 2")
-	users := flag.Int("users", 492, "population size (the paper simulates 492 users)")
-	seed := flag.Int64("seed", 42, "generator seed")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	top := flag.Int("top", 0, "also list the top-N savers")
-	lifecycle := flag.Bool("lifecycle", false, "run the event-driven cluster lifecycle simulation instead of the static snapshot")
-	horizon := flag.Duration("horizon", 8*time.Hour, "lifecycle simulation horizon")
-	gap := flag.Duration("gap", 2*time.Minute, "lifecycle mean pod inter-arrival gap")
-	life := flag.Duration("life", 45*time.Minute, "lifecycle mean pod lifetime (Pareto-tailed)")
-	boot := flag.Duration("boot", 45*time.Second, "lifecycle VM boot delay")
-	replay := flag.String("replay", "",
-		"replay a recorded cluster trace file (task_events csv or instance_events json, .gz ok; see internal/ctrace) through the sharded lifecycle simulation instead of generating a workload")
-	worlds := flag.Int("worlds", 8,
-		"replay: logical cluster worlds the trace is hash-partitioned over (changes the experiment, unlike -parallel)")
-	barrier := flag.Duration("barrier", 15*time.Minute,
-		"replay: epoch length between world synchronization barriers")
-	migrateAfter := flag.Duration("migrate-after", 0,
-		"replay: transfer pods pending longer than this to another world at each barrier (0 = off)")
-	lenient := flag.Bool("lenient", false,
-		"replay: skip malformed trace rows instead of failing")
-	migratePolicy := flag.String("migrate-policy", "least-loaded",
-		"replay: destination policy for -migrate-after transfers: least-loaded or locality")
-	cloudName := flag.String("cloud", cloud.DefaultName,
-		"machine catalog: one of "+strings.Join(cloud.Names(), ", "))
-	spotFrac := flag.Float64("spot-frac", 0,
-		"lifecycle: target fraction of the fleet on spot capacity, in [0,1] (needs a spot-capable catalog)")
-	zones := flag.Int("zones", 1,
-		"lifecycle: availability zones the fleet spreads across, >= 1 (bounded by the catalog's zone list)")
-	workers := cli.ParallelFlag()
-	faultSpec := cli.FaultsFlag()
-	tf := cli.TelemetryFlags()
-	prof := cli.ProfileFlags()
-	flag.Parse()
-	cli.CheckParallel(*workers)
-	sched := cli.ParseFaults(*faultSpec)
-	if *worlds < 1 {
-		cli.BadFlag("costsim: -worlds must be >= 1, got %d", *worlds)
+	mode, args := "", os.Args[1:]
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		mode, args = args[0], args[1:]
 	}
-	if err := checkDurations(*horizon, *barrier, *boot, *gap, *life, *migrateAfter); err != nil {
+	run := map[string]func([]string){"": staticMode, "lifecycle": lifecycleMode, "replay": replayMode}[mode]
+	if run == nil {
+		flag.Usage = func() { fmt.Fprintln(os.Stderr, usage) }
+		cli.BadFlag("costsim: unknown mode %q (want lifecycle or replay; Fig. 9 takes flags only)", mode)
+	}
+	// The mode's flag set becomes the command line, so the cli flag
+	// helpers register on it and cli.BadFlag prints its usage.
+	fs := flag.NewFlagSet(strings.TrimSpace("costsim "+mode), flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "%s\n\nflags of %s:\n", usage, fs.Name())
+		fs.PrintDefaults()
+	}
+	flag.CommandLine, flag.Usage = fs, fs.Usage
+	run(args)
+}
+
+// parse parses a mode's arguments and returns its positional ones,
+// exactly files of them. Flag parsing stops at the first non-flag
+// argument, so a flag after it would otherwise be dropped silently.
+func parse(args []string, files int) []string {
+	flag.CommandLine.Parse(args) // ExitOnError: a flag the mode does not take exits 2
+	rest := flag.Args()
+	switch {
+	case len(rest) > files:
+		cli.BadFlag("%s: unexpected argument %q", flag.CommandLine.Name(), rest[files])
+	case len(rest) < files:
+		cli.BadFlag("%s: missing trace FILE", flag.CommandLine.Name())
+	}
+	return rest
+}
+
+// common holds the flags every mode reads.
+type common struct {
+	seed    int64
+	csv     bool
+	catalog string
+	workers *int
+	tf      *cli.Telemetry
+	prof    *cli.Profile
+}
+
+func commonFlags() *common {
+	c := &common{workers: cli.ParallelFlag(), tf: cli.TelemetryFlags(), prof: cli.ProfileFlags()}
+	flag.Int64Var(&c.seed, "seed", 42, "generator seed")
+	flag.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned tables")
+	flag.StringVar(&c.catalog, "cloud", cloud.DefaultName,
+		"machine catalog: one of "+strings.Join(cloud.Names(), ", "))
+	return c
+}
+
+// begin checks the shared flags, resolves the machine catalog and
+// starts the profile. The mode checks its own flags first, so a
+// rejected run leaves no profile behind; pair it with a deferred
+// c.prof.Stop.
+func (c *common) begin(spotFrac float64, zones int) *cloud.Resolved {
+	cli.CheckParallel(*c.workers)
+	cl, err := cloud.Resolve(cloud.Options{Spec: c.catalog, SpotFrac: spotFrac, Zones: zones})
+	if err != nil {
+		cli.BadFlag("costsim: %v", err)
+	}
+	c.prof.Start("costsim")
+	return cl
+}
+
+// emit prints a table as -csv asks.
+func (c *common) emit(t *report.Table) {
+	if c.csv {
+		t.WriteCSV(os.Stdout)
+	} else {
+		t.WriteText(os.Stdout)
+	}
+}
+
+// usersFlag registers -users, the generated population of the static
+// and lifecycle modes; checkUsers rejects an empty one.
+func usersFlag() *int {
+	return flag.Int("users", 492, "population size (the paper simulates 492 users)")
+}
+
+func checkUsers(n int) {
+	if n <= 0 {
+		cli.BadFlag("costsim: -users must be positive, got %d", n)
+	}
+}
+
+// clusterOpts holds the flags both cluster modes read and, once begin
+// has checked them, the machine model and fault schedule they resolve
+// to. -parallel is the users simulated at once by lifecycle and the
+// worlds advanced at once by replay.
+type clusterOpts struct {
+	*common
+	horizon   time.Duration
+	boot      time.Duration
+	spotFrac  float64
+	zones     int
+	faultSpec *string
+	cloud     *cloud.Resolved  // set by begin
+	sched     *faults.Schedule // set by begin
+}
+
+func clusterFlags() *clusterOpts {
+	o := &clusterOpts{common: commonFlags(), faultSpec: cli.FaultsFlag()}
+	flag.DurationVar(&o.horizon, "horizon", 8*time.Hour, "simulation horizon")
+	flag.DurationVar(&o.boot, "boot", 45*time.Second, "VM boot delay")
+	flag.Float64Var(&o.spotFrac, "spot-frac", 0,
+		"target fraction of the fleet on spot capacity, in [0,1] (needs a spot-capable catalog)")
+	flag.IntVar(&o.zones, "zones", 1,
+		"availability zones the fleet spreads across, >= 1 (bounded by the catalog's zone list)")
+	return o
+}
+
+// begin checks the cluster flags and the mode's own duration checks
+// (cli.Positive/NonNegative results), then resolves the run and starts
+// it as common.begin does. The simulators would swap an out-of-range
+// duration for their default while the report printed the value given;
+// zero boot, gap, life and migrate-after mean instant boots, static
+// arrivals, no departures and no migration.
+func (o *clusterOpts) begin(durations ...error) {
+	sched := cli.ParseFaults(*o.faultSpec)
+	shared := []error{cli.Positive("horizon", o.horizon), cli.NonNegative("boot", o.boot)}
+	if err := errors.Join(append(shared, durations...)...); err != nil {
 		cli.BadFlag("costsim: %v", err)
 	}
 	// cloud.Resolve reads zero zones as one; reject it here so the
 	// report never shows a fleet the flag did not ask for.
-	if *zones < 1 {
-		cli.BadFlag("costsim: -zones must be >= 1, got %d", *zones)
+	if o.zones < 1 {
+		cli.BadFlag("costsim: -zones must be >= 1, got %d", o.zones)
 	}
-	var explicit []string // in lexical order
-	flag.Visit(func(f *flag.Flag) { explicit = append(explicit, f.Name) })
-	cl, err := cloud.Resolve(cloud.Options{Spec: *cloudName, SpotFrac: *spotFrac, Zones: *zones})
-	if err != nil {
-		cli.BadFlag("costsim: %v", err)
-	}
-	mode := "static"
-	switch {
-	case *replay != "":
-		mode = "replay"
-	case *lifecycle:
-		mode = "lifecycle"
-	case *table != 0:
-		mode = "table"
-	}
-	if err := checkMode(mode, explicit); err != nil {
-		cli.BadFlag("costsim: %v", err)
-	}
-	sched = cl.WithDefaultRevocation(sched)
-	if mode == "replay" {
-		if _, err := os.Stat(*replay); err != nil {
-			cli.BadFlag("costsim: -replay: %v", err)
-		}
-		switch *migratePolicy {
-		case "least-loaded", "locality":
-		default:
-			cli.BadFlag("costsim: -migrate-policy must be least-loaded or locality, got %q", *migratePolicy)
-		}
-	}
-	switch {
-	case *table != 0 && *table != 2:
-		cli.BadFlag("costsim: unknown table %d (want 2)", *table)
-	case *table == 0 && *users <= 0:
-		cli.BadFlag("costsim: -users must be positive, got %d", *users)
-	}
-	prof.Start("costsim")
-	defer prof.Stop("costsim")
+	o.cloud = o.common.begin(o.spotFrac, o.zones)
+	o.sched = o.cloud.WithDefaultRevocation(sched)
+}
 
-	emit := func(t *report.Table) {
-		if *csv {
-			t.WriteCSV(os.Stdout)
-		} else {
-			t.WriteText(os.Stdout)
-		}
-	}
+// staticMode prices the population's snapshot under both placements:
+// Fig. 9 for the paper's population, a savings summary for any other,
+// or the cross-cloud table under a non-default catalog.
+func staticMode(args []string) {
+	c := commonFlags()
+	users := usersFlag()
+	top := flag.Int("top", 0, "also list the top-N savers")
+	parse(args, 0)
+	checkUsers(*users)
+	cl := c.begin(0, 1)
+	defer c.prof.Stop("costsim")
 
-	if mode == "table" {
-		emit(figures.Table2())
-		return
-	}
-
-	so := simOpts{
-		seed: *seed, horizon: *horizon, boot: *boot, sched: sched,
-		cloud: cl, rec: tf.Recorder(), emit: emit, workers: *workers,
-	}
-	switch mode {
-	case "replay":
-		runReplay(replayOpts{
-			simOpts: so, path: *replay, worlds: *worlds, barrier: *barrier,
-			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy, lenient: *lenient,
-		})
-	case "lifecycle":
-		runLifecycle(lifecycleOpts{simOpts: so, users: *users, gap: *gap, life: *life})
-	}
-	if mode != "static" {
-		tf.EmitOrDie("costsim")
-		return
-	}
-
-	cfg := trace.DefaultConfig(*seed)
+	cfg := trace.DefaultConfig(c.seed)
 	cfg.Users = *users
 	pop := trace.Generate(cfg)
-	res := cloudsim.SimulateParallel(pop, cl.Catalog.Types, *workers)
-	record(tf.Recorder(), res)
+	res := cloudsim.SimulateParallel(pop, cl.Catalog.Types, *c.workers)
+	record(c.tf.Recorder(), res)
 
 	topTitle := fmt.Sprintf("Top %d savers", *top)
 	if cl.Catalog.Name() != cloud.DefaultName {
@@ -210,15 +249,15 @@ func main() {
 		// comparison: the same workload priced on the default AWS m5
 		// table and on the selected catalog. (Fig. 9 itself is pinned
 		// to the paper's m5 pricing, so it is skipped here.)
-		crossCloud(cl.Catalog, res, pop, *workers, emit)
+		crossCloud(cl.Catalog, res, pop, *c.workers, c.emit)
 		topTitle += fmt.Sprintf(" (%s)", cl.Catalog.Name())
 	} else if *users == 492 {
 		// The paper's population priced with Table 2 (the default
 		// catalog) is exactly Fig. 9's run.
 		hist, stats := figures.Fig9Of(res)
-		emit(hist)
+		c.emit(hist)
 		fmt.Println()
-		emit(stats)
+		c.emit(stats)
 	} else {
 		// Custom population: report directly.
 		t := report.New(fmt.Sprintf("Hostlo savings over %d users", len(res.Users)),
@@ -230,7 +269,7 @@ func main() {
 		t.AddRow("max relative savings", report.Percent(res.MaxRelSavings()))
 		t.AddRow("max absolute savings $/h", maxAbs)
 		t.AddRow("  (at relative savings)", report.Percent(maxRel))
-		emit(t)
+		c.emit(t)
 	}
 
 	if *top > 0 {
@@ -241,9 +280,9 @@ func main() {
 			tt.AddRow(u.UserID, u.KubeCostPerH, u.HostloCostPerH,
 				report.Percent(u.SavingsRel()), u.KubeVMs, u.HostloVMs)
 		}
-		emit(tt)
+		c.emit(tt)
 	}
-	tf.EmitOrDie("costsim")
+	c.tf.EmitOrDie("costsim")
 }
 
 // crossCloud prices the same static workload on the default AWS m5
@@ -271,80 +310,8 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 	emit(t)
 }
 
-// flagRule names flags a run mode would ignore and why.
-type flagRule struct {
-	names []string
-	why   string
-}
-
-var replayOnly = flagRule{[]string{"worlds", "barrier", "migrate-after", "lenient", "migrate-policy"}, "only applies to a trace replay (add -replay FILE)"}
-var staticOnly = flagRule{[]string{"top", "table"}, "only applies to the static snapshot (drop -lifecycle and -replay)"}
-
-// modeRules lists, per run mode, every flag the mode would ignore: the
-// static snapshot has no fleet, clock or datapath to fault, only it
-// prints Table 2 or a top-savers list, and a replay's trace is its
-// workload, run through the lifecycle simulation already.
-var modeRules = map[string][]flagRule{
-	"static":    {{[]string{"spot-frac", "zones", "horizon", "gap", "life", "boot", "faults"}, "only applies to the cluster simulation (add -lifecycle or -replay)"}, replayOnly},
-	"lifecycle": {replayOnly, staticOnly},
-	"replay": {
-		{[]string{"users", "gap", "life"}, "shapes the generated workload and conflicts with -replay (the trace is the workload)"},
-		{[]string{"lifecycle"}, "conflicts with -replay (a replay runs the lifecycle simulation on the trace)"},
-		staticOnly,
-	},
-}
-
-// tableFlags are the only flags Table 2 reads: it prints the catalog
-// and runs nothing, so every other flag would be dropped.
-var tableFlags = []string{"table", "csv", "cpuprofile", "memprofile"}
-
-// checkMode rejects the first flag set on the command line (explicit)
-// that run mode ignores, so main exits 2 instead of dropping it.
-func checkMode(mode string, explicit []string) error {
-	for _, name := range explicit {
-		if mode == "table" && !slices.Contains(tableFlags, name) {
-			return fmt.Errorf("-%s does not apply to -table (Table 2 is the catalog; it runs nothing)", name)
-		}
-		for _, r := range modeRules[mode] {
-			if slices.Contains(r.names, name) {
-				return fmt.Errorf("-%s %s", name, r.why)
-			}
-		}
-	}
-	return nil
-}
-
-// checkDurations rejects out-of-range duration flags, which the
-// simulators would otherwise swap for their defaults while the report
-// prints the value given. Zero boot, gap, life and migrate-after mean
-// instant boots, static arrivals, no departures and no migration.
-func checkDurations(horizon, barrier, boot, gap, life, migrateAfter time.Duration) error {
-	return errors.Join(
-		cli.Positive("horizon", horizon),
-		cli.Positive("barrier", barrier),
-		cli.NonNegative("boot", boot),
-		cli.NonNegative("gap", gap),
-		cli.NonNegative("life", life),
-		cli.NonNegative("migrate-after", migrateAfter),
-	)
-}
-
-// simOpts bundles the cluster-simulation parameters the -lifecycle and
-// -replay paths share. workers is -parallel: users simulated at once on
-// -lifecycle, worlds advanced at once on -replay.
-type simOpts struct {
-	seed    int64
-	horizon time.Duration
-	boot    time.Duration
-	sched   *faults.Schedule
-	cloud   *cloud.Resolved
-	rec     *telemetry.Recorder
-	emit    func(*report.Table)
-	workers int
-}
-
 // clusterConfig is the per-world cluster configuration both paths run.
-func (o simOpts) clusterConfig() cluster.Config {
+func (o *clusterOpts) clusterConfig() cluster.Config {
 	return cluster.Config{
 		Seed:         o.seed,
 		Catalog:      o.cloud.Catalog.Types,
@@ -355,29 +322,28 @@ func (o simOpts) clusterConfig() cluster.Config {
 		ZoneNames:    o.cloud.ZoneNames,
 		SpotFrac:     o.cloud.SpotFrac,
 		SpotDiscount: o.cloud.SpotDiscount,
-		Rec:          o.rec,
+		Rec:          o.tf.Recorder(),
 	}
 }
 
-// lifecycleOpts bundles the -lifecycle run parameters.
-type lifecycleOpts struct {
-	simOpts
-	users int
-	gap   time.Duration
-	life  time.Duration
-}
-
-// runLifecycle simulates the population's cluster lifecycle under both
-// policies and prints the cost/disruption summary plus the
+// lifecycleMode simulates the generated population's cluster lifecycle
+// under both policies and prints the cost/disruption summary plus the
 // cost-over-time trajectory.
-func runLifecycle(o lifecycleOpts) {
-	cfg := trace.DefaultConfig(o.seed)
-	cfg.Users = o.users
-	cfg.MeanArrivalGap = o.gap
-	cfg.MeanLifetime = o.life
-	pop := trace.Generate(cfg)
+func lifecycleMode(args []string) {
+	o := clusterFlags()
+	users := usersFlag()
+	gap := flag.Duration("gap", 2*time.Minute, "mean pod inter-arrival gap")
+	life := flag.Duration("life", 45*time.Minute, "mean pod lifetime (Pareto-tailed)")
+	parse(args, 0)
+	checkUsers(*users)
+	o.begin(cli.NonNegative("gap", *gap), cli.NonNegative("life", *life))
+	defer o.prof.Stop("costsim")
 
-	runs := cluster.SimulatePopulation(pop, o.clusterConfig(), o.workers)
+	cfg := trace.DefaultConfig(o.seed)
+	cfg.Users = *users
+	cfg.MeanArrivalGap = *gap
+	cfg.MeanLifetime = *life
+	runs := cluster.SimulatePopulation(trace.Generate(cfg), o.clusterConfig(), *o.workers)
 
 	kubeRuns := make([]cluster.Result, len(runs))
 	hostloRuns := make([]cluster.Result, len(runs))
@@ -388,13 +354,14 @@ func runLifecycle(o lifecycleOpts) {
 	kube, hostlo := cluster.Merge(kubeRuns), cluster.Merge(hostloRuns)
 	o.summary(fmt.Sprintf("Cluster lifecycle over %d users, %v horizon", len(runs), o.horizon),
 		kube, hostlo, false)
+	o.tf.EmitOrDie("costsim")
 }
 
 // summary prints the Kubernetes-vs-Hostlo cost/disruption table and the
-// cost-over-time trajectory of a -lifecycle or (replay true) -replay
+// cost-over-time trajectory of a lifecycle or (replay true) replay
 // run. A replay adds the cross-world transfer row; a lifecycle run adds
 // the reconciler and optimizer rows.
-func (o simOpts) summary(title string, kube, hostlo cluster.Result, replay bool) {
+func (o *clusterOpts) summary(title string, kube, hostlo cluster.Result, replay bool) {
 	t := report.New(title, "metric", "kubernetes", "hostlo")
 	t.AddRow("pods arrived", kube.Arrived, hostlo.Arrived)
 	t.AddRow("pods scheduled", kube.Scheduled, hostlo.Scheduled)
@@ -456,58 +423,71 @@ func (o simOpts) summary(title string, kube, hostlo cluster.Result, replay bool)
 	o.emit(tj)
 }
 
-// replayOpts bundles the -replay run parameters.
-type replayOpts struct {
-	simOpts
-	path          string
-	worlds        int
-	barrier       time.Duration
-	migrateAfter  time.Duration
-	migratePolicy string
-	lenient       bool
-}
-
-// runReplay streams a recorded trace through the sharded multi-cluster
+// replayMode streams the trace FILE through the sharded multi-cluster
 // replay under both policies and prints the stream stats, the
 // cost/disruption summary and the merged trajectory. Each policy
-// records on its own child of o.rec labeled with the policy, so its
-// worlds read kubernetes/world-0, ..., hostlo/world-0, ... on the
+// records on its own child of the recorder labeled with the policy, so
+// its worlds read kubernetes/world-0, ..., hostlo/world-0, ... on the
 // shared timeline.
-func runReplay(o replayOpts) {
+func replayMode(args []string) {
+	o := clusterFlags()
+	worlds := flag.Int("worlds", 8,
+		"logical cluster worlds the trace is hash-partitioned over (changes the experiment, unlike -parallel)")
+	barrier := flag.Duration("barrier", 15*time.Minute, "epoch length between world synchronization barriers")
+	migrateAfter := flag.Duration("migrate-after", 0,
+		"transfer pods pending longer than this to another world at each barrier (0 = off)")
+	migratePolicy := flag.String("migrate-policy", "least-loaded",
+		"destination policy for -migrate-after transfers: least-loaded or locality")
+	lenient := flag.Bool("lenient", false, "skip malformed trace rows instead of failing")
+	path := parse(args, 1)[0]
+	if *worlds < 1 {
+		cli.BadFlag("costsim: -worlds must be >= 1, got %d", *worlds)
+	}
+	switch *migratePolicy {
+	case "least-loaded", "locality":
+	default:
+		cli.BadFlag("costsim: -migrate-policy must be least-loaded or locality, got %q", *migratePolicy)
+	}
+	if _, err := os.Stat(path); err != nil {
+		cli.BadFlag("costsim replay: %v", err)
+	}
+	o.begin(cli.Positive("barrier", *barrier), cli.NonNegative("migrate-after", *migrateAfter))
+	defer o.prof.Stop("costsim")
+
 	run := func(policy cluster.Policy) (shard.Result, ctrace.Stats) {
 		// Reopen per policy: both runs consume the identical stream.
-		r, err := ctrace.Open(o.path, ctrace.Options{Lenient: o.lenient})
+		r, err := ctrace.Open(path, ctrace.Options{Lenient: *lenient})
 		if err != nil {
 			cli.Fatal("costsim", err)
 		}
 		defer r.Close()
 		cfg := o.clusterConfig()
 		cfg.Policy = policy
-		cfg.Rec = o.rec.Child()
+		cfg.Rec = o.tf.Recorder().Child()
 		cfg.Rec.BeginRun(policy.String())
 		res, err := shard.Replay(r, shard.Config{
-			Worlds:        o.worlds,
-			Shards:        o.workers,
-			BarrierEvery:  o.barrier,
-			MigrateAfter:  o.migrateAfter,
-			MigratePolicy: o.migratePolicy,
+			Worlds:        *worlds,
+			Shards:        *o.workers,
+			BarrierEvery:  *barrier,
+			MigrateAfter:  *migrateAfter,
+			MigratePolicy: *migratePolicy,
 			Cluster:       cfg,
 		})
 		if err != nil {
 			cli.Fatal("costsim", err)
 		}
-		o.rec.Append(cfg.Rec)
+		o.tf.Recorder().Append(cfg.Rec)
 		return res, r.Stats()
 	}
 	kubeRes, stats := run(cluster.Kubernetes)
 	if stats.Rows > 0 && stats.Skipped == stats.Rows {
-		cli.Fatal("costsim", fmt.Errorf("%s: -lenient skipped all %d rows", o.path, stats.Rows))
+		cli.Fatal("costsim", fmt.Errorf("%s: -lenient skipped all %d rows", path, stats.Rows))
 	}
 	hostloRes, _ := run(cluster.Hostlo)
 
 	// The title names only the experiment (worlds), never the execution
 	// (-parallel): stdout is byte-identical for every worker count.
-	st := report.New(fmt.Sprintf("Trace replay: %s over %d worlds", o.path, o.worlds),
+	st := report.New(fmt.Sprintf("Trace replay: %s over %d worlds", path, *worlds),
 		"metric", "value")
 	st.AddRow("trace rows read", stats.Rows)
 	st.AddRow("rows ignored (non-lifecycle)", stats.Ignored)
@@ -524,6 +504,7 @@ func runReplay(o replayOpts) {
 
 	o.summary(fmt.Sprintf("Sharded trace replay, %v horizon", o.horizon),
 		kubeRes.Merged, hostloRes.Merged, true)
+	o.tf.EmitOrDie("costsim")
 }
 
 // costSplit renders the spot/on-demand halves of the cost integral.

@@ -2,12 +2,12 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"nestless/internal/cli/clitest"
 	"nestless/internal/cloud"
@@ -16,70 +16,33 @@ import (
 	"nestless/internal/trace"
 )
 
-// TestCheckStaticRejectsClusterFlags pins the static path's flag gate:
-// every cluster-simulation flag, -faults included (the snapshot has no
-// datapath to fault), and every replay flag is an error there (exit 2
-// in main), while the static snapshot's own flags pass.
-func TestCheckStaticRejectsClusterFlags(t *testing.T) {
-	for _, name := range []string{
-		"spot-frac", "zones",
-		"horizon", "gap", "life", "boot", "faults",
-		"worlds", "barrier", "migrate-after", "lenient", "migrate-policy",
-	} {
-		err := checkMode("static", []string{name})
-		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
-			t.Errorf("-%s on the static path: got %v, want an error naming it", name, err)
-		}
-	}
-	static := []string{"cloud", "csv", "seed", "table", "top", "users"}
-	if err := checkMode("static", static); err != nil {
-		t.Errorf("static flags rejected: %v", err)
-	}
-}
-
-// durations names checkDurations' arguments for the table below.
-type durations struct {
-	horizon, barrier, boot, gap, life, migrateAfter time.Duration
-}
-
-func (d durations) check() error {
-	return checkDurations(d.horizon, d.barrier, d.boot, d.gap, d.life, d.migrateAfter)
-}
+// fixture is the committed 2019-schema trace the replay tests read.
+const fixture = "../../internal/ctrace/testdata/instance_events.json"
 
 // TestCheckDurations pins the duration gate: each flag's out-of-range
-// values are an error naming the flag (exit 2 in main), the defaults
-// and the zeros that mean something pass.
+// values exit 2 naming the flag, in the mode that reads it, while the
+// zeros that mean something run.
 func TestCheckDurations(t *testing.T) {
-	def := durations{
-		horizon: 8 * time.Hour, barrier: 15 * time.Minute, boot: 45 * time.Second,
-		gap: 2 * time.Minute, life: 45 * time.Minute,
-	}
-	if err := def.check(); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	zeros := def
-	zeros.boot, zeros.gap, zeros.life, zeros.migrateAfter = 0, 0, 0, 0
-	if err := zeros.check(); err != nil {
-		t.Errorf("zero boot/gap/life/migrate-after rejected: %v", err)
-	}
-	for _, c := range []struct {
-		flag string
-		set  func(*durations)
-	}{
-		{"horizon", func(d *durations) { d.horizon = -time.Hour }},
-		{"horizon", func(d *durations) { d.horizon = 0 }},
-		{"barrier", func(d *durations) { d.barrier = -5 * time.Minute }},
-		{"barrier", func(d *durations) { d.barrier = 0 }},
-		{"boot", func(d *durations) { d.boot = -time.Minute }},
-		{"gap", func(d *durations) { d.gap = -time.Minute }},
-		{"life", func(d *durations) { d.life = -time.Nanosecond }},
-		{"migrate-after", func(d *durations) { d.migrateAfter = -time.Minute }},
+	for _, c := range []struct{ args, flag string }{
+		{"lifecycle -horizon -1h", "horizon"},
+		{"replay -horizon 0 " + fixture, "horizon"},
+		{"replay -barrier -5m " + fixture, "barrier"},
+		{"replay -barrier 0 " + fixture, "barrier"},
+		{"lifecycle -boot -1m", "boot"},
+		{"lifecycle -gap -1m", "gap"},
+		{"lifecycle -life -1ns", "life"},
+		{"replay -migrate-after -1m " + fixture, "migrate-after"},
 	} {
-		d := def
-		c.set(&d)
-		err := d.check()
-		if err == nil || !strings.Contains(err.Error(), "-"+c.flag+" ") {
-			t.Errorf("%+v: got %v, want an error naming -%s", d, err, c.flag)
+		if _, stderr, code := clitest.Run(c.args); code != 2 || !strings.Contains(stderr, "-"+c.flag+" ") {
+			t.Errorf("costsim %s: exit status %d, want 2 naming -%s:\n%s", c.args, code, c.flag, stderr)
+		}
+	}
+	for _, args := range []string{
+		"lifecycle -users 2 -boot 0 -gap 0 -life 0",
+		"replay -boot 0 -migrate-after 0 " + fixture,
+	} {
+		if _, stderr, code := clitest.Run(args); code != 0 {
+			t.Errorf("costsim %s: exit status %d, want 0:\n%s", args, code, stderr)
 		}
 	}
 }
@@ -98,11 +61,11 @@ func TestOneSpellingPerSetting(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-shards 4", "flag provided but not defined: -shards"},
 		{"-sample-cap 4", "flag provided but not defined: -sample-cap"},
-		{"-lifecycle -repack-cache 8", "flag provided but not defined: -repack-cache"},
-		{"-lifecycle -cloud gcp:n2:zone=3", `unknown catalog "gcp:n2:zone=3"`},
-		{"-lifecycle -cloud gcp:n2:spot=0.5", `unknown catalog "gcp:n2:spot=0.5"`},
-		{"-lifecycle -zones 0", "-zones must be >= 1, got 0"},
-		{"-lifecycle -zones -2", "-zones must be >= 1, got -2"},
+		{"lifecycle -repack-cache 8", "flag provided but not defined: -repack-cache"},
+		{"lifecycle -cloud gcp:n2:zone=3", `unknown catalog "gcp:n2:zone=3"`},
+		{"lifecycle -cloud gcp:n2:spot=0.5", `unknown catalog "gcp:n2:spot=0.5"`},
+		{"lifecycle -zones 0", "-zones must be >= 1, got 0"},
+		{"lifecycle -zones -2", "-zones must be >= 1, got -2"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
 			_, stderr, code := clitest.Run(c.args)
@@ -114,29 +77,77 @@ func TestOneSpellingPerSetting(t *testing.T) {
 }
 
 // TestModeRejectsIgnoredFlags pins that no flag is accepted and then
-// dropped: -top and -table, which only the static snapshot prints,
-// -faults, which only a simulated datapath can fire, -lifecycle beside
-// -replay, and any flag beside -table but -csv and the profiles each
-// exit 2 naming the flag in a mode that would ignore it.
+// dropped: each mode defines only the flags it reads, so a flag another
+// mode reads exits 2 as undefined. The static snapshot takes no cluster
+// or replay flag (-faults included: it has no datapath to fault), only
+// it prints -top, and Table 2 is no costsim output (-table). The modes
+// are no flags: the former -lifecycle and -replay command lines exit 2
+// naming the retired flag, so an old script fails instead of running
+// the static snapshot.
 func TestModeRejectsIgnoredFlags(t *testing.T) {
-	const fixture = "../../internal/ctrace/testdata/instance_events.json"
-	for _, c := range []struct{ args, want string }{
-		{"-lifecycle -top 3", "-top only applies to the static snapshot"},
-		{"-replay " + fixture + " -top 3", "-top only applies to the static snapshot"},
-		{"-lifecycle -table 2", "-table only applies to the static snapshot"},
-		{"-replay " + fixture + " -table 2", "-table only applies to the static snapshot"},
-		{"-users 10 -faults node/*:crash:p=0.01", "-faults only applies to the cluster simulation"},
-		{"-lifecycle -replay " + fixture, "-lifecycle conflicts with -replay"},
-		{"-table 2 -top 3 -users 7", "-top does not apply to -table"},
-		{"-table 2 -cloud gcp:n2", "-cloud does not apply to -table"},
-		{"-table 2 -trace " + os.DevNull, "-trace does not apply to -table"},
+	for _, c := range []struct{ args, flag string }{
+		{"-spot-frac 0.5", "spot-frac"},
+		{"-zones 2", "zones"},
+		{"-horizon 1h", "horizon"},
+		{"-gap 1m", "gap"},
+		{"-life 1m", "life"},
+		{"-boot 1s", "boot"},
+		{"-faults node/*:crash:p=0.01", "faults"},
+		{"-worlds 4", "worlds"},
+		{"-barrier 5m", "barrier"},
+		{"-migrate-after 20m", "migrate-after"},
+		{"-lenient", "lenient"},
+		{"-migrate-policy locality", "migrate-policy"},
+		{"lifecycle -top 3", "top"},
+		{"replay -top 3 " + fixture, "top"},
+		{"lifecycle -table 2", "table"},
+		{"replay -table 2 " + fixture, "table"},
+		{"-users 10 -faults node/*:crash:p=0.01", "faults"},
+		{"lifecycle -replay " + fixture, "replay"},
+		{"lifecycle -worlds 4", "worlds"},
+		{"replay -users 7 " + fixture, "users"},
+		{"-table 2 -top 3 -users 7", "table"},
+		{"-table 2 -cloud gcp:n2", "table"},
+		{"-table 2 -trace " + os.DevNull, "table"},
+		{"-lifecycle -top 3", "lifecycle"},
+		{"-replay " + fixture + " -top 3", "replay"},
+		{"-lifecycle -table 2", "lifecycle"},
+		{"-replay " + fixture + " -table 2", "replay"},
+		{"-lifecycle -replay " + fixture, "lifecycle"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
+			want := "flag provided but not defined: -" + c.flag
 			_, stderr, code := clitest.Run(c.args)
-			if code != 2 || !strings.Contains(stderr, c.want) {
-				t.Errorf("costsim %s: exit status %d, want 2 with %q:\n%s", c.args, code, c.want, stderr)
+			if code != 2 || !strings.Contains(stderr, want) {
+				t.Errorf("costsim %s: exit status %d, want 2 with %q:\n%s", c.args, code, want, stderr)
 			}
 		})
+	}
+}
+
+// TestStrayArgument pins that flag parsing never stops early and drops
+// what follows: an argument a mode does not take exits 2 naming it,
+// replay takes exactly one FILE with every flag before it, and an
+// unknown mode lists the modes. A bad flag's usage text lists the
+// mode's own flags only.
+func TestStrayArgument(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-users 10 stray -top 3", `costsim: unexpected argument "stray"`},
+		{"lifecycle -users 8 stray", `costsim lifecycle: unexpected argument "stray"`},
+		{"replay " + fixture + " -parallel 4", `costsim replay: unexpected argument "-parallel"`},
+		{"replay -parallel 4", "costsim replay: missing trace FILE"},
+		{"stray -users 10", `costsim: unknown mode "stray"`},
+		{"stray -users 10", "costsim replay [flags] FILE"},
+		{"lifecycle -top 3", "flags of costsim lifecycle:"},
+		{"lifecycle -top 3", "  -gap duration"},
+	} {
+		_, stderr, code := clitest.Run(c.args)
+		if code != 2 || !strings.Contains(stderr, c.want) {
+			t.Errorf("costsim %s: exit status %d, want 2 with %q:\n%s", c.args, code, c.want, stderr)
+		}
+	}
+	if _, stderr, _ := clitest.Run("lifecycle -top 3"); strings.Contains(stderr, "-worlds") {
+		t.Errorf("costsim lifecycle usage lists replay's -worlds:\n%s", stderr)
 	}
 }
 
@@ -156,12 +167,13 @@ func TestDefaultCatalogIsNotCrossCloud(t *testing.T) {
 }
 
 // TestBadFlagLeavesNoProfile pins that flag values are checked before
-// -cpuprofile creates its file: a rejected run exits 2 and leaves no
-// truncated profile behind.
+// -cpuprofile creates its file: a rejected run, in each mode, exits 2
+// and leaves no truncated profile behind.
 func TestBadFlagLeavesNoProfile(t *testing.T) {
-	for _, bad := range []string{"-table 3", "-users 0"} {
+	for _, bad := range []string{"-users 0 -cpuprofile %s", "lifecycle -cpuprofile %s -zones 0",
+		"replay -cpuprofile %s -worlds 0 " + fixture} {
 		prof := filepath.Join(t.TempDir(), "cpu.prof")
-		_, stderr, code := clitest.Run(bad + " -cpuprofile " + prof)
+		_, stderr, code := clitest.Run(fmt.Sprintf(bad, prof))
 		if _, err := os.Stat(prof); code != 2 || !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("costsim %s: exit status %d, profile stat %v\n%s", bad, code, err, stderr)
 		}
@@ -178,9 +190,9 @@ func TestFatalKeepsProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := filepath.Join(dir, "bad.prof")
-	_, stderr, code := clitest.Run("-replay " + bad + " -cpuprofile " + prof)
+	_, stderr, code := clitest.Run("replay -cpuprofile " + prof + " " + bad)
 	if code != 1 {
-		t.Fatalf("costsim -replay bad.csv: exit status %d, want 1:\n%s", code, stderr)
+		t.Fatalf("costsim replay bad.csv: exit status %d, want 1:\n%s", code, stderr)
 	}
 	b, err := os.ReadFile(prof)
 	if err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
@@ -188,37 +200,36 @@ func TestFatalKeepsProfile(t *testing.T) {
 	}
 }
 
-// TestReplaySchemas pins what -replay accepts: the committed
+// TestReplaySchemas pins what replay accepts: the committed
 // instance_events fixture replays (exit 0), with -lenient printing
 // exactly what it prints without; a pod-level JSON line, which no
 // Google schema spells, fails as an instance_events row with exit 1
 // and an error naming line 1; and a -lenient replay that skipped every
 // row exits 1 naming the file and the count.
 func TestReplaySchemas(t *testing.T) {
-	const fixture = "../../internal/ctrace/testdata/instance_events.json"
-	plain, stderr, code := clitest.Run("-replay " + fixture)
+	plain, stderr, code := clitest.Run("replay " + fixture)
 	if code != 0 {
-		t.Errorf("costsim -replay instance_events.json: exit status %d:\n%s", code, stderr)
+		t.Errorf("costsim replay instance_events.json: exit status %d:\n%s", code, stderr)
 	}
-	if lenient, stderr, code := clitest.Run("-replay " + fixture + " -lenient"); code != 0 || lenient != plain {
-		t.Errorf("costsim -replay instance_events.json -lenient: exit status %d, output differs from strict:\n%s", code, stderr)
+	if lenient, stderr, code := clitest.Run("replay -lenient " + fixture); code != 0 || lenient != plain {
+		t.Errorf("costsim replay -lenient instance_events.json: exit status %d, output differs from strict:\n%s", code, stderr)
 	}
 	bogus := filepath.Join(t.TempDir(), "bogus.json")
 	if err := os.WriteFile(bogus, []byte(`{"bogus":1}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code = clitest.Run("-replay " + bogus + " -lenient")
+	_, stderr, code = clitest.Run("replay -lenient " + bogus)
 	if code != 1 || !strings.Contains(stderr, bogus+": -lenient skipped all 1 rows") {
-		t.Errorf("costsim -replay bogus.json -lenient: exit status %d, want 1 naming the file and count:\n%s", code, stderr)
+		t.Errorf("costsim replay -lenient bogus.json: exit status %d, want 1 naming the file and count:\n%s", code, stderr)
 	}
 	pod := filepath.Join(t.TempDir(), "pod.jsonl")
 	line := `{"t_us":1000,"ev":"submit","pod":"p1","user":"a","containers":[{"cpu":0.25,"mem":0.5}]}` + "\n"
 	if err := os.WriteFile(pod, []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code = clitest.Run("-replay " + pod)
+	_, stderr, code = clitest.Run("replay " + pod)
 	if code != 1 || !strings.Contains(stderr, "line 1: instance_events: missing collection_id") {
-		t.Errorf("costsim -replay pod.jsonl: exit status %d, want 1 naming line 1:\n%s", code, stderr)
+		t.Errorf("costsim replay pod.jsonl: exit status %d, want 1 naming line 1:\n%s", code, stderr)
 	}
 }
 
@@ -261,9 +272,9 @@ func TestReplayRecordsEachPolicyApart(t *testing.T) {
 	}
 	export := func(workers string) string {
 		out := filepath.Join(dir, "p"+workers+".txt")
-		_, stderr, code := clitest.Run("-replay " + src + " -worlds 4 -parallel " + workers + " -trace " + out)
+		_, stderr, code := clitest.Run("replay -worlds 4 -parallel " + workers + " -trace " + out + " " + src)
 		if code != 0 {
-			t.Fatalf("costsim -replay -parallel %s: exit status %d:\n%s", workers, code, stderr)
+			t.Fatalf("costsim replay -parallel %s: exit status %d:\n%s", workers, code, stderr)
 		}
 		b, err := os.ReadFile(out)
 		if err != nil {

@@ -38,7 +38,7 @@ func main() {
 		life  = flag.Duration("life", 45*time.Minute, "mean pod lifetime (Pareto-tailed)")
 		days  = flag.Int("days", 0, "preset: stretch arrival gaps so each user's pods span this many days (0 = off; explicit -gap wins)")
 	)
-	flag.Parse()
+	cli.Parse()
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 

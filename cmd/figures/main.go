@@ -13,11 +13,12 @@
 //	figures -fig fig14    # Memcached CPU usage (§5.3.4)
 //	figures -fig fig15    # NGINX CPU usage (§5.3.4)
 //	figures -fig table1   # macro-benchmark parameters (§5.1)
+//	figures -fig table2   # AWS EC2 m5 VM catalog (§5.3.1)
 //
 // Use -csv for machine-readable output, -quick for short windows and
 // fewer sizes (20 boots for fig8), -trace out.json for a Chrome trace
-// of the runs and -metrics for the telemetry tables. Fig. 9 and Table 2
-// come from costsim.
+// of the runs and -metrics for the telemetry tables. Fig. 9 comes from
+// costsim.
 package main
 
 import (
@@ -39,7 +40,7 @@ func main() {
 	faultSpec := cli.FaultsFlag()
 	tf := cli.TelemetryFlags()
 	prof := cli.ProfileFlags()
-	flag.Parse()
+	cli.Parse()
 
 	cli.CheckParallel(*workers)
 	fig, ok := figures.Lookup(*name)

@@ -41,3 +41,12 @@ func TestOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgument pins that flag parsing does not stop at a stray
+// argument and drop the flags after it: the run exits 2 naming it.
+func TestStrayArgument(t *testing.T) {
+	_, stderr, code := clitest.Run("-fig table1 stray -csv")
+	if code != 2 || !strings.Contains(stderr, `unexpected argument "stray"`) {
+		t.Errorf("figures -fig table1 stray -csv: exit status %d, want 2 naming the argument:\n%s", code, stderr)
+	}
+}

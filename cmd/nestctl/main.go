@@ -36,7 +36,7 @@ func main() {
 	faultSpec := cli.FaultsFlag()
 	tf := cli.TelemetryFlags()
 	prof := cli.ProfileFlags()
-	flag.Parse()
+	cli.Parse()
 	cli.CheckParallel(*workers)
 	schedule := cli.ParseFaults(*faultSpec)
 	switch scenario.Mode(*mode) {

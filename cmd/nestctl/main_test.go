@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nestless/internal/cli/clitest"
@@ -20,5 +21,14 @@ func TestBadModeLeavesNoProfile(t *testing.T) {
 	_, stderr, code := clitest.Run("-mode bogus -cpuprofile " + prof)
 	if _, err := os.Stat(prof); code != 2 || !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("nestctl -mode bogus: exit status %d, profile stat %v\n%s", code, err, stderr)
+	}
+}
+
+// TestStrayArgument pins that flag parsing does not stop at a stray
+// argument and drop the flags after it: the run exits 2 naming it.
+func TestStrayArgument(t *testing.T) {
+	_, stderr, code := clitest.Run("stray -mode brfusion")
+	if code != 2 || !strings.Contains(stderr, `unexpected argument "stray"`) {
+		t.Errorf("nestctl stray -mode brfusion: exit status %d, want 2 naming the argument:\n%s", code, stderr)
 	}
 }

@@ -57,7 +57,7 @@ func main() {
 		"machine catalog: one of "+strings.Join(cloud.Names(), ", "))
 	spotFrac := flag.Float64("spot-frac", 0, "fraction of the base fleet on spot capacity, in [0,1]")
 	zones := flag.Int("zones", 1, "availability zones the base fleet spreads across, >= 1")
-	flag.Parse()
+	cli.Parse()
 	if err := checkDurations(*horizon, *snapAt, *boot, *gap, *life); err != nil {
 		cli.BadFlag("whatif: %v", err)
 	}

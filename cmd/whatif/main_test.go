@@ -97,3 +97,13 @@ func TestRejectsWhatDefaultsWouldReplace(t *testing.T) {
 		})
 	}
 }
+
+// TestStrayArgument pins that flag parsing does not stop at a stray
+// argument and drop the flags after it: the run exits 2 naming it.
+// (-addr comes first and is unusable, so no run can serve.)
+func TestStrayArgument(t *testing.T) {
+	_, stderr, code := clitest.Run("-addr localhost:-1 -users 1 stray -policy borg")
+	if code != 2 || !strings.Contains(stderr, `unexpected argument "stray"`) {
+		t.Errorf("whatif stray: exit status %d, want 2 naming the argument:\n%s", code, stderr)
+	}
+}

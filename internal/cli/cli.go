@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -25,6 +26,18 @@ func BadFlag(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	flag.Usage()
 	os.Exit(2)
+}
+
+// Parse parses the command line and rejects any argument left after
+// the flags. flag.Parse stops at the first non-flag argument, so
+// without the check every flag after a stray word would be dropped
+// silently.
+func Parse() {
+	flag.Parse()
+	if flag.NArg() > 0 {
+		BadFlag("%s: unexpected argument %q (the command takes flags only)",
+			filepath.Base(flag.CommandLine.Name()), flag.Arg(0))
+	}
 }
 
 // Positive reports a duration flag that is zero or negative.

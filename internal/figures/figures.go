@@ -2,10 +2,10 @@
 // evaluation (§5) from the simulated stack. Each Fig* function builds
 // fresh scenarios, runs the corresponding workload, and returns
 // report.Tables whose rows mirror the series the paper plots. Registry
-// names the datapath figures in paper order; cmd/figures prints any
-// entry, the figure corpus (testdata/golden.txt) pins every entry, and
-// costsim prints Fig. 9 and Table 2, so "the figure" is computed
-// exactly one way.
+// names the datapath figures and the paper's tables in paper order;
+// cmd/figures prints any entry, the figure corpus (testdata/golden.txt)
+// pins every entry, and costsim prints Fig. 9, so "the figure" is
+// computed exactly one way.
 //
 // The datapath figures share one harness over the two topology
 // families, server↔client (§5.2) and intra-pod (§5.3): a topology is
@@ -60,8 +60,8 @@ type Figure struct {
 }
 
 // Registry lists every datapath figure and table in paper order. Fig. 11
-// carries Fig. 12 (one table holds both). Fig. 9 and Table 2 are cost
-// model outputs and live in costsim.
+// carries Fig. 12 (one table holds both). Fig. 9 is a cost-model run
+// and lives in costsim; Table 2 is the catalog it prices with.
 var Registry = []Figure{
 	{"fig2", func(o Opts) []*report.Table { return []*report.Table{Fig2(o)} }},
 	{"fig4", func(o Opts) []*report.Table { a, b := Fig4(o); return []*report.Table{a, b} }},
@@ -75,6 +75,7 @@ var Registry = []Figure{
 	{"fig14", func(o Opts) []*report.Table { return []*report.Table{Fig14(o)} }},
 	{"fig15", func(o Opts) []*report.Table { return []*report.Table{Fig15(o)} }},
 	{"table1", func(Opts) []*report.Table { return []*report.Table{Table1()} }},
+	{"table2", func(Opts) []*report.Table { return []*report.Table{Table2()} }},
 }
 
 // Lookup returns the Registry entry named name.

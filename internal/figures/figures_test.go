@@ -378,7 +378,7 @@ func TestTables1And2(t *testing.T) {
 	if len(t1.Rows) != 3 {
 		t.Fatalf("Table 1 rows = %d", len(t1.Rows))
 	}
-	t2 := Table2()
+	t2 := serial["table2"]()[0]
 	if len(t2.Rows) != 6 {
 		t.Fatalf("Table 2 rows = %d", len(t2.Rows))
 	}
