@@ -137,7 +137,10 @@ type packEntry struct {
 
 // PackCacheCap bounds every packing cache. Misses are compulsory
 // (distinct group contents), not evictions: a 256× larger cache
-// reproduced the same miss count, so the bound is a constant.
+// reproduced the same miss count, so the bound is a constant. It is a
+// bound, not a reservation: a cache's map grows with its entries, since
+// most worlds (every Kubernetes one) never optimize and many Hostlo
+// worlds fill a small fraction of it.
 const PackCacheCap = 4096
 
 // PackCache is a bounded LRU of Hostlo packing sub-solutions. The zero
@@ -153,7 +156,7 @@ func NewPackCache() *PackCache { return newPackCache(PackCacheCap) }
 
 // newPackCache returns an empty cache bounded to capacity entries.
 func newPackCache(capacity int) *PackCache {
-	return &PackCache{cap: capacity, m: make(map[packKey]*packEntry, capacity)}
+	return &PackCache{cap: capacity, m: make(map[packKey]*packEntry)}
 }
 
 // Get returns the memoized improved placement for a canonical group,

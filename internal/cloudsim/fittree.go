@@ -157,6 +157,8 @@ type FitTree struct {
 	// settled is set during a Delete once an ancestor's maxima come out
 	// unchanged: every ancestor above it is then unchanged too.
 	settled bool
+	// unlinked is the entry the running Delete took out, if any.
+	unlinked *FitNode
 }
 
 // Len reports the number of indexed nodes.
@@ -191,12 +193,15 @@ func insert(t, x *FitNode) *FitNode {
 }
 
 // Delete removes the entry with the exact (score, ord) key — the score
-// must be the stored one — and reports whether it was present.
-func (t *FitTree) Delete(score float64, ord int) bool {
-	n := t.n
+// must be the stored one — and returns it, or nil when no entry has
+// that key. The returned entry is out of the tree: its owner may
+// refill it and Insert it again.
+func (t *FitTree) Delete(score float64, ord int) *FitNode {
 	t.settled = false
 	t.root = t.delete(t.root, score, ord)
-	return t.n < n
+	x := t.unlinked
+	t.unlinked = nil
+	return x
 }
 
 // delete removes the entry below x and returns the new subtree root.
@@ -213,9 +218,11 @@ func (t *FitTree) delete(x *FitNode, score float64, ord int) *FitNode {
 		switch {
 		case x.l == nil:
 			t.n--
+			t.unlinked = x
 			return x.r
 		case x.r == nil:
 			t.n--
+			t.unlinked = x
 			return x.l
 		case x.l.prio > x.r.prio:
 			x = rotRight(x)

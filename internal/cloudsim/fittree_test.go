@@ -14,9 +14,13 @@ import (
 // combined across trees with the incumbent threaded through (the
 // scheduler's cross-type query), the RevEach order, BuildSorted against
 // one-at-a-time inserts (same answers and the same shape), and Len
-// after deletes. After every insert, re-key and delete it also checks
-// each node's four subtree maxima against a fresh fold (checkMaxima):
-// a stale aggregate can leave every answer right while it lasts.
+// after deletes. Delete must hand back the very entry inserted under
+// its key, and nil on a second Delete of that key; inserts recycle the
+// handed-back entries under new keys, refilling only the exported
+// fields the way the cluster's capacity index does. After every insert,
+// re-key and delete it also checks each node's four subtree maxima
+// against a fresh fold (checkMaxima): a stale aggregate can leave every
+// answer right while it lasts.
 func TestFitTreeMatchesScan(t *testing.T) {
 	const types = 3
 	for seed := int64(1); seed <= 5; seed++ {
@@ -24,20 +28,32 @@ func TestFitTreeMatchesScan(t *testing.T) {
 		trees := make([]FitTree, types)
 		var typ []int       // by ordinal
 		var live []*FitNode // by ordinal; nil = not indexed
+		var free []*FitNode // entries Delete handed back, reused by insert
 		// Quantized values make score ties and exact fits common.
 		q := func() float64 { return float64(r.Intn(9)) / 8 }
 		insert := func(ord int) {
-			live[ord] = &FitNode{FreeCPU: q(), FreeMem: q(), Score: float64(r.Intn(5)), Ord: ord}
-			trees[typ[ord]].Insert(live[ord])
+			var x *FitNode
+			if k := len(free); k > 0 {
+				x, free = free[k-1], free[:k-1]
+			} else {
+				x = new(FitNode)
+			}
+			x.FreeCPU, x.FreeMem, x.Score, x.Ord = q(), q(), float64(r.Intn(5)), ord
+			live[ord] = x
+			trees[typ[ord]].Insert(x)
 			checkMaxima(t, trees[typ[ord]].root)
 		}
 		remove := func(ord int) {
-			tr := &trees[typ[ord]]
-			if !tr.Delete(live[ord].Score, ord) || tr.Delete(live[ord].Score, ord) {
-				t.Fatalf("seed %d: delete of ord %d did not remove exactly once", seed, ord)
+			tr, x := &trees[typ[ord]], live[ord]
+			if got := tr.Delete(x.Score, ord); got != x {
+				t.Fatalf("seed %d: delete of ord %d returned %p, want the inserted entry %p", seed, ord, got, x)
+			}
+			if got := tr.Delete(x.Score, ord); got != nil {
+				t.Fatalf("seed %d: second delete of ord %d returned %+v, want nil", seed, ord, got)
 			}
 			checkMaxima(t, tr.root)
 			live[ord] = nil
+			free = append(free, x)
 		}
 		// scan is the linear oracle: the best live entry of type ty (-1 =
 		// any) fitting (cpu, mem), the earliest ordinal among score ties.

@@ -314,6 +314,51 @@ type podRun struct {
 	onNodes []int
 }
 
+// podChunk is the pod table's allocation unit in pods (a power of two:
+// an index splits into chunk and slot with a shift and a mask).
+const (
+	podChunkBits = 10
+	podChunk     = 1 << podChunkBits
+)
+
+// podTable holds every pod a world ever admitted, by index, in
+// fixed-size chunks. A push fills the last chunk or adds a new one, so
+// it never moves an existing entry: a *podRun stays valid across
+// appends, and a growing trace replay allocates one chunk per podChunk
+// pods instead of a doubling slice that every step allocated, zeroed,
+// copied and GC-scanned whole.
+type podTable struct {
+	chunks []*[podChunk]podRun
+	n      int
+}
+
+// makePodTable returns a table of n zero entries, its chunks allocated
+// up front.
+func makePodTable(n int) podTable {
+	t := podTable{chunks: make([]*[podChunk]podRun, (n+podChunk-1)/podChunk), n: n}
+	for k := range t.chunks {
+		t.chunks[k] = new([podChunk]podRun)
+	}
+	return t
+}
+
+func (t *podTable) len() int { return t.n }
+
+func (t *podTable) at(i int) *podRun {
+	return &t.chunks[i>>podChunkBits][i&(podChunk-1)]
+}
+
+// push appends p and returns its index.
+func (t *podTable) push(p podRun) int {
+	i := t.n
+	if i>>podChunkBits == len(t.chunks) {
+		t.chunks = append(t.chunks, new([podChunk]podRun))
+	}
+	*t.at(i) = p
+	t.n++
+	return i
+}
+
 // node is one live (or dead) VM instance.
 type node struct {
 	id int
@@ -359,7 +404,7 @@ type Cluster struct {
 	rec *telemetry.Recorder
 	cat []cloudsim.VMType
 
-	pods     []podRun
+	pods     podTable
 	podIndex map[string]int // pod ID → index (first occurrence)
 
 	// Pending queue: a heap ordered biggest-first, then by enqueue
@@ -472,10 +517,10 @@ func New(cfg Config) *Cluster {
 	c.fireFn = c.fireBySeq
 	c.initZones()
 	c.res.Policy = cfg.Policy
-	c.pods = make([]podRun, len(cfg.Pods))
+	c.pods = makePodTable(len(cfg.Pods))
 	c.podIndex = make(map[string]int, len(cfg.Pods))
 	for i, p := range cfg.Pods {
-		c.pods[i] = podRun{
+		*c.pod(i) = podRun{
 			pod:       p,
 			cpu:       p.TotalCPU(),
 			mem:       p.TotalMem(),
@@ -487,6 +532,9 @@ func New(cfg Config) *Cluster {
 	}
 	return c
 }
+
+// pod returns pod i's entry, valid for the world's lifetime.
+func (c *Cluster) pod(i int) *podRun { return c.pods.at(i) }
 
 // Simulate is the one-shot convenience: New + Run.
 func Simulate(cfg Config) Result {
@@ -504,7 +552,7 @@ func (c *Cluster) Run() Result {
 
 // arrive admits one pod into the pending queue.
 func (c *Cluster) arrive(i int) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	p.arrivedAt = c.eng.Now()
 	p.waitSince = p.arrivedAt
 	c.res.Arrived++
@@ -515,7 +563,7 @@ func (c *Cluster) arrive(i int) {
 
 // enqueue appends a pod to the pending queue.
 func (c *Cluster) enqueue(i int) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	c.pq.push(podEntry{key: p.cpu + p.mem, seq: c.enqSeq, idx: i})
 	c.enqSeq++
 }
@@ -536,7 +584,7 @@ func (c *Cluster) kickSchedule() {
 // depart retires a pod whose lifetime ran out. gen guards against
 // stale events (the pod was displaced and re-placed since).
 func (c *Cluster) depart(i, gen int) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	if p.state != stateRunning || p.departGen != gen {
 		return
 	}
@@ -579,7 +627,7 @@ func (c *Cluster) stripPod(n *node, id string) bool {
 // removePlacement strips every container of pod i from the fleet,
 // visiting only the nodes the placement map names.
 func (c *Cluster) removePlacement(i int) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	id := p.pod.ID
 	for _, nid := range p.onNodes {
 		n := c.nodes[nid]
@@ -683,8 +731,8 @@ func (c *Cluster) finalize() {
 			}
 		}
 	}
-	for i := range c.pods {
-		if c.pods[i].state == stateRunning {
+	for i := range c.pods.len() {
+		if c.pod(i).state == stateRunning {
 			c.res.Running++
 		}
 	}
@@ -772,7 +820,7 @@ func (c *Cluster) markDirty(n *node) {
 // podNodeLink records that node nid now holds containers of pod i in
 // the placement map (no-op for duplicates).
 func (c *Cluster) podNodeLink(i, nid int) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	for _, have := range p.onNodes {
 		if have == nid {
 			return
@@ -928,12 +976,12 @@ func (c *Cluster) Leaks() []string {
 	for _, e := range c.pq {
 		i := e.idx
 		inQueue[i]++
-		if c.pods[i].state != statePending {
-			leakf("queue entry for %v pod %s", c.pods[i].state, c.pods[i].pod.ID)
+		if c.pod(i).state != statePending {
+			leakf("queue entry for %v pod %s", c.pod(i).state, c.pod(i).pod.ID)
 		}
 	}
-	for i := range c.pods {
-		p := &c.pods[i]
+	for i := range c.pods.len() {
+		p := c.pod(i)
 		s := placed[p.pod.ID]
 		switch p.state {
 		case stateRunning:

@@ -414,8 +414,8 @@ func (c *Cluster) unlinkPods(touched []*node) {
 		c.markGen = 1
 	}
 	gen := c.markGen
-	if len(c.podMark) < len(c.pods) {
-		c.podMark = append(c.podMark, make([]uint32, len(c.pods)-len(c.podMark))...)
+	if len(c.podMark) < c.pods.len() {
+		c.podMark = append(c.podMark, make([]uint32, c.pods.len()-len(c.podMark))...)
 	}
 	if len(c.nodeMark) < len(c.nodes) {
 		c.nodeMark = append(c.nodeMark, make([]uint32, len(c.nodes)-len(c.nodeMark))...)
@@ -430,7 +430,7 @@ func (c *Cluster) unlinkPods(touched []*node) {
 				continue
 			}
 			c.podMark[i] = gen
-			p := &c.pods[i]
+			p := c.pod(i)
 			kept := p.onNodes[:0]
 			for _, nid := range p.onNodes {
 				if c.nodeMark[nid] != gen {

@@ -293,7 +293,7 @@ func (c *Cluster) drainNode(n *node, now sim.Time) {
 // departure generation bumps so the stale departure event is inert, and
 // the pod re-enters the queue flagged for the Reschedules counter.
 func (c *Cluster) displace(i int, now sim.Time) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	if p.state != stateRunning {
 		return
 	}

@@ -30,7 +30,7 @@ func (c *Cluster) schedulePass() {
 	c.schedPend = false
 	for c.queueLen() > 0 {
 		i := c.queueHead()
-		p := &c.pods[i]
+		p := c.pod(i)
 		if p.state != statePending {
 			// Defensive: a stale queue entry (should not happen; Leaks
 			// would flag it).
@@ -80,7 +80,7 @@ func (c *Cluster) queuePop() { c.pq.pop() }
 // blocked=true when the pod must wait (capacity requested or already in
 // flight). placed=false, blocked=false means the pod failed permanently.
 func (c *Cluster) tryPlace(i int) (placed, blocked bool) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	fits := cloudsim.CheapestFitting(c.cat, p.cpu, p.mem)
 	if fits < 0 {
 		// Wider than the largest machine: under whole-pod placement the
@@ -149,7 +149,7 @@ func (c *Cluster) placeItems(n *node, i int, pod trace.Pod) {
 // placement is reverted and a node for the biggest unplaced container
 // is requested.
 func (c *Cluster) tryPlaceSplit(i int) (placed, blocked bool) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	ctrs := append([]trace.Container(nil), p.pod.Containers...)
 	sort.SliceStable(ctrs, func(a, b int) bool {
 		return ctrs[a].CPU+ctrs[a].Mem > ctrs[b].CPU+ctrs[b].Mem
@@ -195,7 +195,7 @@ func (c *Cluster) tryPlaceSplit(i int) (placed, blocked bool) {
 // markScheduled finishes a successful placement: departure scheduling,
 // time-to-schedule accounting, reschedule counting.
 func (c *Cluster) markScheduled(i int) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	now := c.eng.Now()
 	p.state = stateRunning
 	p.placedAt = now
@@ -221,7 +221,7 @@ func (c *Cluster) markScheduled(i int) {
 
 // markFailed retires a pod that can never be placed under the policy.
 func (c *Cluster) markFailed(i int) {
-	c.pods[i].state = stateFailed
+	c.pod(i).state = stateFailed
 	c.res.Failed++
 	c.count("cluster/failed")
 	if c.rec != nil {

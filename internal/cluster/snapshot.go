@@ -170,9 +170,9 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 	// Deep copies of everything the parent keeps mutating.
 	s.Res.Samples = append([]Sample(nil), c.res.Samples...)
 	s.Res.FleetTypes = append([]int(nil), c.res.FleetTypes...)
-	s.Pods = make([]PodSnap, len(c.pods))
-	for i := range c.pods {
-		p := &c.pods[i]
+	s.Pods = make([]PodSnap, c.pods.len())
+	for i := range c.pods.len() {
+		p := c.pod(i)
 		ps := PodSnap{
 			Pod:           p.pod,
 			User:          p.user,
@@ -428,7 +428,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	// container-order accumulation, identical to New's). Placement maps
 	// share one arena, each capped at its own length so an append
 	// reallocates instead of running into the next pod's.
-	c.pods = make([]podRun, nPods)
+	c.pods = makePodTable(nPods)
 	c.podIndex = make(map[string]int, nPods)
 	onTotal := 0
 	for i := range s.Pods {
@@ -458,7 +458,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 			}
 			p.onNodes = onArena[start:len(onArena):len(onArena)]
 		}
-		c.pods[i] = p
+		*c.pod(i) = p
 		if _, dup := c.podIndex[ps.Pod.ID]; !dup {
 			c.podIndex[ps.Pod.ID] = i
 		}
@@ -588,8 +588,7 @@ func (c *Cluster) AdoptPods(pods []trace.Pod) error {
 		if _, dup := c.podIndex[p.ID]; dup {
 			return fmt.Errorf("cluster: adopt duplicate pod %s", p.ID)
 		}
-		i := len(c.pods)
-		c.pods = append(c.pods, podRun{
+		i := c.pods.push(podRun{
 			pod:       p,
 			cpu:       p.TotalCPU(),
 			mem:       p.TotalMem(),
@@ -612,7 +611,7 @@ func (c *Cluster) AdoptPods(pods []trace.Pod) error {
 // arriveAdopted admits an adopted pod: identical to arrive except the
 // inflow is booked as Adopted.
 func (c *Cluster) arriveAdopted(i int) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	p.arrivedAt = c.eng.Now()
 	p.waitSince = p.arrivedAt
 	c.res.Adopted++

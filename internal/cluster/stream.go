@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -41,9 +40,9 @@ func (c *Cluster) Start() {
 		return
 	}
 	c.started = true
-	c.eng.Reserve(len(c.pods))
-	for i := range c.pods {
-		at := sim.Time(c.pods[i].pod.Arrival)
+	c.eng.Reserve(c.pods.len())
+	for i := range c.pods.len() {
+		at := sim.Time(c.pod(i).pod.Arrival)
 		if at > sim.Time(c.cfg.Horizon) {
 			c.res.BeyondHorizon++
 			continue
@@ -95,15 +94,8 @@ func (c *Cluster) FeedEvent(ev ctrace.Event) error {
 		if _, dup := c.podIndex[ev.Pod]; dup {
 			return fmt.Errorf("cluster: duplicate pod %s", ev.Pod)
 		}
-		i := len(c.pods)
 		p := trace.Pod{ID: ev.Pod, Containers: ev.Containers, Arrival: ev.Time}
-		if len(c.pods) == cap(c.pods) {
-			// Double rather than take append's ~1.25× steps on a large
-			// slice: the table grows with the whole trace, and each step
-			// allocates, zeroes and copies all of it.
-			c.pods = slices.Grow(c.pods, max(len(c.pods), 64))
-		}
-		c.pods = append(c.pods, podRun{
+		i := c.pods.push(podRun{
 			pod:  p,
 			user: ev.User,
 			cpu:  p.TotalCPU(),
@@ -135,7 +127,7 @@ func (c *Cluster) FeedEvent(ev ctrace.Event) error {
 // in its lifecycle: running pods free their placements, pending pods
 // leave the queue unplaced, anything else is a stale duplicate.
 func (c *Cluster) endPod(i int, killed bool) {
-	p := &c.pods[i]
+	p := c.pod(i)
 	switch p.state {
 	case stateRunning:
 		p.departGen++ // any scheduled relative-lifetime departure is stale
@@ -197,7 +189,7 @@ func (c *Cluster) TransferOut(olderThan time.Duration) []Transfer {
 	// must not allocate.
 	idxs := c.transferIdxs[:0]
 	for _, e := range c.pq {
-		p := &c.pods[e.idx]
+		p := c.pod(e.idx)
 		if p.state == statePending && now-p.waitSince >= sim.Time(olderThan) {
 			idxs = append(idxs, e.idx)
 		}
@@ -210,7 +202,7 @@ func (c *Cluster) TransferOut(olderThan time.Duration) []Transfer {
 	sort.Ints(idxs)
 	out := make([]Transfer, 0, len(idxs))
 	for _, i := range idxs {
-		p := &c.pods[i]
+		p := c.pod(i)
 		c.dequeue(i)
 		p.state = stateTransferred
 		p.displaced = false
@@ -232,7 +224,7 @@ func (c *Cluster) TransferOut(olderThan time.Duration) []Transfer {
 // the transfer books stay balanced because both legs were counted.
 func (c *Cluster) InjectTransfer(tr Transfer) error {
 	if i, ok := c.podIndex[tr.Pod.ID]; ok {
-		p := &c.pods[i]
+		p := c.pod(i)
 		if p.state != stateTransferred {
 			return fmt.Errorf("cluster: transfer-in duplicate pod %s (%v here)", tr.Pod.ID, p.state)
 		}
@@ -246,8 +238,7 @@ func (c *Cluster) InjectTransfer(tr Transfer) error {
 		c.kickSchedule()
 		return nil
 	}
-	i := len(c.pods)
-	c.pods = append(c.pods, podRun{
+	i := c.pods.push(podRun{
 		pod:       tr.Pod,
 		user:      tr.User,
 		cpu:       tr.Pod.TotalCPU(),

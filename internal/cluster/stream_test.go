@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -134,5 +136,63 @@ func TestStreamDigestDeterministic(t *testing.T) {
 	c1.Advance(sim.Time(3 * time.Hour))
 	if c1.Digest() == c2.Digest() {
 		t.Fatal("advanced world kept the same digest")
+	}
+}
+
+// TestPodTableChunkBoundary streams two chunks and one pod through
+// FeedEvent and checks that the first pod's entry never moves while the
+// table grows. Then a world holding exactly one chunk and one holding a
+// chunk and one pod each capture and restore: the restored world must
+// digest like the original, audit clean, and finish with the same
+// result.
+func TestPodTableChunkBoundary(t *testing.T) {
+	const horizon = 2 * time.Hour
+	submit := func(c *Cluster, i int) {
+		t.Helper()
+		if err := c.FeedEvent(ctrace.Event{Time: time.Duration(i) * 250 * time.Millisecond, Kind: ctrace.Submit,
+			Pod: fmt.Sprintf("p%d", i), User: "u", Containers: []trace.Container{{CPU: 0.05, Mem: 0.05}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(Config{Horizon: horizon})
+	c.Start()
+	submit(c, 0)
+	p0 := c.pod(0)
+	for i := 1; i < 2*podChunk+1; i++ {
+		submit(c, i)
+	}
+	if c.pods.len() != 2*podChunk+1 || c.pod(0) != p0 || p0.pod.ID != "p0" {
+		t.Fatalf("after %d pods: pod 0 at %p (was %p) names %q", c.pods.len(), c.pod(0), p0, c.pod(0).pod.ID)
+	}
+
+	for _, n := range []int{podChunk, podChunk + 1} {
+		c := New(Config{Horizon: horizon})
+		c.Start()
+		for i := range n {
+			submit(c, i)
+		}
+		c.Advance(sim.Time(10 * time.Minute))
+		snap, err := c.Capture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(snap, RestoreOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.pods.len() != n || r.Digest() != c.Digest() {
+			t.Fatalf("%d pods: restored %d pods, digest %x, want %x", n, r.pods.len(), r.Digest(), c.Digest())
+		}
+		if leaks := r.Leaks(); len(leaks) > 0 {
+			t.Fatalf("%d pods: restored world leaks: %v", n, leaks)
+		}
+		c.Advance(sim.Time(horizon))
+		r.Advance(sim.Time(horizon))
+		if got, want := r.Finish(), c.Finish(); !reflect.DeepEqual(got, want) || want.Scheduled != n {
+			t.Fatalf("%d pods: restored world finished %+v, want %+v with every pod scheduled", n, got, want)
+		}
+		if leaks := r.Leaks(); len(leaks) > 0 {
+			t.Fatalf("%d pods: restored world leaks at the horizon: %v", n, leaks)
+		}
 	}
 }

@@ -226,15 +226,21 @@ func Replay(src ctrace.Source, cfg Config) (Result, error) {
 	if err := r.drainTail(); err != nil {
 		return Result{}, err
 	}
-	// Finish phase: close every world's books in index order and lay
-	// its recording on the caller's timeline.
+	// Finish phase: the shard workers close every world's books and, with
+	// Audit, run its O(pods) leak audit; then, in index order, the lowest
+	// leaking world is reported and each recording is laid on the
+	// caller's timeline.
 	r.res.Worlds = make([]cluster.Result, cfg.Worlds)
-	for w := range r.worlds {
+	leaks := make([][]string, cfg.Worlds)
+	parallel.Run(cfg.Worlds, cfg.Shards, func(w int) {
 		r.res.Worlds[w] = r.worlds[w].Finish()
 		if cfg.Audit {
-			if leaks := r.worlds[w].Leaks(); len(leaks) > 0 {
-				return Result{}, fmt.Errorf("shard: world %d leaks: %v", w, leaks)
-			}
+			leaks[w] = r.worlds[w].Leaks()
+		}
+	})
+	for w := range r.worlds {
+		if len(leaks[w]) > 0 {
+			return Result{}, fmt.Errorf("shard: world %d leaks: %v", w, leaks[w])
 		}
 		cfg.Cluster.Rec.Append(r.recs[w])
 	}

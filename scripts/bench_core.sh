@@ -22,9 +22,10 @@
 # each gate step running its benchmarks with -count 5 too: benchjson
 # -baseline fails the build when a median LifecycleScale/1k or
 # TraceReplay/1shard pods/s figure drops more than 20% below this
-# file, when TraceReplay/1shard allocs/op RISES more than 20% above it
-# (benchjson -lower — the pooled replay datapath is an allocation
-# budget, not just a throughput number), when a Fig4BrFusionMicro,
+# file, when TraceReplay/1shard allocs/op or B/op RISES more than 20%
+# above it (benchjson -lower — the pooled replay datapath is an
+# allocation budget in objects and in bytes, not just a throughput
+# number), when a Fig4BrFusionMicro,
 # Fig10HostloMicro or Fig11MemcachedHostlo allocs/op median rises more
 # than 20% (the datapath allocation gate: pooled frames, packets and
 # hops make those counts a budget, and being deterministic they do not
